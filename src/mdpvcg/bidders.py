@@ -26,7 +26,6 @@ class BidderStrategy:
     offset: float = 0.0                       # shifted
     windows: tuple = ()                       # adversarial_window: (lo, hi) rounds, hi exclusive
     inflate_to: Optional[float] = None        # adversarial_window: constant report
-    rng: Optional[np.random.Generator] = None # reserved for randomized strategies
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -69,28 +68,14 @@ def windows_from_episodes(config: LearnerConfig, episodes) -> list:
 def report(strategy: BidderStrategy, t: int, s: int, a: int,
            realized_reward: float) -> float:
     """The value the bidder reports this round, clipped to [0, 1]."""
-    kind = strategy.kind
-    if kind == "truthful":
-        value = realized_reward
-    elif kind == "by_bids":
-        value = strategy.table[s, a]
-    elif kind == "scaled":
-        value = strategy.factor * realized_reward
-    elif kind == "shifted":
-        value = realized_reward + strategy.offset
-    else:  # adversarial_window
-        if any(lo <= t < hi for lo, hi in strategy.windows):
-            if strategy.inflate_to is not None:
-                value = strategy.inflate_to
-            else:
-                value = strategy.factor * realized_reward
-        else:
-            value = realized_reward
-    return float(min(1.0, max(0.0, value)))
+    return float(make_reporter(strategy)(t, s, a, realized_reward))
 
 
 def make_reporter(strategy: BidderStrategy):
-    """Specialized closure with the same semantics as ``report`` (hot-loop path)."""
+    """Closure ``(t, s, a, r) -> report`` for one strategy (hot-loop path).
+
+    Reports are clipped to [0, 1]; ``by_bids`` tables are clipped at construction.
+    """
     kind = strategy.kind
     if kind == "truthful":
         return lambda t, s, a, r: r if 0.0 <= r <= 1.0 else min(1.0, max(0.0, r))

@@ -25,7 +25,9 @@ from .bidders import BidderStrategy, make_reporter, strategy_from_spec, truthful
 from .mdp import GeneratorSpec, MdpModel, SimState, generate_model, load_model, step
 from .occupancy import occupancy_from
 from .offline import BidProfile, Mechanism, average_utilities, offline_mechanism, seller_utility_identity
-from .online import ConfigurationError, LearnerConfig, OnlineVcgLearner, RoundDecision, episode_schedule
+from .online import (ConfigurationError, LearnerConfig, OnlineVcgLearner, RoundDecision,
+                     episode_lengths, episode_schedule)
+from .tolerances import TOL
 
 logger = logging.getLogger(__name__)
 
@@ -346,12 +348,12 @@ def simulate_run(model: MdpModel, seller, strategies: Sequence[BidderStrategy],
 
 def _episode_diagnostics(learner: OnlineVcgLearner, model: MdpModel,
                          caps: np.ndarray, pre: dict) -> EpisodeRecord:
-    tol = 1e-12
+    tol = TOL.exact
     in_band = bool(np.all(model.kernel >= learner.band_lower - tol)
                    and np.all(model.kernel <= learner.band_upper + tol))
     in_bounds = bool(np.all(model.reward_means >= learner.reward_lcb - tol)
                      and np.all(model.reward_means <= learner.reward_ucb + tol))
-    order_ok = bool(np.all(learner.payments_seller >= learner.payments_bidder - 1e-9))
+    order_ok = bool(np.all(learner.payments_seller >= learner.payments_bidder - TOL.mass))
     # Occupancy mismatch of the newly chosen policy against the true kernel,
     # next to its high-probability bound (diagnostic only, never asserted).
     cfg = learner.config
@@ -434,8 +436,7 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
 def _episodes_within(lcfg: LearnerConfig, horizon: int) -> int:
     k = 0
     t = 1
-    from .online import episode_lengths
-    while t <= horizon and k < 10_000:
+    while t <= horizon:
         k += 1
         d, l = episode_lengths(k, lcfg.alpha, lcfg.S, lcfg.A, lcfg.delta, lcfg.zeta)
         t += d + l
@@ -541,8 +542,7 @@ def export(result: OnlineRunResult, out_dir, fmt: Optional[str] = None) -> list:
                 out / "regret_per_seed.csv", result.config.seeds, result.report))
         else:
             path = out / "results.json"
-            path.write_text(json.dumps(_result_doc(result, include_rounds=True),
-                                       sort_keys=True))
+            path.write_text(json.dumps(_result_doc(result), sort_keys=True))
             written.append(path)
         summary = out / "summary.json"
         summary.write_text(json.dumps(_summary_doc(result), sort_keys=True, indent=1))
@@ -635,20 +635,19 @@ def _summary_doc(result: OnlineRunResult) -> dict:
     }
 
 
-def _result_doc(result: OnlineRunResult, include_rounds: bool) -> dict:
+def _result_doc(result: OnlineRunResult) -> dict:
     doc = _summary_doc(result)
     doc["checkpoints"] = result.report.checkpoints.tolist()
     doc["reg_sw"] = result.report.reg_sw.tolist()
     doc["reg_sell"] = result.report.reg_sell.tolist()
     doc["reg_bid"] = result.report.reg_bid.tolist()
-    if include_rounds:
-        doc["rounds"] = {
-            str(r.seed): [
-                {"t": x.t, "k": x.k, "phase": x.phase, "s": x.s, "a": x.a,
-                 "rewards": x.rewards.tolist(), "bids": x.bids.tolist(),
-                 "charges": x.charges.tolist()}
-                for x in (r.rounds or [])
-            ]
-            for r in result.seed_results
-        }
+    doc["rounds"] = {
+        str(r.seed): [
+            {"t": x.t, "k": x.k, "phase": x.phase, "s": x.s, "a": x.a,
+             "rewards": x.rewards.tolist(), "bids": x.bids.tolist(),
+             "charges": x.charges.tolist()}
+            for x in (r.rounds or [])
+        ]
+        for r in result.seed_results
+    }
     return doc

@@ -1,26 +1,30 @@
 """Occupancy-measure polytopes and LP maximization over them.
 
-Variants:
-  FULL              all valid occupancy measures (mass, flow, nonnegativity)
-  EXACT_KERNEL      additionally consistent with a fixed kernel P
-  SHRUNK            every state-action mass at least delta
-  SHRUNK_EXACT      SHRUNK intersected with EXACT_KERNEL
-  SHRUNK_CONFIDENCE SHRUNK intersected with a two-sided kernel band
-                    lower(s,a,s')*m(s,a) <= q(s,a,s') <= upper(s,a,s')*m(s,a),
+Variants (all include mass, flow and nonnegativity):
+  EXACT_KERNEL      consistent with a fixed kernel P: q(s,a,s') = P(s'|s,a) m(s,a),
                     where m(s,a) = sum_x q(s,a,x)
+  SHRUNK_EXACT      EXACT_KERNEL with every state-action mass at least delta
+  SHRUNK_CONFIDENCE every state-action mass at least delta, inside a two-sided
+                    kernel band lower(s,a,s')*m(s,a) <= q(s,a,s') <= upper(s,a,s')*m(s,a)
 
 The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
+
+A spec's constraint rows are built once, on its first solve, and reused by
+every later ``maximize`` over the same spec; spec arrays must not be mutated
+after construction.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .occupancy import OccupancyMeasure
@@ -28,13 +32,19 @@ from .tolerances import TOL
 
 logger = logging.getLogger(__name__)
 
-VARIANTS = ("FULL", "EXACT_KERNEL", "SHRUNK", "SHRUNK_EXACT", "SHRUNK_CONFIDENCE")
+VARIANTS = ("EXACT_KERNEL", "SHRUNK_EXACT", "SHRUNK_CONFIDENCE")
 
 # HiGHS dual simplex: deterministic and vertex-exact at these sizes
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+# Rows with more entries than this go to linprog as scipy.sparse (same
+# nonzeros, bit-identical solutions). Below it dense input is faster; above
+# it sparse input is faster and skips linprog's two dense copies of the rows,
+# whose placement on the malloc heap made peak memory differ from run to run.
+_SPARSE_ABOVE = 250_000
 
 
 @dataclass(frozen=True)
@@ -69,17 +79,9 @@ class PolytopeSpec:
             if self.band_lower.min() < 0 or self.band_upper.max() > 1 + TOL.row_sum:
                 raise ValueError("band must be clipped to [0, 1]")
 
-    @classmethod
-    def confidence(cls, delta, p_bar, radii, prior=None):
-        """Shrunk confidence polytope from an empirical kernel and radii.
-
-        ``prior`` carries the (lower, upper) band accumulated over earlier
-        episodes; the new band is intersected with it.
-        """
-        lower, upper = tighten_band(prior, p_bar, radii)
-        S, A = p_bar.shape[0], p_bar.shape[1]
-        return cls("SHRUNK_CONFIDENCE", S, A, delta=delta,
-                   band_lower=lower, band_upper=upper)
+    @cached_property
+    def _constraints(self) -> ConstraintSystem:
+        return build_constraints(self)
 
 
 def tighten_band(prior, p_bar, radii):
@@ -98,18 +100,12 @@ def tighten_band(prior, p_bar, radii):
 
 @dataclass
 class ConstraintSystem:
-    """Dense rows for linprog plus per-family counts for inspection."""
+    """Dense rows for linprog over the flattened q[s, a, s'] (nonnegativity as bounds)."""
 
     A_eq: np.ndarray
     b_eq: np.ndarray
     A_ub: np.ndarray
     b_ub: np.ndarray
-    n_normalization: int
-    n_flow: int
-    n_kernel: int
-    n_shrink: int
-    n_band: int
-    n_nonneg: int
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest constraint violation of a flat point (bounds included)."""
@@ -121,97 +117,58 @@ class ConstraintSystem:
         v = max(v, float(np.maximum(-x, 0.0).max()))
         return v
 
-    def dump(self) -> str:
-        """Plain-text listing: one line per row, `sum c*q[s,a,s'] (=|<=) b`."""
-        lines = []
 
-        def fmt(row, op, rhs):
-            terms = [
-                f"{row[j]:+g}*q{np.unravel_index(j, self._shape)}"
-                for j in np.flatnonzero(np.abs(row) > 0)
-            ]
-            lines.append(" ".join(terms) + f" {op} {rhs:g}")
+def _pair_rows(rows: np.ndarray, blocks: np.ndarray) -> None:
+    """Write blocks[p, j] into row j of pair p, in pair p's S columns.
 
-        for row, rhs in zip(self.A_eq, self.b_eq):
-            fmt(row, "=", rhs)
-        for row, rhs in zip(self.A_ub, self.b_ub):
-            fmt(row, "<=", rhs)
-        lines.append(f"q >= 0  ({self.n_nonneg} bounds)")
-        return "\n".join(lines)
+    ``rows`` is a zeroed (S*A*k, S*A*S) slice; ``blocks`` is (S*A, k, S).
+    """
+    n_pairs, k, S = blocks.shape
+    p = np.arange(n_pairs)
+    rows.reshape(n_pairs, k, n_pairs, S)[p, :, p] = blocks
 
 
 def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
-    """Emit the linear rows selecting the requested polytope over AS^2 variables."""
+    """Emit the linear rows selecting the requested polytope over AS^2 variables.
+
+    Equalities: mass, flow (one row per state), then for a fixed kernel one
+    row per (s, a, s'). Inequalities: shrink (one row per (s, a)), then for
+    the band an upper and a lower row per (s, a, s'), interleaved.
+    """
     S, A = spec.S, spec.A
-    nv = S * A * S
+    SA, nv = S * A, S * A * S
+    eye = np.eye(S)
+    has_kernel = spec.variant != "SHRUNK_CONFIDENCE"
+    shrunk = spec.variant != "EXACT_KERNEL"
 
-    def idx(s, a, x):
-        return (s * A + a) * S + x
-
-    eq_rows, eq_rhs = [np.ones(nv)], [1.0]
-
+    A_eq = np.zeros((1 + S + (nv if has_kernel else 0), nv))
+    b_eq = np.zeros(len(A_eq))
+    A_eq[0] = b_eq[0] = 1.0  # mass
     # flow conservation: inflow to s equals outflow from s
-    for s in range(S):
-        row = np.zeros((S, A, S))
-        row[:, :, s] += 1.0
-        row[s, :, :] -= 1.0
-        eq_rows.append(row.ravel())
-        eq_rhs.append(0.0)
+    flow = A_eq[1:1 + S].reshape(S, S, A, S)
+    flow += eye[:, None, None, :]
+    flow -= eye[:, :, None, None]
+    if has_kernel:  # q(s,a,x) - P(x|s,a) m(s,a) = 0
+        _pair_rows(A_eq[1 + S:], eye - spec.kernel.reshape(SA, S, 1))
 
-    n_kernel = 0
-    if spec.variant in ("EXACT_KERNEL", "SHRUNK_EXACT"):
-        for s in range(S):
-            for a in range(A):
-                for x in range(S):
-                    row = np.zeros(nv)
-                    row[idx(s, a, x)] += 1.0
-                    row[idx(s, a, 0):idx(s, a, 0) + S] -= spec.kernel[s, a, x]
-                    eq_rows.append(row)
-                    eq_rhs.append(0.0)
-                    n_kernel += 1
+    n_shrink = SA if shrunk else 0
+    A_ub = np.zeros((n_shrink + (0 if has_kernel else 2 * nv), nv))
+    b_ub = np.zeros(len(A_ub))
+    if shrunk:  # -m(s,a) <= -delta
+        _pair_rows(A_ub[:SA], np.full((SA, 1, S), -1.0))
+        b_ub[:SA] = -spec.delta
+    if not has_kernel:  # q - upper*m <= 0 and lower*m - q <= 0
+        # negate, then add the diagonal (not eye - upper): zero entries keep
+        # the sign they have in the row-by-row construction
+        band = np.empty((SA, S, 2, S))
+        band[:, :, 0] = -spec.band_upper.reshape(SA, S, 1)
+        band[:, :, 1] = spec.band_lower.reshape(SA, S, 1)
+        x = np.arange(S)
+        band[:, x, 0, x] += 1.0
+        band[:, x, 1, x] -= 1.0
+        _pair_rows(A_ub[n_shrink:], band.reshape(SA, 2 * S, S))
 
-    ub_rows, ub_rhs = [], []
-    n_shrink = 0
-    if spec.variant.startswith("SHRUNK"):
-        for s in range(S):
-            for a in range(A):
-                row = np.zeros(nv)
-                row[idx(s, a, 0):idx(s, a, 0) + S] = -1.0
-                ub_rows.append(row)
-                ub_rhs.append(-spec.delta)
-                n_shrink += 1
-
-    n_band = 0
-    if spec.variant == "SHRUNK_CONFIDENCE":
-        for s in range(S):
-            for a in range(A):
-                for x in range(S):
-                    up = np.zeros(nv)
-                    up[idx(s, a, 0):idx(s, a, 0) + S] = -spec.band_upper[s, a, x]
-                    up[idx(s, a, x)] += 1.0
-                    ub_rows.append(up)
-                    ub_rhs.append(0.0)
-                    lo = np.zeros(nv)
-                    lo[idx(s, a, 0):idx(s, a, 0) + S] = spec.band_lower[s, a, x]
-                    lo[idx(s, a, x)] -= 1.0
-                    ub_rows.append(lo)
-                    ub_rhs.append(0.0)
-                    n_band += 2
-
-    system = ConstraintSystem(
-        A_eq=np.array(eq_rows),
-        b_eq=np.array(eq_rhs),
-        A_ub=np.array(ub_rows) if ub_rows else np.zeros((0, nv)),
-        b_ub=np.array(ub_rhs),
-        n_normalization=1,
-        n_flow=S,
-        n_kernel=n_kernel,
-        n_shrink=n_shrink,
-        n_band=n_band,
-        n_nonneg=nv,
-    )
-    system._shape = (S, A, S)
-    return system
+    return ConstraintSystem(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
 
 
 @dataclass(frozen=True)
@@ -228,13 +185,16 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
         raise ValueError(f"objective must be (S, A) = {(spec.S, spec.A)}")
     if not np.all(np.isfinite(objective)):
         raise ValueError("objective must be finite")
-    system = build_constraints(spec)
+    system = spec._constraints
+    A_ub, A_eq = system.A_ub, system.A_eq
+    if A_ub.size + A_eq.size > _SPARSE_ABOVE:
+        A_ub, A_eq = sparse.csr_array(A_ub), sparse.csr_array(A_eq)
     c = np.repeat(objective[:, :, None], spec.S, axis=2).ravel()
     res = linprog(
         -c,
-        A_ub=system.A_ub if len(system.b_ub) else None,
+        A_ub=A_ub if len(system.b_ub) else None,
         b_ub=system.b_ub if len(system.b_ub) else None,
-        A_eq=system.A_eq,
+        A_eq=A_eq,
         b_eq=system.b_eq,
         bounds=(0, None),
         method="highs-ds",

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's LP / linear-solve paths:
 power iteration for stationary distributions, explicit enumeration for
-optimal policies, and plain sampling loops for Monte Carlo averages.
+optimal policies, plain sampling loops for Monte Carlo averages, one
+row at a time for polytope constraint rows, and an if-chain for bidder reports.
 """
 
 import numpy as np
@@ -64,7 +65,81 @@ def simulate_average_reward(kernel, policy_actions, reward, T, seed):
     return total / T
 
 
+def reference_report(strategy, t, s, a, r):
+    """A bidder's report by the strategy's definition, clipped to [0, 1]."""
+    kind = strategy.kind
+    if kind == "truthful":
+        value = r
+    elif kind == "by_bids":
+        value = strategy.table[s, a]
+    elif kind == "scaled":
+        value = strategy.factor * r
+    elif kind == "shifted":
+        value = r + strategy.offset
+    elif any(lo <= t < hi for lo, hi in strategy.windows):  # adversarial_window
+        value = strategy.inflate_to if strategy.inflate_to is not None else strategy.factor * r
+    else:
+        value = r
+    return float(min(1.0, max(0.0, value)))
+
+
 def second_price_outcome(values):
     """Static second-price auction: (winner index, price)."""
     order = np.argsort(values)
     return int(order[-1]), float(values[order[-2]]) if len(values) > 1 else 0.0
+
+
+def loop_constraints(variant, S, A, kernel=None, delta=None, band_lower=None,
+                     band_upper=None):
+    """Polytope rows (A_eq, b_eq, A_ub, b_ub) built one row at a time.
+
+    Row order: mass, flow per state, kernel rows per (s, a, s'); shrink rows
+    per (s, a), then an upper and a lower band row per (s, a, s').
+    """
+    nv = S * A * S
+
+    def idx(s, a, x):
+        return (s * A + a) * S + x
+
+    eq_rows, eq_rhs = [np.ones(nv)], [1.0]
+    for s in range(S):
+        row = np.zeros((S, A, S))
+        row[:, :, s] += 1.0
+        row[s, :, :] -= 1.0
+        eq_rows.append(row.ravel())
+        eq_rhs.append(0.0)
+    if variant in ("EXACT_KERNEL", "SHRUNK_EXACT"):
+        for s in range(S):
+            for a in range(A):
+                for x in range(S):
+                    row = np.zeros(nv)
+                    row[idx(s, a, x)] += 1.0
+                    row[idx(s, a, 0):idx(s, a, 0) + S] -= kernel[s, a, x]
+                    eq_rows.append(row)
+                    eq_rhs.append(0.0)
+
+    ub_rows, ub_rhs = [], []
+    if variant.startswith("SHRUNK"):
+        for s in range(S):
+            for a in range(A):
+                row = np.zeros(nv)
+                row[idx(s, a, 0):idx(s, a, 0) + S] = -1.0
+                ub_rows.append(row)
+                ub_rhs.append(-delta)
+    if variant == "SHRUNK_CONFIDENCE":
+        for s in range(S):
+            for a in range(A):
+                for x in range(S):
+                    up = np.zeros(nv)
+                    up[idx(s, a, 0):idx(s, a, 0) + S] = -band_upper[s, a, x]
+                    up[idx(s, a, x)] += 1.0
+                    ub_rows.append(up)
+                    ub_rhs.append(0.0)
+                    lo = np.zeros(nv)
+                    lo[idx(s, a, 0):idx(s, a, 0) + S] = band_lower[s, a, x]
+                    lo[idx(s, a, x)] -= 1.0
+                    ub_rows.append(lo)
+                    ub_rhs.append(0.0)
+
+    return (np.array(eq_rows), np.array(eq_rhs),
+            np.array(ub_rows) if ub_rows else np.zeros((0, nv)), np.array(ub_rhs))

@@ -5,6 +5,24 @@ from mdpvcg import GeneratorSpec, generate_model
 
 
 @pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps that attribute for the test and
+    returns a list that grows by one entry per call."""
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
+@pytest.fixture
 def small_model():
     return generate_model(GeneratorSpec(S=3, n=2, alpha=0.1, A=3), seed=7)
 

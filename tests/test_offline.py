@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mdpvcg.offline as offline_mod
+import mdpvcg.polytope as polytope_mod
 from _oracles import brute_force_best
 from mdpvcg import (BidProfile, GeneratorSpec, average_utilities,
                     generate_model, offline_mechanism, seller_utility_identity)
@@ -159,3 +161,13 @@ def test_payment_is_independent_of_own_bid():
 def test_bid_profile_range_enforced():
     with pytest.raises(ValueError):
         BidProfile(np.full((1, 2, 2), 1.4))
+
+
+def test_constraints_built_once_per_mechanism(small_model, count_calls):
+    builds = count_calls(polytope_mod, "build_constraints")
+    solves = count_calls(offline_mod, "maximize")
+    bids = BidProfile.truthful(small_model)
+    for calls in (1, 2):
+        offline_mechanism(bids, small_model.reward_means[0], small_model.kernel)
+        assert len(builds) == calls
+        assert len(solves) == calls * (small_model.n + 1)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import mdpvcg.online as online_mod
+import mdpvcg.polytope as polytope_mod
 from mdpvcg import (ConfigurationError, GeneratorSpec, LearnerConfig,
                     OnlineVcgLearner, episode_lengths, episode_schedule,
                     generate_model, save_checkpoint, load_checkpoint)
@@ -232,7 +234,6 @@ def test_infeasible_delta_surfaces_configuration_error():
     def keep_band(prior, p_bar, radii):
         return original, original
 
-    import mdpvcg.online as online_mod
     saved = online_mod.tighten_band
     online_mod.tighten_band = keep_band
     try:
@@ -262,3 +263,15 @@ def test_checkpoint_roundtrip_resumes_identically(tmp_path):
     dec_b = clone.act(1, rng_b)
     assert dec_a.action == dec_b.action
     np.testing.assert_array_equal(dec_a.charges, dec_b.charges)
+
+
+def test_constraints_built_once_per_episode(count_calls):
+    model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.25, A=3,
+                                         reward_family="bernoulli-scaled"), 4)
+    builds = count_calls(polytope_mod, "build_constraints")
+    solves = count_calls(online_mod, "maximize")
+    learner = drive(OnlineVcgLearner(config(alpha=0.25, delta=0.08)), model, 3000)
+    episodes = learner.k - 1
+    assert episodes >= 2
+    assert len(builds) == episodes
+    assert len(solves) == episodes * (2 * model.n + 1)

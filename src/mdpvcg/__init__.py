@@ -1,21 +1,21 @@
 """Average-reward MDP auctions: offline VCG mechanism and its online learner."""
 
-from .bidders import (BidderStrategy, adversarial_window, by_bids, report,
+from .bidders import (BidderStrategy, adversarial_window, by_bids, reports,
                       scaled, shifted, truthful, windows_from_episodes)
-from .harness import (ClairvoyantSeller, ExperimentConfig, OnlineRunResult,
-                      RegretReport, RoundRecord, compute_benchmark, config_hash,
-                      export, run_clairvoyant, run_offline, run_online,
-                      simulate_run, truthfulness_gain)
+from .harness import (ExperimentConfig, OnlineRunResult, RegretReport,
+                      RoundColumns, compute_benchmark, config_hash, export,
+                      run_clairvoyant, run_offline, run_online, simulate_run,
+                      truthfulness_gain)
 from .mdp import (GeneratorSpec, MdpModel, SimState, generate_model, load_model,
-                  save_model, step, validate_model)
+                  play, save_model, validate_model)
 from .occupancy import (OccupancyMeasure, induce, kernel_shift_bound,
                         mixing_contraction, occupancy_from, payoff,
                         stationary_distribution, state_kernel)
 from .offline import (BidProfile, Mechanism, average_utilities,
                       offline_mechanism, seller_utility_identity)
 from .online import (ConfigurationError, LearnerConfig, OnlineVcgLearner,
-                     RoundDecision, episode_lengths, episode_schedule,
-                     load_checkpoint, save_checkpoint)
+                     episode_lengths, episode_schedule, load_checkpoint,
+                     save_checkpoint)
 from .polytope import (ConstraintSystem, LpSolution, PolytopeSpec,
                        build_constraints, calibrate_delta, maximize,
                        tighten_band)

@@ -65,37 +65,33 @@ def windows_from_episodes(config: LearnerConfig, episodes) -> list:
     return [(int(taus[k - 1]), int(taus[k])) for k in episodes]
 
 
-def report(strategy: BidderStrategy, t: int, s: int, a: int,
-           realized_reward: float) -> float:
-    """The value the bidder reports this round, clipped to [0, 1]."""
-    return float(make_reporter(strategy)(t, s, a, realized_reward))
+def _clip01(x):
+    """min(1, max(0, x)) elementwise, picking as Python does: NaN and -0.0 give 0.0."""
+    return np.where(x > 0.0, np.minimum(x, 1.0), 0.0)
 
 
-def make_reporter(strategy: BidderStrategy):
-    """Closure ``(t, s, a, r) -> report`` for one strategy (hot-loop path).
+def reports(strategy: BidderStrategy, t, s, a, r) -> np.ndarray:
+    """What the bidder reports in rounds t at (s, a) given realized rewards r.
 
-    Reports are clipped to [0, 1]; ``by_bids`` tables are clipped at construction.
+    Arguments are equal-length arrays (or scalars). Reports are clipped to
+    [0, 1]; ``by_bids`` tables are clipped at construction.
     """
     kind = strategy.kind
-    if kind == "truthful":
-        return lambda t, s, a, r: r if 0.0 <= r <= 1.0 else min(1.0, max(0.0, r))
+    r = np.asarray(r, dtype=np.float64)
+    if kind == "truthful":  # in-range values pass through untouched
+        return np.where(r >= 0.0, np.minimum(r, 1.0), 0.0)
     if kind == "by_bids":
-        table = strategy.table
-        return lambda t, s, a, r: table[s, a]
+        return strategy.table[s, a]
     if kind == "scaled":
-        f = strategy.factor
-        return lambda t, s, a, r: min(1.0, max(0.0, f * r))
+        return _clip01(strategy.factor * r)
     if kind == "shifted":
-        off = strategy.offset
-        return lambda t, s, a, r: min(1.0, max(0.0, r + off))
-    windows, inflate_to, factor = strategy.windows, strategy.inflate_to, strategy.factor
-
-    def adversarial(t, s, a, r):
-        if any(lo <= t < hi for lo, hi in windows):
-            r = inflate_to if inflate_to is not None else factor * r
-        return min(1.0, max(0.0, r))
-
-    return adversarial
+        return _clip01(r + strategy.offset)
+    t = np.asarray(t)
+    inside = np.zeros(t.shape, dtype=bool)
+    for lo, hi in strategy.windows:
+        inside |= (lo <= t) & (t < hi)
+    lie = strategy.inflate_to if strategy.inflate_to is not None else strategy.factor * r
+    return _clip01(np.where(inside, lie, r))
 
 
 def strategy_from_spec(doc: dict) -> BidderStrategy:

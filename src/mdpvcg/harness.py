@@ -15,18 +15,17 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bidders import BidderStrategy, make_reporter, strategy_from_spec, truthful
-from .mdp import GeneratorSpec, MdpModel, SimState, generate_model, load_model, step
+from .bidders import BidderStrategy, reports, strategy_from_spec, truthful
+from .mdp import GeneratorSpec, MdpModel, SimState, generate_model, load_model, play
 from .occupancy import occupancy_from
 from .offline import BidProfile, Mechanism, average_utilities, offline_mechanism, seller_utility_identity
-from .online import (ConfigurationError, LearnerConfig, OnlineVcgLearner, RoundDecision,
-                     episode_lengths, episode_schedule)
+from .online import ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
 from .tolerances import TOL
 
 logger = logging.getLogger(__name__)
@@ -55,11 +54,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        model = doc.get("model", {})
-        gen = None
-        if "generator" in model:
-            gen = GeneratorSpec(**model["generator"])
-        learner = doc.get("learner", {})
+        model, learner = doc.get("model", {}), doc.get("learner", {})
+        # a misspelt key would silently fall back to a default: refuse it
+        for part, where, known in (
+                (doc, "config", _CONFIG_KEYS), (model, "model", ("generator", "file", "seed")),
+                (model.get("generator", {}), "model.generator",
+                 [f.name for f in fields(GeneratorSpec)]),
+                (learner, "learner", ("delta", "zeta", "epsilon", "alpha", "variant"))):
+            unknown = sorted(set(part) - set(known))
+            if unknown:
+                raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                                 f"expected some of {', '.join(known)}")
+        gen = GeneratorSpec(**model["generator"]) if "generator" in model else None
         return cls(
             generator=gen,
             model_file=model.get("file"),
@@ -96,6 +102,9 @@ class ExperimentConfig:
             "out": self.out,
             "format": self.format,
         }
+
+
+_CONFIG_KEYS = ("model", "learner", "bidders", "horizon", "episodes", "seeds", "out", "format")
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -142,18 +151,28 @@ def resolve_horizon(config: ExperimentConfig, lcfg: LearnerConfig) -> int:
 # -- per-round and per-episode records ---------------------------------------
 
 @dataclass
-class RoundRecord:
-    t: int
-    k: int
-    phase: str
-    s: int
-    a: int
-    rewards: np.ndarray   # realized, all players, seller first
-    bids: np.ndarray      # reported values
-    charges: np.ndarray   # payments this round
-    u0: float
-    ui: np.ndarray
-    R: float
+class RoundColumns:
+    """Per-round records, one array per field and one row per round."""
+
+    t: np.ndarray
+    k: np.ndarray         # episode; 0 for a fixed mechanism
+    phase: np.ndarray     # "mixing" or "stationary"
+    s: np.ndarray
+    a: np.ndarray
+    rewards: np.ndarray   # (T, n+1) realized, all players, seller first
+    bids: np.ndarray      # (T, n) reported values
+    charges: np.ndarray   # (T, n) payments this round
+    u0: np.ndarray
+    ui: np.ndarray        # (T, n)
+    R: np.ndarray
+
+    @classmethod
+    def allocate(cls, horizon: int, n: int) -> "RoundColumns":
+        ints, floats = np.zeros(horizon, dtype=np.int64), np.zeros((horizon, n))
+        return cls(t=np.arange(1, horizon + 1), k=ints, phase=np.empty(horizon, dtype="<U10"),
+                   s=ints.copy(), a=ints.copy(), rewards=np.zeros((horizon, n + 1)),
+                   bids=floats, charges=floats.copy(), u0=np.zeros(horizon),
+                   ui=floats.copy(), R=np.zeros(horizon))
 
 
 @dataclass
@@ -182,7 +201,7 @@ class SeedRunResult:
     cum_bidders: np.ndarray
     cum_per_bidder: np.ndarray   # (n, n_checkpoints)
     episodes: list
-    rounds: Optional[list] = None
+    rounds: Optional[RoundColumns] = None
     learner_state: Optional[dict] = None
 
 
@@ -219,32 +238,12 @@ class OnlineRunResult:
     seed_results: list
 
 
-# -- sellers ------------------------------------------------------------------
+# -- simulation ---------------------------------------------------------------
 
-class ClairvoyantSeller:
-    """Stub that plays the offline mechanism from round 1; nothing to learn."""
+# Longest segment played at once: bounds the per-segment arrays when an
+# episode (or a fixed mechanism's endless one) is long.
+_SEGMENT_MAX = 1 << 16
 
-    episode_complete = False
-
-    def __init__(self, mechanism: Mechanism):
-        self.policy = mechanism.allocation
-        self.payments = mechanism.payments
-        self._cdf = np.cumsum(self.policy, axis=1)
-        self._pay = np.ascontiguousarray(self.payments.transpose(1, 2, 0))
-        self.k = 0
-
-    def act(self, s: int, rng: np.random.Generator) -> RoundDecision:
-        a = int(self._cdf[s].searchsorted(rng.random(), side="right"))
-        if a >= self.policy.shape[1]:
-            a = self.policy.shape[1] - 1
-        return RoundDecision(action=a, charges=self._pay[s, a],
-                             phase="stationary", episode=0)
-
-    def observe(self, s, a, s2, seller_reward, bids) -> None:
-        pass
-
-
-# -- simulation loop ----------------------------------------------------------
 
 def checkpoint_grid(horizon: int, boundaries=(), extra=()) -> np.ndarray:
     """Powers of two plus episode boundaries plus the horizon and extras."""
@@ -258,96 +257,107 @@ def checkpoint_grid(horizon: int, boundaries=(), extra=()) -> np.ndarray:
     return np.array(sorted(pts), dtype=np.int64)
 
 
-def simulate_run(model: MdpModel, seller, strategies: Sequence[BidderStrategy],
-                 horizon: int, seed: int, checkpoints: np.ndarray,
-                 record_rounds: bool = False,
+def simulate_run(model: MdpModel, seller: OnlineVcgLearner | Mechanism,
+                 strategies: Sequence[BidderStrategy], horizon: int, seed: int,
+                 checkpoints: np.ndarray, record_rounds: bool = False,
                  keep_learner: bool = False) -> SeedRunResult:
-    """One seeded pass of the online protocol; diagnostics when seller learns."""
+    """One seeded pass of the online protocol; diagnostics when the seller learns.
+
+    ``seller`` is an OnlineVcgLearner or a fixed Mechanism, which plays like
+    an episode that never ends. Play goes one segment at a time: the rest of
+    the current episode, cut at the horizon and at ``_SEGMENT_MAX`` rounds.
+    A segment's policy and charges are fixed, so its rounds are drawn and
+    accounted with array operations: the same draws as one round at a time,
+    and the same sums added in the same order.
+    """
     n = model.n
     ss = np.random.SeedSequence(seed)
     env_seed, seller_seed = ss.spawn(2)
     sim = SimState.start(model, env_seed)
     rng_seller = np.random.default_rng(seller_seed)
+    learner = seller if isinstance(seller, OnlineVcgLearner) else None
+    episode_counts = learner.counts.copy() if learner is not None else None
 
-    learning = isinstance(seller, OnlineVcgLearner)
-    episode_counts = seller.counts.copy() if learning else None
-    caps = model.reward_caps()
-    reporters = [make_reporter(st) for st in strategies]
-    idx = list(range(n))
-
-    ncp = len(checkpoints)
-    cum_welfare = np.zeros(ncp)
-    cum_seller = np.zeros(ncp)
-    cum_bidders = np.zeros(ncp)
-    cum_per_bidder = np.zeros((n, ncp))
-    cw = cs = 0.0
-    cpb = [0.0] * n
-    cp_idx = 0
-    next_cp = int(checkpoints[0]) if ncp else horizon + 1
-
+    # running sums of R, u_0 and each u_i; their values at the checkpoints
+    totals = np.zeros(n + 2)
+    at_checkpoints = np.zeros((n + 2, len(checkpoints)))
+    rounds = RoundColumns.allocate(horizon, n) if record_rounds else None
     episodes: list = []
-    rounds: Optional[list] = [] if record_rounds else None
-    act = seller.act
-    observe = seller.observe
+    while sim.t <= horizon:
+        length = min(horizon - sim.t + 1, _SEGMENT_MAX)
+        if learner is None:
+            mixing, k, policy, payments = 0, 0, seller.allocation, seller.payments
+        else:
+            length = min(length, learner.d_k + learner.l_k - learner.pos)
+            mixing = min(length, max(0, learner.d_k - learner.pos))
+            k, policy, payments = learner.k, learner.policy, learner.payments
+        totals = _play_segment(model, sim, rng_seller, learner, strategies, length, mixing, k,
+                               policy, payments, checkpoints, totals, at_checkpoints, rounds)
 
-    for t in range(1, horizon + 1):
-        s = sim.s
-        dec = act(s, rng_seller)
-        a = dec.action
-        s2, rewards = step(model, sim, a)
-        bids = [reporters[i](t, s, a, rewards[i + 1]) for i in idx]
-        observe(s, a, s2, rewards[0], bids)
-
-        charges = dec.charges
-        r0 = rewards[0]
-        bidder_total = 0.0
-        pay_total = 0.0
-        for i in idx:
-            bidder_total += rewards[i + 1]
-            pay_total += charges[i]
-            cpb[i] += rewards[i + 1] - charges[i]
-        cw += r0 + bidder_total
-        cs += r0 + pay_total
-
-        if record_rounds:
-            rr = np.array(rewards)
-            ch = np.array(charges)
-            rounds.append(RoundRecord(
-                t=t, k=dec.episode, phase=dec.phase, s=s, a=a,
-                rewards=rr, bids=np.array(bids), charges=ch,
-                u0=r0 + pay_total, ui=rr[1:] - ch,
-                R=r0 + bidder_total,
-            ))
-        if t == next_cp:
-            cum_welfare[cp_idx] = cw
-            cum_seller[cp_idx] = cs
-            # payments cancel: sum_i u_i^t == R^t - u_0^t identically
-            cum_bidders[cp_idx] = cw - cs
-            cum_per_bidder[:, cp_idx] = cpb
-            cp_idx += 1
-            next_cp = int(checkpoints[cp_idx]) if cp_idx < ncp else horizon + 1
-
-        if learning and seller.episode_complete:
-            k = seller.k
+        if learner is not None and learner.episode_complete:
             pre = {
-                "k": k, "tau": seller.tau_k, "d": seller.d_k, "l": seller.l_k,
-                "policy_min": float(seller.policy.min()),
-                "unvisited": int(np.count_nonzero(seller.counts == episode_counts)),
+                "k": learner.k, "tau": learner.tau_k, "d": learner.d_k, "l": learner.l_k,
+                "policy_min": float(learner.policy.min()),
+                "unvisited": int(np.count_nonzero(learner.counts == episode_counts)),
             }
-            seller.end_episode()
-            episodes.append(_episode_diagnostics(seller, model, caps, pre))
-            episode_counts = seller.counts.copy()
+            learner.end_episode()
+            episodes.append(_episode_diagnostics(learner, model, pre))
+            episode_counts = learner.counts.copy()
 
+    cum_welfare, cum_seller = at_checkpoints[0], at_checkpoints[1]
     return SeedRunResult(
         seed=seed, horizon=horizon, checkpoints=checkpoints,
-        cum_welfare=cum_welfare, cum_seller=cum_seller, cum_bidders=cum_bidders,
-        cum_per_bidder=cum_per_bidder, episodes=episodes, rounds=rounds,
-        learner_state=seller.to_checkpoint() if (learning and keep_learner) else None,
+        cum_welfare=cum_welfare, cum_seller=cum_seller,
+        # payments cancel: sum_i u_i^t == R^t - u_0^t identically
+        cum_bidders=cum_welfare - cum_seller,
+        cum_per_bidder=at_checkpoints[2:], episodes=episodes, rounds=rounds,
+        learner_state=learner.to_checkpoint() if (learner is not None and keep_learner) else None,
     )
 
 
+def _play_segment(model, sim, rng, learner, strategies, length, mixing, k, policy,
+                  payments, checkpoints, totals, at_checkpoints, rounds):
+    """Play ``length`` rounds under ``policy``; returns the running sums after them.
+
+    The first ``mixing`` rounds are not charged. Sums at the checkpoints
+    inside the segment go to ``at_checkpoints``; rows of ``rounds`` are
+    filled when it is given.
+    """
+    n = model.n
+    t0 = sim.t
+    t = np.arange(t0, t0 + length)
+    s, a, s2, r = play(model, sim, policy, rng, length)
+    bids = np.array([reports(strategies[i], t, s, a, r[i + 1])
+                     for i in range(n)]).reshape(n, length)
+    if learner is not None:
+        learner.observe(s, a, s2, r[0], bids)
+    charges = payments[:, s, a]
+    charges[:, :mixing] = 0.0
+
+    bidder_total = pay_total = 0.0  # added left to right: 0.0 + x_1 + x_2 + ...
+    for i in range(n):
+        bidder_total = bidder_total + r[i + 1]
+        pay_total = pay_total + charges[i]
+    flows = np.empty((n + 2, length + 1))
+    flows[:, 0] = totals
+    flows[0, 1:] = r[0] + bidder_total  # R
+    flows[1, 1:] = r[0] + pay_total     # u_0
+    flows[2:, 1:] = r[1:] - charges     # u_i
+    sums = np.cumsum(flows, axis=1)     # sequential, seeded with the totals
+    lo, hi = np.searchsorted(checkpoints, [t0, t0 + length])
+    at_checkpoints[:, lo:hi] = sums[:, checkpoints[lo:hi] - t0 + 1]
+
+    if rounds is not None:
+        phase = np.where(np.arange(length) < mixing, "mixing", "stationary")
+        for name, column in (("k", k), ("phase", phase), ("s", s), ("a", a), ("rewards", r.T),
+                             ("bids", bids.T), ("charges", charges.T), ("R", flows[0, 1:]),
+                             ("u0", flows[1, 1:]), ("ui", flows[2:, 1:].T)):
+            getattr(rounds, name)[t0 - 1:t0 - 1 + length] = column
+    return sums[:, -1]
+
+
 def _episode_diagnostics(learner: OnlineVcgLearner, model: MdpModel,
-                         caps: np.ndarray, pre: dict) -> EpisodeRecord:
+                         pre: dict) -> EpisodeRecord:
     tol = TOL.exact
     in_band = bool(np.all(model.kernel >= learner.band_lower - tol)
                    and np.all(model.kernel <= learner.band_upper + tol))
@@ -364,9 +374,7 @@ def _episode_diagnostics(learner: OnlineVcgLearner, model: MdpModel,
     rho_bound = (6.0 / (cfg.alpha * math.sqrt(cfg.S)) * math.sqrt(log_term / k)
                  + 20.0 / cfg.alpha * log_term / k)
     return EpisodeRecord(
-        k=k, tau=pre["tau"], d=pre["d"], l=pre["l"],
-        policy_min=pre["policy_min"], unvisited=pre["unvisited"],
-        band_contains_truth=in_band, rewards_in_bounds=in_bounds,
+        **pre, band_contains_truth=in_band, rewards_in_bounds=in_bounds,
         band_width_max=float((learner.band_upper - learner.band_lower).max()),
         payment_order_ok=order_ok, rho_gap=rho_gap, rho_gap_bound=rho_bound,
     )
@@ -404,7 +412,10 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
 
     if seller_factory is None:
         seller_factory = lambda: OnlineVcgLearner(lcfg)
-        boundaries = episode_schedule(lcfg, _episodes_within(lcfg, horizon)) - 1
+        episodes = 1  # enough for the schedule to pass the horizon
+        while episode_schedule(lcfg, episodes)[-1] <= horizon:
+            episodes *= 2
+        boundaries = episode_schedule(lcfg, episodes) - 1
     else:
         boundaries = ()
     checkpoints = checkpoint_grid(horizon, boundaries, extra_checkpoints)
@@ -433,16 +444,6 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
     )
 
 
-def _episodes_within(lcfg: LearnerConfig, horizon: int) -> int:
-    k = 0
-    t = 1
-    while t <= horizon:
-        k += 1
-        d, l = episode_lengths(k, lcfg.alpha, lcfg.S, lcfg.A, lcfg.delta, lcfg.zeta)
-        t += d + l
-    return k
-
-
 def run_clairvoyant(config: ExperimentConfig, extra_checkpoints=()) -> OnlineRunResult:
     """Benchmark playing itself: the offline (pi*, p*) charged from round 1."""
     model = resolve_model(config)
@@ -450,7 +451,7 @@ def run_clairvoyant(config: ExperimentConfig, extra_checkpoints=()) -> OnlineRun
     return run_online(
         config, strategies=[truthful() for _ in range(model.n)],
         extra_checkpoints=extra_checkpoints,
-        seller_factory=lambda: ClairvoyantSeller(mech),
+        seller_factory=lambda: mech,
     )
 
 
@@ -468,7 +469,7 @@ def run_offline(config: ExperimentConfig, bids: Optional[BidProfile] = None,
     if sim_rounds > 0:
         strategies = [truthful() for _ in range(model.n)]
         cps = np.array([sim_rounds], dtype=np.int64)
-        run = simulate_run(model, ClairvoyantSeller(mech), strategies,
+        run = simulate_run(model, mech, strategies,
                            sim_rounds, sim_seed, cps)
         empirical = {
             "welfare": float(run.cum_welfare[0] / sim_rounds),
@@ -552,20 +553,18 @@ def export(result: OnlineRunResult, out_dir, fmt: Optional[str] = None) -> list:
         raise OSError(f"export to {out_dir} failed: {e}") from e
 
 
-def _write_rounds_csv(path, rounds, n: int):
+def _write_rounds_csv(path, rounds: RoundColumns, n: int, block: int = 8192):
+    """Rows as csv.writer writes them (ints and phases by str, floats by repr,
+    CRLF line ends), formatted a block of rows at a time."""
+    columns = ([(str, rounds.t), (str, rounds.k), (str, rounds.phase), (str, rounds.s),
+                (str, rounds.a)]
+               + [(repr, c) for c in (*rounds.rewards.T, *rounds.bids.T, *rounds.charges.T,
+                                      rounds.u0, *rounds.ui.T, rounds.R)])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_round_header(n))
-        for r in rounds:
-            w.writerow(
-                [r.t, r.k, r.phase, r.s, r.a]
-                + [repr(float(x)) for x in r.rewards]
-                + [repr(float(x)) for x in r.bids]
-                + [repr(float(x)) for x in r.charges]
-                + [repr(float(r.u0))]
-                + [repr(float(x)) for x in r.ui]
-                + [repr(float(r.R))]
-            )
+        fh.write(",".join(_round_header(n)) + "\r\n")
+        for lo in range(0, len(rounds.t), block):
+            cells = [map(fmt, c[lo:lo + block].tolist()) for fmt, c in columns]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
     return path
 
 
@@ -641,13 +640,11 @@ def _result_doc(result: OnlineRunResult) -> dict:
     doc["reg_sw"] = result.report.reg_sw.tolist()
     doc["reg_sell"] = result.report.reg_sell.tolist()
     doc["reg_bid"] = result.report.reg_bid.tolist()
+    keys = ("t", "k", "phase", "s", "a", "rewards", "bids", "charges")
     doc["rounds"] = {
-        str(r.seed): [
-            {"t": x.t, "k": x.k, "phase": x.phase, "s": x.s, "a": x.a,
-             "rewards": x.rewards.tolist(), "bids": x.bids.tolist(),
-             "charges": x.charges.tolist()}
-            for x in (r.rounds or [])
-        ]
+        str(r.seed): [dict(zip(keys, row)) for row in
+                      zip(*(getattr(r.rounds, key).tolist() for key in keys))]
+        if r.rounds is not None else []
         for r in result.seed_results
     }
     return doc

@@ -8,6 +8,7 @@ ergodicity margin: every entry P(s'|s,a) >= alpha.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -52,8 +53,10 @@ class MdpModel:
         self.reward_family = fam
         self.kernel.setflags(write=False)
         self.reward_means.setflags(write=False)
-        # cached sampling tables; kernel_cdf[s, a] is the cdf over next states
+        # cached sampling table: kernel_cdf[s, a] is the cdf over next states,
+        # ending in inf so that cdf rounding below 1.0 picks the last state
         self._kernel_cdf = np.cumsum(self.kernel, axis=2)
+        self._kernel_cdf[..., -1] = np.inf
         self._deterministic = tuple(f == "deterministic" for f in self.reward_family)
 
     @property
@@ -211,33 +214,49 @@ def generate_model(spec: GeneratorSpec, seed) -> MdpModel:
     )
 
 
-def draw_rewards(model: MdpModel, s: int, a: int, rng: np.random.Generator) -> list:
-    """Sample one realized reward per player at (s, a); returns a plain list."""
-    means = model.reward_means
-    out = []
-    cap = model.c_max
-    for i, det in enumerate(model._deterministic):
-        mean = means[i, s, a]
-        if det:
-            out.append(mean)
-        else:  # bernoulli-scaled: value cap with probability mean/cap
-            out.append(cap if rng.random() * cap < mean else 0.0)
-        cap = 1.0  # bidders after the seller
+def draw_rewards(model: MdpModel, s: np.ndarray, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Realized rewards (n+1, L) at the rounds' (s, a), seller first.
+
+    ``u`` is (L, m): one uniform per round and stochastic player, in player
+    order. A bernoulli-scaled player gets its cap with probability mean/cap.
+    """
+    out = model.reward_means[:, s, a]
+    stochastic = [i for i, det in enumerate(model._deterministic) if not det]
+    caps = model.reward_caps()[stochastic, None]
+    out[stochastic] = np.where(u.T * caps < out[stochastic], caps, 0.0)
     return out
 
 
-def step(model: MdpModel, sim: SimState, a: int):
-    """Advance one round: sample s' ~ P(.|s,a) and all realized rewards."""
-    if not 0 <= a < model.A:
-        raise ValueError(f"action {a} out of range [0, {model.A})")
+def play(model: MdpModel, sim: SimState, policy: np.ndarray,
+         rng: np.random.Generator, rounds: int):
+    """Play ``rounds`` rounds under a fixed policy (S, A): (s, a, s2, rewards (n+1, L)).
+
+    Per round, ``rng`` gives the action's uniform and ``sim.rng`` the m
+    stochastic rewards' and then the next state's, drawn as blocks that end
+    where one round at a time would. Only the (s, a, s') walk is serial.
+    """
+    if policy.shape != (model.S, model.A):
+        raise ValueError(f"policy must be (S, A) = {(model.S, model.A)}, got {policy.shape}")
+    m = model.n + 1 - sum(model._deterministic)
+    u_act = rng.random(rounds).tolist()
+    u_env = sim.rng.random((rounds, m + 1))
+    policy_cdf = np.cumsum(policy, axis=1)
+    policy_cdf[:, -1] = np.inf  # as for the kernel
+    policy_cdf = policy_cdf.tolist()
+    kernel_cdf = model._kernel_cdf.tolist()
+    path = [0] * (rounds + 1)
+    actions = [0] * rounds
     s = sim.s
-    rewards = draw_rewards(model, s, a, sim.rng)
-    s2 = int(model._kernel_cdf[s, a].searchsorted(sim.rng.random(), side="right"))
-    if s2 >= model.S:  # cdf rounding at 1.0
-        s2 = model.S - 1
-    sim.s = s2
-    sim.t += 1
-    return s2, rewards
+    for j, u in enumerate(u_env[:, m].tolist()):
+        path[j] = s
+        actions[j] = a = bisect_right(policy_cdf[s], u_act[j])
+        s = bisect_right(kernel_cdf[s][a], u)
+    path[rounds] = s
+    sim.s = s
+    sim.t += rounds
+    path = np.array(path)
+    a = np.array(actions, dtype=path.dtype)
+    return path[:-1], a, path[1:], draw_rewards(model, path[:-1], a, u_env[:, :m])
 
 
 def save_model(model: MdpModel, path) -> None:

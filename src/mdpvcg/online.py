@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,16 +88,9 @@ def episode_schedule(config: LearnerConfig, episodes: int) -> np.ndarray:
     return np.array(taus, dtype=np.int64)
 
 
-@dataclass
-class RoundDecision:
-    action: int
-    charges: np.ndarray  # per-bidder payment this round; all zero while mixing
-    phase: str
-    episode: int
-
-
 class OnlineVcgLearner:
-    """Seller-side state machine: act / observe each round, end_episode between."""
+    """Seller-side state: ``policy`` and ``payments`` are fixed within an
+    episode, whose first d_k rounds are not charged; end_episode updates them."""
 
     def __init__(self, config: LearnerConfig):
         self.config = config
@@ -120,13 +113,6 @@ class OnlineVcgLearner:
         self.policy = np.full((S, A), 1.0 / A)
         self.payments_seller = np.ones((n, S, A))
         self.payments_bidder = np.ones((n, S, A))
-        self._policy_cdf = np.cumsum(self.policy, axis=1)
-        self._zero_charges = np.zeros(n)  # shared read-only mixing charges
-        self._zero_charges.setflags(write=False)
-
-    @property
-    def phase(self) -> str:
-        return "mixing" if self.pos < self.d_k else "stationary"
 
     @property
     def episode_complete(self) -> bool:
@@ -139,32 +125,23 @@ class OnlineVcgLearner:
             return self.payments_seller
         return self.payments_bidder
 
-    def act(self, s: int, rng: np.random.Generator) -> RoundDecision:
-        if self.episode_complete:
-            raise RuntimeError("episode complete; call end_episode before acting")
-        phase = "mixing" if self.pos < self.d_k else "stationary"
-        a = int(self._policy_cdf[s].searchsorted(rng.random(), side="right"))
-        if a >= self.config.A:
-            a = self.config.A - 1
-        if phase == "mixing":
-            charges = self._zero_charges
-        else:
-            charges = self.payments[:, s, a].copy()
-        self.pos += 1
-        return RoundDecision(action=a, charges=charges, phase=phase, episode=self.k)
-
-    def observe(self, s: int, a: int, s2: int, seller_reward: float, bids) -> None:
-        """Record one transition and the reported rewards (both phases count)."""
-        self.counts[s, a] += 1
-        self.counts3[s, a, s2] += 1
-        sums = self.reward_sums
-        sums[0, s, a] += seller_reward  # seller capped by c_max, never clipped
-        for i, b in enumerate(bids):
-            if b < 0.0 or b > 1.0:
-                logger.warning("round %d: bid %r outside [0, 1] clipped",
-                               self.tau_k + self.pos - 1, b)
-                b = 0.0 if b < 0.0 else 1.0
-            sums[i + 1, s, a] += b
+    def observe(self, s, a, s2, seller_rewards, bids) -> None:
+        """Record played rounds, one entry per round (``bids`` is (n, L)); both
+        phases count. Bids outside [0, 1] are clipped, with one warning per call."""
+        s, a = np.asarray(s), np.asarray(a)
+        bids = np.asarray(bids, dtype=np.float64)
+        np.add.at(self.counts, (s, a), 1)
+        np.add.at(self.counts3, (s, a, s2), 1)
+        out = (bids < 0.0) | (bids > 1.0)
+        if out.any():
+            first = int(np.flatnonzero(out.any(axis=0))[0])
+            logger.warning("%d bids outside [0, 1] clipped, the first in round %d",
+                           int(out.sum()), self.tau_k + self.pos + first)
+            bids = np.where(bids < 0.0, 0.0, np.where(bids > 1.0, 1.0, bids))
+        # in round order, so each sum adds exactly as one round at a time would
+        np.add.at(self.reward_sums[0], (s, a), seller_rewards)  # capped by c_max, never clipped
+        np.add.at(self.reward_sums[1:], (slice(None), s, a), bids)
+        self.pos += len(s)
 
     def end_episode(self) -> None:
         """Refresh estimates, tighten the band, and solve the n+1 update LPs."""
@@ -201,7 +178,6 @@ class OnlineVcgLearner:
                 "large for the current confidence band")
         self.q_hat = sol.q
         _, self.policy = induce(sol.q)
-        self._policy_cdf = np.cumsum(self.policy, axis=1)
 
         for i in range(1, n + 1):
             ucb_others = total_ucb - self.reward_ucb[i]
@@ -223,51 +199,30 @@ class OnlineVcgLearner:
     # -- checkpointing -----------------------------------------------------
 
     def to_checkpoint(self) -> dict:
-        cfg = self.config
-        return {
-            "config": {
-                "S": cfg.S, "A": cfg.A, "n": cfg.n, "alpha": cfg.alpha,
-                "delta": cfg.delta, "zeta": cfg.zeta, "epsilon": cfg.epsilon,
-                "c_max": cfg.c_max, "variant": cfg.variant,
-            },
-            "k": self.k,
-            "tau_k": self.tau_k,
-            "pos": self.pos,
-            "counts": self.counts.tolist(),
-            "counts3": self.counts3.tolist(),
-            "reward_sums": self.reward_sums.tolist(),
-            "band_lower": self.band_lower.tolist(),
-            "band_upper": self.band_upper.tolist(),
-            "reward_ucb": self.reward_ucb.tolist(),
-            "reward_lcb": self.reward_lcb.tolist(),
-            "q_hat": self.q_hat.q.tolist(),
-            "policy": self.policy.tolist(),
-            "payments_seller": self.payments_seller.tolist(),
-            "payments_bidder": self.payments_bidder.tolist(),
-        }
+        doc = {"config": asdict(self.config), "k": self.k, "tau_k": self.tau_k, "pos": self.pos}
+        for key in _CHECKPOINT_ARRAYS:
+            value = getattr(self, key)
+            doc[key] = (value.q if key == "q_hat" else value).tolist()
+        return doc
 
     @classmethod
     def from_checkpoint(cls, doc: dict) -> "OnlineVcgLearner":
         learner = cls(LearnerConfig(**doc["config"]))
-        learner.k = int(doc["k"])
-        learner.tau_k = int(doc["tau_k"])
-        learner.pos = int(doc["pos"])
-        learner.d_k, learner.l_k = episode_lengths(
-            learner.k, learner.config.alpha, learner.config.S, learner.config.A,
-            learner.config.delta, learner.config.zeta)
-        learner.counts = np.array(doc["counts"], dtype=np.int64)
-        learner.counts3 = np.array(doc["counts3"], dtype=np.int64)
-        learner.reward_sums = np.array(doc["reward_sums"])
-        learner.band_lower = np.array(doc["band_lower"])
-        learner.band_upper = np.array(doc["band_upper"])
-        learner.reward_ucb = np.array(doc["reward_ucb"])
-        learner.reward_lcb = np.array(doc["reward_lcb"])
-        learner.q_hat = OccupancyMeasure(np.array(doc["q_hat"]))
-        learner.policy = np.array(doc["policy"])
-        learner._policy_cdf = np.cumsum(learner.policy, axis=1)
-        learner.payments_seller = np.array(doc["payments_seller"])
-        learner.payments_bidder = np.array(doc["payments_bidder"])
+        learner.k, learner.tau_k, learner.pos = int(doc["k"]), int(doc["tau_k"]), int(doc["pos"])
+        cfg = learner.config
+        learner.d_k, learner.l_k = episode_lengths(learner.k, cfg.alpha, cfg.S, cfg.A,
+                                                   cfg.delta, cfg.zeta)
+        for key in _CHECKPOINT_ARRAYS:
+            setattr(learner, key, np.array(doc[key], dtype=np.int64 if key.startswith("counts")
+                                           else np.float64))
+        learner.q_hat = OccupancyMeasure(learner.q_hat)
         return learner
+
+
+# learner arrays in a checkpoint, in file order (q_hat as its q table)
+_CHECKPOINT_ARRAYS = ("counts", "counts3", "reward_sums", "band_lower", "band_upper",
+                      "reward_ucb", "reward_lcb", "q_hat", "policy", "payments_seller",
+                      "payments_bidder")
 
 
 def save_checkpoint(learner: OnlineVcgLearner, path) -> None:

@@ -40,10 +40,9 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 
-# Rows with more entries than this go to linprog as scipy.sparse (same
-# nonzeros, bit-identical solutions). Below it dense input is faster; above
-# it sparse input is faster and skips linprog's two dense copies of the rows,
-# whose placement on the malloc heap made peak memory differ from run to run.
+# Systems with more entries than this are built as CSR (same nonzeros, same
+# solutions). Below it dense input is faster; above it CSR is faster, far
+# smaller, and spares linprog two dense copies of the rows.
 _SPARSE_ABOVE = 250_000
 
 
@@ -100,7 +99,8 @@ def tighten_band(prior, p_bar, radii):
 
 @dataclass
 class ConstraintSystem:
-    """Dense rows for linprog over the flattened q[s, a, s'] (nonnegativity as bounds)."""
+    """Rows for linprog over the flattened q[s, a, s'] (nonnegativity as bounds);
+    dense, or CSR above ``_SPARSE_ABOVE`` entries."""
 
     A_eq: np.ndarray
     b_eq: np.ndarray
@@ -118,14 +118,30 @@ class ConstraintSystem:
         return v
 
 
-def _pair_rows(rows: np.ndarray, blocks: np.ndarray) -> None:
-    """Write blocks[p, j] into row j of pair p, in pair p's S columns.
-
-    ``rows`` is a zeroed (S*A*k, S*A*S) slice; ``blocks`` is (S*A, k, S).
-    """
+def _pair_entries(row0: int, blocks: np.ndarray):
+    """(rows, cols, values) putting blocks[p, j] in row row0 + p*k + j, in pair
+    p's S columns; ``blocks`` is (S*A, k, S). Row order, columns ascending."""
     n_pairs, k, S = blocks.shape
-    p = np.arange(n_pairs)
-    rows.reshape(n_pairs, k, n_pairs, S)[p, :, p] = blocks
+    p = np.arange(n_pairs)[:, None, None]
+    rows = np.broadcast_to(row0 + p * k + np.arange(k)[:, None], blocks.shape)
+    cols = np.broadcast_to(p * S + np.arange(S), blocks.shape)
+    return rows.ravel(), cols.ravel(), blocks.ravel()
+
+
+def _stack_rows(shape, entries: list, as_sparse: bool):
+    """Rows from COO pieces given in row order: dense, or CSR without exact
+    zeros (equal to ``sparse.csr_array`` of the dense rows)."""
+    if not entries:
+        return np.zeros(shape)
+    rows, cols, values = (np.concatenate(part) for part in zip(*entries))
+    if not as_sparse:
+        out = np.zeros(shape)
+        out[rows, cols] = values
+        return out
+    keep = values != 0
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_array((values[keep], cols[keep], indptr), shape=shape)
 
 
 def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
@@ -141,22 +157,20 @@ def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
     has_kernel = spec.variant != "SHRUNK_CONFIDENCE"
     shrunk = spec.variant != "EXACT_KERNEL"
 
-    A_eq = np.zeros((1 + S + (nv if has_kernel else 0), nv))
-    b_eq = np.zeros(len(A_eq))
-    A_eq[0] = b_eq[0] = 1.0  # mass
+    head = np.zeros((1 + S, nv))
+    head[0] = 1.0  # mass
     # flow conservation: inflow to s equals outflow from s
-    flow = A_eq[1:1 + S].reshape(S, S, A, S)
+    flow = head[1:].reshape(S, S, A, S)
     flow += eye[:, None, None, :]
     flow -= eye[:, :, None, None]
+    eq = [(*np.nonzero(head), head[head != 0])]
     if has_kernel:  # q(s,a,x) - P(x|s,a) m(s,a) = 0
-        _pair_rows(A_eq[1 + S:], eye - spec.kernel.reshape(SA, S, 1))
+        eq.append(_pair_entries(1 + S, eye - spec.kernel.reshape(SA, S, 1)))
 
     n_shrink = SA if shrunk else 0
-    A_ub = np.zeros((n_shrink + (0 if has_kernel else 2 * nv), nv))
-    b_ub = np.zeros(len(A_ub))
+    ub = []
     if shrunk:  # -m(s,a) <= -delta
-        _pair_rows(A_ub[:SA], np.full((SA, 1, S), -1.0))
-        b_ub[:SA] = -spec.delta
+        ub.append(_pair_entries(0, np.full((SA, 1, S), -1.0)))
     if not has_kernel:  # q - upper*m <= 0 and lower*m - q <= 0
         # negate, then add the diagonal (not eye - upper): zero entries keep
         # the sign they have in the row-by-row construction
@@ -166,9 +180,18 @@ def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
         x = np.arange(S)
         band[:, x, 0, x] += 1.0
         band[:, x, 1, x] -= 1.0
-        _pair_rows(A_ub[n_shrink:], band.reshape(SA, 2 * S, S))
+        ub.append(_pair_entries(n_shrink, band.reshape(SA, 2 * S, S)))
 
-    return ConstraintSystem(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
+    n_eq = 1 + S + (nv if has_kernel else 0)
+    n_ub = n_shrink + (0 if has_kernel else 2 * nv)
+    as_sparse = (n_eq + n_ub) * nv > _SPARSE_ABOVE
+    b_eq = np.zeros(n_eq)
+    b_eq[0] = 1.0
+    b_ub = np.zeros(n_ub)
+    if shrunk:
+        b_ub[:SA] = -spec.delta
+    return ConstraintSystem(A_eq=_stack_rows((n_eq, nv), eq, as_sparse), b_eq=b_eq,
+                            A_ub=_stack_rows((n_ub, nv), ub, as_sparse), b_ub=b_ub)
 
 
 @dataclass(frozen=True)
@@ -186,15 +209,12 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
     if not np.all(np.isfinite(objective)):
         raise ValueError("objective must be finite")
     system = spec._constraints
-    A_ub, A_eq = system.A_ub, system.A_eq
-    if A_ub.size + A_eq.size > _SPARSE_ABOVE:
-        A_ub, A_eq = sparse.csr_array(A_ub), sparse.csr_array(A_eq)
     c = np.repeat(objective[:, :, None], spec.S, axis=2).ravel()
     res = linprog(
         -c,
-        A_ub=A_ub if len(system.b_ub) else None,
+        A_ub=system.A_ub if len(system.b_ub) else None,
         b_ub=system.b_ub if len(system.b_ub) else None,
-        A_eq=A_eq,
+        A_eq=system.A_eq,
         b_eq=system.b_eq,
         bounds=(0, None),
         method="highs-ds",

@@ -6,7 +6,12 @@ optimal policies, plain sampling loops for Monte Carlo averages, one
 row at a time for polytope constraint rows, and an if-chain for bidder reports.
 """
 
+import csv
+
 import numpy as np
+
+from mdpvcg.harness import SeedRunResult, _episode_diagnostics
+from mdpvcg.online import OnlineVcgLearner
 
 
 def power_iteration_nu(p_state, iterations=500):
@@ -143,3 +148,150 @@ def loop_constraints(variant, S, A, kernel=None, delta=None, band_lower=None,
 
     return (np.array(eq_rows), np.array(eq_rhs),
             np.array(ub_rows) if ub_rows else np.zeros((0, nv)), np.array(ub_rhs))
+
+
+def _loop_reporter(strategy):
+    """Per-round report closure ``(t, s, a, r) -> report`` (the pre-batching code)."""
+    kind = strategy.kind
+    if kind == "truthful":
+        return lambda t, s, a, r: r if 0.0 <= r <= 1.0 else min(1.0, max(0.0, r))
+    if kind == "by_bids":
+        table = strategy.table
+        return lambda t, s, a, r: table[s, a]
+    if kind == "scaled":
+        f = strategy.factor
+        return lambda t, s, a, r: min(1.0, max(0.0, f * r))
+    if kind == "shifted":
+        off = strategy.offset
+        return lambda t, s, a, r: min(1.0, max(0.0, r + off))
+    windows, inflate_to, factor = strategy.windows, strategy.inflate_to, strategy.factor
+
+    def adversarial(t, s, a, r):
+        if any(lo <= t < hi for lo, hi in windows):
+            r = inflate_to if inflate_to is not None else factor * r
+        return min(1.0, max(0.0, r))
+
+    return adversarial
+
+
+def loop_simulate_run(model, seller, strategies, horizon, seed, checkpoints,
+                      record_rounds=False, keep_learner=False):
+    """``harness.simulate_run`` one round at a time, as it was before batching.
+
+    Each round draws the seller's action uniform, then one uniform per
+    stochastic reward and one for the next state; the learner is acted for
+    and observed through its public state. ``rounds`` is a list of
+    (t, k, phase, s, a, rewards, bids, charges, u0, ui, R) tuples.
+    """
+    n = model.n
+    env_seed, seller_seed = np.random.SeedSequence(seed).spawn(2)
+    rng_env = np.random.default_rng(env_seed)
+    s = int(rng_env.integers(model.S))
+    rng_seller = np.random.default_rng(seller_seed)
+    kernel_cdf = np.cumsum(model.kernel, axis=2)
+    caps = [model.c_max] + [1.0] * n
+    deterministic = [f == "deterministic" for f in model.reward_family]
+    reporters = [_loop_reporter(st) for st in strategies]
+
+    learning = isinstance(seller, OnlineVcgLearner)
+    policy = seller.policy if learning else seller.allocation
+    cdf = np.cumsum(policy, axis=1)
+    episode_counts = seller.counts.copy() if learning else None
+
+    ncp = len(checkpoints)
+    cum_welfare, cum_seller, cum_bidders = np.zeros(ncp), np.zeros(ncp), np.zeros(ncp)
+    cum_per_bidder = np.zeros((n, ncp))
+    cw = cs = 0.0
+    cpb = [0.0] * n
+    cp_idx = 0
+    next_cp = int(checkpoints[0]) if ncp else horizon + 1
+    episodes, rounds = [], ([] if record_rounds else None)
+
+    for t in range(1, horizon + 1):
+        a = int(cdf[s].searchsorted(rng_seller.random(), side="right"))
+        if a >= model.A:
+            a = model.A - 1
+        if learning:
+            k = seller.k
+            phase = "mixing" if seller.pos < seller.d_k else "stationary"
+            charges = (np.zeros(n) if phase == "mixing"
+                       else seller.payments[:, s, a].copy())
+            seller.pos += 1
+        else:
+            k, phase, charges = 0, "stationary", seller.payments[:, s, a].copy()
+
+        rewards = []
+        for i in range(n + 1):
+            mean = model.reward_means[i, s, a]
+            if deterministic[i]:
+                rewards.append(mean)
+            else:
+                rewards.append(caps[i] if rng_env.random() * caps[i] < mean else 0.0)
+        s2 = int(kernel_cdf[s, a].searchsorted(rng_env.random(), side="right"))
+        if s2 >= model.S:
+            s2 = model.S - 1
+        bids = [reporters[i](t, s, a, rewards[i + 1]) for i in range(n)]
+
+        if learning:
+            seller.counts[s, a] += 1
+            seller.counts3[s, a, s2] += 1
+            seller.reward_sums[0, s, a] += rewards[0]
+            for i, b in enumerate(bids):
+                if b < 0.0 or b > 1.0:
+                    b = 0.0 if b < 0.0 else 1.0
+                seller.reward_sums[i + 1, s, a] += b
+
+        r0 = rewards[0]
+        bidder_total = pay_total = 0.0
+        for i in range(n):
+            bidder_total += rewards[i + 1]
+            pay_total += charges[i]
+            cpb[i] += rewards[i + 1] - charges[i]
+        cw += r0 + bidder_total
+        cs += r0 + pay_total
+        if record_rounds:
+            rr = np.array(rewards)
+            rounds.append((t, k, phase, s, a, rr, np.array(bids), charges,
+                           r0 + pay_total, rr[1:] - charges, r0 + bidder_total))
+        if t == next_cp:
+            cum_welfare[cp_idx] = cw
+            cum_seller[cp_idx] = cs
+            cum_bidders[cp_idx] = cw - cs
+            cum_per_bidder[:, cp_idx] = cpb
+            cp_idx += 1
+            next_cp = int(checkpoints[cp_idx]) if cp_idx < ncp else horizon + 1
+        s = s2
+
+        if learning and seller.episode_complete:
+            pre = {
+                "k": seller.k, "tau": seller.tau_k, "d": seller.d_k, "l": seller.l_k,
+                "policy_min": float(seller.policy.min()),
+                "unvisited": int(np.count_nonzero(seller.counts == episode_counts)),
+            }
+            seller.end_episode()
+            episodes.append(_episode_diagnostics(seller, model, pre))
+            episode_counts = seller.counts.copy()
+            cdf = np.cumsum(seller.policy, axis=1)
+
+    return SeedRunResult(
+        seed=seed, horizon=horizon, checkpoints=checkpoints,
+        cum_welfare=cum_welfare, cum_seller=cum_seller, cum_bidders=cum_bidders,
+        cum_per_bidder=cum_per_bidder, episodes=episodes, rounds=rounds,
+        learner_state=seller.to_checkpoint() if (learning and keep_learner) else None,
+    )
+
+
+def loop_rounds_csv(path, rounds, header):
+    """The per-round CSV written row by row with ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for t, k, phase, s, a, rewards, bids, charges, u0, ui, R in rounds:
+            w.writerow([t, k, phase, s, a]
+                       + [repr(float(x)) for x in rewards]
+                       + [repr(float(x)) for x in bids]
+                       + [repr(float(x)) for x in charges]
+                       + [repr(float(u0))]
+                       + [repr(float(x)) for x in ui]
+                       + [repr(float(R))])
+    return path

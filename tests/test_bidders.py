@@ -4,25 +4,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdpvcg import LearnerConfig, episode_schedule
-from mdpvcg.bidders import (adversarial_window, by_bids, make_reporter, report,
-                            scaled, shifted, strategy_from_spec, truthful,
+from mdpvcg.bidders import (adversarial_window, by_bids, reports, scaled,
+                            shifted, strategy_from_spec, truthful,
                             windows_from_episodes)
 
 from _oracles import reference_report
 
 
 def test_truthful_passes_realized_value_through():
-    assert report(truthful(), t=5, s=0, a=1, realized_reward=0.37) == 0.37
+    assert reports(truthful(), t=5, s=0, a=1, r=0.37) == 0.37
+    # in-range values are passed on untouched, the sign of a zero included
+    assert np.signbit(reports(truthful(), t=5, s=0, a=1, r=-0.0))
+    np.testing.assert_array_equal(reports(truthful(), 1, 0, 0, [-0.5, 1.5, np.nan]), [0, 1, 0])
 
 
 def test_scaled_clips_at_one():
-    assert report(scaled(2.0), 1, 0, 0, 0.7) == 1.0
-    assert report(scaled(0.5), 1, 0, 0, 0.7) == pytest.approx(0.35)
+    assert reports(scaled(2.0), 1, 0, 0, 0.7) == 1.0
+    assert reports(scaled(0.5), 1, 0, 0, 0.7) == pytest.approx(0.35)
 
 
 def test_shifted_clips_at_zero():
-    assert report(shifted(-0.5), 1, 0, 0, 0.2) == 0.0
-    assert report(shifted(0.1), 1, 0, 0, 0.2) == pytest.approx(0.3)
+    assert reports(shifted(-0.5), 1, 0, 0, 0.2) == 0.0
+    assert reports(shifted(0.1), 1, 0, 0, 0.2) == pytest.approx(0.3)
 
 
 def test_by_bids_reports_the_table_entry_every_visit():
@@ -30,21 +33,21 @@ def test_by_bids_reports_the_table_entry_every_visit():
     table[1, 2] = 0.25
     strat = by_bids(table)
     for t in [1, 10, 999]:
-        assert report(strat, t, 1, 2, realized_reward=0.9) == 0.25
+        assert reports(strat, t, 1, 2, r=0.9) == 0.25
 
 
 def test_adversarial_window_inflates_only_inside_windows():
-    strat = adversarial_window([(10, 20)], inflate_to=1.0)
-    assert report(strat, 9, 0, 0, 0.3) == 0.3
-    assert report(strat, 10, 0, 0, 0.3) == 1.0
-    assert report(strat, 19, 0, 0, 0.3) == 1.0
-    assert report(strat, 20, 0, 0, 0.3) == 0.3
+    strat = adversarial_window([(10, 20), (30, 31)], inflate_to=1.0)
+    t = np.array([9, 10, 19, 20, 29, 30, 31])
+    np.testing.assert_array_equal(reports(strat, t, np.zeros(7, int), np.zeros(7, int),
+                                          np.full(7, 0.3)),
+                                  [0.3, 1.0, 1.0, 0.3, 0.3, 1.0, 0.3])
 
 
 def test_adversarial_window_factor_mode():
     strat = adversarial_window([(1, 5)], factor=1.5, inflate_to=None)
-    assert report(strat, 2, 0, 0, 0.4) == pytest.approx(0.6)
-    assert report(strat, 6, 0, 0, 0.4) == pytest.approx(0.4)
+    assert reports(strat, 2, 0, 0, 0.4) == pytest.approx(0.6)
+    assert reports(strat, 6, 0, 0, 0.4) == pytest.approx(0.4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -52,19 +55,23 @@ def test_adversarial_window_factor_mode():
 def test_stationary_kinds_ignore_time(t, r):
     table = np.full((1, 1), 0.4)
     for strat in [truthful(), by_bids(table), scaled(1.3), shifted(0.2)]:
-        assert report(strat, t, 0, 0, r) == report(strat, 1, 0, 0, r)
+        assert reports(strat, t, 0, 0, r) == reports(strat, 1, 0, 0, r)
 
 
 @settings(max_examples=40, deadline=None)
-@given(t=st.integers(1, 5000), s=st.integers(0, 1), a=st.integers(0, 1),
-       r=st.floats(-0.5, 1.5))
-def test_reporter_closures_match_report(t, s, a, r):
+@given(rounds=st.lists(st.tuples(st.integers(1, 5000), st.integers(0, 1), st.integers(0, 1),
+                                 st.floats(-0.5, 1.5)), min_size=1, max_size=30))
+def test_reports_match_reference(rounds):
+    """Array reports equal the per-round definition, round by round."""
+    t, s, a, r = (np.array(col) for col in zip(*rounds))
     table = np.array([[0.1, 0.9], [0.4, 0.6]])
     strategies = [truthful(), by_bids(table), scaled(2.0), shifted(-0.1),
                   adversarial_window([(100, 400)], inflate_to=0.8),
-                  adversarial_window([(100, 400)], factor=3.0, inflate_to=None)]
+                  adversarial_window([(100, 400), (900, 2000)], factor=3.0, inflate_to=None)]
     for strat in strategies:
-        assert make_reporter(strat)(t, s, a, r) == reference_report(strat, t, s, a, r)
+        got = reports(strat, t, s, a, r)
+        assert got.shape == t.shape
+        assert got.tolist() == [reference_report(strat, *x) for x in rounds]
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,7 +83,7 @@ def test_reports_always_in_range(t, s, a, r):
                   adversarial_window([(1, 10)], factor=3.0, inflate_to=None),
                   adversarial_window([(100, 400)], inflate_to=0.8)]
     for strat in strategies:
-        assert 0.0 <= report(strat, t, s, a, r) <= 1.0
+        assert 0.0 <= reports(strat, t, s, a, r) <= 1.0
 
 
 def test_windows_from_episodes_follow_the_schedule():

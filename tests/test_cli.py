@@ -97,3 +97,23 @@ def test_invalid_learner_parameters_exit_2(model_file, tmp_path):
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(cfg_file)]) == 2
+
+
+def test_simulate_unknown_config_key_exits_2(model_file, tmp_path, capsys):
+    """A misspelt key is refused by name instead of running on a default."""
+    base = {"model": {"file": str(model_file)}, "horizon": 100, "out": str(tmp_path / "o")}
+    generator = {"S": 3, "n": 2, "alpha": 0.2, "A": 3}
+    cases = [
+        ({**base, "horizn": 5000}, "horizn"),
+        ({**base, "model": {"file": str(model_file), "sed": 3}}, "sed"),
+        ({**base, "model": {"generator": {**generator, "familly": "deterministic"}}},
+         "familly"),
+        ({**base, "learner": {"delat": 0.05}}, "delat"),
+    ]
+    cfg_file = tmp_path / "config.json"
+    for doc, key in cases:
+        cfg_file.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and repr(key) in err
+    assert not (tmp_path / "o").exists()

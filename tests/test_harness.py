@@ -1,14 +1,23 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mdpvcg import (ClairvoyantSeller, ExperimentConfig, GeneratorSpec,
-                    OnlineRunResult, RegretReport, compute_benchmark,
-                    config_hash, export, generate_model, run_clairvoyant,
+import mdpvcg.harness as harness_mod
+from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
+                    LearnerConfig, OnlineRunResult, OnlineVcgLearner,
+                    RegretReport, RoundColumns, compute_benchmark, config_hash,
+                    episode_schedule, export, generate_model, run_clairvoyant,
                     run_offline, run_online, truthfulness_gain)
-from mdpvcg.bidders import scaled, truthful
-from mdpvcg.harness import SeedRunResult, checkpoint_grid, simulate_run
+from mdpvcg.bidders import (BidderStrategy, adversarial_window, scaled, shifted,
+                            truthful)
+from mdpvcg.harness import (SeedRunResult, _round_header, _write_rounds_csv,
+                            checkpoint_grid, simulate_run)
+
+from _oracles import loop_rounds_csv, loop_simulate_run
 
 
 GEN = GeneratorSpec(S=3, n=2, alpha=0.25, A=3, reward_family="bernoulli-scaled")
@@ -33,13 +42,14 @@ def test_round_records_reconstruct_identities():
     cfg = quick_config(horizon=400, seeds=(3,))
     res = run_online(cfg, record_rounds=True)
     rounds = res.seed_results[0].rounds
-    assert len(rounds) == 400
-    for r in rounds[::7]:
-        assert r.u0 == pytest.approx(r.rewards[0] + r.charges.sum(), abs=0)
-        np.testing.assert_array_equal(r.ui, r.rewards[1:] - r.charges)
-        assert r.R == pytest.approx(r.rewards.sum(), abs=1e-12)
-        if r.phase == "mixing":
-            np.testing.assert_array_equal(r.charges, 0.0)
+    assert len(rounds.t) == 400
+    np.testing.assert_array_equal(rounds.t, np.arange(1, 401))
+    np.testing.assert_array_equal(rounds.u0, rounds.rewards[:, 0] + rounds.charges.sum(axis=1))
+    np.testing.assert_array_equal(rounds.ui, rounds.rewards[:, 1:] - rounds.charges)
+    np.testing.assert_allclose(rounds.R, rounds.rewards.sum(axis=1), rtol=0, atol=1e-12)
+    mixing = rounds.phase == "mixing"
+    assert mixing[0] and not mixing.all()
+    np.testing.assert_array_equal(rounds.charges[mixing], 0.0)
 
 
 def test_regret_additivity_at_every_checkpoint():
@@ -53,12 +63,12 @@ def test_same_seed_reproduces_and_different_seeds_diverge():
     cfg = quick_config(horizon=600, seeds=(0,))
     a = run_online(cfg, record_rounds=True)
     b = run_online(cfg, record_rounds=True)
-    ta = [(r.s, r.a) for r in a.seed_results[0].rounds]
-    tb = [(r.s, r.a) for r in b.seed_results[0].rounds]
-    assert ta == tb
+    ra, rb = a.seed_results[0].rounds, b.seed_results[0].rounds
+    np.testing.assert_array_equal(ra.s, rb.s)
+    np.testing.assert_array_equal(ra.a, rb.a)
     c = run_online(quick_config(horizon=600, seeds=(1,)), record_rounds=True)
-    tc = [(r.s, r.a) for r in c.seed_results[0].rounds]
-    assert ta != tc
+    rc = c.seed_results[0].rounds
+    assert not (np.array_equal(ra.s, rc.s) and np.array_equal(ra.a, rc.a))
     # the config hash ignores the seed list
     assert config_hash(cfg) == config_hash(quick_config(horizon=600, seeds=(1,)))
     assert config_hash(cfg) != config_hash(quick_config(horizon=601, seeds=(0,)))
@@ -173,7 +183,7 @@ def test_export_empty_run_writes_headers_and_zero_regrets(tmp_path):
             seed=0, horizon=0, checkpoints=np.zeros(0, dtype=np.int64),
             cum_welfare=np.zeros(0), cum_seller=np.zeros(0),
             cum_bidders=np.zeros(0), cum_per_bidder=np.zeros((2, 0)),
-            episodes=[], rounds=[])],
+            episodes=[], rounds=RoundColumns.allocate(0, 2))],
     )
     export(empty, tmp_path)
     assert (tmp_path / "rounds_seed0.csv").read_text().count("\n") == 1
@@ -266,8 +276,123 @@ def test_ir_for_truthful_bidder_against_adversaries():
 def test_simulate_run_with_clairvoyant_has_no_episodes():
     model = generate_model(GEN, 1)
     mech, _ = compute_benchmark(model)
-    res = simulate_run(model, ClairvoyantSeller(mech),
-                       [truthful(), truthful()], 200, 0,
-                       checkpoint_grid(200))
+    res = simulate_run(model, mech, [truthful(), truthful()], 200, 0,
+                       checkpoint_grid(200), record_rounds=True)
     assert res.episodes == []
     assert res.cum_welfare[-1] > 0
+    rounds = res.rounds
+    assert set(rounds.phase) == {"stationary"} and set(rounds.k) == {0}
+    np.testing.assert_array_equal(rounds.charges, mech.payments[:, rounds.s, rounds.a].T)
+
+
+def _assert_bit_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    if got.dtype.kind == "f":
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _oracle_columns(rows, n):
+    """The oracle's per-round tuples as RoundColumns."""
+    cols = RoundColumns.allocate(len(rows), n)
+    for j, (t, k, phase, s, a, rewards, bids, charges, u0, ui, R) in enumerate(rows):
+        cols.t[j], cols.k[j], cols.phase[j], cols.s[j], cols.a[j] = t, k, phase, s, a
+        cols.rewards[j], cols.bids[j], cols.charges[j], cols.ui[j] = rewards, bids, charges, ui
+        cols.u0[j], cols.R[j] = u0, R
+    return cols
+
+
+@st.composite
+def simulation_cases(draw):
+    """A small model, a learner or a fixed mechanism, and one strategy per bidder."""
+    S, A, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    families = ("deterministic", "bernoulli-scaled")
+    family = tuple(draw(st.sampled_from(families)) for _ in range(n + 1))
+    alpha = draw(st.floats(0.8, 1.0)) / S
+    c_max = draw(st.sampled_from([1.0, 2.5]))
+    model = generate_model(GeneratorSpec(S=S, n=n, alpha=alpha, A=A, c_max=c_max,
+                                         reward_family=family), draw(st.integers(0, 99)))
+    lcfg = LearnerConfig(S=S, A=A, n=n, alpha=alpha, c_max=c_max,
+                         delta=min(1.0 / (S * A), alpha / A) * draw(st.floats(0.8, 1.0)),
+                         zeta=draw(st.sampled_from([0.05, 0.5])),
+                         variant=draw(st.sampled_from(["seller_favorable",
+                                                       "bidder_favorable"])))
+    taus = episode_schedule(lcfg, 4)
+    edge = int(taus[1])  # first episode boundary: a segment edge
+    strategies = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["truthful", "by_bids", "scaled", "shifted",
+                                     "adversarial_window"]))
+        if kind == "by_bids":  # unclipped table: the learner clips out-of-range bids
+            table = np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=S * A,
+                                           max_size=S * A))).reshape(S, A)
+            strategies.append(BidderStrategy("by_bids", table=table))
+        elif kind == "scaled":
+            strategies.append(scaled(draw(st.floats(-1.0, 3.0))))
+        elif kind == "shifted":
+            strategies.append(shifted(draw(st.floats(-1.0, 1.0))))
+        elif kind == "adversarial_window":
+            window = (edge - draw(st.integers(1, 30)), edge + draw(st.integers(1, 30)))
+            inflate_to = draw(st.sampled_from([1.0, 0.3, None]))
+            strategies.append(adversarial_window([window], factor=draw(st.floats(0.0, 3.0)),
+                                                 inflate_to=inflate_to))
+        else:
+            strategies.append(truthful())
+    # the horizon falls in episode e + 1, often on its last round
+    e = draw(st.integers(0, 3))
+    first, last = int(taus[e]), int(taus[e + 1]) - 1
+    horizon = draw(st.one_of(st.just(last), st.integers(first, last)))
+    fixed = draw(st.booleans())
+    return model, lcfg, strategies, horizon, fixed, draw(st.sampled_from([None, 1, 7, 300]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=simulation_cases(), seed=st.integers(0, 2**32 - 1))
+def test_batched_simulation_equals_round_loop(case, seed):
+    """Segments of array operations give the loop's sums, bits and signs included."""
+    model, lcfg, strategies, horizon, fixed, segment_max = case
+    mech = compute_benchmark(model)[0] if fixed else None
+    checkpoints = checkpoint_grid(horizon, episode_schedule(lcfg, 4) - 1)
+    outcomes = []
+    with mock.patch.object(harness_mod, "_SEGMENT_MAX", segment_max or harness_mod._SEGMENT_MAX):
+        for run in (simulate_run, loop_simulate_run):
+            seller = mech if fixed else OnlineVcgLearner(lcfg)
+            try:
+                outcomes.append(run(model, seller, strategies, horizon, seed, checkpoints,
+                                    record_rounds=True, keep_learner=True))
+            except ConfigurationError as e:  # the LP in an episode update: same in both
+                outcomes.append(str(e))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("cum_welfare", "cum_seller", "cum_bidders", "cum_per_bidder"):
+        _assert_bit_equal(getattr(got, name), getattr(want, name))
+    assert got.episodes == want.episodes
+    assert json.dumps(got.learner_state) == json.dumps(want.learner_state)
+    oracle = _oracle_columns(want.rounds, model.n)
+    for name in ("t", "k", "phase", "s", "a", "rewards", "bids", "charges", "u0", "ui", "R"):
+        _assert_bit_equal(getattr(got.rounds, name), getattr(oracle, name))
+
+
+def test_rounds_csv_equals_row_by_row_csv_writer(tmp_path):
+    """Column-block CSV bytes equal csv.writer's over the loop's rows."""
+    model = generate_model(GeneratorSpec(S=3, n=3, alpha=0.25, A=2,
+                                         reward_family=("bernoulli-scaled", "deterministic",
+                                                        "bernoulli-scaled", "deterministic")), 2)
+    lcfg = LearnerConfig(S=3, A=2, n=3, alpha=0.25, delta=0.1, zeta=0.5)
+    strategies = [scaled(-0.5), shifted(0.3),
+                  adversarial_window([(100, 700)], factor=1.5, inflate_to=None)]
+    horizon = 2000
+    cps = checkpoint_grid(horizon)
+    got = simulate_run(model, OnlineVcgLearner(lcfg), strategies, horizon, 5, cps,
+                       record_rounds=True)
+    want = loop_simulate_run(model, OnlineVcgLearner(lcfg), strategies, horizon, 5, cps,
+                             record_rounds=True)
+    assert len(got.episodes) >= 2
+    header = _round_header(model.n)
+    batched = _write_rounds_csv(tmp_path / "batched.csv", got.rounds, model.n, block=300)
+    rows = loop_rounds_csv(tmp_path / "rows.csv", want.rounds, header)
+    assert batched.read_bytes() == rows.read_bytes()
+    assert batched.read_bytes().count(b"\r\n") == horizon + 1

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from mdpvcg import (GeneratorSpec, MdpModel, SimState, generate_model,
-                    load_model, save_model, step, validate_model)
+                    load_model, play, save_model, validate_model)
 from mdpvcg.mdp import draw_rewards
+
+
+def always(action, S, A):
+    """Policy table that plays ``action`` in every state."""
+    policy = np.zeros((S, A))
+    policy[:, action] = 1.0
+    return policy
 
 
 def uniform_model(S=3, A=2, n=1, alpha=None):
@@ -89,19 +96,18 @@ def test_step_point_mass_row():
     kernel[:, 0, 0] = 1.0  # validation-bypassed: rows are point masses on 0
     model = MdpModel(kernel=kernel, reward_means=np.full((2, 3, 1), 0.5), alpha=0.01)
     sim = SimState(t=1, s=2, rng=np.random.default_rng(0))
-    for _ in range(50):
-        s2, _ = step(model, sim, 0)
-        assert s2 == 0
+    s, _, s2, _ = play(model, sim, np.ones((3, 1)), np.random.default_rng(1), 50)
+    assert s[0] == 2
+    np.testing.assert_array_equal(s2, 0)
+    assert sim.s == 0
 
 
 def test_step_empirical_frequencies_match_row():
     model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=2), 3)
     sim = SimState(t=1, s=1, rng=np.random.default_rng(11))
-    counts = np.zeros(3)
-    for _ in range(100_000):
-        sim.s = 1  # resample the same (s, a) row every time
-        s2, _ = step(model, sim, 0)
-        counts[s2] += 1
+    s, _, s2, _ = play(model, sim, always(0, 3, 2), np.random.default_rng(12), 300_000)
+    counts = np.bincount(s2[s == 1], minlength=3)  # the (1, 0) row's draws
+    assert counts.sum() >= 50_000
     freq = counts / counts.sum()
     assert np.abs(freq - model.kernel[1, 0]).sum() <= 0.02
 
@@ -110,8 +116,9 @@ def test_deterministic_family_returns_means_exactly():
     model = generate_model(
         GeneratorSpec(S=2, n=2, alpha=0.2, A=2, reward_family="deterministic"), 5)
     sim = SimState(t=1, s=0, rng=np.random.default_rng(0))
-    _, rewards = step(model, sim, 1)
-    np.testing.assert_array_equal(rewards, model.reward_means[:, 0, 1])
+    _, a, _, rewards = play(model, sim, always(1, 2, 2), np.random.default_rng(1), 1)
+    assert a[0] == 1
+    np.testing.assert_array_equal(rewards[:, 0], model.reward_means[:, 0, 1])
 
 
 def test_bernoulli_scaled_rewards_stay_in_range():
@@ -119,7 +126,8 @@ def test_bernoulli_scaled_rewards_stay_in_range():
         GeneratorSpec(S=2, n=2, alpha=0.2, A=2, c_max=2.5,
                       reward_family="bernoulli-scaled"), 5)
     rng = np.random.default_rng(1)
-    draws = np.array([draw_rewards(model, 0, 0, rng) for _ in range(2000)])
+    at = np.zeros(2000, dtype=np.int64)
+    draws = draw_rewards(model, at, at, rng.random((2000, 3))).T
     assert set(np.unique(draws[:, 0])) <= {0.0, 2.5}
     assert draws[:, 1:].min() >= 0.0 and draws[:, 1:].max() <= 1.0
     np.testing.assert_allclose(
@@ -129,31 +137,31 @@ def test_bernoulli_scaled_rewards_stay_in_range():
 def test_equal_seeds_give_bitwise_equal_trajectories():
     model = generate_model(
         GeneratorSpec(S=3, n=2, alpha=0.1, A=3, reward_family="bernoulli-scaled"), 9)
-    trails = []
-    for _ in range(2):
-        sim = SimState.start(model, 123)
-        trail = []
-        for t in range(200):
-            s2, rewards = step(model, sim, t % model.A)
-            trail.append((s2, tuple(rewards)))
-        trails.append(trail)
-    assert trails[0] == trails[1]
+    policy = np.random.default_rng(0).dirichlet(np.ones(model.A), size=model.S)
+    trails = [play(model, SimState.start(model, 123), policy, np.random.default_rng(124), 200)
+              for _ in range(2)]
+    for got, want in zip(*trails):
+        np.testing.assert_array_equal(got, want)
 
 
-def test_step_rejects_out_of_range_action():
+def test_play_rejects_policy_of_wrong_shape():
     model = uniform_model()
     sim = SimState.start(model, 0)
-    with pytest.raises(ValueError):
-        step(model, sim, model.A)
+    with pytest.raises(ValueError, match="policy must be"):
+        play(model, sim, np.full((model.S, model.A + 1), 1.0 / (model.A + 1)),
+             np.random.default_rng(0), 1)
 
 
 def test_sim_time_advances_by_one():
     model = uniform_model()
     sim = SimState.start(model, 0)
     t0 = sim.t
-    step(model, sim, 0)
-    step(model, sim, 1)
+    policy = np.full((model.S, model.A), 1.0 / model.A)
+    play(model, sim, policy, np.random.default_rng(1), 1)
+    play(model, sim, policy, np.random.default_rng(2), 1)
     assert sim.t == t0 + 2
+    play(model, sim, policy, np.random.default_rng(3), 5)
+    assert sim.t == t0 + 7
 
 
 def test_model_file_roundtrip(tmp_path):

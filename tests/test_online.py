@@ -6,9 +6,11 @@ import pytest
 import mdpvcg.online as online_mod
 import mdpvcg.polytope as polytope_mod
 from mdpvcg import (ConfigurationError, GeneratorSpec, LearnerConfig,
-                    OnlineVcgLearner, episode_lengths, episode_schedule,
-                    generate_model, save_checkpoint, load_checkpoint)
-from mdpvcg.mdp import SimState, step
+                    OnlineVcgLearner, SimState, episode_lengths,
+                    episode_schedule, generate_model, load_checkpoint, play,
+                    save_checkpoint, simulate_run)
+from mdpvcg.bidders import truthful
+from mdpvcg.harness import checkpoint_grid
 
 
 def config(**kw):
@@ -17,19 +19,17 @@ def config(**kw):
     return LearnerConfig(**base)
 
 
-def drive(learner, model, rounds, seed=0, bids_fn=None):
-    """Run the act/observe loop for a fixed number of rounds."""
-    sim = SimState.start(model, seed)
-    rng = np.random.default_rng(seed + 1)
-    for t in range(rounds):
-        s = sim.s
-        dec = learner.act(s, rng)
-        s2, rewards = step(model, sim, dec.action)
-        bids = rewards[1:] if bids_fn is None else bids_fn(t, s, dec.action, rewards)
-        learner.observe(s, dec.action, s2, rewards[0], bids)
-        if learner.episode_complete:
-            learner.end_episode()
+def drive(learner, model, rounds, seed=0):
+    """Play the learner against truthful bidders for a fixed number of rounds."""
+    simulate_run(model, learner, [truthful()] * model.n, rounds, seed,
+                 checkpoint_grid(rounds))
     return learner
+
+
+def rounds_at(s, a, s2, seller_reward, bids, times=1):
+    """observe() arguments for ``times`` rounds at one (s, a, s')."""
+    return ([s] * times, [a] * times, [s2] * times, [seller_reward] * times,
+            [[b] * times for b in bids])
 
 
 def test_episode_lengths_formulas():
@@ -69,33 +69,39 @@ def test_initial_state_is_uniform_with_unit_payments():
 
 
 def test_mixing_rounds_charge_zero_then_stationary_charges_one():
-    learner = OnlineVcgLearner(config())
-    rng = np.random.default_rng(0)
-    dec = learner.act(0, rng)
-    assert dec.phase == "mixing"
-    np.testing.assert_array_equal(dec.charges, 0.0)
-    dec2 = learner.act(1, rng)  # d_1 = 1, so round 2 of the episode is stationary
-    assert dec2.phase == "stationary"
-    np.testing.assert_array_equal(dec2.charges, 1.0)
+    model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.1, A=3), 0)
+    run = simulate_run(model, OnlineVcgLearner(config()), [truthful()] * 2, 3, 0,
+                       checkpoint_grid(3), record_rounds=True)
+    # d_1 = 1, so rounds 2 and 3 of the episode are stationary
+    assert run.rounds.phase.tolist() == ["mixing", "stationary", "stationary"]
+    np.testing.assert_array_equal(run.rounds.charges[0], 0.0)
+    np.testing.assert_array_equal(run.rounds.charges[1:], 1.0)
 
 
 def test_observe_updates_counters_and_sums():
     learner = OnlineVcgLearner(config())
-    learner.observe(1, 2, 0, seller_reward=0.4, bids=[0.2, 0.9])
-    assert learner.counts[1, 2] == 1
-    assert learner.counts3[1, 2, 0] == 1
-    assert learner.reward_sums[0, 1, 2] == pytest.approx(0.4)
-    assert learner.reward_sums[1, 1, 2] == pytest.approx(0.2)
-    assert learner.reward_sums[2, 1, 2] == pytest.approx(0.9)
+    learner.observe([1, 1, 0], [2, 2, 0], [0, 1, 2], seller_rewards=[0.4, 0.25, 0.5],
+                    bids=[[0.2, 0.1, 0.3], [0.9, 0.7, 0.6]])
+    assert learner.pos == 3
+    assert learner.counts[1, 2] == 2 and learner.counts[0, 0] == 1
+    assert learner.counts3[1, 2, 0] == 1 and learner.counts3[1, 2, 1] == 1
+    assert learner.reward_sums[0, 1, 2] == 0.4 + 0.25
+    assert learner.reward_sums[1, 1, 2] == 0.2 + 0.1
+    assert learner.reward_sums[2, 1, 2] == 0.9 + 0.7
+    assert learner.reward_sums[2, 0, 0] == 0.6
 
 
 def test_observe_clips_out_of_range_bids(caplog):
     learner = OnlineVcgLearner(config())
+    learner.pos = 4  # the call's rounds are rounds 5, 6 and 7
     with caplog.at_level("WARNING"):
-        learner.observe(0, 0, 0, 0.0, [1.7, -0.4])
-    assert learner.reward_sums[1, 0, 0] == 1.0
-    assert learner.reward_sums[2, 0, 0] == 0.0
-    assert "clipped" in caplog.text
+        learner.observe([0, 0, 1], [0, 0, 2], [0, 1, 0], [0.0, 0.0, 0.0],
+                        [[0.5, 1.7, 0.5], [0.5, -0.4, -0.2]])
+    assert learner.reward_sums[1, 0, 0] == 0.5 + 1.0
+    assert learner.reward_sums[2, 0, 0] == 0.5 + 0.0
+    assert learner.reward_sums[2, 1, 2] == 0.0
+    warnings = [r.getMessage() for r in caplog.records if "clipped" in r.getMessage()]
+    assert warnings == ["3 bids outside [0, 1] clipped, the first in round 6"]
 
 
 def test_counting_identity_holds_after_any_sequence():
@@ -112,13 +118,10 @@ def test_counting_identity_holds_after_any_sequence():
 def test_empirical_kernel_concentrates():
     model = generate_model(GeneratorSpec(S=2, n=2, alpha=0.2, A=2), 1)
     learner = OnlineVcgLearner(config(S=2, A=2, alpha=0.2, delta=0.1))
-    sim = SimState.start(model, 3)
-    rng = np.random.default_rng(3)
-    for _ in range(10_000):  # fixed uniform policy, observe only
-        s = sim.s
-        a = int(rng.integers(2))
-        s2, rewards = step(model, sim, a)
-        learner.observe(s, a, s2, rewards[0], rewards[1:])
+    # fixed uniform policy, observe only
+    s, a, s2, rewards = play(model, SimState.start(model, 3), np.full((2, 2), 0.5),
+                             np.random.default_rng(4), 10_000)
+    learner.observe(s, a, s2, rewards[0], rewards[1:])
     learner.pos = learner.d_k + learner.l_k  # force an update with current counts
     learner.end_episode()
     assert learner.counts.min() >= 500
@@ -132,8 +135,7 @@ def test_unvisited_pair_keeps_prior_band_and_maximal_reward_bounds():
     cfg = config()
     learner = OnlineVcgLearner(cfg)
     # visit only (0, 0); everything else stays untouched
-    for _ in range(40):
-        learner.observe(0, 0, 1, 0.3, [0.5, 0.5])
+    learner.observe(*rounds_at(0, 0, 1, 0.3, [0.5, 0.5], times=40))
     learner.pos = learner.d_k + learner.l_k
     learner.end_episode()
     assert learner.band_lower[2, 2, 0] == 0.0
@@ -149,8 +151,7 @@ def test_bernstein_radius_formula():
     cfg = config()
     learner = OnlineVcgLearner(cfg)
     # craft counts: N(0,0) = 5 with N(0,0,1) = 2, others spread
-    for s2 in [1, 1, 0, 2, 0]:
-        learner.observe(0, 0, s2, 0.1, [0.1, 0.1])
+    learner.observe([0] * 5, [0] * 5, [1, 1, 0, 2, 0], [0.1] * 5, [[0.1] * 5] * 2)
     learner.pos = learner.d_k + learner.l_k
     learner.end_episode()
     L = math.log(3 * 3 * 1 / cfg.zeta)
@@ -177,18 +178,10 @@ def test_band_width_nonincreasing_across_episodes():
     model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.25, A=3,
                                          reward_family="bernoulli-scaled"), 3)
     learner = OnlineVcgLearner(config(alpha=0.25, delta=0.08))
-    sim = SimState.start(model, 5)
-    rng = np.random.default_rng(6)
     widths = [(learner.band_upper - learner.band_lower).copy()]
-    for _ in range(9000):
-        s = sim.s
-        dec = learner.act(s, rng)
-        s2, rewards = step(model, sim, dec.action)
-        learner.observe(s, dec.action, s2, rewards[0], rewards[1:])
-        if learner.episode_complete:
-            learner.end_episode()
-            widths.append((learner.band_upper - learner.band_lower).copy())
-    assert len(widths) >= 3
+    for seed in range(5, 11):  # one episode per run
+        drive(learner, model, learner.d_k + learner.l_k, seed=seed)
+        widths.append((learner.band_upper - learner.band_lower).copy())
     for w_prev, w_next in zip(widths, widths[1:]):
         assert np.all(w_next <= w_prev + 1e-12)
 
@@ -211,13 +204,17 @@ def test_variant_switch_changes_charged_table():
     assert lb.payments is lb.payments_bidder
 
 
-def test_act_guard_and_premature_update_guard():
+def test_premature_update_guard():
     learner = OnlineVcgLearner(config())
     with pytest.raises(RuntimeError):
         learner.end_episode()
-    learner.pos = learner.d_k + learner.l_k
+    rounds = learner.d_k + learner.l_k
+    learner.observe(*rounds_at(0, 0, 1, 0.2, [0.3, 0.3], times=rounds - 1))
     with pytest.raises(RuntimeError):
-        learner.act(0, np.random.default_rng(0))
+        learner.end_episode()
+    learner.observe(*rounds_at(1, 1, 0, 0.2, [0.3, 0.3]))
+    learner.end_episode()
+    assert learner.k == 2 and learner.pos == 0
 
 
 def test_infeasible_delta_surfaces_configuration_error():
@@ -227,7 +224,7 @@ def test_infeasible_delta_surfaces_configuration_error():
     # the uniform occupancy, which a generic kernel cannot produce
     learner.band_lower = model.kernel.copy()
     learner.band_upper = model.kernel.copy()
-    learner.observe(0, 0, 1, 0.2, [0.3, 0.3])
+    learner.observe(*rounds_at(0, 0, 1, 0.2, [0.3, 0.3]))
     learner.pos = learner.d_k + learner.l_k
     original = learner.band_lower.copy()
 
@@ -258,11 +255,14 @@ def test_checkpoint_roundtrip_resumes_identically(tmp_path):
     np.testing.assert_allclose(clone.payments_seller, learner.payments_seller, atol=0)
     assert clone.k == learner.k and clone.tau_k == learner.tau_k
 
-    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-    dec_a = learner.act(1, rng_a)
-    dec_b = clone.act(1, rng_b)
-    assert dec_a.action == dec_b.action
-    np.testing.assert_array_equal(dec_a.charges, dec_b.charges)
+    # both play on from mid-episode to identical sums and states
+    cps = checkpoint_grid(2500)
+    runs = [simulate_run(model, ln, [truthful()] * 2, 2500, 9, cps, keep_learner=True)
+            for ln in (learner, clone)]
+    np.testing.assert_array_equal(runs[0].cum_welfare, runs[1].cum_welfare)
+    np.testing.assert_array_equal(runs[0].cum_per_bidder, runs[1].cum_per_bidder)
+    assert runs[0].episodes == runs[1].episodes and runs[0].episodes
+    assert runs[0].learner_state == runs[1].learner_state
 
 
 def test_constraints_built_once_per_episode(count_calls):

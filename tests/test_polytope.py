@@ -1,3 +1,6 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,10 +68,7 @@ def _assert_bit_equal(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@settings(max_examples=80, deadline=None)
-@given(S=st.integers(1, 5), A=st.integers(1, 5), variant=st.sampled_from(VARIANTS),
-       delta_frac=st.floats(1e-6, 1), seed=st.integers(0, 2**32 - 1))
-def test_vectorised_rows_equal_loop_oracle(S, A, variant, delta_frac, seed):
+def _random_spec_kwargs(S, A, variant, delta_frac, seed):
     rng = np.random.default_rng(seed)
     shape = (S, A, S)
     kernel = rng.dirichlet(np.ones(S), size=(S, A))
@@ -77,18 +77,50 @@ def test_vectorised_rows_equal_loop_oracle(S, A, variant, delta_frac, seed):
     for arr in (kernel, lower, upper):
         arr[rng.random(shape) < 0.25] = 0.0
         arr[rng.random(shape) < 0.25] = 1.0
-    kw = {"EXACT_KERNEL": dict(kernel=kernel),
-          "SHRUNK_EXACT": dict(kernel=kernel, delta=delta_frac / (S * A)),
-          "SHRUNK_CONFIDENCE": dict(delta=delta_frac / (S * A),
-                                    band_lower=lower, band_upper=upper)}[variant]
+    return {"EXACT_KERNEL": dict(kernel=kernel),
+            "SHRUNK_EXACT": dict(kernel=kernel, delta=delta_frac / (S * A)),
+            "SHRUNK_CONFIDENCE": dict(delta=delta_frac / (S * A),
+                                      band_lower=lower, band_upper=upper)}[variant]
+
+
+spec_params = dict(S=st.integers(1, 5), A=st.integers(1, 5), variant=st.sampled_from(VARIANTS),
+                   delta_frac=st.floats(1e-6, 1), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**spec_params)
+def test_vectorised_rows_equal_loop_oracle(S, A, variant, delta_frac, seed):
+    kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
     system = build_constraints(PolytopeSpec(variant, S, A, **kw))
     want = loop_constraints(variant, S, A, **kw)
     for got, ref in zip((system.A_eq, system.b_eq, system.A_ub, system.b_ub), want):
         _assert_bit_equal(got, ref)
 
 
+@settings(max_examples=80, deadline=None)
+@given(**spec_params)
+def test_sparse_rows_equal_csr_of_loop_oracle(S, A, variant, delta_frac, seed):
+    """Above _SPARSE_ABOVE the rows are built as CSR: the oracle's nonzeros, in CSR order."""
+    kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
+    with mock.patch.object(polytope_mod, "_SPARSE_ABOVE", 0):
+        system = build_constraints(PolytopeSpec(variant, S, A, **kw))
+    want = loop_constraints(variant, S, A, **kw)
+    _assert_bit_equal(system.b_eq, want[1])
+    _assert_bit_equal(system.b_ub, want[3])
+    for got, ref in ((system.A_eq, want[0]), (system.A_ub, want[2])):
+        if ref.shape[0] == 0:  # no rows: nothing to hand over either way
+            assert got.shape == ref.shape
+            continue
+        ref = sparse.csr_array(ref)
+        assert sparse.issparse(got) and got.format == "csr" and got.shape == ref.shape
+        for part in ("indptr", "indices", "data"):
+            _assert_bit_equal(getattr(got, part).astype(getattr(ref, part).dtype),
+                              getattr(ref, part))
+
+
 def test_sparse_handoff_solves_identically(monkeypatch):
-    """Past _SPARSE_ABOVE entries linprog gets scipy.sparse rows; same solutions."""
+    """Past _SPARSE_ABOVE entries the rows are built and handed over as
+    scipy.sparse; same solutions."""
     model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=2), 3)
     lower, upper = tighten_band(None, model.kernel, np.full((3, 2, 3), 0.07))
     specs = [
@@ -111,7 +143,7 @@ def test_sparse_handoff_solves_identically(monkeypatch):
     monkeypatch.setattr(polytope_mod, "linprog", spy)
     monkeypatch.setattr(polytope_mod, "_SPARSE_ABOVE", 0)
     for spec, want in zip(specs, dense):
-        got = maximize(r, spec)
+        got = maximize(r, replace(spec))  # a fresh spec: rows not built yet
         assert got.status == want.status
         if want.status == "optimal":
             assert got.objective_value == want.objective_value

@@ -15,7 +15,11 @@ import numpy as np
 
 from .online import LearnerConfig, episode_schedule
 
-KINDS = ("truthful", "by_bids", "scaled", "shifted", "adversarial_window")
+# each kind's config keys besides "kind"
+_SPEC_KEYS = {"truthful": (), "by_bids": ("table",), "scaled": ("factor",),
+              "shifted": ("offset",),
+              "adversarial_window": ("windows", "factor", "inflate_to")}
+KINDS = tuple(_SPEC_KEYS)
 
 
 @dataclass
@@ -97,6 +101,14 @@ def reports(strategy: BidderStrategy, t, s, a, r) -> np.ndarray:
 def strategy_from_spec(doc: dict) -> BidderStrategy:
     """Build a strategy from its experiment-config JSON entry."""
     kind = doc.get("kind")
+    if kind not in KINDS:
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    # a misspelt optional key would silently fall back to its default: refuse it
+    known = ("kind", *_SPEC_KEYS[kind])
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {kind} bidder key(s) {', '.join(map(repr, unknown))}; "
+                         f"expected some of {', '.join(known)}")
     if kind == "truthful":
         return truthful()
     if kind == "by_bids":
@@ -105,10 +117,8 @@ def strategy_from_spec(doc: dict) -> BidderStrategy:
         return scaled(float(doc["factor"]))
     if kind == "shifted":
         return shifted(float(doc["offset"]))
-    if kind == "adversarial_window":
-        return adversarial_window(
-            [tuple(w) for w in doc["windows"]],
-            factor=float(doc.get("factor", 1.0)),
-            inflate_to=doc.get("inflate_to", 1.0),
-        )
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    return adversarial_window(
+        [tuple(w) for w in doc["windows"]],
+        factor=float(doc.get("factor", 1.0)),
+        inflate_to=doc.get("inflate_to", 1.0),
+    )

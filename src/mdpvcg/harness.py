@@ -400,7 +400,11 @@ def compute_benchmark(model: MdpModel):
 def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
                record_rounds: bool = False, extra_checkpoints=(),
                seller_factory=None, keep_learner: bool = False) -> OnlineRunResult:
-    """Full multi-seed online experiment against the offline benchmark."""
+    """Full multi-seed online experiment against the offline benchmark.
+
+    ``seller_factory(mechanism)`` makes each seed's seller from the benchmark
+    mechanism; by default a fresh learner that ignores it.
+    """
     model = resolve_model(config)
     lcfg = learner_config(config, model)
     if strategies is None:
@@ -411,7 +415,7 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
     mech, bench = compute_benchmark(model)
 
     if seller_factory is None:
-        seller_factory = lambda: OnlineVcgLearner(lcfg)
+        seller_factory = lambda _: OnlineVcgLearner(lcfg)
         episodes = 1  # enough for the schedule to pass the horizon
         while episode_schedule(lcfg, episodes)[-1] <= horizon:
             episodes *= 2
@@ -424,7 +428,7 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
     for seed in config.seeds:
         try:
             seed_results.append(simulate_run(
-                model, seller_factory(), strategies, horizon, int(seed),
+                model, seller_factory(mech), strategies, horizon, int(seed),
                 checkpoints, record_rounds=record_rounds, keep_learner=keep_learner))
         except ConfigurationError as e:
             raise ConfigurationError(f"seed {seed}: {e}") from e
@@ -446,12 +450,11 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
 
 def run_clairvoyant(config: ExperimentConfig, extra_checkpoints=()) -> OnlineRunResult:
     """Benchmark playing itself: the offline (pi*, p*) charged from round 1."""
-    model = resolve_model(config)
-    mech, _ = compute_benchmark(model)
+    n = resolve_model(config).n
     return run_online(
-        config, strategies=[truthful() for _ in range(model.n)],
+        config, strategies=[truthful() for _ in range(n)],
         extra_checkpoints=extra_checkpoints,
-        seller_factory=lambda: mech,
+        seller_factory=lambda mech: mech,
     )
 
 

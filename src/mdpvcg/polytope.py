@@ -1,11 +1,16 @@
 """Occupancy-measure polytopes and LP maximization over them.
 
 Variants (all include mass, flow and nonnegativity):
-  EXACT_KERNEL      consistent with a fixed kernel P: q(s,a,s') = P(s'|s,a) m(s,a),
-                    where m(s,a) = sum_x q(s,a,x)
-  SHRUNK_EXACT      EXACT_KERNEL with every state-action mass at least delta
-  SHRUNK_CONFIDENCE every state-action mass at least delta, inside a two-sided
-                    kernel band lower(s,a,s')*m(s,a) <= q(s,a,s') <= upper(s,a,s')*m(s,a)
+  EXACT_KERNEL      consistent with a fixed kernel P: the LP runs over
+                    rho(s,a) alone, with sum_a rho(s',a) = sum_{s,a} P(s'|s,a) rho(s,a)
+                    (the dual LP of an average-reward MDP); q = rho * P afterwards
+  SHRUNK_EXACT      EXACT_KERNEL with every rho(s,a) at least delta
+  SHRUNK_CONFIDENCE every rho(s,a) at least delta, with q(s,a,s') columns for the
+                    unknown kernel inside a two-sided band
+                    lower(s,a,s')*rho(s,a) <= q(s,a,s') <= upper(s,a,s')*rho(s,a),
+                    sum_x q(s,a,x) = rho(s,a) and flow balanced in q
+
+The shrink floor delta is a lower bound on the rho columns, not a row.
 
 The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
@@ -65,6 +70,9 @@ class PolytopeSpec:
         if self.variant in ("EXACT_KERNEL", "SHRUNK_EXACT"):
             if self.kernel is None or self.kernel.shape != shape:
                 raise ValueError(f"variant {self.variant} needs a kernel of shape {shape}")
+            # q = rho * P is an occupancy measure only for a stochastic kernel
+            if self.kernel.min() < 0 or np.abs(self.kernel.sum(axis=2) - 1.0).max() > TOL.mass:
+                raise ValueError("kernel rows must be probability distributions")
         if self.variant.startswith("SHRUNK"):
             if self.delta is None or not 0 < self.delta <= 1.0 / (self.S * self.A):
                 raise ValueError(
@@ -99,33 +107,21 @@ def tighten_band(prior, p_bar, radii):
 
 @dataclass
 class ConstraintSystem:
-    """Rows for linprog over the flattened q[s, a, s'] (nonnegativity as bounds);
-    dense, or CSR above ``_SPARSE_ABOVE`` entries."""
+    """Rows for linprog over the flat columns rho[s, a], followed for
+    SHRUNK_CONFIDENCE by q[s, a, s']; dense, or CSR above ``_SPARSE_ABOVE``
+    entries. ``bounds`` is (columns, 2): delta (or 0) below rho, 0 below q,
+    no upper bounds."""
 
     A_eq: np.ndarray
     b_eq: np.ndarray
     A_ub: np.ndarray
     b_ub: np.ndarray
-
-    def max_violation(self, x: np.ndarray) -> float:
-        """Largest constraint violation of a flat point (bounds included)."""
-        v = 0.0
-        if len(self.b_eq):
-            v = max(v, float(np.abs(self.A_eq @ x - self.b_eq).max()))
-        if len(self.b_ub):
-            v = max(v, float(np.maximum(self.A_ub @ x - self.b_ub, 0.0).max()))
-        v = max(v, float(np.maximum(-x, 0.0).max()))
-        return v
+    bounds: np.ndarray
 
 
-def _pair_entries(row0: int, blocks: np.ndarray):
-    """(rows, cols, values) putting blocks[p, j] in row row0 + p*k + j, in pair
-    p's S columns; ``blocks`` is (S*A, k, S). Row order, columns ascending."""
-    n_pairs, k, S = blocks.shape
-    p = np.arange(n_pairs)[:, None, None]
-    rows = np.broadcast_to(row0 + p * k + np.arange(k)[:, None], blocks.shape)
-    cols = np.broadcast_to(p * S + np.arange(S), blocks.shape)
-    return rows.ravel(), cols.ravel(), blocks.ravel()
+def _coo(rows, cols, values):
+    """One COO piece: the three arguments broadcast together, raveled in C order."""
+    return tuple(part.ravel() for part in np.broadcast_arrays(rows, cols, values))
 
 
 def _stack_rows(shape, entries: list, as_sparse: bool):
@@ -145,53 +141,61 @@ def _stack_rows(shape, entries: list, as_sparse: bool):
 
 
 def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
-    """Emit the linear rows selecting the requested polytope over AS^2 variables.
+    """Emit the linear rows selecting the requested polytope.
 
-    Equalities: mass, flow (one row per state), then for a fixed kernel one
-    row per (s, a, s'). Inequalities: shrink (one row per (s, a)), then for
-    the band an upper and a lower row per (s, a, s'), interleaved.
+    Known kernel: S*A columns rho; equalities mass and one flow row per
+    state, sum_a rho(s', a) - sum_{s,a} P(s'|s,a) rho(s,a) = 0.
+    Band: the S*A rho columns, then S^2*A columns q; equalities mass (over
+    rho), flow per state (sum_{s,a} q(s,a,s') - sum_a rho(s',a) = 0) and a
+    link row per (s, a) (sum_x q(s,a,x) - rho(s,a) = 0); inequalities an
+    upper and a lower band row per (s, a, s'), interleaved. The shrink
+    floor delta is a lower bound on the rho columns.
     """
     S, A = spec.S, spec.A
-    SA, nv = S * A, S * A * S
-    eye = np.eye(S)
-    has_kernel = spec.variant != "SHRUNK_CONFIDENCE"
-    shrunk = spec.variant != "EXACT_KERNEL"
+    SA = S * A
+    confidence = spec.variant == "SHRUNK_CONFIDENCE"
+    nv = SA + (SA * S if confidence else 0)
 
-    head = np.zeros((1 + S, nv))
-    head[0] = 1.0  # mass
-    # flow conservation: inflow to s equals outflow from s
-    flow = head[1:].reshape(S, S, A, S)
-    flow += eye[:, None, None, :]
-    flow -= eye[:, :, None, None]
-    eq = [(*np.nonzero(head), head[head != 0])]
-    if has_kernel:  # q(s,a,x) - P(x|s,a) m(s,a) = 0
-        eq.append(_pair_entries(1 + S, eye - spec.kernel.reshape(SA, S, 1)))
+    if confidence:
+        pair = np.arange(SA)
+        q_col = (SA + pair * S)[:, None] + np.arange(S)  # (S*A, S): column of q(s, a, x)
+        eq = [_coo(0, pair, 1.0),  # mass
+              # flow into s': A rho columns (-1), then q(., ., s') (+1)
+              _coo(1 + np.arange(S)[:, None],
+                   np.hstack([pair.reshape(S, A), q_col.T]),
+                   np.repeat([-1.0, 1.0], [A, SA])),
+              _coo(1 + S + pair[:, None],  # link
+                   np.hstack([pair[:, None], q_col]),
+                   np.repeat([-1.0, 1.0], [1, S]))]
+        # q - upper*rho <= 0 and lower*rho - q <= 0, per (s, a, x)
+        band = np.empty((SA, S, 2, 2))
+        band[:, :, 0, 0] = -spec.band_upper.reshape(SA, S)
+        band[:, :, 0, 1] = 1.0
+        band[:, :, 1, 0] = spec.band_lower.reshape(SA, S)
+        band[:, :, 1, 1] = -1.0
+        cols = np.empty((SA, S, 1, 2), dtype=np.int64)
+        cols[..., 0] = pair[:, None, None]
+        cols[..., 1] = q_col[:, :, None]
+        ub = [_coo(np.arange(2 * SA * S).reshape(SA, S, 2, 1), cols, band)]
+        n_eq, n_ub = 1 + S + SA, 2 * SA * S
+    else:
+        head = np.zeros((1 + S, SA))
+        head[0] = 1.0  # mass
+        head[1:] = -spec.kernel.reshape(SA, S).T
+        head[1:].reshape(S, S, A)[np.arange(S), np.arange(S)] += 1.0
+        eq, ub = [(*np.nonzero(head), head[head != 0])], []
+        n_eq, n_ub = 1 + S, 0
 
-    n_shrink = SA if shrunk else 0
-    ub = []
-    if shrunk:  # -m(s,a) <= -delta
-        ub.append(_pair_entries(0, np.full((SA, 1, S), -1.0)))
-    if not has_kernel:  # q - upper*m <= 0 and lower*m - q <= 0
-        # negate, then add the diagonal (not eye - upper): zero entries keep
-        # the sign they have in the row-by-row construction
-        band = np.empty((SA, S, 2, S))
-        band[:, :, 0] = -spec.band_upper.reshape(SA, S, 1)
-        band[:, :, 1] = spec.band_lower.reshape(SA, S, 1)
-        x = np.arange(S)
-        band[:, x, 0, x] += 1.0
-        band[:, x, 1, x] -= 1.0
-        ub.append(_pair_entries(n_shrink, band.reshape(SA, 2 * S, S)))
-
-    n_eq = 1 + S + (nv if has_kernel else 0)
-    n_ub = n_shrink + (0 if has_kernel else 2 * nv)
     as_sparse = (n_eq + n_ub) * nv > _SPARSE_ABOVE
     b_eq = np.zeros(n_eq)
     b_eq[0] = 1.0
-    b_ub = np.zeros(n_ub)
-    if shrunk:
-        b_ub[:SA] = -spec.delta
+    bounds = np.zeros((nv, 2))
+    bounds[:, 1] = np.inf
+    if spec.variant.startswith("SHRUNK"):
+        bounds[:SA, 0] = spec.delta
     return ConstraintSystem(A_eq=_stack_rows((n_eq, nv), eq, as_sparse), b_eq=b_eq,
-                            A_ub=_stack_rows((n_ub, nv), ub, as_sparse), b_ub=b_ub)
+                            A_ub=_stack_rows((n_ub, nv), ub, as_sparse),
+                            b_ub=np.zeros(n_ub), bounds=bounds)
 
 
 @dataclass(frozen=True)
@@ -202,21 +206,23 @@ class LpSolution:
 
 
 def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
-    """Maximize <q, r> over the polytope; r is a per-(s,a) table."""
+    """Maximize <rho, r> over the polytope; r is a per-(s,a) table."""
     objective = np.asarray(objective, dtype=np.float64)
-    if objective.shape != (spec.S, spec.A):
-        raise ValueError(f"objective must be (S, A) = {(spec.S, spec.A)}")
+    S, A = spec.S, spec.A
+    if objective.shape != (S, A):
+        raise ValueError(f"objective must be (S, A) = {(S, A)}")
     if not np.all(np.isfinite(objective)):
         raise ValueError("objective must be finite")
     system = spec._constraints
-    c = np.repeat(objective[:, :, None], spec.S, axis=2).ravel()
+    c = np.zeros(len(system.bounds))
+    c[:S * A] = -objective.ravel()
     res = linprog(
-        -c,
+        c,
         A_ub=system.A_ub if len(system.b_ub) else None,
         b_ub=system.b_ub if len(system.b_ub) else None,
         A_eq=system.A_eq,
         b_eq=system.b_eq,
-        bounds=(0, None),
+        bounds=system.bounds,
         method="highs-ds",
         options=_LP_OPTIONS,
     )
@@ -224,7 +230,10 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
         return LpSolution(q=None, objective_value=float("nan"), status="infeasible")
     if res.status != 0:
         raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
-    q = res.x.reshape(spec.S, spec.A, spec.S)
+    if spec.variant == "SHRUNK_CONFIDENCE":
+        q = res.x[S * A:].reshape(S, A, S)
+    else:
+        q = res.x[:S * A].reshape(S, A, 1) * spec.kernel
     return LpSolution(
         q=OccupancyMeasure(q),
         objective_value=float(-res.fun),

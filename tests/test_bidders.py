@@ -104,5 +104,12 @@ def test_strategy_from_spec_roundtrip():
     for doc in specs:
         strat = strategy_from_spec(doc)
         assert strat.kind == doc["kind"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown strategy kind"):
         strategy_from_spec({"kind": "mystery"})
+    # a misspelt optional key would fall back to its default: refused by name
+    for doc, key in (({"kind": "adversarial_window", "windows": [[1, 5]], "factr": 3.0},
+                      "'factr'"),
+                     ({"kind": "scaled", "factor": 1.2, "offset": 0.1}, "'offset'"),
+                     ({"kind": "truthful", "table": [[1.0]]}, "'table'")):
+        with pytest.raises(ValueError, match=key):
+            strategy_from_spec(doc)

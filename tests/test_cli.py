@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import mdpvcg.polytope as polytope_mod
 from mdpvcg import GeneratorSpec, generate_model, save_model
 from mdpvcg.cli import main
 
@@ -109,6 +111,9 @@ def test_simulate_unknown_config_key_exits_2(model_file, tmp_path, capsys):
         ({**base, "model": {"generator": {**generator, "familly": "deterministic"}}},
          "familly"),
         ({**base, "learner": {"delat": 0.05}}, "delat"),
+        ({**base, "bidders": [{"kind": "truthful"},  # "factr" for "factor"
+                              {"kind": "adversarial_window", "windows": [[1, 5]],
+                               "factr": 3.0, "inflate_to": None}]}, "factr"),
     ]
     cfg_file = tmp_path / "config.json"
     for doc, key in cases:
@@ -117,3 +122,38 @@ def test_simulate_unknown_config_key_exits_2(model_file, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err and repr(key) in err
     assert not (tmp_path / "o").exists()
+
+
+def _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, status, fails):
+    """Run ``simulate`` with linprog returning ``status`` on the solves that
+    ``fails(kwargs)`` picks; the others are solved for real."""
+    real = polytope_mod.linprog
+
+    def injected(c, **kwargs):
+        if fails(kwargs):
+            return OptimizeResult(status=status, message="injected", x=None, fun=None, nit=0)
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(polytope_mod, "linprog", injected)
+    config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
+              "horizon": 1500, "seeds": [0], "out": str(tmp_path / "o")}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(config))
+    return main(["simulate", "--config", str(cfg_file)])
+
+
+def test_lp_solver_failure_exits_3(model_file, tmp_path, monkeypatch, capsys):
+    code = _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, 4, lambda kw: True)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "LP solver failed (status 4)" in err
+
+
+def test_infeasible_episode_lp_exits_2(model_file, tmp_path, monkeypatch, capsys):
+    """The benchmark's known-kernel LPs solve; the first episode's band LP
+    (the only one with inequality rows) reports infeasible."""
+    code = _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, 2,
+                                     lambda kw: kw["A_ub"] is not None)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "allocation LP infeasible" in err

@@ -85,6 +85,14 @@ def test_clairvoyant_baseline_small():
     assert abs(rep.mean_reg_bid[-1] / T) <= slack
 
 
+def test_clairvoyant_solves_the_mechanism_once(count_calls):
+    """run_clairvoyant plays the benchmark mechanism that run_online computed."""
+    solved = count_calls(harness_mod, "offline_mechanism")
+    res = run_clairvoyant(quick_config(horizon=300, seeds=(0, 1)))
+    assert len(solved) == 1
+    assert all(not r.episodes for r in res.seed_results)
+
+
 def test_benchmark_scalars_are_consistent():
     model = generate_model(GEN, 1)
     mech, bench = compute_benchmark(model)

@@ -6,60 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.optimize import linprog
 
 import mdpvcg.polytope as polytope_mod
 from _oracles import brute_force_best, loop_constraints
 from mdpvcg import (GeneratorSpec, PolytopeSpec, build_constraints,
-                    calibrate_delta, generate_model, maximize, tighten_band)
+                    calibrate_delta, generate_model, maximize, occupancy_from,
+                    tighten_band)
 from mdpvcg.polytope import VARIANTS
 
 
 def uniform_spec(S, A):
     return PolytopeSpec("EXACT_KERNEL", S, A, kernel=np.full((S, A, S), 1.0 / S))
-
-
-def test_full_constraint_counts():
-    """Row counts of every family, for every variant, read off the shapes."""
-    S, A = 2, 3
-    nv = S * A * S
-    kernel = np.full((S, A, S), 1.0 / S)
-    cases = [
-        (PolytopeSpec("EXACT_KERNEL", S, A, kernel=kernel), 1 + S + nv, 0),
-        (PolytopeSpec("SHRUNK_EXACT", S, A, kernel=kernel, delta=0.1),
-         1 + S + nv, S * A),
-        (PolytopeSpec("SHRUNK_CONFIDENCE", S, A, delta=0.1,
-                      band_lower=np.zeros((S, A, S)), band_upper=np.ones((S, A, S))),
-         1 + S, S * A + 2 * nv),
-    ]
-    for spec, n_eq, n_ub in cases:
-        system = build_constraints(spec)
-        assert system.A_eq.shape == (n_eq, nv) and system.b_eq.shape == (n_eq,)
-        assert system.A_ub.shape == (n_ub, nv) and system.b_ub.shape == (n_ub,)
-        np.testing.assert_array_equal(system.A_eq[0], 1.0)  # mass
-        assert system.b_eq[0] == 1.0
-
-
-def test_exact_kernel_adds_one_row_per_triple():
-    model = generate_model(GeneratorSpec(S=2, n=1, alpha=0.2, A=2), 0)
-    spec = PolytopeSpec("EXACT_KERNEL", 2, 2, kernel=model.kernel)
-    system = build_constraints(spec)
-    kernel_rows = system.A_eq[1 + 2:]
-    assert kernel_rows.shape[0] == 2 * 2 * 2
-    # any q = m(s,a) P(.|s,a) satisfies every kernel row
-    q = np.random.default_rng(0).random((2, 2, 1)) * model.kernel
-    np.testing.assert_allclose(kernel_rows @ q.ravel(), 0.0, atol=1e-12)
-
-
-def test_shrunk_confidence_band_row_count():
-    S, A = 2, 2
-    lower = np.zeros((S, A, S))
-    upper = np.ones((S, A, S))
-    spec = PolytopeSpec("SHRUNK_CONFIDENCE", S, A, delta=0.1,
-                        band_lower=lower, band_upper=upper)
-    system = build_constraints(spec)
-    assert system.A_ub.shape[0] == S * A + 2 * S * A * S
-    np.testing.assert_array_equal(system.b_ub[:S * A], -0.1)  # shrink rows
-    np.testing.assert_array_equal(system.b_ub[S * A:], 0.0)   # band rows
 
 
 def _assert_bit_equal(got, want):
@@ -68,15 +26,91 @@ def _assert_bit_equal(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _max_violation(rows, x):
+    """Largest violation of q-space rows (A_eq, b_eq, A_ub, b_ub) and of
+    nonnegativity at a flat point x = q.ravel()."""
+    A_eq, b_eq, A_ub, b_ub = rows
+    v = max(float(np.abs(A_eq @ x - b_eq).max()), float(np.maximum(-x, 0.0).max()))
+    if len(b_ub):
+        v = max(v, float(np.maximum(A_ub @ x - b_ub, 0.0).max()))
+    return v
+
+
+def test_full_constraint_counts():
+    """Row and column counts of every variant, read off the shapes; mass over
+    the rho columns; delta as a lower bound on the rho columns only."""
+    S, A = 2, 3
+    SA, nq = S * A, S * A * S
+    kernel = np.full((S, A, S), 1.0 / S)
+    cases = [
+        (PolytopeSpec("EXACT_KERNEL", S, A, kernel=kernel), SA, 1 + S, 0, 0.0),
+        (PolytopeSpec("SHRUNK_EXACT", S, A, kernel=kernel, delta=0.1), SA, 1 + S, 0, 0.1),
+        (PolytopeSpec("SHRUNK_CONFIDENCE", S, A, delta=0.1,
+                      band_lower=np.zeros((S, A, S)), band_upper=np.ones((S, A, S))),
+         SA + nq, 1 + S + SA, 2 * nq, 0.1),
+    ]
+    for spec, nv, n_eq, n_ub, floor in cases:
+        system = build_constraints(spec)
+        assert system.A_eq.shape == (n_eq, nv) and system.b_eq.shape == (n_eq,)
+        assert system.A_ub.shape == (n_ub, nv) and system.b_ub.shape == (n_ub,)
+        np.testing.assert_array_equal(system.A_eq[0, :SA], 1.0)  # mass
+        np.testing.assert_array_equal(system.A_eq[0, SA:], 0.0)
+        np.testing.assert_array_equal(system.b_eq, np.eye(n_eq)[0])
+        np.testing.assert_array_equal(system.b_ub, 0.0)
+        np.testing.assert_array_equal(system.bounds[:, 0], np.repeat([floor, 0.0], [SA, nv - SA]))
+        np.testing.assert_array_equal(system.bounds[:, 1], np.inf)
+
+
+def test_exact_kernel_has_one_flow_row_per_state():
+    model = generate_model(GeneratorSpec(S=2, n=1, alpha=0.2, A=2), 0)
+    system = build_constraints(PolytopeSpec("EXACT_KERNEL", 2, 2, kernel=model.kernel))
+    flow = system.A_eq[1:]
+    assert flow.shape == (2, 2 * 2)
+    # the rho of every stationary policy balances the flow ...
+    policy = np.random.default_rng(0).dirichlet(np.ones(2), size=2)
+    rho = occupancy_from(model.kernel, policy).rho
+    np.testing.assert_allclose(flow @ rho.ravel(), 0.0, atol=1e-12)
+    # ... and all mass on one pair does not: part of it leaves that state
+    assert np.abs(flow @ np.eye(4)[0]).max() > 0.1
+
+
+def test_shrunk_confidence_band_row_count():
+    S, A = 2, 2
+    SA = S * A
+    spec = PolytopeSpec("SHRUNK_CONFIDENCE", S, A, delta=0.1,
+                        band_lower=np.full((S, A, S), 0.25), band_upper=np.full((S, A, S), 0.75))
+    system = build_constraints(spec)
+    assert system.A_ub.shape[0] == 2 * SA * S
+    np.testing.assert_array_equal(system.b_ub, 0.0)
+    # rho with q = rho * nu (nu inside the band, rows summing to 1) meets every
+    # link, flow and band row
+    nu = np.array([0.4, 0.6])
+    rho = np.outer(nu, [0.3, 0.7])
+    x = np.concatenate([rho.ravel(), (rho[:, :, None] * nu).ravel()])
+    np.testing.assert_allclose(system.A_eq @ x, system.b_eq, atol=1e-15)
+    assert (system.A_ub @ x <= 1e-15).all()
+    # each band row holds one rho and one q coefficient: -upper or lower, then +1 or -1
+    np.testing.assert_array_equal(system.A_ub[:, SA:].sum(axis=1), np.tile([1.0, -1.0], SA * S))
+    np.testing.assert_array_equal(system.A_ub[:, :SA].sum(axis=1), np.tile([-0.75, 0.25], SA * S))
+
+
 def _random_spec_kwargs(S, A, variant, delta_frac, seed):
     rng = np.random.default_rng(seed)
     shape = (S, A, S)
-    kernel = rng.dirichlet(np.ones(S), size=(S, A))
-    lower, upper = 0.5 * rng.random(shape), 0.5 + 0.5 * rng.random(shape)
-    # exact 0 and 1 entries: -upper and lower - 1 must keep the oracle's zero signs
-    for arr in (kernel, lower, upper):
-        arr[rng.random(shape) < 0.25] = 0.0
-        arr[rng.random(shape) < 0.25] = 1.0
+    # stochastic rows with exact zeros, about a quarter of them one-hot
+    kernel = rng.dirichlet(np.ones(S), size=(S, A)) * (rng.random(shape) >= 0.25)
+    one_hot = np.eye(S)[rng.integers(S, size=(S, A))]
+    pick = (kernel.sum(axis=2) == 0) | (rng.random((S, A)) < 0.25)
+    kernel[pick] = one_hot[pick]
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    if rng.random() < 0.8:  # a band around the kernel, clipped to exact 0 and 1
+        radii = rng.uniform(0, 0.6, shape) * (rng.random(shape) >= 0.2)
+        lower, upper = tighten_band(None, kernel, radii)
+    else:  # an arbitrary band, often contradictory
+        lower, upper = 0.5 * rng.random(shape), 0.5 + 0.5 * rng.random(shape)
+        for arr in (lower, upper):
+            arr[rng.random(shape) < 0.25] = 0.0
+            arr[rng.random(shape) < 0.25] = 1.0
     return {"EXACT_KERNEL": dict(kernel=kernel),
             "SHRUNK_EXACT": dict(kernel=kernel, delta=delta_frac / (S * A)),
             "SHRUNK_CONFIDENCE": dict(delta=delta_frac / (S * A),
@@ -87,30 +121,42 @@ spec_params = dict(S=st.integers(1, 5), A=st.integers(1, 5), variant=st.sampled_
                    delta_frac=st.floats(1e-6, 1), seed=st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(**spec_params)
-def test_vectorised_rows_equal_loop_oracle(S, A, variant, delta_frac, seed):
+def test_rho_lp_matches_q_space_oracle(S, A, variant, delta_frac, seed):
+    """The LP over rho (plus q for the band) reaches the optimum of the LP over
+    q(s,a,s') with the row-by-row kernel, shrink and band rows; its q meets those rows."""
     kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
-    system = build_constraints(PolytopeSpec(variant, S, A, **kw))
-    want = loop_constraints(variant, S, A, **kw)
-    for got, ref in zip((system.A_eq, system.b_eq, system.A_ub, system.b_ub), want):
-        _assert_bit_equal(got, ref)
+    r = np.random.default_rng(seed + 1).random((S, A))
+    sol = maximize(r, PolytopeSpec(variant, S, A, **kw))
+    rows = loop_constraints(variant, S, A, **kw)
+    A_eq, b_eq, A_ub, b_ub = rows
+    want = linprog(-np.repeat(r[:, :, None], S, axis=2).ravel(),
+                   A_ub=A_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
+                   A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds",
+                   options=polytope_mod._LP_OPTIONS)
+    assert want.status in (0, 2)
+    assert (sol.status == "infeasible") == (want.status == 2)
+    if want.status == 0:
+        assert abs(sol.objective_value - -want.fun) <= 1e-9
+        assert _max_violation(rows, sol.q.q.ravel()) <= 1e-8
 
 
 @settings(max_examples=80, deadline=None)
 @given(**spec_params)
-def test_sparse_rows_equal_csr_of_loop_oracle(S, A, variant, delta_frac, seed):
-    """Above _SPARSE_ABOVE the rows are built as CSR: the oracle's nonzeros, in CSR order."""
+def test_sparse_rows_equal_csr_of_dense_rows(S, A, variant, delta_frac, seed):
+    """Above _SPARSE_ABOVE the rows are built as CSR: the dense rows' nonzeros, in CSR order."""
     kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
     with mock.patch.object(polytope_mod, "_SPARSE_ABOVE", 0):
         system = build_constraints(PolytopeSpec(variant, S, A, **kw))
-    want = loop_constraints(variant, S, A, **kw)
-    _assert_bit_equal(system.b_eq, want[1])
-    _assert_bit_equal(system.b_ub, want[3])
-    for got, ref in ((system.A_eq, want[0]), (system.A_ub, want[2])):
+    dense = build_constraints(PolytopeSpec(variant, S, A, **kw))
+    for part in ("b_eq", "b_ub", "bounds"):
+        _assert_bit_equal(getattr(system, part), getattr(dense, part))
+    for got, ref in ((system.A_eq, dense.A_eq), (system.A_ub, dense.A_ub)):
         if ref.shape[0] == 0:  # no rows: nothing to hand over either way
             assert got.shape == ref.shape
             continue
+        assert not sparse.issparse(ref)
         ref = sparse.csr_array(ref)
         assert sparse.issparse(got) and got.format == "csr" and got.shape == ref.shape
         for part in ("indptr", "indices", "data"):
@@ -162,6 +208,9 @@ def test_rejects_malformed_specs():
             PolytopeSpec(removed, 2, 2, delta=0.1)
     with pytest.raises(ValueError):
         PolytopeSpec("EXACT_KERNEL", 2, 2)  # kernel missing
+    for bad in (np.full((2, 2, 2), 0.6), np.tile([1.5, -0.5], (2, 2, 1))):
+        with pytest.raises(ValueError, match="probability distributions"):
+            PolytopeSpec("SHRUNK_EXACT", 2, 2, kernel=bad, delta=0.1)
     with pytest.raises(ValueError):
         PolytopeSpec("SHRUNK_EXACT", 2, 2, kernel=np.full((2, 2, 2), 0.5),
                      delta=0.3)  # above 1/(S*A)
@@ -209,11 +258,13 @@ def test_optimal_points_satisfy_their_constraints():
                      band_lower=np.zeros((3, 2, 3)), band_upper=np.ones((3, 2, 3))),
     ]
     for spec in specs:
+        rows = loop_constraints(spec.variant, spec.S, spec.A, kernel=spec.kernel,
+                                delta=spec.delta, band_lower=spec.band_lower,
+                                band_upper=spec.band_upper)
         for _ in range(3):
             sol = maximize(rng.random((3, 2)), spec)
             assert sol.status == "optimal"
-            system = build_constraints(spec)
-            assert system.max_violation(sol.q.q.ravel()) <= 1e-8
+            assert _max_violation(rows, sol.q.q.ravel()) <= 1e-8
             assert sol.q.violations() == []
 
 

@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -449,13 +449,10 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
 
 
 def run_clairvoyant(config: ExperimentConfig, extra_checkpoints=()) -> OnlineRunResult:
-    """Benchmark playing itself: the offline (pi*, p*) charged from round 1."""
-    n = resolve_model(config).n
-    return run_online(
-        config, strategies=[truthful() for _ in range(n)],
-        extra_checkpoints=extra_checkpoints,
-        seller_factory=lambda mech: mech,
-    )
+    """Benchmark playing itself: the offline (pi*, p*) charged from round 1,
+    with every bidder truthful (the config's bidder list is dropped)."""
+    return run_online(replace(config, bidders=()), extra_checkpoints=extra_checkpoints,
+                      seller_factory=lambda mech: mech)
 
 
 def run_offline(config: ExperimentConfig, bids: Optional[BidProfile] = None,

@@ -16,9 +16,12 @@ The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
 
-A spec's constraint rows are built once, on its first solve, and reused by
-every later ``maximize`` over the same spec; spec arrays must not be mutated
-after construction.
+Each spec holds one HiGHS model, built from its constraint rows on its first
+solve. A solve only writes the rho costs and reruns the model: the first is a
+cold dual-simplex solve (what ``scipy.optimize.linprog(method="highs-ds")``
+does), every later one a primal-simplex solve from the previous optimal
+basis, which a change of costs leaves primal feasible. Spec arrays must not
+be mutated after construction.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+
+try:  # the HiGHS bindings that scipy ships; highspy is not a dependency
+    from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
+                                               MatrixFormat, _Highs)
+except ImportError as e:
+    raise ImportError("mdpvcg needs scipy>=1.15 for its HiGHS bindings "
+                      "(scipy.optimize._highspy._core)") from e
 
 from .occupancy import OccupancyMeasure
 from .tolerances import TOL
@@ -44,11 +53,11 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
-
-# Systems with more entries than this are built as CSR (same nonzeros, same
-# solutions). Below it dense input is faster; above it CSR is faster, far
-# smaller, and spares linprog two dense copies of the rows.
-_SPARSE_ABOVE = 250_000
+# the options linprog(method="highs-ds", options=_LP_OPTIONS) passes to HiGHS;
+# simplex_strategy 1 is dual simplex, 4 primal simplex (for the warm solves)
+_HIGHS_OPTIONS = {**_LP_OPTIONS, "presolve": "on", "solver": "simplex",
+                  "simplex_strategy": 1, "output_flag": False}
+_PRIMAL_SIMPLEX = 4
 
 
 @dataclass(frozen=True)
@@ -87,8 +96,8 @@ class PolytopeSpec:
                 raise ValueError("band must be clipped to [0, 1]")
 
     @cached_property
-    def _constraints(self) -> ConstraintSystem:
-        return build_constraints(self)
+    def _model(self) -> _Highs:
+        return highs_model(build_constraints(self))
 
 
 def tighten_band(prior, p_bar, radii):
@@ -107,14 +116,13 @@ def tighten_band(prior, p_bar, radii):
 
 @dataclass
 class ConstraintSystem:
-    """Rows for linprog over the flat columns rho[s, a], followed for
-    SHRUNK_CONFIDENCE by q[s, a, s']; dense, or CSR above ``_SPARSE_ABOVE``
-    entries. ``bounds`` is (columns, 2): delta (or 0) below rho, 0 below q,
-    no upper bounds."""
+    """CSR rows over the flat columns rho[s, a], followed for
+    SHRUNK_CONFIDENCE by q[s, a, s']. ``bounds`` is (columns, 2): delta
+    (or 0) below rho, 0 below q, no upper bounds."""
 
-    A_eq: np.ndarray
+    A_eq: sparse.csr_array
     b_eq: np.ndarray
-    A_ub: np.ndarray
+    A_ub: sparse.csr_array
     b_ub: np.ndarray
     bounds: np.ndarray
 
@@ -124,16 +132,12 @@ def _coo(rows, cols, values):
     return tuple(part.ravel() for part in np.broadcast_arrays(rows, cols, values))
 
 
-def _stack_rows(shape, entries: list, as_sparse: bool):
-    """Rows from COO pieces given in row order: dense, or CSR without exact
-    zeros (equal to ``sparse.csr_array`` of the dense rows)."""
+def _stack_rows(shape, entries: list) -> sparse.csr_array:
+    """CSR rows from COO pieces given in row order, without exact zeros
+    (equal to ``sparse.csr_array`` of the dense rows)."""
     if not entries:
-        return np.zeros(shape)
+        return sparse.csr_array(shape)
     rows, cols, values = (np.concatenate(part) for part in zip(*entries))
-    if not as_sparse:
-        out = np.zeros(shape)
-        out[rows, cols] = values
-        return out
     keep = values != 0
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows[keep], minlength=shape[0]), out=indptr[1:])
@@ -186,16 +190,42 @@ def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
         eq, ub = [(*np.nonzero(head), head[head != 0])], []
         n_eq, n_ub = 1 + S, 0
 
-    as_sparse = (n_eq + n_ub) * nv > _SPARSE_ABOVE
     b_eq = np.zeros(n_eq)
     b_eq[0] = 1.0
     bounds = np.zeros((nv, 2))
     bounds[:, 1] = np.inf
     if spec.variant.startswith("SHRUNK"):
         bounds[:SA, 0] = spec.delta
-    return ConstraintSystem(A_eq=_stack_rows((n_eq, nv), eq, as_sparse), b_eq=b_eq,
-                            A_ub=_stack_rows((n_ub, nv), ub, as_sparse),
+    return ConstraintSystem(A_eq=_stack_rows((n_eq, nv), eq), b_eq=b_eq,
+                            A_ub=_stack_rows((n_ub, nv), ub),
                             b_ub=np.zeros(n_ub), bounds=bounds)
+
+
+def highs_model(system: ConstraintSystem) -> _Highs:
+    """A HiGHS model of the rows, A_ub then A_eq as CSC (linprog's order),
+    with zero costs and linprog's dual-simplex options."""
+    A = sparse.vstack((system.A_ub, system.A_eq), format="csc")
+    lp = HighsLp()
+    lp.num_row_, lp.num_col_ = A.shape
+    lp.col_cost_ = np.zeros(A.shape[1])
+    lp.col_lower_, lp.col_upper_ = system.bounds.T.copy()
+    lp.row_lower_ = np.concatenate((np.full(len(system.b_ub), -np.inf), system.b_eq))
+    lp.row_upper_ = np.concatenate((system.b_ub, system.b_eq))
+    matrix = lp.a_matrix_
+    matrix.num_row_, matrix.num_col_ = A.shape
+    matrix.format_ = MatrixFormat.kColwise
+    matrix.start_, matrix.index_, matrix.value_ = A.indptr, A.indices, A.data
+    model = _Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        model.setOptionValue(key, value)
+    if model.passModel(lp) == HighsStatus.kError:
+        raise RuntimeError("HiGHS refused the constraint rows")
+    return model
+
+
+def _run(model: _Highs) -> HighsModelStatus:
+    model.run()
+    return model.getModelStatus()
 
 
 @dataclass(frozen=True)
@@ -203,6 +233,7 @@ class LpSolution:
     q: Optional[OccupancyMeasure]
     objective_value: float
     status: str  # "optimal" | "infeasible"
+    nit: int  # HiGHS simplex iterations of this solve
 
 
 def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
@@ -213,31 +244,28 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
         raise ValueError(f"objective must be (S, A) = {(S, A)}")
     if not np.all(np.isfinite(objective)):
         raise ValueError("objective must be finite")
-    system = spec._constraints
-    c = np.zeros(len(system.bounds))
-    c[:S * A] = -objective.ravel()
-    res = linprog(
-        c,
-        A_ub=system.A_ub if len(system.b_ub) else None,
-        b_ub=system.b_ub if len(system.b_ub) else None,
-        A_eq=system.A_eq,
-        b_eq=system.b_eq,
-        bounds=system.bounds,
-        method="highs-ds",
-        options=_LP_OPTIONS,
-    )
-    if res.status == 2:
-        return LpSolution(q=None, objective_value=float("nan"), status="infeasible")
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed (status {res.status}): {res.message}")
+    model = spec._model
+    model.changeColsCost(S * A, np.arange(S * A, dtype=np.int32), -objective.ravel())
+    status = _run(model)
+    # later solves on this spec start from the basis just found
+    model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+    info = model.getInfo()
+    if status == HighsModelStatus.kInfeasible:
+        return LpSolution(q=None, objective_value=float("nan"), status="infeasible",
+                          nit=info.simplex_iteration_count)
+    if status != HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP solver failed (status {status.value}): "
+                           f"{model.modelStatusToString(status)}")
+    x = np.asarray(model.getSolution().col_value)
     if spec.variant == "SHRUNK_CONFIDENCE":
-        q = res.x[S * A:].reshape(S, A, S)
+        q = x[S * A:].reshape(S, A, S)
     else:
-        q = res.x[:S * A].reshape(S, A, 1) * spec.kernel
+        q = x[:S * A].reshape(S, A, 1) * spec.kernel
     return LpSolution(
         q=OccupancyMeasure(q),
-        objective_value=float(-res.fun),
+        objective_value=float(-info.objective_function_value),
         status="optimal",
+        nit=info.simplex_iteration_count,
     )
 
 

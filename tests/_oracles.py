@@ -3,15 +3,18 @@
 Everything here deliberately avoids the library's LP / linear-solve paths:
 power iteration for stationary distributions, explicit enumeration for
 optimal policies, plain sampling loops for Monte Carlo averages, one
-row at a time for polytope constraint rows, and an if-chain for bidder reports.
+row at a time for polytope constraint rows, ``scipy.optimize.linprog`` for
+LP optima, and an if-chain for bidder reports.
 """
 
 import csv
 
 import numpy as np
+from scipy.optimize import linprog
 
 from mdpvcg.harness import SeedRunResult, _episode_diagnostics
 from mdpvcg.online import OnlineVcgLearner
+from mdpvcg.polytope import _LP_OPTIONS
 
 
 def power_iteration_nu(p_state, iterations=500):
@@ -92,6 +95,14 @@ def second_price_outcome(values):
     """Static second-price auction: (winner index, price)."""
     order = np.argsort(values)
     return int(order[-1]), float(values[order[-2]]) if len(values) > 1 else 0.0
+
+
+def linprog_maximize(c, A_eq, b_eq, A_ub, b_ub, bounds=(0, None)):
+    """``linprog`` result for max c @ x over the rows: one cold HiGHS
+    dual-simplex solve with the library's tolerances."""
+    return linprog(-c, A_ub=A_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
+                   A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs-ds",
+                   options=_LP_OPTIONS)
 
 
 def loop_constraints(variant, S, A, kernel=None, delta=None, band_lower=None,

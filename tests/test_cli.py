@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import mdpvcg.polytope as polytope_mod
 from mdpvcg import GeneratorSpec, generate_model, save_model
@@ -125,16 +125,14 @@ def test_simulate_unknown_config_key_exits_2(model_file, tmp_path, capsys):
 
 
 def _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, status, fails):
-    """Run ``simulate`` with linprog returning ``status`` on the solves that
-    ``fails(kwargs)`` picks; the others are solved for real."""
-    real = polytope_mod.linprog
+    """Run ``simulate`` with the HiGHS model status ``status`` on the solves
+    whose model ``fails(model)`` picks; the others are solved for real."""
+    real = polytope_mod._run
 
-    def injected(c, **kwargs):
-        if fails(kwargs):
-            return OptimizeResult(status=status, message="injected", x=None, fun=None, nit=0)
-        return real(c, **kwargs)
+    def injected(model):
+        return status if fails(model) else real(model)
 
-    monkeypatch.setattr(polytope_mod, "linprog", injected)
+    monkeypatch.setattr(polytope_mod, "_run", injected)
     config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
               "horizon": 1500, "seeds": [0], "out": str(tmp_path / "o")}
     cfg_file = tmp_path / "config.json"
@@ -143,7 +141,8 @@ def _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, status, fails):
 
 
 def test_lp_solver_failure_exits_3(model_file, tmp_path, monkeypatch, capsys):
-    code = _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, 4, lambda kw: True)
+    code = _simulate_with_failing_lp(model_file, tmp_path, monkeypatch,
+                                     HighsModelStatus.kSolveError, lambda model: True)
     assert code == 3
     err = capsys.readouterr().err
     assert "runtime error" in err and "LP solver failed (status 4)" in err
@@ -151,9 +150,10 @@ def test_lp_solver_failure_exits_3(model_file, tmp_path, monkeypatch, capsys):
 
 def test_infeasible_episode_lp_exits_2(model_file, tmp_path, monkeypatch, capsys):
     """The benchmark's known-kernel LPs solve; the first episode's band LP
-    (the only one with inequality rows) reports infeasible."""
-    code = _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, 2,
-                                     lambda kw: kw["A_ub"] is not None)
+    (the only one with q columns) reports infeasible."""
+    code = _simulate_with_failing_lp(model_file, tmp_path, monkeypatch,
+                                     HighsModelStatus.kInfeasible,
+                                     lambda model: model.getNumCol() > GEN.S * GEN.A)
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "allocation LP infeasible" in err

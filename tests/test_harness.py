@@ -11,7 +11,7 @@ from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
                     LearnerConfig, OnlineRunResult, OnlineVcgLearner,
                     RegretReport, RoundColumns, compute_benchmark, config_hash,
                     episode_schedule, export, generate_model, run_clairvoyant,
-                    run_offline, run_online, truthfulness_gain)
+                    run_offline, run_online, save_model, truthfulness_gain)
 from mdpvcg.bidders import (BidderStrategy, adversarial_window, scaled, shifted,
                             truthful)
 from mdpvcg.harness import (SeedRunResult, _round_header, _write_rounds_csv,
@@ -91,6 +91,18 @@ def test_clairvoyant_solves_the_mechanism_once(count_calls):
     res = run_clairvoyant(quick_config(horizon=300, seeds=(0, 1)))
     assert len(solved) == 1
     assert all(not r.episodes for r in res.seed_results)
+
+
+def test_clairvoyant_resolves_the_model_once(tmp_path, count_calls):
+    """A model file is read and validated once per clairvoyant run."""
+    path = tmp_path / "model.json"
+    save_model(generate_model(GEN, 1), path)
+    resolved = count_calls(harness_mod, "resolve_model")
+    loads = count_calls(harness_mod, "load_model")
+    res = run_clairvoyant(ExperimentConfig(model_file=str(path), delta=0.08, zeta=0.05,
+                                           horizon=300, seeds=(0,)))
+    assert len(resolved) == len(loads) == 1
+    assert res.mechanism.payments.shape[0] == GEN.n
 
 
 def test_benchmark_scalars_are_consistent():

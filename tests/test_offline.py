@@ -165,9 +165,10 @@ def test_bid_profile_range_enforced():
 
 def test_constraints_built_once_per_mechanism(small_model, count_calls):
     builds = count_calls(polytope_mod, "build_constraints")
+    models = count_calls(polytope_mod, "highs_model")
     solves = count_calls(offline_mod, "maximize")
     bids = BidProfile.truthful(small_model)
     for calls in (1, 2):
         offline_mechanism(bids, small_model.reward_means[0], small_model.kernel)
-        assert len(builds) == calls
+        assert len(builds) == len(models) == calls
         assert len(solves) == calls * (small_model.n + 1)

@@ -1,15 +1,16 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linprog
 
-import mdpvcg.polytope as polytope_mod
-from _oracles import brute_force_best, loop_constraints
+from _oracles import brute_force_best, linprog_maximize, loop_constraints
 from mdpvcg import (GeneratorSpec, PolytopeSpec, build_constraints,
                     calibrate_delta, generate_model, maximize, occupancy_from,
                     tighten_band)
@@ -53,8 +54,9 @@ def test_full_constraint_counts():
         system = build_constraints(spec)
         assert system.A_eq.shape == (n_eq, nv) and system.b_eq.shape == (n_eq,)
         assert system.A_ub.shape == (n_ub, nv) and system.b_ub.shape == (n_ub,)
-        np.testing.assert_array_equal(system.A_eq[0, :SA], 1.0)  # mass
-        np.testing.assert_array_equal(system.A_eq[0, SA:], 0.0)
+        mass = system.A_eq.toarray()[0]
+        np.testing.assert_array_equal(mass[:SA], 1.0)
+        np.testing.assert_array_equal(mass[SA:], 0.0)
         np.testing.assert_array_equal(system.b_eq, np.eye(n_eq)[0])
         np.testing.assert_array_equal(system.b_ub, 0.0)
         np.testing.assert_array_equal(system.bounds[:, 0], np.repeat([floor, 0.0], [SA, nv - SA]))
@@ -64,7 +66,7 @@ def test_full_constraint_counts():
 def test_exact_kernel_has_one_flow_row_per_state():
     model = generate_model(GeneratorSpec(S=2, n=1, alpha=0.2, A=2), 0)
     system = build_constraints(PolytopeSpec("EXACT_KERNEL", 2, 2, kernel=model.kernel))
-    flow = system.A_eq[1:]
+    flow = system.A_eq.toarray()[1:]
     assert flow.shape == (2, 2 * 2)
     # the rho of every stationary policy balances the flow ...
     policy = np.random.default_rng(0).dirichlet(np.ones(2), size=2)
@@ -80,18 +82,19 @@ def test_shrunk_confidence_band_row_count():
     spec = PolytopeSpec("SHRUNK_CONFIDENCE", S, A, delta=0.1,
                         band_lower=np.full((S, A, S), 0.25), band_upper=np.full((S, A, S), 0.75))
     system = build_constraints(spec)
-    assert system.A_ub.shape[0] == 2 * SA * S
+    A_eq, A_ub = system.A_eq.toarray(), system.A_ub.toarray()
+    assert A_ub.shape[0] == 2 * SA * S
     np.testing.assert_array_equal(system.b_ub, 0.0)
     # rho with q = rho * nu (nu inside the band, rows summing to 1) meets every
     # link, flow and band row
     nu = np.array([0.4, 0.6])
     rho = np.outer(nu, [0.3, 0.7])
     x = np.concatenate([rho.ravel(), (rho[:, :, None] * nu).ravel()])
-    np.testing.assert_allclose(system.A_eq @ x, system.b_eq, atol=1e-15)
-    assert (system.A_ub @ x <= 1e-15).all()
+    np.testing.assert_allclose(A_eq @ x, system.b_eq, atol=1e-15)
+    assert (A_ub @ x <= 1e-15).all()
     # each band row holds one rho and one q coefficient: -upper or lower, then +1 or -1
-    np.testing.assert_array_equal(system.A_ub[:, SA:].sum(axis=1), np.tile([1.0, -1.0], SA * S))
-    np.testing.assert_array_equal(system.A_ub[:, :SA].sum(axis=1), np.tile([-0.75, 0.25], SA * S))
+    np.testing.assert_array_equal(A_ub[:, SA:].sum(axis=1), np.tile([1.0, -1.0], SA * S))
+    np.testing.assert_array_equal(A_ub[:, :SA].sum(axis=1), np.tile([-0.75, 0.25], SA * S))
 
 
 def _random_spec_kwargs(S, A, variant, delta_frac, seed):
@@ -130,11 +133,7 @@ def test_rho_lp_matches_q_space_oracle(S, A, variant, delta_frac, seed):
     r = np.random.default_rng(seed + 1).random((S, A))
     sol = maximize(r, PolytopeSpec(variant, S, A, **kw))
     rows = loop_constraints(variant, S, A, **kw)
-    A_eq, b_eq, A_ub, b_ub = rows
-    want = linprog(-np.repeat(r[:, :, None], S, axis=2).ravel(),
-                   A_ub=A_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
-                   A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds",
-                   options=polytope_mod._LP_OPTIONS)
+    want = linprog_maximize(np.repeat(r[:, :, None], S, axis=2).ravel(), *rows)
     assert want.status in (0, 2)
     assert (sol.status == "infeasible") == (want.status == 2)
     if want.status == 0:
@@ -142,60 +141,67 @@ def test_rho_lp_matches_q_space_oracle(S, A, variant, delta_frac, seed):
         assert _max_violation(rows, sol.q.q.ravel()) <= 1e-8
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), **spec_params)
+def test_warm_solves_equal_fresh_solves(n, S, A, variant, delta_frac, seed):
+    """2n+1 objectives solved in turn on one spec (each from the previous
+    basis) match the same objectives solved on fresh specs; the first solve
+    is linprog's on the same rows."""
+    kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
+    spec = PolytopeSpec(variant, S, A, **kw)
+    rng = np.random.default_rng(seed + 1)
+    objectives = rng.random((2 * n + 1, S, A)) * (rng.random((2 * n + 1, S, A)) >= 0.2)
+    rows = loop_constraints(variant, S, A, **kw)
+    for k, r in enumerate(objectives):
+        warm = maximize(r, spec)
+        fresh = maximize(r, replace(spec))
+        assert warm.status == fresh.status
+        assert warm.nit >= 0 and fresh.nit >= 0
+        if k == 0:
+            system = build_constraints(spec)
+            c = np.zeros(len(system.bounds))
+            c[:S * A] = r.ravel()
+            ref = linprog_maximize(c, system.A_eq, system.b_eq, system.A_ub, system.b_ub,
+                                   system.bounds)
+            assert (ref.status == 2) == (warm.status == "infeasible")
+            if ref.status == 0:
+                rho = ref.x[:S * A].reshape(S, A)
+                q = (ref.x[S * A:].reshape(S, A, S) if variant == "SHRUNK_CONFIDENCE"
+                     else rho[:, :, None] * kw["kernel"])
+                np.testing.assert_allclose(warm.q.q, q, rtol=0, atol=1e-12)
+        if warm.status == "optimal":
+            assert abs(warm.objective_value - fresh.objective_value) <= 1e-9
+            assert _max_violation(rows, warm.q.q.ravel()) <= 1e-8
+
+
 @settings(max_examples=80, deadline=None)
 @given(**spec_params)
 def test_sparse_rows_equal_csr_of_dense_rows(S, A, variant, delta_frac, seed):
-    """Above _SPARSE_ABOVE the rows are built as CSR: the dense rows' nonzeros, in CSR order."""
-    kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
-    with mock.patch.object(polytope_mod, "_SPARSE_ABOVE", 0):
-        system = build_constraints(PolytopeSpec(variant, S, A, **kw))
-    dense = build_constraints(PolytopeSpec(variant, S, A, **kw))
-    for part in ("b_eq", "b_ub", "bounds"):
-        _assert_bit_equal(getattr(system, part), getattr(dense, part))
-    for got, ref in ((system.A_eq, dense.A_eq), (system.A_ub, dense.A_ub)):
-        if ref.shape[0] == 0:  # no rows: nothing to hand over either way
-            assert got.shape == ref.shape
-            continue
-        assert not sparse.issparse(ref)
-        ref = sparse.csr_array(ref)
-        assert sparse.issparse(got) and got.format == "csr" and got.shape == ref.shape
+    """The rows are CSR holding exactly the nonzeros of their dense form, in
+    CSR order; b_eq, b_ub and bounds are float arrays of matching sizes."""
+    system = build_constraints(PolytopeSpec(variant, S, A, **_random_spec_kwargs(
+        S, A, variant, delta_frac, seed)))
+    nv = len(system.bounds)
+    assert system.bounds.shape == (nv, 2)
+    for got, rhs in ((system.A_eq, system.b_eq), (system.A_ub, system.b_ub)):
+        assert sparse.issparse(got) and got.format == "csr"
+        assert got.shape == (len(rhs), nv) and rhs.dtype == np.float64
+        ref = sparse.csr_array(got.toarray())
         for part in ("indptr", "indices", "data"):
             _assert_bit_equal(getattr(got, part).astype(getattr(ref, part).dtype),
                               getattr(ref, part))
 
 
-def test_sparse_handoff_solves_identically(monkeypatch):
-    """Past _SPARSE_ABOVE entries the rows are built and handed over as
-    scipy.sparse; same solutions."""
-    model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=2), 3)
-    lower, upper = tighten_band(None, model.kernel, np.full((3, 2, 3), 0.07))
-    specs = [
-        PolytopeSpec("EXACT_KERNEL", 3, 2, kernel=model.kernel),
-        PolytopeSpec("SHRUNK_EXACT", 3, 2, kernel=model.kernel, delta=0.05),
-        PolytopeSpec("SHRUNK_CONFIDENCE", 3, 2, delta=0.05,
-                     band_lower=lower, band_upper=upper),
-        PolytopeSpec("SHRUNK_CONFIDENCE", 3, 2, delta=0.05,  # infeasible
-                     band_lower=np.full((3, 2, 3), 0.9), band_upper=np.ones((3, 2, 3))),
-    ]
-    r = np.random.default_rng(4).random((3, 2))
-    dense = [maximize(r, spec) for spec in specs]
-
-    real, handed_sparse = polytope_mod.linprog, []
-
-    def spy(*args, **kwargs):
-        handed_sparse.append(sparse.issparse(kwargs["A_eq"]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(polytope_mod, "linprog", spy)
-    monkeypatch.setattr(polytope_mod, "_SPARSE_ABOVE", 0)
-    for spec, want in zip(specs, dense):
-        got = maximize(r, replace(spec))  # a fresh spec: rows not built yet
-        assert got.status == want.status
-        if want.status == "optimal":
-            assert got.objective_value == want.objective_value
-            np.testing.assert_array_equal(got.q.q, want.q.q)
-    assert handed_sparse == [True] * len(specs)
-    assert dense[-1].status == "infeasible"
+def test_missing_highs_bindings_fail_at_import():
+    """Without scipy's HiGHS bindings the module refuses to import, naming the
+    scipy floor, instead of falling back to another solver."""
+    code = ("import sys; sys.modules['scipy.optimize._highspy._core'] = None\n"
+            "try:\n    import mdpvcg.polytope\n"
+            "except ImportError as e:\n    print(e)\nelse:\n    print('imported')")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert "scipy>=1.15" in out and "imported" not in out
 
 
 def test_rejects_malformed_specs():

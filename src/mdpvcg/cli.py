@@ -48,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--out", help="output directory (overrides config)")
     simp.add_argument("--format", choices=("csv", "json"), help="output format")
     simp.add_argument("--record-rounds", action="store_true",
-                      help="write per-round CSVs (large for long horizons)")
+                      help="export every round: rounds_seed<k>.csv per seed with csv, "
+                           "a rounds entry in results.json with json (large for long "
+                           "horizons)")
 
     cal = sub.add_parser("calibrate-delta", help="calibrate the shrink size")
     cal.add_argument("--model", required=True, help="model JSON file")

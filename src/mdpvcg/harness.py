@@ -405,6 +405,12 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
     ``seller_factory(mechanism)`` makes each seed's seller from the benchmark
     mechanism; by default a fresh learner that ignores it.
     """
+    seeds = [int(seed) for seed in config.seeds]
+    if not seeds:
+        raise ValueError("config needs at least one seed")
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ValueError(f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
     model = resolve_model(config)
     lcfg = learner_config(config, model)
     if strategies is None:
@@ -425,10 +431,10 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
     checkpoints = checkpoint_grid(horizon, boundaries, extra_checkpoints)
 
     seed_results = []
-    for seed in config.seeds:
+    for seed in seeds:
         try:
             seed_results.append(simulate_run(
-                model, seller_factory(mech), strategies, horizon, int(seed),
+                model, seller_factory(mech), strategies, horizon, seed,
                 checkpoints, record_rounds=record_rounds, keep_learner=keep_learner))
         except ConfigurationError as e:
             raise ConfigurationError(f"seed {seed}: {e}") from e
@@ -563,9 +569,19 @@ def _write_rounds_csv(path, rounds: RoundColumns, n: int, block: int = 8192):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_round_header(n)) + "\r\n")
         for lo in range(0, len(rounds.t), block):
-            cells = [map(fmt, c[lo:lo + block].tolist()) for fmt, c in columns]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+            cells = [_formatted(fmt, c[lo:lo + block]) for fmt, c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
     return path
+
+
+def _formatted(fmt, values: np.ndarray) -> list:
+    """``fmt`` of every entry, called once per distinct value. Floats are keyed
+    on their bit pattern, so -0.0 and 0.0 keep their own text."""
+    floats = values.dtype == np.float64
+    keys, inverse = np.unique(values.view(np.uint64) if floats else values,
+                              return_inverse=True)
+    distinct = (keys.view(np.float64) if floats else keys).tolist()
+    return np.array([fmt(v) for v in distinct], dtype=object)[inverse].tolist()
 
 
 def _write_regret_csv(path, report: RegretReport):

@@ -103,7 +103,6 @@ class OnlineVcgLearner:
         self.counts = np.zeros((S, A), dtype=np.int64)
         self.counts3 = np.zeros((S, A, S), dtype=np.int64)
         self.reward_sums = np.zeros((n + 1, S, A))
-        self.p_bar = np.zeros((S, A, S))
         self.band_lower = np.zeros((S, A, S))
         self.band_upper = np.ones((S, A, S))
         caps = config.reward_caps()
@@ -151,13 +150,13 @@ class OnlineVcgLearner:
         S, A, n, k = cfg.S, cfg.A, cfg.n, self.k
 
         visits = np.maximum(1, self.counts)
-        self.p_bar = self.counts3 / visits[:, :, None]
+        p_bar = self.counts3 / visits[:, :, None]
         log_kernel = math.log(A * S * k / cfg.zeta)
         denom = np.maximum(1, self.counts - 1)[:, :, None]
-        radii = (2.0 * np.sqrt(self.p_bar * log_kernel / denom)
+        radii = (2.0 * np.sqrt(p_bar * log_kernel / denom)
                  + 14.0 * log_kernel / (3.0 * denom))
         self.band_lower, self.band_upper = tighten_band(
-            (self.band_lower, self.band_upper), self.p_bar, radii)
+            (self.band_lower, self.band_upper), p_bar, radii)
 
         r_bar = self.reward_sums / visits[None, :, :]
         log_reward = math.log(A * S * k * n / cfg.zeta)

@@ -124,6 +124,24 @@ def test_simulate_unknown_config_key_exits_2(model_file, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_empty_or_repeated_seeds_exit_2(model_file, tmp_path, capsys):
+    """No seed, or a seed given twice, is refused before anything is written."""
+    out = tmp_path / "o"
+    config = {"model": {"file": str(model_file)}, "horizon": 100, "out": str(out)}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(config))
+    for flags, message in ((["--seeds", "0"], "at least one seed"),
+                           (["--seed-list", "1", "1"], "seeds must be distinct; repeated: 1"),
+                           (["--seed-list", "3", "1", "3"], "repeated: 3")):
+        assert main(["simulate", "--config", str(cfg_file), "--record-rounds"] + flags) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+    cfg_file.write_text(json.dumps({**config, "seeds": []}))
+    assert main(["simulate", "--config", str(cfg_file)]) == 2
+    assert "at least one seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, status, fails):
     """Run ``simulate`` with the HiGHS model status ``status`` on the solves
     whose model ``fails(model)`` picks; the others are solved for real."""

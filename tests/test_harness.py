@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -416,3 +418,73 @@ def test_rounds_csv_equals_row_by_row_csv_writer(tmp_path):
     rows = loop_rounds_csv(tmp_path / "rows.csv", want.rounds, header)
     assert batched.read_bytes() == rows.read_bytes()
     assert batched.read_bytes().count(b"\r\n") == horizon + 1
+
+
+def _rows(rounds):
+    """``RoundColumns`` as the row tuples ``loop_rounds_csv`` writes."""
+    return zip(rounds.t.tolist(), rounds.k.tolist(), rounds.phase.tolist(), rounds.s.tolist(),
+               rounds.a.tolist(), rounds.rewards, rounds.bids, rounds.charges,
+               rounds.u0, rounds.ui, rounds.R)
+
+
+def _bits_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# values whose text or bit pattern is easy to get wrong: signed zeros, NaNs
+# with the sign bit or a payload set, infinities, subnormals, 1e16 (repr
+# switches to exponent form), 1e-5 and 0.1 + 0.2 (shortest repr)
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, _bits_float(0x7FF8000000000001),
+                   _bits_float(0xFFF4000000000000), math.inf, -math.inf, 5e-324, -5e-324,
+                   2.5e-310, 1e16, -1e16, 1e-5, 0.1 + 0.2, 0.5, 1.0]
+
+
+@st.composite
+def round_columns(draw):
+    """Adversarial ``RoundColumns``: each column either repeats a small pool of
+    values or holds a distinct bit pattern in every row."""
+    n, L = draw(st.integers(1, 3)), draw(st.integers(0, 24))
+    value = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                      st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    repeating = st.lists(value, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=L, max_size=L))
+    distinct = st.lists(value, min_size=L, max_size=L,
+                        unique_by=lambda x: struct.pack("<d", x))
+
+    def floats(width):
+        cols = [draw(st.one_of(repeating, distinct)) for _ in range(width)]
+        return np.ascontiguousarray(np.array(cols, dtype=np.float64).reshape(width, L).T)
+
+    def ints():
+        pool = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=3))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=L, max_size=L)),
+                        dtype=np.int64)
+
+    phases = draw(st.lists(st.sampled_from(["mixing", "stationary"]), min_size=L, max_size=L))
+    block = draw(st.one_of(st.just(1), st.integers(2, max(2, L)), st.integers(max(1, L), L + 9)))
+    rounds = RoundColumns(t=np.arange(1, L + 1), k=ints(), phase=np.array(phases, dtype="<U10"),
+                          s=ints(), a=ints(), rewards=floats(n + 1), bids=floats(n),
+                          charges=floats(n), u0=floats(1)[:, 0], ui=floats(n),
+                          R=floats(1)[:, 0])
+    return rounds, n, block
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=round_columns())
+def test_rounds_csv_bytes_equal_csv_writer_on_adversarial_columns(tmp_path_factory, case):
+    rounds, n, block = case
+    tmp = tmp_path_factory.mktemp("csv")
+    got = _write_rounds_csv(tmp / "got.csv", rounds, n, block=block)
+    want = loop_rounds_csv(tmp / "want.csv", _rows(rounds), _round_header(n))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_export_crosses_the_default_block(tmp_path):
+    """A run longer than one 8192-row block exports csv.writer's bytes."""
+    res = run_online(quick_config(horizon=9000, seeds=(4,)), record_rounds=True)
+    export(res, tmp_path / "out", "csv")
+    rounds = res.seed_results[0].rounds
+    want = loop_rounds_csv(tmp_path / "want.csv", _rows(rounds), _round_header(2))
+    got = (tmp_path / "out" / "rounds_seed4.csv").read_bytes()
+    assert got == want.read_bytes()
+    assert got.count(b"\r\n") == 9001

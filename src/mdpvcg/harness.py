@@ -42,7 +42,6 @@ class ExperimentConfig:
     model_seed: int = 0
     delta: float = 0.05
     zeta: float = 0.05
-    epsilon: float = 0.05
     alpha: Optional[float] = None      # defaults to the model's margin
     variant: str = "seller_favorable"
     bidders: tuple = ()                # strategy spec dicts, one per bidder
@@ -60,11 +59,18 @@ class ExperimentConfig:
                 (doc, "config", _CONFIG_KEYS), (model, "model", ("generator", "file", "seed")),
                 (model.get("generator", {}), "model.generator",
                  [f.name for f in fields(GeneratorSpec)]),
-                (learner, "learner", ("delta", "zeta", "epsilon", "alpha", "variant"))):
+                (learner, "learner", ("delta", "zeta", "alpha", "variant"))):
             unknown = sorted(set(part) - set(known))
             if unknown:
                 raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
                                  f"expected some of {', '.join(known)}")
+        # a float or bool run length would be truncated or read as 0/1: refuse it
+        for key in ("horizon", "episodes"):
+            if doc.get(key) is not None and not _is_int(doc[key]):
+                raise ValueError(f"{key} must be an integer or null; got {doc[key]!r}")
+        seeds = doc.get("seeds", [0])
+        if not isinstance(seeds, (list, tuple)) or not all(map(_is_int, seeds)):
+            raise ValueError(f"seeds must be a list of integers; got {seeds!r}")
         gen = GeneratorSpec(**model["generator"]) if "generator" in model else None
         return cls(
             generator=gen,
@@ -72,13 +78,12 @@ class ExperimentConfig:
             model_seed=int(model.get("seed", 0)),
             delta=float(learner.get("delta", 0.05)),
             zeta=float(learner.get("zeta", 0.05)),
-            epsilon=float(learner.get("epsilon", 0.05)),
             alpha=learner.get("alpha"),
             variant=learner.get("variant", "seller_favorable"),
             bidders=tuple(doc.get("bidders", ())),
             horizon=doc.get("horizon"),
             episodes=doc.get("episodes"),
-            seeds=tuple(doc.get("seeds", (0,))),
+            seeds=tuple(seeds),
             out=doc.get("out", "results"),
             format=doc.get("format", "csv"),
         )
@@ -92,8 +97,8 @@ class ExperimentConfig:
         return {
             "model": model,
             "learner": {
-                "delta": self.delta, "zeta": self.zeta, "epsilon": self.epsilon,
-                "alpha": self.alpha, "variant": self.variant,
+                "delta": self.delta, "zeta": self.zeta, "alpha": self.alpha,
+                "variant": self.variant,
             },
             "bidders": list(self.bidders),
             "horizon": self.horizon,
@@ -105,6 +110,10 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = ("model", "learner", "bidders", "horizon", "episodes", "seeds", "out", "format")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -128,7 +137,7 @@ def learner_config(config: ExperimentConfig, model: MdpModel) -> LearnerConfig:
     return LearnerConfig(
         S=model.S, A=model.A, n=model.n,
         alpha=model.alpha if config.alpha is None else float(config.alpha),
-        delta=config.delta, zeta=config.zeta, epsilon=config.epsilon,
+        delta=config.delta, zeta=config.zeta,
         c_max=model.c_max, variant=config.variant,
     )
 

@@ -71,12 +71,6 @@ class MdpModel:
     def n(self) -> int:
         return self.reward_means.shape[0] - 1
 
-    def reward_caps(self) -> np.ndarray:
-        """Per-player reward upper bounds: c_max for the seller, 1 for bidders."""
-        caps = np.ones(self.n + 1)
-        caps[0] = self.c_max
-        return caps
-
 
 @dataclass
 class SimState:
@@ -97,6 +91,13 @@ class Violation:
     kind: str
     where: tuple
     detail: str
+
+
+def reward_caps(n: int, c_max: float) -> np.ndarray:
+    """Per-player reward upper bounds: c_max for the seller, 1 for the n bidders."""
+    caps = np.ones(n + 1)
+    caps[0] = c_max
+    return caps
 
 
 def validate_model(model: MdpModel) -> list:
@@ -120,7 +121,7 @@ def validate_model(model: MdpModel) -> list:
                 f"P={model.kernel[s, a, s2]!r} < alpha={model.alpha}",
             )
         )
-    caps = model.reward_caps()
+    caps = reward_caps(model.n, model.c_max)
     for i in range(model.n + 1):
         r = model.reward_means[i]
         bad = np.argwhere((r < -TOL.row_sum) | (r > caps[i] + TOL.row_sum))
@@ -222,7 +223,7 @@ def draw_rewards(model: MdpModel, s: np.ndarray, a: np.ndarray, u: np.ndarray) -
     """
     out = model.reward_means[:, s, a]
     stochastic = [i for i, det in enumerate(model._deterministic) if not det]
-    caps = model.reward_caps()[stochastic, None]
+    caps = reward_caps(model.n, model.c_max)[stochastic, None]
     out[stochastic] = np.where(u.T * caps < out[stochastic], caps, 0.0)
     return out
 

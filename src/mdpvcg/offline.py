@@ -64,7 +64,7 @@ def offline_mechanism(bids: BidProfile, r0: np.ndarray, kernel: np.ndarray) -> M
     """
     n = bids.n
     S, A = r0.shape
-    spec = PolytopeSpec("EXACT_KERNEL", S, A, kernel=kernel)
+    spec = PolytopeSpec(kernel=kernel)
     reported = r0 + bids.bids.sum(axis=0)
 
     best = maximize(reported, spec)

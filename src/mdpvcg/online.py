@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .mdp import reward_caps
 from .occupancy import OccupancyMeasure, induce
 from .polytope import PolytopeSpec, maximize, tighten_band
 
@@ -44,24 +45,18 @@ class LearnerConfig:
     alpha: float              # assumed ergodicity margin (known, never estimated)
     delta: float              # shrunk-polytope action floor
     zeta: float               # confidence level
-    epsilon: float = 0.05     # intended shrinkage loss; used by calibration helpers
     c_max: float = 1.0
     variant: str = "seller_favorable"
 
     def __post_init__(self):
-        if not 0 < self.zeta < 1 or not 0 < self.epsilon < 1:
-            raise ValueError("epsilon and zeta must lie in (0, 1)")
+        if not 0 < self.zeta < 1:
+            raise ValueError("zeta must lie in (0, 1)")
         if not 0 < self.delta <= 1.0 / (self.S * self.A):
             raise ValueError(f"delta must lie in (0, 1/(S*A)]; got {self.delta}")
         if not 0 < self.alpha * self.S <= 1:
             raise ValueError("alpha must satisfy 0 < alpha*S <= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-
-    def reward_caps(self) -> np.ndarray:
-        caps = np.ones(self.n + 1)
-        caps[0] = self.c_max
-        return caps
 
 
 def episode_lengths(k: int, alpha: float, S: int, A: int, delta: float, zeta: float):
@@ -105,7 +100,7 @@ class OnlineVcgLearner:
         self.reward_sums = np.zeros((n + 1, S, A))
         self.band_lower = np.zeros((S, A, S))
         self.band_upper = np.ones((S, A, S))
-        caps = config.reward_caps()
+        caps = reward_caps(n, config.c_max)
         self.reward_ucb = np.broadcast_to(caps[:, None, None], (n + 1, S, A)).copy()
         self.reward_lcb = np.zeros((n + 1, S, A))
         self.q_hat = OccupancyMeasure(np.full((S, A, S), 1.0 / (A * S * S)))
@@ -161,12 +156,12 @@ class OnlineVcgLearner:
         r_bar = self.reward_sums / visits[None, :, :]
         log_reward = math.log(A * S * k * n / cfg.zeta)
         beta = np.sqrt(2.0 * log_reward / visits)
-        caps = cfg.reward_caps()[:, None, None]
+        caps = reward_caps(n, cfg.c_max)[:, None, None]
         self.reward_ucb = np.minimum(caps, r_bar + caps * beta[None])
         self.reward_lcb = np.maximum(0.0, r_bar - caps * beta[None])
 
-        spec = PolytopeSpec("SHRUNK_CONFIDENCE", S, A, delta=cfg.delta,
-                            band_lower=self.band_lower, band_upper=self.band_upper)
+        spec = PolytopeSpec(band_lower=self.band_lower, band_upper=self.band_upper,
+                            delta=cfg.delta)
         total_ucb = self.reward_ucb.sum(axis=0)
         total_lcb = self.reward_lcb.sum(axis=0)
 

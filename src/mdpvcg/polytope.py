@@ -1,24 +1,23 @@
 """Occupancy-measure polytopes and LP maximization over them.
 
-Variants (all include mass, flow and nonnegativity):
-  EXACT_KERNEL      consistent with a fixed kernel P: the LP runs over
-                    rho(s,a) alone, with sum_a rho(s',a) = sum_{s,a} P(s'|s,a) rho(s,a)
-                    (the dual LP of an average-reward MDP); q = rho * P afterwards
-  SHRUNK_EXACT      EXACT_KERNEL with every rho(s,a) at least delta
-  SHRUNK_CONFIDENCE every rho(s,a) at least delta, with q(s,a,s') columns for the
-                    unknown kernel inside a two-sided band
-                    lower(s,a,s')*rho(s,a) <= q(s,a,s') <= upper(s,a,s')*rho(s,a),
-                    sum_x q(s,a,x) = rho(s,a) and flow balanced in q
-
-The shrink floor delta is a lower bound on the rho columns, not a row.
+A polytope is given by its inputs; every one has mass, flow and
+nonnegativity:
+  kernel          a known kernel P: the LP runs over rho(s,a) alone, with
+                  sum_a rho(s',a) = sum_{s,a} P(s'|s,a) rho(s,a) (the dual LP of
+                  an average-reward MDP); q = rho * P afterwards
+  band_lower,     an unknown kernel inside a two-sided band: q(s,a,s') columns
+  band_upper      with lower(s,a,s')*rho(s,a) <= q(s,a,s') <= upper(s,a,s')*rho(s,a),
+                  sum_x q(s,a,x) = rho(s,a) and flow balanced in q
+  delta           optional with either: every rho(s,a) at least delta (the
+                  shrunk polytope), a lower bound on the rho columns, not a row
 
 The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
 
-Each spec holds one HiGHS model, built from its constraint rows on its first
-solve. A solve only writes the rho costs and reruns the model: the first is a
-cold dual-simplex solve (what ``scipy.optimize.linprog(method="highs-ds")``
+Each spec holds one HiGHS model, built from its column-wise matrix on its
+first solve. A solve only writes the rho costs and reruns the model: the first
+is a cold dual-simplex solve (what ``scipy.optimize.linprog(method="highs-ds")``
 does), every later one a primal-simplex solve from the previous optimal
 basis, which a change of costs leaves primal feasible. Spec arrays must not
 be mutated after construction.
@@ -32,7 +31,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 try:  # the HiGHS bindings that scipy ships; highspy is not a dependency
     from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
@@ -45,8 +43,6 @@ from .occupancy import OccupancyMeasure
 from .tolerances import TOL
 
 logger = logging.getLogger(__name__)
-
-VARIANTS = ("EXACT_KERNEL", "SHRUNK_EXACT", "SHRUNK_CONFIDENCE")
 
 # HiGHS dual simplex: deterministic and vertex-exact at these sizes
 _LP_OPTIONS = {
@@ -62,38 +58,41 @@ _PRIMAL_SIMPLEX = 4
 
 @dataclass(frozen=True)
 class PolytopeSpec:
-    variant: str
-    S: int
-    A: int
+    """A known ``kernel`` or a (``band_lower``, ``band_upper``) pair, each of
+    shape (S, A, S); ``delta``, if given, floors every rho(s, a)."""
+
     kernel: Optional[np.ndarray] = None
-    delta: Optional[float] = None
     band_lower: Optional[np.ndarray] = None
     band_upper: Optional[np.ndarray] = None
+    delta: Optional[float] = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.S < 1 or self.A < 1:
-            raise ValueError(f"bad dims S={self.S}, A={self.A}")
-        shape = (self.S, self.A, self.S)
-        if self.variant in ("EXACT_KERNEL", "SHRUNK_EXACT"):
-            if self.kernel is None or self.kernel.shape != shape:
-                raise ValueError(f"variant {self.variant} needs a kernel of shape {shape}")
-            # q = rho * P is an occupancy measure only for a stochastic kernel
-            if self.kernel.min() < 0 or np.abs(self.kernel.sum(axis=2) - 1.0).max() > TOL.mass:
-                raise ValueError("kernel rows must be probability distributions")
-        if self.variant.startswith("SHRUNK"):
-            if self.delta is None or not 0 < self.delta <= 1.0 / (self.S * self.A):
-                raise ValueError(
-                    f"delta must lie in (0, 1/(S*A)]; got {self.delta}"
-                )
-        if self.variant == "SHRUNK_CONFIDENCE":
-            if self.band_lower is None or self.band_upper is None:
-                raise ValueError("SHRUNK_CONFIDENCE needs band_lower and band_upper")
-            if self.band_lower.shape != shape or self.band_upper.shape != shape:
+        band = [b for b in (self.band_lower, self.band_upper) if b is not None]
+        if (self.kernel is None) == (not band):
+            raise ValueError("give exactly one of kernel or band_lower/band_upper")
+        if self.kernel is None and len(band) < 2:
+            raise ValueError("a band needs both band_lower and band_upper")
+        shape = (self.kernel if self.kernel is not None else self.band_lower).shape
+        if len(shape) != 3 or shape[0] != shape[2] or 0 in shape:
+            raise ValueError(f"bad dims: arrays must be (S, A, S) with S, A >= 1; got {shape}")
+        if self.kernel is None:
+            if self.band_upper.shape != shape:
                 raise ValueError(f"band arrays must have shape {shape}")
             if self.band_lower.min() < 0 or self.band_upper.max() > 1 + TOL.row_sum:
                 raise ValueError("band must be clipped to [0, 1]")
+        # q = rho * P is an occupancy measure only for a stochastic kernel
+        elif self.kernel.min() < 0 or np.abs(self.kernel.sum(axis=2) - 1.0).max() > TOL.mass:
+            raise ValueError("kernel rows must be probability distributions")
+        if self.delta is not None and not 0 < self.delta <= 1.0 / (self.S * self.A):
+            raise ValueError(f"delta must lie in (0, 1/(S*A)]; got {self.delta}")
+
+    @property
+    def S(self) -> int:
+        return (self.kernel if self.kernel is not None else self.band_lower).shape[0]
+
+    @property
+    def A(self) -> int:
+        return (self.kernel if self.kernel is not None else self.band_lower).shape[1]
 
     @cached_property
     def _model(self) -> _Highs:
@@ -116,110 +115,89 @@ def tighten_band(prior, p_bar, radii):
 
 @dataclass
 class ConstraintSystem:
-    """CSR rows over the flat columns rho[s, a], followed for
-    SHRUNK_CONFIDENCE by q[s, a, s']. ``bounds`` is (columns, 2): delta
-    (or 0) below rho, 0 below q, no upper bounds."""
+    """The HiGHS input: a column-wise matrix (``start``, ``index``, ``value``)
+    over the flat columns rho[s, a], followed for a band by q[s, a, s'];
+    ``row_lower``/``row_upper`` bound its rows and ``col_lower`` its columns
+    (delta or 0 below rho, 0 below q, no column upper bounds)."""
 
-    A_eq: sparse.csr_array
-    b_eq: np.ndarray
-    A_ub: sparse.csr_array
-    b_ub: np.ndarray
-    bounds: np.ndarray
-
-
-def _coo(rows, cols, values):
-    """One COO piece: the three arguments broadcast together, raveled in C order."""
-    return tuple(part.ravel() for part in np.broadcast_arrays(rows, cols, values))
-
-
-def _stack_rows(shape, entries: list) -> sparse.csr_array:
-    """CSR rows from COO pieces given in row order, without exact zeros
-    (equal to ``sparse.csr_array`` of the dense rows)."""
-    if not entries:
-        return sparse.csr_array(shape)
-    rows, cols, values = (np.concatenate(part) for part in zip(*entries))
-    keep = values != 0
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=shape[0]), out=indptr[1:])
-    return sparse.csr_array((values[keep], cols[keep], indptr), shape=shape)
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    col_lower: np.ndarray
 
 
 def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
-    """Emit the linear rows selecting the requested polytope.
+    """Emit the column-wise matrix selecting the polytope.
 
-    Known kernel: S*A columns rho; equalities mass and one flow row per
-    state, sum_a rho(s', a) - sum_{s,a} P(s'|s,a) rho(s,a) = 0.
-    Band: the S*A rho columns, then S^2*A columns q; equalities mass (over
-    rho), flow per state (sum_{s,a} q(s,a,s') - sum_a rho(s',a) = 0) and a
-    link row per (s, a) (sum_x q(s,a,x) - rho(s,a) = 0); inequalities an
-    upper and a lower band row per (s, a, s'), interleaved. The shrink
-    floor delta is a lower bound on the rho columns.
+    Known kernel: S*A columns rho; equality rows mass and one flow row per
+    state, sum_a rho(s', a) - sum_{s,a} P(s'|s,a) rho(s,a) = 0, so column
+    (s, a) is [1, e_s - P(.|s,a)].
+    Band: the S*A rho columns, then S^2*A columns q. Rows: an upper and a
+    lower band row per (s, a, s'), interleaved (q - upper*rho <= 0 and
+    lower*rho - q <= 0); then equalities mass (over rho), flow per state
+    (sum_{s,a} q(s,a,s') - sum_a rho(s',a) = 0) and a link row per (s, a)
+    (sum_x q(s,a,x) - rho(s,a) = 0). Each column lists its entries in row
+    order, without exact zeros.
     """
     S, A = spec.S, spec.A
     SA = S * A
-    confidence = spec.variant == "SHRUNK_CONFIDENCE"
-    nv = SA + (SA * S if confidence else 0)
-
-    if confidence:
-        pair = np.arange(SA)
-        q_col = (SA + pair * S)[:, None] + np.arange(S)  # (S*A, S): column of q(s, a, x)
-        eq = [_coo(0, pair, 1.0),  # mass
-              # flow into s': A rho columns (-1), then q(., ., s') (+1)
-              _coo(1 + np.arange(S)[:, None],
-                   np.hstack([pair.reshape(S, A), q_col.T]),
-                   np.repeat([-1.0, 1.0], [A, SA])),
-              _coo(1 + S + pair[:, None],  # link
-                   np.hstack([pair[:, None], q_col]),
-                   np.repeat([-1.0, 1.0], [1, S]))]
-        # q - upper*rho <= 0 and lower*rho - q <= 0, per (s, a, x)
-        band = np.empty((SA, S, 2, 2))
-        band[:, :, 0, 0] = -spec.band_upper.reshape(SA, S)
-        band[:, :, 0, 1] = 1.0
-        band[:, :, 1, 0] = spec.band_lower.reshape(SA, S)
-        band[:, :, 1, 1] = -1.0
-        cols = np.empty((SA, S, 1, 2), dtype=np.int64)
-        cols[..., 0] = pair[:, None, None]
-        cols[..., 1] = q_col[:, :, None]
-        ub = [_coo(np.arange(2 * SA * S).reshape(SA, S, 2, 1), cols, band)]
-        n_eq, n_ub = 1 + S + SA, 2 * SA * S
+    pair = np.arange(SA)
+    if spec.kernel is None:
+        n_ub, n_row = 2 * SA * S, 2 * SA * S + 1 + S + SA
+        eq = np.arange(n_ub, n_row)  # mass, flow per state, link per pair
+        # one block row per column: 2S band entries, then mass, flow and link
+        rows = np.zeros((SA + SA * S, 2 * S + 3), dtype=np.int64)
+        values = np.zeros(rows.shape)
+        rows[:SA, :2 * S] = 2 * S * pair[:, None] + np.arange(2 * S)
+        rows[:SA, 2 * S:] = np.column_stack([np.full(SA, eq[0]), eq[1 + pair // A],
+                                             eq[1 + S + pair]])
+        values[:SA, 0:2 * S:2] = -spec.band_upper.reshape(SA, S)
+        values[:SA, 1:2 * S:2] = spec.band_lower.reshape(SA, S)
+        values[:SA, 2 * S:] = (1.0, -1.0, -1.0)
+        cell = np.arange(SA * S)  # q column (s, a, x)
+        rows[SA:, :4] = np.column_stack([2 * cell, 2 * cell + 1, eq[1 + cell % S],
+                                         eq[1 + S + cell // S]])
+        values[SA:, :4] = (1.0, -1.0, 1.0, 1.0)
     else:
-        head = np.zeros((1 + S, SA))
-        head[0] = 1.0  # mass
-        head[1:] = -spec.kernel.reshape(SA, S).T
-        head[1:].reshape(S, S, A)[np.arange(S), np.arange(S)] += 1.0
-        eq, ub = [(*np.nonzero(head), head[head != 0])], []
-        n_eq, n_ub = 1 + S, 0
-
-    b_eq = np.zeros(n_eq)
-    b_eq[0] = 1.0
-    bounds = np.zeros((nv, 2))
-    bounds[:, 1] = np.inf
-    if spec.variant.startswith("SHRUNK"):
-        bounds[:SA, 0] = spec.delta
-    return ConstraintSystem(A_eq=_stack_rows((n_eq, nv), eq), b_eq=b_eq,
-                            A_ub=_stack_rows((n_ub, nv), ub),
-                            b_ub=np.zeros(n_ub), bounds=bounds)
+        n_ub, n_row = 0, 1 + S
+        rows = np.broadcast_to(np.arange(1 + S), (SA, 1 + S))
+        values = np.empty((SA, 1 + S))
+        values[:, 0] = 1.0  # mass
+        values[:, 1:] = -spec.kernel.reshape(SA, S)
+        values[pair, 1 + pair // A] += 1.0
+    keep = values != 0
+    start = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=start[1:])
+    row_upper = np.zeros(n_row)
+    row_upper[n_ub] = 1.0
+    row_lower = row_upper.copy()
+    row_lower[:n_ub] = -np.inf
+    col_lower = np.zeros(len(values))
+    if spec.delta is not None:
+        col_lower[:SA] = spec.delta
+    return ConstraintSystem(start=start, index=rows[keep], value=values[keep],
+                            row_lower=row_lower, row_upper=row_upper, col_lower=col_lower)
 
 
 def highs_model(system: ConstraintSystem) -> _Highs:
-    """A HiGHS model of the rows, A_ub then A_eq as CSC (linprog's order),
-    with zero costs and linprog's dual-simplex options."""
-    A = sparse.vstack((system.A_ub, system.A_eq), format="csc")
+    """A HiGHS model of the system, with zero costs and linprog's dual-simplex
+    options."""
     lp = HighsLp()
-    lp.num_row_, lp.num_col_ = A.shape
-    lp.col_cost_ = np.zeros(A.shape[1])
-    lp.col_lower_, lp.col_upper_ = system.bounds.T.copy()
-    lp.row_lower_ = np.concatenate((np.full(len(system.b_ub), -np.inf), system.b_eq))
-    lp.row_upper_ = np.concatenate((system.b_ub, system.b_eq))
+    lp.num_row_, lp.num_col_ = len(system.row_lower), len(system.col_lower)
+    lp.col_cost_ = np.zeros(lp.num_col_)
+    lp.col_lower_, lp.col_upper_ = system.col_lower, np.full(lp.num_col_, np.inf)
+    lp.row_lower_, lp.row_upper_ = system.row_lower, system.row_upper
     matrix = lp.a_matrix_
-    matrix.num_row_, matrix.num_col_ = A.shape
+    matrix.num_row_, matrix.num_col_ = lp.num_row_, lp.num_col_
     matrix.format_ = MatrixFormat.kColwise
-    matrix.start_, matrix.index_, matrix.value_ = A.indptr, A.indices, A.data
+    matrix.start_, matrix.index_, matrix.value_ = system.start, system.index, system.value
     model = _Highs()
     for key, value in _HIGHS_OPTIONS.items():
         model.setOptionValue(key, value)
     if model.passModel(lp) == HighsStatus.kError:
-        raise RuntimeError("HiGHS refused the constraint rows")
+        raise RuntimeError("HiGHS refused the constraint matrix")
     return model
 
 
@@ -257,7 +235,7 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
         raise RuntimeError(f"LP solver failed (status {status.value}): "
                            f"{model.modelStatusToString(status)}")
     x = np.asarray(model.getSolution().col_value)
-    if spec.variant == "SHRUNK_CONFIDENCE":
+    if spec.kernel is None:
         q = x[S * A:].reshape(S, A, S)
     else:
         q = x[:S * A].reshape(S, A, 1) * spec.kernel
@@ -281,7 +259,7 @@ def calibrate_delta(model_or_kernel, objective: np.ndarray, epsilon: float,
         raise ValueError("epsilon must be positive")
     kernel = getattr(model_or_kernel, "kernel", model_or_kernel)
     S, A = kernel.shape[0], kernel.shape[1]
-    base = maximize(objective, PolytopeSpec("EXACT_KERNEL", S, A, kernel=kernel))
+    base = maximize(objective, PolytopeSpec(kernel=kernel))
     grid = []
     d = 1.0 / (2 * S * A)
     while d > delta_min:
@@ -289,9 +267,7 @@ def calibrate_delta(model_or_kernel, objective: np.ndarray, epsilon: float,
         d /= 2
     grid.append(delta_min)
     for d in grid:
-        sol = maximize(
-            objective, PolytopeSpec("SHRUNK_EXACT", S, A, kernel=kernel, delta=d)
-        )
+        sol = maximize(objective, PolytopeSpec(kernel=kernel, delta=d))
         if sol.status == "optimal" and sol.objective_value >= base.objective_value - epsilon:
             return d
     logger.warning(

@@ -291,13 +291,10 @@ def test_criterion_13_delta_calibration():
     for _ in range(50):
         model = _random_offline_model(rng)
         objective = model.reward_means.sum(axis=0)
-        exact = maximize(objective, PolytopeSpec(
-            "EXACT_KERNEL", model.S, model.A, kernel=model.kernel))
+        exact = maximize(objective, PolytopeSpec(kernel=model.kernel))
         for epsilon in (0.05, 0.1):
             delta = calibrate_delta(model, objective, epsilon)
-            shrunk = maximize(objective, PolytopeSpec(
-                "SHRUNK_EXACT", model.S, model.A, kernel=model.kernel,
-                delta=delta))
+            shrunk = maximize(objective, PolytopeSpec(kernel=model.kernel, delta=delta))
             checked += 1
             failures += not (
                 shrunk.status == "optimal"

@@ -83,6 +83,21 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seeds", [1.5]), ("seeds", [True]), ("seeds", ["2"]), ("seeds", 3),
+    ("horizon", 2.7), ("horizon", True), ("episodes", 1.5), ("episodes", False)])
+def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key, value):
+    config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
+              "horizon": 100, "seeds": [0], key: value}
+    if key == "episodes":
+        config.pop("horizon")
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_missing_model_file_exits_3(tmp_path, capsys):
     assert main(["offline-vcg", "--model", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o.json")]) == 3

@@ -235,7 +235,7 @@ def test_config_dict_roundtrip():
         "model": {"generator": {"S": 3, "n": 2, "alpha": 0.25, "A": 3,
                                 "reward_family": "bernoulli-scaled"},
                   "seed": 4},
-        "learner": {"delta": 0.05, "zeta": 0.05, "epsilon": 0.05,
+        "learner": {"delta": 0.05, "zeta": 0.05,
                     "variant": "bidder_favorable"},
         "bidders": [{"kind": "truthful"}, {"kind": "scaled", "factor": 2.0}],
         "horizon": 1000,

@@ -11,6 +11,7 @@ from mdpvcg import (ConfigurationError, GeneratorSpec, LearnerConfig,
                     save_checkpoint, simulate_run)
 from mdpvcg.bidders import truthful
 from mdpvcg.harness import checkpoint_grid
+from mdpvcg.mdp import reward_caps
 
 
 def config(**kw):
@@ -169,7 +170,7 @@ def test_reward_bounds_are_ordered_and_clipped():
                                          reward_family="bernoulli-scaled"), 2)
     cfg = config(alpha=0.25, delta=0.08, c_max=2.0)
     learner = drive(OnlineVcgLearner(cfg), model, 4000)
-    caps = cfg.reward_caps()[:, None, None]
+    caps = reward_caps(cfg.n, cfg.c_max)[:, None, None]
     assert np.all(learner.reward_lcb >= 0.0)
     assert np.all(learner.reward_ucb <= caps + 1e-12)
     assert np.all(learner.reward_lcb <= learner.reward_ucb + 1e-12)

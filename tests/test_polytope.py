@@ -14,11 +14,25 @@ from _oracles import brute_force_best, linprog_maximize, loop_constraints
 from mdpvcg import (GeneratorSpec, PolytopeSpec, build_constraints,
                     calibrate_delta, generate_model, maximize, occupancy_from,
                     tighten_band)
-from mdpvcg.polytope import VARIANTS
+
+# the loop oracle's names for the three polytopes drawn below: a kernel, a
+# kernel with a floor delta, and a band with a floor delta
+KINDS = ("EXACT_KERNEL", "SHRUNK_EXACT", "SHRUNK_CONFIDENCE")
 
 
 def uniform_spec(S, A):
-    return PolytopeSpec("EXACT_KERNEL", S, A, kernel=np.full((S, A, S), 1.0 / S))
+    return PolytopeSpec(kernel=np.full((S, A, S), 1.0 / S))
+
+
+def _dense_rows(system):
+    """(A_eq, b_eq, A_ub, b_ub, bounds) of a column-wise system: the
+    inequality rows (row_lower -inf) come first, the equalities after."""
+    n_ub = int(np.isneginf(system.row_lower).sum())
+    shape = (len(system.row_lower), len(system.col_lower))
+    dense = sparse.csc_array((system.value, system.index, system.start), shape=shape).toarray()
+    bounds = np.column_stack([system.col_lower, np.full(shape[1], np.inf)])
+    return (dense[n_ub:], system.row_upper[n_ub:], dense[:n_ub], system.row_upper[:n_ub],
+            bounds)
 
 
 def _assert_bit_equal(got, want):
@@ -38,35 +52,35 @@ def _max_violation(rows, x):
 
 
 def test_full_constraint_counts():
-    """Row and column counts of every variant, read off the shapes; mass over
+    """Row and column counts of every polytope, read off the shapes; mass over
     the rho columns; delta as a lower bound on the rho columns only."""
     S, A = 2, 3
     SA, nq = S * A, S * A * S
     kernel = np.full((S, A, S), 1.0 / S)
     cases = [
-        (PolytopeSpec("EXACT_KERNEL", S, A, kernel=kernel), SA, 1 + S, 0, 0.0),
-        (PolytopeSpec("SHRUNK_EXACT", S, A, kernel=kernel, delta=0.1), SA, 1 + S, 0, 0.1),
-        (PolytopeSpec("SHRUNK_CONFIDENCE", S, A, delta=0.1,
-                      band_lower=np.zeros((S, A, S)), band_upper=np.ones((S, A, S))),
-         SA + nq, 1 + S + SA, 2 * nq, 0.1),
+        (PolytopeSpec(kernel=kernel), SA, 1 + S, 0, 0.0),
+        (PolytopeSpec(kernel=kernel, delta=0.1), SA, 1 + S, 0, 0.1),
+        (PolytopeSpec(band_lower=np.zeros((S, A, S)), band_upper=np.ones((S, A, S)),
+                      delta=0.1), SA + nq, 1 + S + SA, 2 * nq, 0.1),
+        (PolytopeSpec(band_lower=np.zeros((S, A, S)), band_upper=np.ones((S, A, S))),
+         SA + nq, 1 + S + SA, 2 * nq, 0.0),
     ]
     for spec, nv, n_eq, n_ub, floor in cases:
-        system = build_constraints(spec)
-        assert system.A_eq.shape == (n_eq, nv) and system.b_eq.shape == (n_eq,)
-        assert system.A_ub.shape == (n_ub, nv) and system.b_ub.shape == (n_ub,)
-        mass = system.A_eq.toarray()[0]
-        np.testing.assert_array_equal(mass[:SA], 1.0)
-        np.testing.assert_array_equal(mass[SA:], 0.0)
-        np.testing.assert_array_equal(system.b_eq, np.eye(n_eq)[0])
-        np.testing.assert_array_equal(system.b_ub, 0.0)
-        np.testing.assert_array_equal(system.bounds[:, 0], np.repeat([floor, 0.0], [SA, nv - SA]))
-        np.testing.assert_array_equal(system.bounds[:, 1], np.inf)
+        assert (spec.S, spec.A) == (S, A)
+        A_eq, b_eq, A_ub, b_ub, bounds = _dense_rows(build_constraints(spec))
+        assert A_eq.shape == (n_eq, nv) and b_eq.shape == (n_eq,)
+        assert A_ub.shape == (n_ub, nv) and b_ub.shape == (n_ub,)
+        np.testing.assert_array_equal(A_eq[0, :SA], 1.0)
+        np.testing.assert_array_equal(A_eq[0, SA:], 0.0)
+        np.testing.assert_array_equal(b_eq, np.eye(n_eq)[0])
+        np.testing.assert_array_equal(b_ub, 0.0)
+        np.testing.assert_array_equal(bounds[:, 0], np.repeat([floor, 0.0], [SA, nv - SA]))
+        np.testing.assert_array_equal(bounds[:, 1], np.inf)
 
 
 def test_exact_kernel_has_one_flow_row_per_state():
     model = generate_model(GeneratorSpec(S=2, n=1, alpha=0.2, A=2), 0)
-    system = build_constraints(PolytopeSpec("EXACT_KERNEL", 2, 2, kernel=model.kernel))
-    flow = system.A_eq.toarray()[1:]
+    flow = _dense_rows(build_constraints(PolytopeSpec(kernel=model.kernel)))[0][1:]
     assert flow.shape == (2, 2 * 2)
     # the rho of every stationary policy balances the flow ...
     policy = np.random.default_rng(0).dirichlet(np.ones(2), size=2)
@@ -79,18 +93,17 @@ def test_exact_kernel_has_one_flow_row_per_state():
 def test_shrunk_confidence_band_row_count():
     S, A = 2, 2
     SA = S * A
-    spec = PolytopeSpec("SHRUNK_CONFIDENCE", S, A, delta=0.1,
-                        band_lower=np.full((S, A, S), 0.25), band_upper=np.full((S, A, S), 0.75))
-    system = build_constraints(spec)
-    A_eq, A_ub = system.A_eq.toarray(), system.A_ub.toarray()
+    spec = PolytopeSpec(band_lower=np.full((S, A, S), 0.25), band_upper=np.full((S, A, S), 0.75),
+                        delta=0.1)
+    A_eq, b_eq, A_ub, b_ub, _ = _dense_rows(build_constraints(spec))
     assert A_ub.shape[0] == 2 * SA * S
-    np.testing.assert_array_equal(system.b_ub, 0.0)
+    np.testing.assert_array_equal(b_ub, 0.0)
     # rho with q = rho * nu (nu inside the band, rows summing to 1) meets every
     # link, flow and band row
     nu = np.array([0.4, 0.6])
     rho = np.outer(nu, [0.3, 0.7])
     x = np.concatenate([rho.ravel(), (rho[:, :, None] * nu).ravel()])
-    np.testing.assert_allclose(A_eq @ x, system.b_eq, atol=1e-15)
+    np.testing.assert_allclose(A_eq @ x, b_eq, atol=1e-15)
     assert (A_ub @ x <= 1e-15).all()
     # each band row holds one rho and one q coefficient: -upper or lower, then +1 or -1
     np.testing.assert_array_equal(A_ub[:, SA:].sum(axis=1), np.tile([1.0, -1.0], SA * S))
@@ -120,7 +133,7 @@ def _random_spec_kwargs(S, A, variant, delta_frac, seed):
                                       band_lower=lower, band_upper=upper)}[variant]
 
 
-spec_params = dict(S=st.integers(1, 5), A=st.integers(1, 5), variant=st.sampled_from(VARIANTS),
+spec_params = dict(S=st.integers(1, 5), A=st.integers(1, 5), variant=st.sampled_from(KINDS),
                    delta_frac=st.floats(1e-6, 1), seed=st.integers(0, 2**32 - 1))
 
 
@@ -131,7 +144,7 @@ def test_rho_lp_matches_q_space_oracle(S, A, variant, delta_frac, seed):
     q(s,a,s') with the row-by-row kernel, shrink and band rows; its q meets those rows."""
     kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
     r = np.random.default_rng(seed + 1).random((S, A))
-    sol = maximize(r, PolytopeSpec(variant, S, A, **kw))
+    sol = maximize(r, PolytopeSpec(**kw))
     rows = loop_constraints(variant, S, A, **kw)
     want = linprog_maximize(np.repeat(r[:, :, None], S, axis=2).ravel(), *rows)
     assert want.status in (0, 2)
@@ -148,7 +161,7 @@ def test_warm_solves_equal_fresh_solves(n, S, A, variant, delta_frac, seed):
     basis) match the same objectives solved on fresh specs; the first solve
     is linprog's on the same rows."""
     kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
-    spec = PolytopeSpec(variant, S, A, **kw)
+    spec = PolytopeSpec(**kw)
     rng = np.random.default_rng(seed + 1)
     objectives = rng.random((2 * n + 1, S, A)) * (rng.random((2 * n + 1, S, A)) >= 0.2)
     rows = loop_constraints(variant, S, A, **kw)
@@ -159,10 +172,9 @@ def test_warm_solves_equal_fresh_solves(n, S, A, variant, delta_frac, seed):
         assert warm.nit >= 0 and fresh.nit >= 0
         if k == 0:
             system = build_constraints(spec)
-            c = np.zeros(len(system.bounds))
+            c = np.zeros(len(system.col_lower))
             c[:S * A] = r.ravel()
-            ref = linprog_maximize(c, system.A_eq, system.b_eq, system.A_ub, system.b_ub,
-                                   system.bounds)
+            ref = linprog_maximize(c, *_dense_rows(system))
             assert (ref.status == 2) == (warm.status == "infeasible")
             if ref.status == 0:
                 rho = ref.x[:S * A].reshape(S, A)
@@ -176,20 +188,27 @@ def test_warm_solves_equal_fresh_solves(n, S, A, variant, delta_frac, seed):
 
 @settings(max_examples=80, deadline=None)
 @given(**spec_params)
-def test_sparse_rows_equal_csr_of_dense_rows(S, A, variant, delta_frac, seed):
-    """The rows are CSR holding exactly the nonzeros of their dense form, in
-    CSR order; b_eq, b_ub and bounds are float arrays of matching sizes."""
-    system = build_constraints(PolytopeSpec(variant, S, A, **_random_spec_kwargs(
+def test_columns_equal_csc_of_dense_rows(S, A, variant, delta_frac, seed):
+    """The matrix is column-wise, each column's rows strictly increasing, with
+    no stored zeros: exactly the CSC form of its dense rows. Row bounds and
+    column lower bounds are float arrays of matching sizes."""
+    system = build_constraints(PolytopeSpec(**_random_spec_kwargs(
         S, A, variant, delta_frac, seed)))
-    nv = len(system.bounds)
-    assert system.bounds.shape == (nv, 2)
-    for got, rhs in ((system.A_eq, system.b_eq), (system.A_ub, system.b_ub)):
-        assert sparse.issparse(got) and got.format == "csr"
-        assert got.shape == (len(rhs), nv) and rhs.dtype == np.float64
-        ref = sparse.csr_array(got.toarray())
-        for part in ("indptr", "indices", "data"):
-            _assert_bit_equal(getattr(got, part).astype(getattr(ref, part).dtype),
-                              getattr(ref, part))
+    start, index, value = system.start, system.index, system.value
+    assert start[0] == 0 and start[-1] == len(index) == len(value)
+    assert np.all(np.diff(start) >= 0)
+    column = np.repeat(np.arange(len(start) - 1), np.diff(start))
+    same_column = column[1:] == column[:-1]
+    assert np.all(np.diff(index)[same_column] > 0)
+    assert np.all(value != 0)
+    nv = len(start) - 1
+    assert system.col_lower.shape == (nv,) and system.col_lower.dtype == np.float64
+    assert system.row_lower.shape == system.row_upper.shape
+    assert system.row_lower.dtype == system.row_upper.dtype == np.float64
+    A_eq, _, A_ub, _, _ = _dense_rows(system)
+    ref = sparse.csc_array(np.vstack([A_ub, A_eq]))
+    for got, want in ((start, ref.indptr), (index, ref.indices), (value, ref.data)):
+        _assert_bit_equal(got.astype(want.dtype), want)
 
 
 def test_missing_highs_bindings_fail_at_import():
@@ -205,21 +224,33 @@ def test_missing_highs_bindings_fail_at_import():
 
 
 def test_rejects_malformed_specs():
+    kernel, lower, upper = np.full((2, 2, 2), 0.5), np.zeros((2, 2, 2)), np.ones((2, 2, 2))
     with pytest.raises(ValueError, match="bad dims"):
-        PolytopeSpec("EXACT_KERNEL", 0, 2, kernel=np.ones((0, 2, 0)))
-    with pytest.raises(ValueError, match="unknown variant"):
-        PolytopeSpec("NOPE", 2, 2)
-    for removed in ("FULL", "SHRUNK"):
-        with pytest.raises(ValueError, match="unknown variant"):
-            PolytopeSpec(removed, 2, 2, delta=0.1)
-    with pytest.raises(ValueError):
-        PolytopeSpec("EXACT_KERNEL", 2, 2)  # kernel missing
+        PolytopeSpec(kernel=np.ones((0, 2, 0)))
+    with pytest.raises(ValueError, match="bad dims"):
+        PolytopeSpec(kernel=np.full((2, 2, 3), 1 / 3))  # not (S, A, S)
+    with pytest.raises(ValueError, match="exactly one"):
+        PolytopeSpec()  # neither kernel nor band
+    with pytest.raises(ValueError, match="exactly one"):
+        PolytopeSpec(delta=0.1)
+    with pytest.raises(ValueError, match="exactly one"):
+        PolytopeSpec(kernel=kernel, band_lower=lower, band_upper=upper)  # both
+    with pytest.raises(ValueError, match="exactly one"):
+        PolytopeSpec(kernel=kernel, band_upper=upper)
+    with pytest.raises(ValueError, match="both band_lower and band_upper"):
+        PolytopeSpec(band_lower=lower)
+    with pytest.raises(ValueError, match="shape"):
+        PolytopeSpec(band_lower=lower, band_upper=np.ones((2, 1, 2)))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        PolytopeSpec(band_lower=lower - 0.1, band_upper=upper)
     for bad in (np.full((2, 2, 2), 0.6), np.tile([1.5, -0.5], (2, 2, 1))):
         with pytest.raises(ValueError, match="probability distributions"):
-            PolytopeSpec("SHRUNK_EXACT", 2, 2, kernel=bad, delta=0.1)
-    with pytest.raises(ValueError):
-        PolytopeSpec("SHRUNK_EXACT", 2, 2, kernel=np.full((2, 2, 2), 0.5),
-                     delta=0.3)  # above 1/(S*A)
+            PolytopeSpec(kernel=bad, delta=0.1)
+    for delta in (0.3, 0.0, -0.1):  # outside (0, 1/(S*A)], on a kernel and on a band
+        with pytest.raises(ValueError, match="delta"):
+            PolytopeSpec(kernel=kernel, delta=delta)
+        with pytest.raises(ValueError, match="delta"):
+            PolytopeSpec(band_lower=lower, band_upper=upper, delta=delta)
     with pytest.raises(ValueError):
         maximize(np.ones((3, 3)), uniform_spec(2, 2))  # shape mismatch
     with pytest.raises(ValueError):
@@ -236,7 +267,7 @@ def test_zero_objective_returns_feasible_point():
 def test_single_state_optimum_is_best_action():
     kernel = np.ones((1, 3, 1))
     r = np.array([[0.2, 0.9, 0.4]])
-    sol = maximize(r, PolytopeSpec("EXACT_KERNEL", 1, 3, kernel=kernel))
+    sol = maximize(r, PolytopeSpec(kernel=kernel))
     assert sol.objective_value == pytest.approx(0.9, abs=1e-10)
     assert sol.q.rho[0, 1] == pytest.approx(1.0, abs=1e-10)
 
@@ -245,7 +276,7 @@ def test_optimum_matches_deterministic_policy_enumeration():
     for seed in range(5):
         model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.07, A=3), seed)
         r = model.reward_means.sum(axis=0)
-        sol = maximize(r, PolytopeSpec("EXACT_KERNEL", 3, 3, kernel=model.kernel))
+        sol = maximize(r, PolytopeSpec(kernel=model.kernel))
         assert sol.objective_value == pytest.approx(
             brute_force_best(model.kernel, r), abs=1e-6)
 
@@ -255,16 +286,15 @@ def test_optimal_points_satisfy_their_constraints():
     model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=2), 3)
     lower, upper = tighten_band(None, model.kernel, np.full((3, 2, 3), 0.07))
     specs = [
-        uniform_spec(3, 2),
-        PolytopeSpec("EXACT_KERNEL", 3, 2, kernel=model.kernel),
-        PolytopeSpec("SHRUNK_EXACT", 3, 2, kernel=model.kernel, delta=0.05),
-        PolytopeSpec("SHRUNK_CONFIDENCE", 3, 2, delta=0.05,
-                     band_lower=lower, band_upper=upper),
-        PolytopeSpec("SHRUNK_CONFIDENCE", 3, 2, delta=0.05,
-                     band_lower=np.zeros((3, 2, 3)), band_upper=np.ones((3, 2, 3))),
+        ("EXACT_KERNEL", uniform_spec(3, 2)),
+        ("EXACT_KERNEL", PolytopeSpec(kernel=model.kernel)),
+        ("SHRUNK_EXACT", PolytopeSpec(kernel=model.kernel, delta=0.05)),
+        ("SHRUNK_CONFIDENCE", PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.05)),
+        ("SHRUNK_CONFIDENCE", PolytopeSpec(band_lower=np.zeros((3, 2, 3)),
+                                           band_upper=np.ones((3, 2, 3)), delta=0.05)),
     ]
-    for spec in specs:
-        rows = loop_constraints(spec.variant, spec.S, spec.A, kernel=spec.kernel,
+    for kind, spec in specs:
+        rows = loop_constraints(kind, spec.S, spec.A, kernel=spec.kernel,
                                 delta=spec.delta, band_lower=spec.band_lower,
                                 band_upper=spec.band_upper)
         for _ in range(3):
@@ -277,17 +307,19 @@ def test_optimal_points_satisfy_their_constraints():
 def test_vacuous_band_equals_plain_shrunk():
     # With the kernel free, any masses m(s,a) >= delta balance the flow
     # (q = m(s,a) nu(s')), so the plain shrunk optimum puts delta on every
-    # pair and the rest on the best one: delta*sum(r) + (1 - S*A*delta)*max(r).
+    # pair and the rest on the best one: delta*sum(r) + (1 - S*A*delta)*max(r),
+    # and without a floor all of it on the best pair.
     rng = np.random.default_rng(1)
     for _ in range(20):
         S, A = (int(v) for v in rng.integers(1, 5, size=2))
         delta = rng.uniform(0, 1) / (S * A)
         r = rng.random((S, A))
-        conf = PolytopeSpec("SHRUNK_CONFIDENCE", S, A, delta=delta,
-                            band_lower=np.zeros((S, A, S)),
-                            band_upper=np.ones((S, A, S)))
+        band = dict(band_lower=np.zeros((S, A, S)), band_upper=np.ones((S, A, S)))
         closed_form = delta * r.sum() + (1 - S * A * delta) * r.max()
-        assert maximize(r, conf).objective_value == pytest.approx(closed_form, abs=1e-9)
+        assert maximize(r, PolytopeSpec(**band, delta=delta)).objective_value == pytest.approx(
+            closed_form, abs=1e-9)
+        assert maximize(r, PolytopeSpec(**band)).objective_value == pytest.approx(
+            r.max(), abs=1e-9)
 
 
 def test_optimum_nonincreasing_in_delta():
@@ -296,8 +328,7 @@ def test_optimum_nonincreasing_in_delta():
     deltas = [0.001, 0.01, 0.05, 0.1, 1.0 / 9]
     values = []
     for d in deltas:
-        sol = maximize(r, PolytopeSpec("SHRUNK_EXACT", 3, 3, kernel=model.kernel,
-                                       delta=d))
+        sol = maximize(r, PolytopeSpec(kernel=model.kernel, delta=d))
         # a delta too large for this kernel empties the polytope; that may
         # only happen at the top of the grid
         values.append(sol.objective_value if sol.status == "optimal"
@@ -313,8 +344,7 @@ def test_optimum_nonincreasing_as_radii_shrink():
     for radius in [0.5, 0.2, 0.1, 0.05]:
         lower, upper = tighten_band(None, model.kernel,
                                     np.full(model.kernel.shape, radius))
-        sol = maximize(r, PolytopeSpec("SHRUNK_CONFIDENCE", 3, 2, delta=0.02,
-                                       band_lower=lower, band_upper=upper))
+        sol = maximize(r, PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.02))
         if prev is not None:
             assert sol.objective_value <= prev + 1e-8
         prev = sol.objective_value
@@ -326,10 +356,8 @@ def test_confidence_relaxes_exact_when_truth_is_inside_band():
         r = model.reward_means.sum(axis=0)
         lower, upper = tighten_band(None, model.kernel,
                                     np.full(model.kernel.shape, 0.05))
-        conf = maximize(r, PolytopeSpec("SHRUNK_CONFIDENCE", 3, 2, delta=0.02,
-                                        band_lower=lower, band_upper=upper))
-        exact = maximize(r, PolytopeSpec("SHRUNK_EXACT", 3, 2,
-                                         kernel=model.kernel, delta=0.02))
+        conf = maximize(r, PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.02))
+        exact = maximize(r, PolytopeSpec(kernel=model.kernel, delta=0.02))
         assert conf.objective_value >= exact.objective_value - 1e-8
 
 
@@ -338,8 +366,7 @@ def test_band_contradiction_reports_infeasible():
     lower = np.full((S, A, S), 0.9)  # rows would sum to 1.8
     upper = np.ones((S, A, S))
     sol = maximize(np.ones((S, A)),
-                   PolytopeSpec("SHRUNK_CONFIDENCE", S, A, delta=0.01,
-                                band_lower=lower, band_upper=upper))
+                   PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.01))
     assert sol.status == "infeasible"
     assert sol.q is None
 
@@ -363,8 +390,7 @@ def test_calibrate_delta_single_state_closed_form():
     gaps = (0.9 - 0.4) + (0.9 - 0.1)
     epsilon = 0.05
     delta = calibrate_delta(kernel, r, epsilon)
-    best = maximize(r, PolytopeSpec("SHRUNK_EXACT", 1, 3, kernel=kernel,
-                                    delta=delta)).objective_value
+    best = maximize(r, PolytopeSpec(kernel=kernel, delta=delta)).objective_value
     assert best == pytest.approx(0.9 - delta * gaps, abs=1e-9)
     assert delta * gaps <= epsilon + 1e-12
     # the next grid point up (2 * delta) must violate the gap
@@ -389,8 +415,8 @@ def test_calibrate_delta_gap_on_random_models():
         r = model.reward_means.sum(axis=0)
         epsilon = 0.05
         delta = calibrate_delta(model, r, epsilon)
-        spec = PolytopeSpec("SHRUNK_EXACT", 3, 3, kernel=model.kernel, delta=delta)
-        exact = PolytopeSpec("EXACT_KERNEL", 3, 3, kernel=model.kernel)
+        spec = PolytopeSpec(kernel=model.kernel, delta=delta)
+        exact = PolytopeSpec(kernel=model.kernel)
         assert (maximize(r, spec).objective_value
                 >= maximize(r, exact).objective_value - epsilon)
 
@@ -404,7 +430,7 @@ def test_calibrate_delta_rejects_bad_epsilon():
 def test_identical_inputs_solve_identically():
     model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=3), 9)
     r = model.reward_means.sum(axis=0)
-    spec = PolytopeSpec("SHRUNK_EXACT", 3, 3, kernel=model.kernel, delta=0.03)
+    spec = PolytopeSpec(kernel=model.kernel, delta=0.03)
     a = maximize(r, spec)
     b = maximize(r, spec)
     assert a.objective_value == b.objective_value

@@ -64,10 +64,14 @@ class ExperimentConfig:
             if unknown:
                 raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
                                  f"expected some of {', '.join(known)}")
-        # a float or bool run length would be truncated or read as 0/1: refuse it
+        # a float or bool run length or seed would be truncated or read as 0/1: refuse it
         for key in ("horizon", "episodes"):
             if doc.get(key) is not None and not _is_int(doc[key]):
                 raise ValueError(f"{key} must be an integer or null; got {doc[key]!r}")
+        if not _is_int(model.get("seed", 0)):
+            raise ValueError(f"model.seed must be an integer; got {model['seed']!r}")
+        if doc.get("format", "csv") not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {doc['format']!r}")
         seeds = doc.get("seeds", [0])
         if not isinstance(seeds, (list, tuple)) or not all(map(_is_int, seeds)):
             raise ValueError(f"seeds must be a list of integers; got {seeds!r}")
@@ -75,7 +79,7 @@ class ExperimentConfig:
         return cls(
             generator=gen,
             model_file=model.get("file"),
-            model_seed=int(model.get("seed", 0)),
+            model_seed=model.get("seed", 0),
             delta=float(learner.get("delta", 0.05)),
             zeta=float(learner.get("zeta", 0.05)),
             alpha=learner.get("alpha"),
@@ -570,27 +574,51 @@ def export(result: OnlineRunResult, out_dir, fmt: Optional[str] = None) -> list:
 
 def _write_rounds_csv(path, rounds: RoundColumns, n: int, block: int = 8192):
     """Rows as csv.writer writes them (ints and phases by str, floats by repr,
-    CRLF line ends), formatted a block of rows at a time."""
-    columns = ([(str, rounds.t), (str, rounds.k), (str, rounds.phase), (str, rounds.s),
-                (str, rounds.a)]
-               + [(repr, c) for c in (*rounds.rewards.T, *rounds.bids.T, *rounds.charges.T,
-                                      rounds.u0, *rounds.ui.T, rounds.R)])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_round_header(n)) + "\r\n")
+    CRLF line ends), a block of rows at a time.
+
+    Within a block every column but ``t`` follows from a few inputs (the
+    segment, the phase, (s, a), the reward draws, the bid window), so a block
+    holds few distinct rows once ``t`` is left out. Each distinct row is
+    formatted once: rows are keyed on their bytes (floats by bit pattern, so
+    -0.0 and 0.0 and NaN payloads stay apart), and ``t`` is written in bulk.
+    """
+    with open(path, "wb") as fh:
+        fh.write((",".join(_round_header(n)) + "\r\n").encode())
         for lo in range(0, len(rounds.t), block):
-            cells = [_formatted(fmt, c[lo:lo + block]) for fmt, c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            hi = lo + block
+            ints = np.column_stack((rounds.k[lo:hi], rounds.s[lo:hi], rounds.a[lo:hi]))
+            floats = np.column_stack((rounds.rewards[lo:hi], rounds.bids[lo:hi],
+                                      rounds.charges[lo:hi], rounds.u0[lo:hi],
+                                      rounds.ui[lo:hi], rounds.R[lo:hi]))
+            phase = rounds.phase[lo:hi]
+            rows = len(phase)
+            keys = np.concatenate((ints.view(np.uint8), floats.view(np.uint8),
+                                   phase.view(np.uint8).reshape(rows, -1)), axis=1)
+            keys = keys.view(f"V{keys.shape[1]}").ravel().tolist()
+            rep = dict(zip(keys, range(rows)))  # one row per distinct key
+            at = np.fromiter(rep.values(), np.intp, len(rep))
+            texts = (("," + ",".join([str(k), p, str(s), str(a), *map(repr, f)]) + "\r\n").encode()
+                     for (k, s, a), p, f in zip(ints[at].tolist(), phase[at].tolist(),
+                                                floats[at].tolist()))
+            text = dict(zip(rep, texts))
+            lines = [b""] * (2 * rows)
+            lines[0::2] = _decimal_bytes(rounds.t[lo:hi])
+            lines[1::2] = map(text.__getitem__, keys)
+            fh.write(b"".join(lines))
     return path
 
 
-def _formatted(fmt, values: np.ndarray) -> list:
-    """``fmt`` of every entry, called once per distinct value. Floats are keyed
-    on their bit pattern, so -0.0 and 0.0 keep their own text."""
-    floats = values.dtype == np.float64
-    keys, inverse = np.unique(values.view(np.uint64) if floats else values,
-                              return_inverse=True)
-    distinct = (keys.view(np.float64) if floats else keys).tolist()
-    return np.array([fmt(v) for v in distinct], dtype=object)[inverse].tolist()
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _decimal_bytes(values: np.ndarray) -> list:
+    """``str(v).encode()`` for each non-negative int64 ``v``, built from one
+    left-aligned digit array whose trailing NULs the ``S`` view drops."""
+    ndigits = np.maximum(np.searchsorted(_POW10, values, side="right"), 1)
+    power = ndigits[:, None] - 1 - np.arange(ndigits.max(initial=1))
+    digits = (values[:, None] // _POW10[np.maximum(power, 0)]) % 10 + ord("0")
+    digits = np.where(power >= 0, digits, 0).astype(np.uint8)
+    return digits.view(f"S{digits.shape[1]}").ravel().tolist()
 
 
 def _write_regret_csv(path, report: RegretReport):

@@ -1,9 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus
 
+import mdpvcg.cli as cli_mod
 import mdpvcg.polytope as polytope_mod
 from mdpvcg import GeneratorSpec, generate_model, save_model
 from mdpvcg.cli import main
@@ -85,15 +87,23 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("seeds", [1.5]), ("seeds", [True]), ("seeds", ["2"]), ("seeds", 3),
-    ("horizon", 2.7), ("horizon", True), ("episodes", 1.5), ("episodes", False)])
+    ("horizon", 2.7), ("horizon", True), ("episodes", 1.5), ("episodes", False),
+    ("model.seed", 1.7), ("model.seed", True), ("model.seed", "1"), ("format", "xml")])
 def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key, value):
+    """Refused before any seed is simulated, so nothing is written."""
     config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
-              "horizon": 100, "seeds": [0], key: value}
+              "horizon": 100, "seeds": [0]}
+    if key == "model.seed":
+        config["model"]["seed"] = value
+    else:
+        config[key] = value
     if key == "episodes":
         config.pop("horizon")
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(config))
-    assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+    with mock.patch.object(cli_mod, "run_online") as run_online:
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+    run_online.assert_not_called()
     assert key in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,8 @@ from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
                     run_offline, run_online, save_model, truthfulness_gain)
 from mdpvcg.bidders import (BidderStrategy, adversarial_window, scaled, shifted,
                             truthful)
-from mdpvcg.harness import (SeedRunResult, _round_header, _write_rounds_csv,
-                            checkpoint_grid, simulate_run)
+from mdpvcg.harness import (SeedRunResult, _decimal_bytes, _round_header,
+                            _write_rounds_csv, checkpoint_grid, simulate_run)
 
 from _oracles import loop_rounds_csv, loop_simulate_run
 
@@ -460,7 +461,9 @@ def round_columns(draw):
         return np.array(draw(st.lists(st.sampled_from(pool), min_size=L, max_size=L)),
                         dtype=np.int64)
 
-    phases = draw(st.lists(st.sampled_from(["mixing", "stationary"]), min_size=L, max_size=L))
+    # "mix" and "" hold NUL padding where "mixing" and "stationary" hold letters
+    phases = draw(st.lists(st.sampled_from(["mixing", "stationary", "mix", ""]),
+                           min_size=L, max_size=L))
     block = draw(st.one_of(st.just(1), st.integers(2, max(2, L)), st.integers(max(1, L), L + 9)))
     rounds = RoundColumns(t=np.arange(1, L + 1), k=ints(), phase=np.array(phases, dtype="<U10"),
                           s=ints(), a=ints(), rewards=floats(n + 1), bids=floats(n),
@@ -477,6 +480,27 @@ def test_rounds_csv_bytes_equal_csv_writer_on_adversarial_columns(tmp_path_facto
     got = _write_rounds_csv(tmp / "got.csv", rounds, n, block=block)
     want = loop_rounds_csv(tmp / "want.csv", _rows(rounds), _round_header(n))
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("start", [95, 9_990, 10**18 - 37])
+def test_rounds_csv_t_crosses_a_power_of_ten_inside_a_block(tmp_path, start):
+    """Round numbers that do not start at 1 change width mid-block."""
+    res = run_online(quick_config(horizon=300, seeds=(2,)), record_rounds=True)
+    rounds = replace(res.seed_results[0].rounds, t=np.arange(start, start + 300))
+    got = _write_rounds_csv(tmp_path / "got.csv", rounds, 2, block=128)
+    want = loop_rounds_csv(tmp_path / "want.csv", _rows(rounds), _round_header(2))
+    assert got.read_bytes() == want.read_bytes()
+
+
+_DIGIT_EDGES = [v for p in range(19) for v in (10**p - 1, 10**p)] + [2**63 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(_DIGIT_EDGES), st.integers(1, 2**63 - 1)),
+                       max_size=40))
+def test_decimal_bytes_equal_str(values):
+    t = np.array(values, dtype=np.int64)
+    assert _decimal_bytes(t) == [str(v).encode() for v in values]
 
 
 def test_export_crosses_the_default_block(tmp_path):

@@ -70,6 +70,10 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be an integer or null; got {doc[key]!r}")
         if not _is_int(model.get("seed", 0)):
             raise ValueError(f"model.seed must be an integer; got {model['seed']!r}")
+        # a string would be parsed by float() (or kept, for alpha), a bool read as 0/1
+        for key, value in learner.items():
+            if key != "variant" and not (_is_number(value) or key == "alpha" and value is None):
+                raise ValueError(f"learner.{key} must be a number; got {value!r}")
         if doc.get("format", "csv") not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {doc['format']!r}")
         seeds = doc.get("seeds", [0])
@@ -118,6 +122,10 @@ _CONFIG_KEYS = ("model", "learner", "bidders", "horizon", "episodes", "seeds", "
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, float) or _is_int(value)
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .occupancy import induce, occupancy_from, payoff
+from .occupancy import induce, occupancy_from
 from .polytope import PolytopeSpec, maximize
 from .tolerances import TOL
 
@@ -96,13 +96,14 @@ def average_utilities(mechanism: Mechanism, rewards: np.ndarray, kernel: np.ndar
     ``rewards`` holds the true mean tables for all players, seller first.
     Returns (u_0, array of u_i, welfare).
     """
-    occ = occupancy_from(kernel, mechanism.allocation)
-    welfare = payoff(occ, rewards.sum(axis=0))
+    rho = occupancy_from(kernel, mechanism.allocation).rho
+    # payoff(occ, r) for each r, with rho summed once
+    welfare = float(np.vdot(rho, rewards.sum(axis=0)))
     u_bidders = np.array([
-        payoff(occ, rewards[i + 1] - mechanism.payments[i])
+        float(np.vdot(rho, rewards[i + 1] - mechanism.payments[i]))
         for i in range(mechanism.payments.shape[0])
     ])
-    u_seller = payoff(occ, rewards[0] + mechanism.payments.sum(axis=0))
+    u_seller = float(np.vdot(rho, rewards[0] + mechanism.payments.sum(axis=0)))
     return u_seller, u_bidders, welfare
 
 

@@ -17,10 +17,12 @@ keep, per entry, the running max lower bound and min upper bound (see
 
 Each spec holds one HiGHS model, built from its column-wise matrix on its
 first solve. A solve only writes the rho costs and reruns the model: the first
-is a cold dual-simplex solve (what ``scipy.optimize.linprog(method="highs-ds")``
-does), every later one a primal-simplex solve from the previous optimal
-basis, which a change of costs leaves primal feasible. Spec arrays must not
-be mutated after construction.
+is a cold dual-simplex solve, every later one a primal-simplex solve from the
+previous optimal basis, which a change of costs leaves primal feasible. A band
+model presolves its cold solve (what ``scipy.optimize.linprog(method="highs-ds")``
+does); a kernel model solves cold without presolve, which would only drop its
+one dependent flow row and costs more than the solve itself; the model leaves
+that row free instead. Spec arrays must not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 # the options linprog(method="highs-ds", options=_LP_OPTIONS) passes to HiGHS;
-# simplex_strategy 1 is dual simplex, 4 primal simplex (for the warm solves)
+# simplex_strategy 1 is dual simplex, 4 primal simplex (for the warm solves).
+# Kernel models turn presolve off (PolytopeSpec._model); band models keep it.
 _HIGHS_OPTIONS = {**_LP_OPTIONS, "presolve": "on", "solver": "simplex",
                   "simplex_strategy": 1, "output_flag": False}
 _PRIMAL_SIMPLEX = 4
@@ -96,7 +99,15 @@ class PolytopeSpec:
 
     @cached_property
     def _model(self) -> _Highs:
-        return highs_model(build_constraints(self))
+        model = highs_model(build_constraints(self))
+        if self.kernel is not None:
+            # S*A columns and 1+S rows: presolve only drops the dependent flow
+            # row, and takes longer than the cold solve it saves
+            model.setOptionValue("presolve", "off")
+            # the S flow rows sum to zero only up to the kernel's row-sum error
+            # (TOL.mass); the last one is implied by the others, so leave it free
+            model.changeRowBounds(self.S, -np.inf, np.inf)
+        return model
 
 
 def tighten_band(prior, p_bar, radii):
@@ -227,10 +238,9 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
     status = _run(model)
     # later solves on this spec start from the basis just found
     model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-    info = model.getInfo()
+    nit = model.getInfoValue("simplex_iteration_count")[1]
     if status == HighsModelStatus.kInfeasible:
-        return LpSolution(q=None, objective_value=float("nan"), status="infeasible",
-                          nit=info.simplex_iteration_count)
+        return LpSolution(q=None, objective_value=float("nan"), status="infeasible", nit=nit)
     if status != HighsModelStatus.kOptimal:
         raise RuntimeError(f"LP solver failed (status {status.value}): "
                            f"{model.modelStatusToString(status)}")
@@ -241,9 +251,9 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
         q = x[:S * A].reshape(S, A, 1) * spec.kernel
     return LpSolution(
         q=OccupancyMeasure(q),
-        objective_value=float(-info.objective_function_value),
+        objective_value=-model.getObjectiveValue(),
         status="optimal",
-        nit=info.simplex_iteration_count,
+        nit=nit,
     )
 
 

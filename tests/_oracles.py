@@ -97,12 +97,12 @@ def second_price_outcome(values):
     return int(order[-1]), float(values[order[-2]]) if len(values) > 1 else 0.0
 
 
-def linprog_maximize(c, A_eq, b_eq, A_ub, b_ub, bounds=(0, None)):
+def linprog_maximize(c, A_eq, b_eq, A_ub, b_ub, bounds=(0, None), presolve=True):
     """``linprog`` result for max c @ x over the rows: one cold HiGHS
-    dual-simplex solve with the library's tolerances."""
+    dual-simplex solve with the library's tolerances, presolved or not."""
     return linprog(-c, A_ub=A_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
                    A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs-ds",
-                   options=_LP_OPTIONS)
+                   options={**_LP_OPTIONS, "presolve": presolve})
 
 
 def loop_constraints(variant, S, A, kernel=None, delta=None, band_lower=None,

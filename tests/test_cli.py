@@ -88,13 +88,17 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("seeds", [1.5]), ("seeds", [True]), ("seeds", ["2"]), ("seeds", 3),
     ("horizon", 2.7), ("horizon", True), ("episodes", 1.5), ("episodes", False),
-    ("model.seed", 1.7), ("model.seed", True), ("model.seed", "1"), ("format", "xml")])
+    ("model.seed", 1.7), ("model.seed", True), ("model.seed", "1"), ("format", "xml"),
+    ("learner.zeta", "0.05"), ("learner.alpha", "0.2"), ("learner.delta", True),
+    ("learner.alpha", True)])
 def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key, value):
     """Refused before any seed is simulated, so nothing is written."""
     config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
               "horizon": 100, "seeds": [0]}
     if key == "model.seed":
         config["model"]["seed"] = value
+    elif key.startswith("learner."):
+        config["learner"][key.split(".")[1]] = value
     else:
         config[key] = value
     if key == "episodes":

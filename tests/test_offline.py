@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdpvcg.offline as offline_mod
 import mdpvcg.polytope as polytope_mod
@@ -104,8 +106,12 @@ def test_seller_identity_random_instances():
 
 
 def bidder_utility(model, bids, i):
-    mech = offline_mechanism(bids, model.reward_means[0], model.kernel)
-    _, ui, _ = average_utilities(mech, model.reward_means, model.kernel)
+    return bidder_utility_at(model.reward_means, model.kernel, bids, i)
+
+
+def bidder_utility_at(rewards, kernel, bids, i):
+    mech = offline_mechanism(bids, rewards[0], kernel)
+    _, ui, _ = average_utilities(mech, rewards, kernel)
     return ui[i]
 
 
@@ -172,3 +178,32 @@ def test_constraints_built_once_per_mechanism(small_model, count_calls):
         offline_mechanism(bids, small_model.reward_means[0], small_model.kernel)
         assert len(builds) == len(models) == calls
         assert len(solves) == calls * (small_model.n + 1)
+
+
+LEVELS = (0.0, 0.25, 0.5, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(S=st.integers(1, 3), A=st.integers(1, 3), n=st.integers(1, 3),
+       alpha=st.sampled_from((0.05, 0.1, 0.2)), seed=st.integers(0, 2**32 - 1))
+def test_guarantees_hold_at_any_optimal_vertex(S, A, n, alpha, seed):
+    """Tie-heavy models: rewards and deviations on a few levels and one-hot
+    kernels mixed with alpha/S uniform, so many allocations tie for the
+    optimum. Efficiency, the seller identity, IR and truthfulness hold at
+    whichever optimal vertex the solver picks."""
+    rng = np.random.default_rng(seed)
+    kernel = alpha / S + (1 - alpha) * np.eye(S)[rng.integers(S, size=(S, A))]
+    rewards = rng.choice(LEVELS, size=(n + 1, S, A))
+    truthful = BidProfile(rewards[1:])
+    mech = offline_mechanism(truthful, rewards[0], kernel)
+    assert abs(mech.welfare_value
+               - brute_force_best(kernel, rewards.sum(axis=0), iterations=1000)) <= 1e-9
+    lhs, rhs = seller_utility_identity(mech, rewards, kernel)
+    assert abs(lhs - rhs) <= 1e-8
+    _, ui, _ = average_utilities(mech, rewards, kernel)
+    assert ui.min() >= -1e-9
+    for i in range(n):
+        for _ in range(3):
+            tables = truthful.bids.copy()
+            tables[i] = rng.choice(LEVELS, size=(S, A))
+            assert ui[i] >= bidder_utility_at(rewards, kernel, BidProfile(tables), i) - 1e-7

@@ -14,6 +14,7 @@ from _oracles import brute_force_best, linprog_maximize, loop_constraints
 from mdpvcg import (GeneratorSpec, PolytopeSpec, build_constraints,
                     calibrate_delta, generate_model, maximize, occupancy_from,
                     tighten_band)
+from mdpvcg.tolerances import TOL
 
 # the loop oracle's names for the three polytopes drawn below: a kernel, a
 # kernel with a floor delta, and a band with a floor delta
@@ -159,7 +160,8 @@ def test_rho_lp_matches_q_space_oracle(S, A, variant, delta_frac, seed):
 def test_warm_solves_equal_fresh_solves(n, S, A, variant, delta_frac, seed):
     """2n+1 objectives solved in turn on one spec (each from the previous
     basis) match the same objectives solved on fresh specs; the first solve
-    is linprog's on the same rows."""
+    is linprog's on the same rows, presolved exactly when the model is (a
+    tie may resolve to another vertex with presolve than without)."""
     kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
     spec = PolytopeSpec(**kw)
     rng = np.random.default_rng(seed + 1)
@@ -174,7 +176,9 @@ def test_warm_solves_equal_fresh_solves(n, S, A, variant, delta_frac, seed):
             system = build_constraints(spec)
             c = np.zeros(len(system.col_lower))
             c[:S * A] = r.ravel()
-            ref = linprog_maximize(c, *_dense_rows(system))
+            presolve = spec._model.getOptionValue("presolve")[1] == "on"
+            assert presolve == (variant == "SHRUNK_CONFIDENCE")
+            ref = linprog_maximize(c, *_dense_rows(system), presolve=presolve)
             assert (ref.status == 2) == (warm.status == "infeasible")
             if ref.status == 0:
                 rho = ref.x[:S * A].reshape(S, A)
@@ -369,6 +373,44 @@ def test_band_contradiction_reports_infeasible():
                    PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.01))
     assert sol.status == "infeasible"
     assert sol.q is None
+
+
+def test_transient_state_under_a_floor_reports_infeasible():
+    """Every action leads to state 0, so state 1 holds no stationary mass and
+    no rho can meet a floor delta > 0: a status, not an exception."""
+    kernel = np.zeros((2, 2, 2))
+    kernel[:, :, 0] = 1.0
+    sol = maximize(np.ones((2, 2)), PolytopeSpec(kernel=kernel, delta=0.01))
+    assert sol.status == "infeasible" and sol.q is None
+    # without the floor the same kernel is solvable: all mass on state 0
+    sol = maximize(np.ones((2, 2)), PolytopeSpec(kernel=kernel))
+    assert sol.status == "optimal"
+    assert sol.q.nu[1] == 0.0
+
+
+def test_kernel_rows_off_by_the_mass_tolerance_still_solve():
+    """A kernel whose rows sum to 1 +/- TOL.mass (the spec accepts it) makes
+    its S flow rows dependent only up to that error; the LP must still be
+    optimal, with the q-space rows met and the optimum of the normalized kernel."""
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        S, A = (int(v) for v in rng.integers(1, 5, size=2))
+        kernel = rng.dirichlet(np.ones(S), size=(S, A)) * (rng.random((S, A, S)) >= 0.3)
+        kernel[kernel.sum(axis=2) == 0] = np.eye(S)[0]
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        # all rows heavy, all light, or each row its own way
+        sign = [1.0, -1.0, rng.choice([-1.0, 1.0], size=(S, A, 1))][trial % 3]
+        off = kernel * (1 + sign * 0.999 * TOL.mass)
+        delta = None if trial % 2 else 1e-3 / (S * A)
+        r = rng.random((S, A))
+        sol = maximize(r, PolytopeSpec(kernel=off, delta=delta))
+        want = maximize(r, PolytopeSpec(kernel=kernel, delta=delta))
+        assert sol.status == want.status
+        if want.status == "optimal":
+            rows = loop_constraints("SHRUNK_EXACT" if delta else "EXACT_KERNEL", S, A,
+                                    kernel=off, delta=delta)
+            assert _max_violation(rows, sol.q.q.ravel()) <= 1e-8
+            assert abs(sol.objective_value - want.objective_value) <= 1e-8
 
 
 def test_tighten_band_intersects_and_clips():

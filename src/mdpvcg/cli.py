@@ -66,7 +66,6 @@ def _cmd_offline(args) -> int:
         bids = BidProfile(np.array(json.loads(Path(args.bids).read_text())))
     config = ExperimentConfig(model_file=args.model)
     out = run_offline(config, bids=bids, sim_rounds=args.sim_rounds)
-    out.pop("mechanism")
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True))
     print(f"wrote {args.out} (welfare {out['welfare']:.6f}, "
           f"identity residual {out['identity_residual']:.2e})")

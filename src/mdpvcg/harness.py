@@ -158,7 +158,29 @@ def resolve_strategies(config: ExperimentConfig, model: MdpModel) -> list:
     specs = config.bidders or tuple({"kind": "truthful"} for _ in range(model.n))
     if len(specs) != model.n:
         raise ValueError(f"{len(specs)} strategies for {model.n} bidders")
-    return [strategy_from_spec(dict(d)) for d in specs]
+    return [_bidder_strategy(i, dict(d), model) for i, d in enumerate(specs, 1)]
+
+
+def _bidder_strategy(i: int, spec: dict, model: MdpModel) -> BidderStrategy:
+    """Bidder ``i``'s strategy from its spec, refused by bidder and key when a
+    value has the wrong type (float() would parse a string, a bool would read
+    as 0/1) or a window or table the wrong shape (it would fail mid-run)."""
+    for key in ("factor", "offset", "inflate_to"):
+        if key in spec and not (_is_number(spec[key]) or key == "inflate_to" and spec[key] is None):
+            raise ValueError(f"bidder {i} {key} must be a number; got {spec[key]!r}")
+    windows = spec.get("windows", ())
+    if not (isinstance(windows, (list, tuple)) and all(
+            isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_is_int, w))
+            for w in windows)):
+        raise ValueError(f"bidder {i} windows must be [lo, hi] integer pairs; got {windows!r}")
+    try:
+        strategy = strategy_from_spec(spec)
+    except ValueError as e:
+        raise ValueError(f"bidder {i}: {e}") from e
+    if strategy.table is not None and strategy.table.shape != (model.S, model.A):
+        raise ValueError(f"bidder {i} table must have shape (S, A) = {(model.S, model.A)}; "
+                         f"got {strategy.table.shape}")
+    return strategy
 
 
 def resolve_horizon(config: ExperimentConfig, lcfg: LearnerConfig) -> int:
@@ -215,15 +237,11 @@ class EpisodeRecord:
 @dataclass
 class SeedRunResult:
     seed: int
-    horizon: int
-    checkpoints: np.ndarray
     cum_welfare: np.ndarray      # realized sum of R^t at each checkpoint
     cum_seller: np.ndarray
-    cum_bidders: np.ndarray
     cum_per_bidder: np.ndarray   # (n, n_checkpoints)
     episodes: list
     rounds: Optional[RoundColumns] = None
-    learner_state: Optional[dict] = None
 
 
 @dataclass
@@ -253,7 +271,6 @@ class RegretReport:
 class OnlineRunResult:
     config: ExperimentConfig
     config_hash: str
-    benchmark: dict               # exact scalars from the offline mechanism
     mechanism: Mechanism
     report: RegretReport
     seed_results: list
@@ -280,8 +297,7 @@ def checkpoint_grid(horizon: int, boundaries=(), extra=()) -> np.ndarray:
 
 def simulate_run(model: MdpModel, seller: OnlineVcgLearner | Mechanism,
                  strategies: Sequence[BidderStrategy], horizon: int, seed: int,
-                 checkpoints: np.ndarray, record_rounds: bool = False,
-                 keep_learner: bool = False) -> SeedRunResult:
+                 checkpoints: np.ndarray, record_rounds: bool = False) -> SeedRunResult:
     """One seeded pass of the online protocol; diagnostics when the seller learns.
 
     ``seller`` is an OnlineVcgLearner or a fixed Mechanism, which plays like
@@ -316,24 +332,11 @@ def simulate_run(model: MdpModel, seller: OnlineVcgLearner | Mechanism,
                                policy, payments, checkpoints, totals, at_checkpoints, rounds)
 
         if learner is not None and learner.episode_complete:
-            pre = {
-                "k": learner.k, "tau": learner.tau_k, "d": learner.d_k, "l": learner.l_k,
-                "policy_min": float(learner.policy.min()),
-                "unvisited": int(np.count_nonzero(learner.counts == episode_counts)),
-            }
-            learner.end_episode()
-            episodes.append(_episode_diagnostics(learner, model, pre))
+            episodes.append(_end_episode(learner, model, episode_counts))
             episode_counts = learner.counts.copy()
 
-    cum_welfare, cum_seller = at_checkpoints[0], at_checkpoints[1]
-    return SeedRunResult(
-        seed=seed, horizon=horizon, checkpoints=checkpoints,
-        cum_welfare=cum_welfare, cum_seller=cum_seller,
-        # payments cancel: sum_i u_i^t == R^t - u_0^t identically
-        cum_bidders=cum_welfare - cum_seller,
-        cum_per_bidder=at_checkpoints[2:], episodes=episodes, rounds=rounds,
-        learner_state=learner.to_checkpoint() if (learner is not None and keep_learner) else None,
-    )
+    return SeedRunResult(seed=seed, cum_welfare=at_checkpoints[0], cum_seller=at_checkpoints[1],
+                         cum_per_bidder=at_checkpoints[2:], episodes=episodes, rounds=rounds)
 
 
 def _play_segment(model, sim, rng, learner, strategies, length, mixing, k, policy,
@@ -377,8 +380,14 @@ def _play_segment(model, sim, rng, learner, strategies, length, mixing, k, polic
     return sums[:, -1]
 
 
-def _episode_diagnostics(learner: OnlineVcgLearner, model: MdpModel,
-                         pre: dict) -> EpisodeRecord:
+def _end_episode(learner: OnlineVcgLearner, model: MdpModel,
+                 counts_before: np.ndarray) -> EpisodeRecord:
+    """End the learner's episode and record it; ``counts_before`` are the
+    visit counts at the episode's start."""
+    k, tau, d, l = learner.k, learner.tau_k, learner.d_k, learner.l_k
+    policy_min = float(learner.policy.min())
+    unvisited = int(np.count_nonzero(learner.counts == counts_before))
+    learner.end_episode()
     tol = TOL.exact
     in_band = bool(np.all(model.kernel >= learner.band_lower - tol)
                    and np.all(model.kernel <= learner.band_upper + tol))
@@ -388,14 +397,14 @@ def _episode_diagnostics(learner: OnlineVcgLearner, model: MdpModel,
     # Occupancy mismatch of the newly chosen policy against the true kernel,
     # next to its high-probability bound (diagnostic only, never asserted).
     cfg = learner.config
-    k = pre["k"]
     rho_true = occupancy_from(model.kernel, learner.policy).rho
     rho_gap = float(np.abs(learner.q_hat.rho - rho_true).sum())
     log_term = math.log(cfg.A * cfg.S * k / cfg.zeta)
     rho_bound = (6.0 / (cfg.alpha * math.sqrt(cfg.S)) * math.sqrt(log_term / k)
                  + 20.0 / cfg.alpha * log_term / k)
     return EpisodeRecord(
-        **pre, band_contains_truth=in_band, rewards_in_bounds=in_bounds,
+        k=k, tau=tau, d=d, l=l, policy_min=policy_min, unvisited=unvisited,
+        band_contains_truth=in_band, rewards_in_bounds=in_bounds,
         band_width_max=float((learner.band_upper - learner.band_lower).max()),
         payment_order_ok=order_ok, rho_gap=rho_gap, rho_gap_bound=rho_bound,
     )
@@ -407,9 +416,15 @@ def compute_benchmark(model: MdpModel):
     """Offline mechanism under truthful bids plus its exact utility scalars."""
     mech = offline_mechanism(BidProfile.truthful(model), model.reward_means[0],
                              model.kernel)
+    return mech, _exact_scores(mech, model)
+
+
+def _exact_scores(mech: Mechanism, model: MdpModel) -> dict:
+    """Exact average welfare and utilities of ``mech`` on the true model, and
+    the residual of the seller-utility identity."""
     u0, ui, welfare = average_utilities(mech, model.reward_means, model.kernel)
     lhs, rhs = seller_utility_identity(mech, model.reward_means, model.kernel)
-    return mech, {
+    return {
         "welfare": welfare,
         "seller": u0,
         "bidders": float(ui.sum()),
@@ -420,7 +435,7 @@ def compute_benchmark(model: MdpModel):
 
 def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
                record_rounds: bool = False, extra_checkpoints=(),
-               seller_factory=None, keep_learner: bool = False) -> OnlineRunResult:
+               seller_factory=None) -> OnlineRunResult:
     """Full multi-seed online experiment against the offline benchmark.
 
     ``seller_factory(mechanism)`` makes each seed's seller from the benchmark
@@ -456,22 +471,24 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
         try:
             seed_results.append(simulate_run(
                 model, seller_factory(mech), strategies, horizon, seed,
-                checkpoints, record_rounds=record_rounds, keep_learner=keep_learner))
+                checkpoints, record_rounds=record_rounds))
         except ConfigurationError as e:
             raise ConfigurationError(f"seed {seed}: {e}") from e
 
     t = checkpoints.astype(np.float64)
     reg_sw = np.array([bench["welfare"] * t - r.cum_welfare for r in seed_results])
     reg_sell = np.array([bench["seller"] * t - r.cum_seller for r in seed_results])
-    reg_bid = np.array([bench["bidders"] * t - r.cum_bidders for r in seed_results])
+    # payments cancel: sum_i u_i^t == R^t - u_0^t identically
+    reg_bid = np.array([bench["bidders"] * t - (r.cum_welfare - r.cum_seller)
+                        for r in seed_results])
     report_ = RegretReport(
         benchmark_welfare=bench["welfare"], benchmark_seller=bench["seller"],
         benchmark_bidders=bench["bidders"], checkpoints=checkpoints,
         reg_sw=reg_sw, reg_sell=reg_sell, reg_bid=reg_bid,
     )
     return OnlineRunResult(
-        config=config, config_hash=config_hash(config), benchmark=bench,
-        mechanism=mech, report=report_, seed_results=seed_results,
+        config=config, config_hash=config_hash(config), mechanism=mech,
+        report=report_, seed_results=seed_results,
     )
 
 
@@ -489,8 +506,7 @@ def run_offline(config: ExperimentConfig, bids: Optional[BidProfile] = None,
     if bids is None:
         bids = BidProfile.truthful(model)
     mech = offline_mechanism(bids, model.reward_means[0], model.kernel)
-    u0, ui, welfare = average_utilities(mech, model.reward_means, model.kernel)
-    lhs, rhs = seller_utility_identity(mech, model.reward_means, model.kernel)
+    exact = _exact_scores(mech, model)
 
     empirical = None
     if sim_rounds > 0:
@@ -505,13 +521,12 @@ def run_offline(config: ExperimentConfig, bids: Optional[BidProfile] = None,
             "rounds": sim_rounds,
         }
     return {
-        "mechanism": mech,
         "allocation": mech.allocation.tolist(),
         "payments": mech.payments.tolist(),
-        "welfare": welfare,
-        "seller_utility": u0,
-        "bidder_utilities": ui.tolist(),
-        "identity_residual": abs(lhs - rhs),
+        "welfare": exact["welfare"],
+        "seller_utility": exact["seller"],
+        "bidder_utilities": exact["per_bidder"].tolist(),
+        "identity_residual": exact["identity_residual"],
         "empirical": empirical,
     }
 

@@ -111,14 +111,14 @@ def validate_model(model: MdpModel) -> list:
     row_sums = model.kernel.sum(axis=2)
     bad = np.argwhere(np.abs(row_sums - 1.0) > TOL.row_sum)
     for s, a in bad:
-        out.append(Violation("row_sum", (int(s), int(a)), f"sums to {row_sums[s, a]!r}"))
+        out.append(Violation("row_sum", (int(s), int(a)), f"sums to {float(row_sums[s, a])!r}"))
     low = np.argwhere(model.kernel < model.alpha - TOL.row_sum)
     for s, a, s2 in low:
         out.append(
             Violation(
                 "ergodicity_margin",
                 (int(s), int(a), int(s2)),
-                f"P={model.kernel[s, a, s2]!r} < alpha={model.alpha}",
+                f"P={float(model.kernel[s, a, s2])!r} < alpha={model.alpha}",
             )
         )
     caps = reward_caps(model.n, model.c_max)
@@ -130,7 +130,7 @@ def validate_model(model: MdpModel) -> list:
                 Violation(
                     "reward_range",
                     (i, int(s), int(a)),
-                    f"r_{i}={r[s, a]!r} outside [0, {caps[i]}]",
+                    f"r_{i}={float(r[s, a])!r} outside [0, {caps[i]}]",
                 )
             )
     return out
@@ -285,4 +285,9 @@ def load_model(path) -> MdpModel:
     )
     if model.S != doc["S"] or model.A != doc["A"] or model.n != doc["n"]:
         raise ValueError(f"inconsistent dimensions in model file {path}")
+    violations = validate_model(model)
+    if violations:
+        first = "; ".join(f"{v.kind} {v.where}: {v.detail}" for v in violations[:3])
+        more = "; ..." if len(violations) > 3 else ""
+        raise ValueError(f"model file {path} fails {len(violations)} check(s): {first}{more}")
     return model

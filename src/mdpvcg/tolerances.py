@@ -8,7 +8,6 @@ class Tolerances:
     row_sum: float = 1e-12   # stochastic-matrix row sums
     mass: float = 1e-9       # occupancy mass and flow-balance slack
     denom: float = 1e-12     # zero-denominator guard for induced kernel/policy
-    lp: float = 1e-8         # LP optimality / constraint slack
     identity: float = 1e-8   # analytic identity checks
     exact: float = 1e-12     # linearity and reconstruction identities
 

@@ -12,7 +12,7 @@ import csv
 import numpy as np
 from scipy.optimize import linprog
 
-from mdpvcg.harness import SeedRunResult, _episode_diagnostics
+from mdpvcg.harness import SeedRunResult, _end_episode
 from mdpvcg.online import OnlineVcgLearner
 from mdpvcg.polytope import _LP_OPTIONS
 
@@ -186,7 +186,7 @@ def _loop_reporter(strategy):
 
 
 def loop_simulate_run(model, seller, strategies, horizon, seed, checkpoints,
-                      record_rounds=False, keep_learner=False):
+                      record_rounds=False):
     """``harness.simulate_run`` one round at a time, as it was before batching.
 
     Each round draws the seller's action uniform, then one uniform per
@@ -210,7 +210,7 @@ def loop_simulate_run(model, seller, strategies, horizon, seed, checkpoints,
     episode_counts = seller.counts.copy() if learning else None
 
     ncp = len(checkpoints)
-    cum_welfare, cum_seller, cum_bidders = np.zeros(ncp), np.zeros(ncp), np.zeros(ncp)
+    cum_welfare, cum_seller = np.zeros(ncp), np.zeros(ncp)
     cum_per_bidder = np.zeros((n, ncp))
     cw = cs = 0.0
     cpb = [0.0] * n
@@ -267,29 +267,18 @@ def loop_simulate_run(model, seller, strategies, horizon, seed, checkpoints,
         if t == next_cp:
             cum_welfare[cp_idx] = cw
             cum_seller[cp_idx] = cs
-            cum_bidders[cp_idx] = cw - cs
             cum_per_bidder[:, cp_idx] = cpb
             cp_idx += 1
             next_cp = int(checkpoints[cp_idx]) if cp_idx < ncp else horizon + 1
         s = s2
 
         if learning and seller.episode_complete:
-            pre = {
-                "k": seller.k, "tau": seller.tau_k, "d": seller.d_k, "l": seller.l_k,
-                "policy_min": float(seller.policy.min()),
-                "unvisited": int(np.count_nonzero(seller.counts == episode_counts)),
-            }
-            seller.end_episode()
-            episodes.append(_episode_diagnostics(seller, model, pre))
+            episodes.append(_end_episode(seller, model, episode_counts))
             episode_counts = seller.counts.copy()
             cdf = np.cumsum(seller.policy, axis=1)
 
-    return SeedRunResult(
-        seed=seed, horizon=horizon, checkpoints=checkpoints,
-        cum_welfare=cum_welfare, cum_seller=cum_seller, cum_bidders=cum_bidders,
-        cum_per_bidder=cum_per_bidder, episodes=episodes, rounds=rounds,
-        learner_state=seller.to_checkpoint() if (learning and keep_learner) else None,
-    )
+    return SeedRunResult(seed=seed, cum_welfare=cum_welfare, cum_seller=cum_seller,
+                         cum_per_bidder=cum_per_bidder, episodes=episodes, rounds=rounds)
 
 
 def loop_rounds_csv(path, rounds, header):

@@ -7,7 +7,8 @@ from scipy.optimize._highspy._core import HighsModelStatus
 
 import mdpvcg.cli as cli_mod
 import mdpvcg.polytope as polytope_mod
-from mdpvcg import GeneratorSpec, generate_model, save_model
+from mdpvcg import (BidProfile, GeneratorSpec, average_utilities, generate_model, load_model,
+                    offline_mechanism, save_model)
 from mdpvcg.cli import main
 
 GEN = GeneratorSpec(S=3, n=2, alpha=0.25, A=3, reward_family="bernoulli-scaled")
@@ -43,6 +44,15 @@ def test_offline_vcg_accepts_bid_file(model_file, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["empirical"] is None
+    # the exact scores are those of the mechanism solved on the reported bids
+    model = load_model(model_file)
+    mech = offline_mechanism(BidProfile(bids), model.reward_means[0], model.kernel)
+    u0, ui, welfare = average_utilities(mech, model.reward_means, model.kernel)
+    assert doc["welfare"] == welfare
+    assert doc["seller_utility"] == u0
+    assert doc["bidder_utilities"] == ui.tolist()
+    assert doc["payments"] == mech.payments.tolist()
+    assert doc["allocation"] == mech.allocation.tolist()
 
 
 def test_calibrate_delta_prints_json(model_file, capsys):
@@ -110,6 +120,56 @@ def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key,
     run_online.assert_not_called()
     assert key in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("case, kind", [("margin", "ergodicity_margin"),
+                                        ("seller_reward", "reward_range (0, 1, 2): r_0=5.0")])
+@pytest.mark.parametrize("command", ["offline-vcg", "simulate"])
+def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
+    """A model file is validated when it loads, before anything is written."""
+    path = tmp_path / f"{case}.json"
+    save_model(generate_model(GEN, 1), path)
+    doc = json.loads(path.read_text())
+    if case == "margin":  # the kernel's entries go down to alpha = 0.25
+        doc["alpha"] = 0.3
+    else:
+        doc["reward_means"][0][1][2] = 5.0  # the seller's cap is c_max = 1
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "offline-vcg":
+        argv = ["offline-vcg", "--model", str(path), "--out", str(out), "--sim-rounds", "10"]
+    else:
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps({"model": {"file": str(path)}, "horizon": 100}))
+        argv = ["simulate", "--config", str(cfg_file), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and kind in err and "np.float64" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "scaled", "factor": "1.5"}, "factor"),
+    ({"kind": "scaled", "factor": None}, "factor"),
+    ({"kind": "shifted", "offset": True}, "offset"),
+    ({"kind": "adversarial_window", "windows": [[1, 50]], "inflate_to": "1"}, "inflate_to"),
+    ({"kind": "adversarial_window", "windows": [[1.5, 50]]}, "windows"),
+    ({"kind": "adversarial_window", "windows": [[1, 50, 80]]}, "windows"),
+    ({"kind": "adversarial_window", "windows": [1, 50]}, "windows"),
+    ({"kind": "by_bids", "table": [[0.5]]}, "table"),
+    ({"kind": "by_bids", "table": [[[0.5] * 3] * 3]}, "table"),
+])
+def test_simulate_mistyped_bidder_spec_exits_2(model_file, tmp_path, capsys, spec, key):
+    """A bidder spec of the wrong type or shape is refused by bidder and key."""
+    out = tmp_path / "o"
+    config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
+              "bidders": [{"kind": "truthful"}, spec], "horizon": 100, "out": str(out)}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "bidder 2" in err and key in err
+    assert not out.exists()
 
 
 def test_missing_model_file_exits_3(tmp_path, capsys):

@@ -18,7 +18,8 @@ from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
 from mdpvcg.bidders import (BidderStrategy, adversarial_window, scaled, shifted,
                             truthful)
 from mdpvcg.harness import (SeedRunResult, _decimal_bytes, _round_header,
-                            _write_rounds_csv, checkpoint_grid, simulate_run)
+                            _write_rounds_csv, checkpoint_grid, resolve_strategies,
+                            simulate_run)
 
 from _oracles import loop_rounds_csv, loop_simulate_run
 
@@ -194,8 +195,7 @@ def test_export_empty_run_writes_headers_and_zero_regrets(tmp_path):
     model = generate_model(GEN, 1)
     mech, bench = compute_benchmark(model)
     empty = OnlineRunResult(
-        config=cfg, config_hash=config_hash(cfg), benchmark=bench,
-        mechanism=mech,
+        config=cfg, config_hash=config_hash(cfg), mechanism=mech,
         report=RegretReport(
             benchmark_welfare=bench["welfare"], benchmark_seller=bench["seller"],
             benchmark_bidders=bench["bidders"],
@@ -203,10 +203,9 @@ def test_export_empty_run_writes_headers_and_zero_regrets(tmp_path):
             reg_sw=np.zeros((1, 0)), reg_sell=np.zeros((1, 0)),
             reg_bid=np.zeros((1, 0))),
         seed_results=[SeedRunResult(
-            seed=0, horizon=0, checkpoints=np.zeros(0, dtype=np.int64),
-            cum_welfare=np.zeros(0), cum_seller=np.zeros(0),
-            cum_bidders=np.zeros(0), cum_per_bidder=np.zeros((2, 0)),
-            episodes=[], rounds=RoundColumns.allocate(0, 2))],
+            seed=0, cum_welfare=np.zeros(0), cum_seller=np.zeros(0),
+            cum_per_bidder=np.zeros((2, 0)), episodes=[],
+            rounds=RoundColumns.allocate(0, 2))],
     )
     export(empty, tmp_path)
     assert (tmp_path / "rounds_seed0.csv").read_text().count("\n") == 1
@@ -255,6 +254,20 @@ def test_strategy_count_must_match_bidders():
     cfg = quick_config(bidders=({"kind": "truthful"},))
     with pytest.raises(ValueError):
         run_online(cfg)
+
+
+def test_well_typed_bidder_specs_resolve():
+    """Defaults, integer windows, numbers of either type and an (S, A) table pass."""
+    model = generate_model(GEN, 1)
+    specs = ({"kind": "adversarial_window", "windows": [[20_000, 40_000]]},
+             {"kind": "scaled", "factor": 1.5})
+    got = resolve_strategies(quick_config(bidders=specs), model)
+    assert got == [adversarial_window([(20_000, 40_000)]), scaled(1.5)]
+    specs = ({"kind": "adversarial_window", "windows": [], "factor": 2, "inflate_to": None},
+             {"kind": "by_bids", "table": [[0.5] * GEN.A] * GEN.S})
+    window, table = resolve_strategies(quick_config(bidders=specs), model)
+    assert window == adversarial_window([], factor=2, inflate_to=None)
+    assert table.table.shape == (GEN.S, GEN.A)
 
 
 def test_truthfulness_gain_helper_runs():
@@ -377,23 +390,25 @@ def test_batched_simulation_equals_round_loop(case, seed):
     model, lcfg, strategies, horizon, fixed, segment_max = case
     mech = compute_benchmark(model)[0] if fixed else None
     checkpoints = checkpoint_grid(horizon, episode_schedule(lcfg, 4) - 1)
-    outcomes = []
+    outcomes, sellers = [], []
     with mock.patch.object(harness_mod, "_SEGMENT_MAX", segment_max or harness_mod._SEGMENT_MAX):
         for run in (simulate_run, loop_simulate_run):
-            seller = mech if fixed else OnlineVcgLearner(lcfg)
+            sellers.append(mech if fixed else OnlineVcgLearner(lcfg))
             try:
-                outcomes.append(run(model, seller, strategies, horizon, seed, checkpoints,
-                                    record_rounds=True, keep_learner=True))
+                outcomes.append(run(model, sellers[-1], strategies, horizon, seed, checkpoints,
+                                    record_rounds=True))
             except ConfigurationError as e:  # the LP in an episode update: same in both
                 outcomes.append(str(e))
     got, want = outcomes
     if isinstance(want, str):
         assert got == want
         return
-    for name in ("cum_welfare", "cum_seller", "cum_bidders", "cum_per_bidder"):
+    for name in ("cum_welfare", "cum_seller", "cum_per_bidder"):
         _assert_bit_equal(getattr(got, name), getattr(want, name))
     assert got.episodes == want.episodes
-    assert json.dumps(got.learner_state) == json.dumps(want.learner_state)
+    if not fixed:  # simulate_run plays the learner it is given on in place
+        assert (json.dumps(sellers[0].to_checkpoint())
+                == json.dumps(sellers[1].to_checkpoint()))
     oracle = _oracle_columns(want.rounds, model.n)
     for name in ("t", "k", "phase", "s", "a", "rewards", "bids", "charges", "u0", "ui", "R"):
         _assert_bit_equal(getattr(got.rounds, name), getattr(oracle, name))

@@ -259,12 +259,11 @@ def test_checkpoint_roundtrip_resumes_identically(tmp_path):
 
     # both play on from mid-episode to identical sums and states
     cps = checkpoint_grid(2500)
-    runs = [simulate_run(model, ln, [truthful()] * 2, 2500, 9, cps, keep_learner=True)
-            for ln in (learner, clone)]
+    runs = [simulate_run(model, ln, [truthful()] * 2, 2500, 9, cps) for ln in (learner, clone)]
     np.testing.assert_array_equal(runs[0].cum_welfare, runs[1].cum_welfare)
     np.testing.assert_array_equal(runs[0].cum_per_bidder, runs[1].cum_per_bidder)
     assert runs[0].episodes == runs[1].episodes and runs[0].episodes
-    assert runs[0].learner_state == runs[1].learner_state
+    assert learner.to_checkpoint() == clone.to_checkpoint()
 
 
 def test_constraints_built_once_per_episode(count_calls):

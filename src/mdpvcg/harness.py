@@ -164,15 +164,21 @@ def resolve_strategies(config: ExperimentConfig, model: MdpModel) -> list:
 def _bidder_strategy(i: int, spec: dict, model: MdpModel) -> BidderStrategy:
     """Bidder ``i``'s strategy from its spec, refused by bidder and key when a
     value has the wrong type (float() would parse a string, a bool would read
-    as 0/1) or a window or table the wrong shape (it would fail mid-run)."""
+    as 0/1), a window covers no round or fewer rounds than written, or a
+    window or table has the wrong shape (it would fail mid-run)."""
     for key in ("factor", "offset", "inflate_to"):
         if key in spec and not (_is_number(spec[key]) or key == "inflate_to" and spec[key] is None):
             raise ValueError(f"bidder {i} {key} must be a number; got {spec[key]!r}")
     windows = spec.get("windows", ())
     if not (isinstance(windows, (list, tuple)) and all(
             isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_is_int, w))
-            for w in windows)):
-        raise ValueError(f"bidder {i} windows must be [lo, hi] integer pairs; got {windows!r}")
+            and 0 <= w[0] < w[1] for w in windows)):
+        raise ValueError(f"bidder {i} windows must be [lo, hi] integer pairs with "
+                         f"0 <= lo < hi; got {windows!r}")
+    table = spec.get("table", ())
+    if not (isinstance(table, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) and all(map(_is_number, row)) for row in table)):
+        raise ValueError(f"bidder {i} table must be rows of numbers; got {table!r}")
     try:
         strategy = strategy_from_spec(spec)
     except ValueError as e:

@@ -7,6 +7,7 @@ earned without her minus what they actually earn at the realized (s, a).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +57,32 @@ class Mechanism:
         return out
 
 
+# Per thread, the polytope of the last kernel offline_mechanism solved over,
+# keeping its own float64 copy of the kernel. Truthfulness checks solve many bid
+# profiles on one kernel; restarting its model costs less than building one.
+_kept = threading.local()
+
+
+def _kernel_polytope(kernel: np.ndarray) -> PolytopeSpec:
+    spec = getattr(_kept, "spec", None)
+    if spec is not None and np.array_equal(spec.kernel, kernel):
+        spec.restart()
+        return spec
+    _kept.spec = PolytopeSpec(kernel=np.array(kernel, dtype=np.float64))
+    return _kept.spec
+
+
 def offline_mechanism(bids: BidProfile, r0: np.ndarray, kernel: np.ndarray) -> Mechanism:
     """Solve the welfare LP and the n counterfactual LPs; assemble payments.
 
     Bids substitute for the bidders' reward tables throughout. The constraint
-    system is bid-independent, so one polytope serves all n+1 solves.
+    system is bid-independent, so one polytope serves all n+1 solves, and the
+    next mechanism on an equal kernel restarts it cold instead of building
+    another: the results are those of a new polytope, bit for bit.
     """
     n = bids.n
     S, A = r0.shape
-    spec = PolytopeSpec(kernel=kernel)
+    spec = _kernel_polytope(kernel)
     reported = r0 + bids.bids.sum(axis=0)
 
     best = maximize(reported, spec)

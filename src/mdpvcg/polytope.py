@@ -15,11 +15,14 @@ The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
 
-Each spec holds one HiGHS model, built from its column-wise matrix on its
-first solve. A solve only writes the rho costs and reruns the model: the first
-is a cold dual-simplex solve, every later one a primal-simplex solve from the
-previous optimal basis, which a change of costs leaves primal feasible. A band
-model presolves its cold solve (what ``scipy.optimize.linprog(method="highs-ds")``
+Each spec builds its HiGHS LP once, from its column-wise matrix, and holds one
+HiGHS model loaded with it on its first solve. A solve only writes the rho
+costs and reruns the model: the first is a cold dual-simplex solve, every later
+one a primal-simplex solve from the previous optimal basis, which a change of
+costs leaves primal feasible. ``restart`` passes the LP to the model again,
+which drops its basis and solution, so the next solve is the cold solve a new
+spec would make, bit for bit, without building another model. A band model
+presolves its cold solve (what ``scipy.optimize.linprog(method="highs-ds")``
 does); a kernel model solves cold without presolve, which would only drop its
 one dependent flow row and costs more than the solve itself; the model leaves
 that row free instead. Spec arrays must not be mutated after construction.
@@ -51,12 +54,11 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
-# the options linprog(method="highs-ds", options=_LP_OPTIONS) passes to HiGHS;
-# simplex_strategy 1 is dual simplex, 4 primal simplex (for the warm solves).
-# Kernel models turn presolve off (PolytopeSpec._model); band models keep it.
-_HIGHS_OPTIONS = {**_LP_OPTIONS, "presolve": "on", "solver": "simplex",
-                  "simplex_strategy": 1, "output_flag": False}
-_PRIMAL_SIMPLEX = 4
+# the options linprog(method="highs-ds", options=_LP_OPTIONS) passes to HiGHS,
+# but for presolve and simplex_strategy, which PolytopeSpec._load sets per load
+_HIGHS_OPTIONS = {**_LP_OPTIONS, "solver": "simplex", "output_flag": False}
+# simplex_strategy values: dual simplex for the cold solve, primal for the warm ones
+_DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,26 @@ class PolytopeSpec:
         return (self.kernel if self.kernel is not None else self.band_lower).shape[1]
 
     @cached_property
+    def _lp(self) -> HighsLp:
+        return highs_lp(build_constraints(self))
+
+    @cached_property
+    def _rho_columns(self) -> np.ndarray:
+        return np.arange(self.S * self.A, dtype=np.int32)
+
+    @cached_property
     def _model(self) -> _Highs:
-        model = highs_model(build_constraints(self))
+        model = _Highs()
+        for key, value in _HIGHS_OPTIONS.items():
+            model.setOptionValue(key, value)
+        self._load(model)
+        return model
+
+    def _load(self, model: _Highs) -> None:
+        """Pass the LP to ``model`` (dropping any basis and solution it held)
+        with this kind's options, ready for a cold dual-simplex solve."""
+        if model.passModel(self._lp) == HighsStatus.kError:
+            raise RuntimeError("HiGHS refused the constraint matrix")
         if self.kernel is not None:
             # S*A columns and 1+S rows: presolve only drops the dependent flow
             # row, and takes longer than the cold solve it saves
@@ -107,7 +127,14 @@ class PolytopeSpec:
             # the S flow rows sum to zero only up to the kernel's row-sum error
             # (TOL.mass); the last one is implied by the others, so leave it free
             model.changeRowBounds(self.S, -np.inf, np.inf)
-        return model
+        else:
+            model.setOptionValue("presolve", "on")
+        model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+
+    def restart(self) -> None:
+        """Reload the model, so that the next solve is the cold solve a new
+        spec's first one would be."""
+        self._load(self._model)
 
 
 def tighten_band(prior, p_bar, radii):
@@ -192,9 +219,8 @@ def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
                             row_lower=row_lower, row_upper=row_upper, col_lower=col_lower)
 
 
-def highs_model(system: ConstraintSystem) -> _Highs:
-    """A HiGHS model of the system, with zero costs and linprog's dual-simplex
-    options."""
+def highs_lp(system: ConstraintSystem) -> HighsLp:
+    """The system as a HiGHS LP, with zero costs and no column upper bounds."""
     lp = HighsLp()
     lp.num_row_, lp.num_col_ = len(system.row_lower), len(system.col_lower)
     lp.col_cost_ = np.zeros(lp.num_col_)
@@ -204,12 +230,7 @@ def highs_model(system: ConstraintSystem) -> _Highs:
     matrix.num_row_, matrix.num_col_ = lp.num_row_, lp.num_col_
     matrix.format_ = MatrixFormat.kColwise
     matrix.start_, matrix.index_, matrix.value_ = system.start, system.index, system.value
-    model = _Highs()
-    for key, value in _HIGHS_OPTIONS.items():
-        model.setOptionValue(key, value)
-    if model.passModel(lp) == HighsStatus.kError:
-        raise RuntimeError("HiGHS refused the constraint matrix")
-    return model
+    return lp
 
 
 def _run(model: _Highs) -> HighsModelStatus:
@@ -231,10 +252,11 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
     S, A = spec.S, spec.A
     if objective.shape != (S, A):
         raise ValueError(f"objective must be (S, A) = {(S, A)}")
-    if not np.all(np.isfinite(objective)):
+    cost = -objective.ravel()
+    if not np.isfinite(cost).all():
         raise ValueError("objective must be finite")
     model = spec._model
-    model.changeColsCost(S * A, np.arange(S * A, dtype=np.int32), -objective.ravel())
+    model.changeColsCost(S * A, spec._rho_columns, cost)
     status = _run(model)
     # later solves on this spec start from the basis just found
     model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
@@ -244,7 +266,7 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
     if status != HighsModelStatus.kOptimal:
         raise RuntimeError(f"LP solver failed (status {status.value}): "
                            f"{model.modelStatusToString(status)}")
-    x = np.asarray(model.getSolution().col_value)
+    x = np.fromiter(model.getSolution().col_value, np.float64)
     if spec.kernel is None:
         q = x[S * A:].reshape(S, A, S)
     else:

@@ -158,6 +158,11 @@ def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
     ({"kind": "adversarial_window", "windows": [1, 50]}, "windows"),
     ({"kind": "by_bids", "table": [[0.5]]}, "table"),
     ({"kind": "by_bids", "table": [[[0.5] * 3] * 3]}, "table"),
+    ({"kind": "adversarial_window", "windows": [[50, 10]]}, "windows"),
+    ({"kind": "adversarial_window", "windows": [[10, 10]]}, "windows"),
+    ({"kind": "adversarial_window", "windows": [[-5, 3]]}, "windows"),
+    ({"kind": "by_bids", "table": [["0.5"] * 3] * 3}, "table"),
+    ({"kind": "by_bids", "table": [[True] * 3] * 3}, "table"),
 ])
 def test_simulate_mistyped_bidder_spec_exits_2(model_file, tmp_path, capsys, spec, key):
     """A bidder spec of the wrong type or shape is refused by bidder and key."""

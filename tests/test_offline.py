@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,15 +172,96 @@ def test_bid_profile_range_enforced():
         BidProfile(np.full((1, 2, 2), 1.4))
 
 
-def test_constraints_built_once_per_mechanism(small_model, count_calls):
+def test_constraints_built_once_per_kernel(small_model, count_calls, monkeypatch):
+    """Mechanisms in a row on equal kernel values share one polytope; another
+    kernel, or the same array changed in place, builds a new one."""
+    monkeypatch.setattr(offline_mod, "_kept", threading.local())  # nothing kept yet
     builds = count_calls(polytope_mod, "build_constraints")
-    models = count_calls(polytope_mod, "highs_model")
+    lps = count_calls(polytope_mod, "highs_lp")
     solves = count_calls(offline_mod, "maximize")
     bids = BidProfile.truthful(small_model)
-    for calls in (1, 2):
-        offline_mechanism(bids, small_model.reward_means[0], small_model.kernel)
-        assert len(builds) == len(models) == calls
+    kernel = small_model.kernel.copy()
+    other = generate_model(GeneratorSpec(S=3, n=2, alpha=0.1, A=3), seed=8).kernel
+    steps = ((kernel, 1), (kernel, 1), (small_model.kernel, 1), (other, 2), (kernel, 3))
+    for calls, (k, built) in enumerate(steps, 1):
+        offline_mechanism(bids, small_model.reward_means[0], k)
+        assert len(builds) == len(lps) == built
         assert len(solves) == calls * (small_model.n + 1)
+    kernel[...] = other
+    offline_mechanism(bids, small_model.reward_means[0], kernel)
+    assert len(builds) == len(lps) == 4
+
+
+def _mechanism_bits(mech):
+    return [np.asarray(a).tobytes() for a in (mech.allocation, mech.payments,
+                                              mech.counterfactual_values,
+                                              mech.welfare_value)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=st.integers(1, 3), A=st.integers(1, 3), n=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(("same", "copy", "live"))),
+                      min_size=2, max_size=8))
+def test_kept_polytope_mechanisms_equal_fresh_ones(S, A, n, seed, steps):
+    """A run of mechanisms over interleaved kernels (two tie-heavy, one
+    random), each passed as one shared array, as an equal copy, or written
+    into one live array in place before the call, equals the same mechanisms
+    each solved on a new polytope, bit for bit."""
+    rng = np.random.default_rng(seed)
+    kernels = [alpha / S + (1 - alpha) * np.eye(S)[rng.integers(S, size=(S, A))]
+               for alpha in (0.05, 0.2)] + [rng.dirichlet(np.ones(S), size=(S, A))]
+    live = kernels[0].copy()
+    calls = []
+    for k, how in steps:
+        rewards = rng.choice(LEVELS, size=(n + 1, S, A))
+        calls.append((BidProfile(rewards[1:]), rewards[0], k, how))
+    with pytest.MonkeyPatch.context() as mp:
+        fresh = []
+        for bids, r0, k, _ in calls:
+            mp.setattr(offline_mod, "_kept", threading.local())
+            fresh.append(offline_mechanism(bids, r0, kernels[k]))
+        mp.setattr(offline_mod, "_kept", threading.local())
+        for (bids, r0, k, how), want in zip(calls, fresh):
+            if how == "live":
+                live[...] = kernels[k]
+            kernel = {"same": kernels[k], "copy": kernels[k].copy(), "live": live}[how]
+            got = offline_mechanism(bids, r0, kernel)
+            assert _mechanism_bits(got) == _mechanism_bits(want)
+
+
+def test_threads_keep_their_own_polytope(small_model, monkeypatch):
+    """Two threads solving mechanisms on one kernel at once, with frequent
+    thread switches, get what each gets alone: neither restarts the other's
+    model mid-mechanism."""
+    monkeypatch.setattr(offline_mod, "_kept", threading.local())
+    rng = np.random.default_rng(0)
+    profiles = [[BidProfile(rng.random((small_model.n, small_model.S, small_model.A)))
+                 for _ in range(30)] for _ in range(2)]
+
+    def run(bids_list):
+        return [_mechanism_bits(offline_mechanism(bids, small_model.reward_means[0],
+                                                  small_model.kernel))
+                for bids in bids_list]
+
+    want = [run(bids_list) for bids_list in profiles]
+    got = [None, None]
+
+    def work(i):
+        got[i] = run(profiles[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 LEVELS = (0.0, 0.25, 0.5, 1.0)

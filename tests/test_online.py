@@ -270,10 +270,10 @@ def test_constraints_built_once_per_episode(count_calls):
     model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.25, A=3,
                                          reward_family="bernoulli-scaled"), 4)
     builds = count_calls(polytope_mod, "build_constraints")
-    models = count_calls(polytope_mod, "highs_model")
+    lps = count_calls(polytope_mod, "highs_lp")
     solves = count_calls(online_mod, "maximize")
     learner = drive(OnlineVcgLearner(config(alpha=0.25, delta=0.08)), model, 3000)
     episodes = learner.k - 1
     assert episodes >= 2
-    assert len(builds) == len(models) == episodes
+    assert len(builds) == len(lps) == episodes
     assert len(solves) == episodes * (2 * model.n + 1)

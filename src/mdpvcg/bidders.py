@@ -15,11 +15,7 @@ import numpy as np
 
 from .online import LearnerConfig, episode_schedule
 
-# each kind's config keys besides "kind"
-_SPEC_KEYS = {"truthful": (), "by_bids": ("table",), "scaled": ("factor",),
-              "shifted": ("offset",),
-              "adversarial_window": ("windows", "factor", "inflate_to")}
-KINDS = tuple(_SPEC_KEYS)
+KINDS = ("truthful", "by_bids", "scaled", "shifted", "adversarial_window")
 
 
 @dataclass
@@ -36,6 +32,9 @@ class BidderStrategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "by_bids" and self.table is None:
             raise ValueError("by_bids needs a bid table")
+        if self.table is not None:
+            self.table = np.clip(np.asarray(self.table, dtype=np.float64), 0.0, 1.0)
+        self.windows = tuple(tuple(w) for w in self.windows)
 
 
 def truthful() -> BidderStrategy:
@@ -43,7 +42,7 @@ def truthful() -> BidderStrategy:
 
 
 def by_bids(table: np.ndarray) -> BidderStrategy:
-    return BidderStrategy("by_bids", table=np.clip(np.asarray(table, float), 0.0, 1.0))
+    return BidderStrategy("by_bids", table=table)
 
 
 def scaled(factor: float) -> BidderStrategy:
@@ -57,8 +56,7 @@ def shifted(offset: float) -> BidderStrategy:
 def adversarial_window(windows, factor: float = 1.0,
                        inflate_to: Optional[float] = 1.0) -> BidderStrategy:
     """Inflated reports during the given [lo, hi) round windows, truthful otherwise."""
-    return BidderStrategy("adversarial_window", factor=factor,
-                          windows=tuple(tuple(w) for w in windows),
+    return BidderStrategy("adversarial_window", factor=factor, windows=windows,
                           inflate_to=inflate_to)
 
 
@@ -97,28 +95,3 @@ def reports(strategy: BidderStrategy, t, s, a, r) -> np.ndarray:
     lie = strategy.inflate_to if strategy.inflate_to is not None else strategy.factor * r
     return _clip01(np.where(inside, lie, r))
 
-
-def strategy_from_spec(doc: dict) -> BidderStrategy:
-    """Build a strategy from its experiment-config JSON entry."""
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        raise ValueError(f"unknown strategy kind {kind!r}")
-    # a misspelt optional key would silently fall back to its default: refuse it
-    known = ("kind", *_SPEC_KEYS[kind])
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {kind} bidder key(s) {', '.join(map(repr, unknown))}; "
-                         f"expected some of {', '.join(known)}")
-    if kind == "truthful":
-        return truthful()
-    if kind == "by_bids":
-        return by_bids(np.array(doc["table"], dtype=np.float64))
-    if kind == "scaled":
-        return scaled(float(doc["factor"]))
-    if kind == "shifted":
-        return shifted(float(doc["offset"]))
-    return adversarial_window(
-        [tuple(w) for w in doc["windows"]],
-        factor=float(doc.get("factor", 1.0)),
-        inflate_to=doc.get("inflate_to", 1.0),
-    )

@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .harness import ExperimentConfig, export, run_offline, run_online
+from .harness import ExperimentConfig, _is_array, export, run_offline, run_online
 from .mdp import load_model
 from .offline import BidProfile
 from .online import ConfigurationError
@@ -63,7 +62,11 @@ def _cmd_offline(args) -> int:
     model = load_model(args.model)
     bids = None
     if args.bids:
-        bids = BidProfile(np.array(json.loads(Path(args.bids).read_text())))
+        table = json.loads(Path(args.bids).read_text())
+        shape = (model.n, model.S, model.A)
+        if not _is_array(table, shape):
+            raise ValueError(f"{args.bids} must hold an (n, S, A) = {shape} array of numbers")
+        bids = BidProfile(np.array(table))
     config = ExperimentConfig(model_file=args.model)
     out = run_offline(config, bids=bids, sim_rounds=args.sim_rounds)
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True))
@@ -74,21 +77,13 @@ def _cmd_offline(args) -> int:
 
 def _cmd_simulate(args) -> int:
     doc = json.loads(Path(args.config).read_text())
+    if isinstance(doc, dict):  # the flags override the file; from_dict refuses a non-object
+        seeds = list(range(args.seeds)) if args.seeds is not None else args.seed_list
+        flags = {"seeds": seeds, "horizon": args.horizon, "out": args.out, "format": args.format}
+        doc.update((key, value) for key, value in flags.items() if value is not None)
+        if args.horizon is not None:
+            doc.pop("episodes", None)
     config = ExperimentConfig.from_dict(doc)
-    updates = {}
-    if args.seeds is not None:
-        updates["seeds"] = tuple(range(args.seeds))
-    if args.seed_list is not None:
-        updates["seeds"] = tuple(args.seed_list)
-    if args.horizon is not None:
-        updates["horizon"] = args.horizon
-        updates["episodes"] = None
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.format is not None:
-        updates["format"] = args.format
-    if updates:
-        config = replace(config, **updates)
     result = run_online(config, record_rounds=args.record_rounds)
     paths = export(result, config.out)
     final = result.report.mean_reg_sw[-1]

@@ -13,29 +13,26 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import logging
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bidders import BidderStrategy, reports, strategy_from_spec, truthful
-from .mdp import GeneratorSpec, MdpModel, SimState, generate_model, load_model, play
+from .bidders import KINDS, BidderStrategy, reports, truthful
+from .mdp import AUCTIONS, GeneratorSpec, MdpModel, SimState, generate_model, load_model, play
 from .occupancy import occupancy_from
 from .offline import BidProfile, Mechanism, average_utilities, offline_mechanism, seller_utility_identity
-from .online import ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
+from .online import VARIANTS, ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
 from .tolerances import TOL
-
-logger = logging.getLogger(__name__)
 
 
 # -- configuration ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Mirror of the JSON experiment file; see ``from_dict`` for the schema."""
+    """Mirror of the JSON experiment file; ``_CONFIG_KEYS`` is its schema."""
 
     generator: Optional[GeneratorSpec] = None
     model_file: Optional[str] = None
@@ -52,48 +49,17 @@ class ExperimentConfig:
     format: str = "csv"
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        model, learner = doc.get("model", {}), doc.get("learner", {})
-        # a misspelt key would silently fall back to a default: refuse it
-        for part, where, known in (
-                (doc, "config", _CONFIG_KEYS), (model, "model", ("generator", "file", "seed")),
-                (model.get("generator", {}), "model.generator",
-                 [f.name for f in fields(GeneratorSpec)]),
-                (learner, "learner", ("delta", "zeta", "alpha", "variant"))):
-            unknown = sorted(set(part) - set(known))
-            if unknown:
-                raise ValueError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
-                                 f"expected some of {', '.join(known)}")
-        # a float or bool run length or seed would be truncated or read as 0/1: refuse it
-        for key in ("horizon", "episodes"):
-            if doc.get(key) is not None and not _is_int(doc[key]):
-                raise ValueError(f"{key} must be an integer or null; got {doc[key]!r}")
-        if not _is_int(model.get("seed", 0)):
-            raise ValueError(f"model.seed must be an integer; got {model['seed']!r}")
-        # a string would be parsed by float() (or kept, for alpha), a bool read as 0/1
-        for key, value in learner.items():
-            if key != "variant" and not (_is_number(value) or key == "alpha" and value is None):
-                raise ValueError(f"learner.{key} must be a number; got {value!r}")
-        if doc.get("format", "csv") not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {doc['format']!r}")
-        seeds = doc.get("seeds", [0])
-        if not isinstance(seeds, (list, tuple)) or not all(map(_is_int, seeds)):
-            raise ValueError(f"seeds must be a list of integers; got {seeds!r}")
-        gen = GeneratorSpec(**model["generator"]) if "generator" in model else None
+    def from_dict(cls, doc) -> "ExperimentConfig":
+        doc = _parse(doc, _CONFIG_KEYS, "")
+        model, learner = doc.pop("model"), doc.pop("learner")
         return cls(
-            generator=gen,
-            model_file=model.get("file"),
-            model_seed=model.get("seed", 0),
-            delta=float(learner.get("delta", 0.05)),
-            zeta=float(learner.get("zeta", 0.05)),
-            alpha=learner.get("alpha"),
-            variant=learner.get("variant", "seller_favorable"),
-            bidders=tuple(doc.get("bidders", ())),
-            horizon=doc.get("horizon"),
-            episodes=doc.get("episodes"),
-            seeds=tuple(seeds),
-            out=doc.get("out", "results"),
-            format=doc.get("format", "csv"),
+            generator=model["generator"] and GeneratorSpec(**model["generator"]),
+            model_file=model["file"],
+            model_seed=model["seed"],
+            bidders=tuple(doc.pop("bidders")),
+            seeds=tuple(doc.pop("seeds")),
+            **learner,  # delta, zeta, alpha and variant, as given
+            **doc,      # horizon, episodes, out and format
         )
 
     def to_dict(self) -> dict:
@@ -104,10 +70,7 @@ class ExperimentConfig:
             model["file"] = self.model_file
         return {
             "model": model,
-            "learner": {
-                "delta": self.delta, "zeta": self.zeta, "alpha": self.alpha,
-                "variant": self.variant,
-            },
+            "learner": {key: getattr(self, key) for key in _LEARNER_KEYS},
             "bidders": list(self.bidders),
             "horizon": self.horizon,
             "episodes": self.episodes,
@@ -117,15 +80,114 @@ class ExperimentConfig:
         }
 
 
-_CONFIG_KEYS = ("model", "learner", "bidders", "horizon", "episodes", "seeds", "out", "format")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, float) or _is_int(value)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _is_array(value, shape, item=_is_number) -> bool:
+    """``value`` is nested lists of ``item``s of ``shape``, where a None length is any."""
+    if not shape:
+        return item(value)
+    return _is_list(value) and shape[0] in (None, len(value)) and all(
+        _is_array(v, shape[1:], item) for v in value)
+
+
+def _is_seed_list(value) -> bool:
+    """A list of integers; an empty list or a repeated seed is refused by name."""
+    if not _is_array(value, (None,), _is_int):
+        return False
+    if not value:
+        raise ValueError("config needs at least one seed")
+    repeated = sorted({seed for seed in value if value.count(seed) > 1})
+    if repeated:
+        raise ValueError(f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
+    return True
+
+
+# Each key maps to (test, what the value must be, default), and ``...`` as the
+# default marks a required key. A dict as the test is the table of a nested
+# object, which stays None when it is absent and its default is None.
+_GENERATOR_KEYS = {  # GeneratorSpec's fields and defaults
+    "S": (_is_int, "an integer", ...),
+    "n": (_is_int, "an integer", ...),
+    "alpha": (_is_number, "a number", ...),
+    "A": (lambda v: v is None or _is_int(v), "an integer or null", None),
+    "auction": (lambda v: v in (None, *AUCTIONS), f"one of {', '.join(AUCTIONS)} or null", None),
+    "items": (_is_int, "an integer", 1),
+    "c_max": (_is_number, "a number", 1.0),
+    "reward_family": (lambda v: isinstance(v, (str, list)), "a name or a list", "deterministic"),
+}
+
+_LEARNER_KEYS = {  # ExperimentConfig's fields of the same names
+    "delta": (_is_number, "a number", 0.05),
+    "zeta": (_is_number, "a number", 0.05),
+    "alpha": (lambda v: v is None or _is_number(v), "a number or null", None),
+    "variant": (lambda v: v in VARIANTS, f"one of {', '.join(VARIANTS)}", "seller_favorable"),
+}
+
+_CONFIG_KEYS = {
+    "model": ({
+        "file": (lambda v: v is None or isinstance(v, str), "a path or null", None),
+        "generator": (_GENERATOR_KEYS, None, None),
+        "seed": (_is_int, "an integer", 0),
+    }, None, {}),
+    "learner": (_LEARNER_KEYS, None, {}),
+    "bidders": (_is_list, "a list of bidder objects", []),
+    "horizon": (lambda v: v is None or _is_int(v), "an integer or null", None),
+    "episodes": (lambda v: v is None or _is_int(v), "an integer or null", None),
+    "seeds": (_is_seed_list, "a list of integers", [0]),
+    "out": (lambda v: isinstance(v, str), "a path", "results"),
+    "format": (lambda v: v in ("csv", "json"), "csv or json", "csv"),
+}
+
+_KIND = (lambda v: v in KINDS, f"one of {', '.join(KINDS)}", ...)
+_BIDDER_KEYS = {  # one table per kind
+    "truthful": {"kind": _KIND},
+    "by_bids": {"kind": _KIND,
+                "table": (lambda v: _is_array(v, (None, None)), "rows of numbers", ...)},
+    "scaled": {"kind": _KIND, "factor": (_is_number, "a number", ...)},
+    "shifted": {"kind": _KIND, "offset": (_is_number, "a number", ...)},
+    "adversarial_window": {
+        "kind": _KIND,
+        "windows": (lambda v: _is_array(v, (None, 2), _is_int)
+                    and all(0 <= lo < hi for lo, hi in v),
+                    "[lo, hi] integer pairs with 0 <= lo < hi", ...),
+        "factor": (_is_number, "a number", 1.0),
+        "inflate_to": (lambda v: v is None or _is_number(v), "a number or null", 1.0),
+    },
+}
+
+
+def _parse(doc, schema: dict, where: str) -> dict:
+    """``doc`` checked against ``schema``, with the absent keys' defaults filled in.
+    A non-object, a missing or mistyped value and an unknown key (a misspelt one
+    would fall back to its default) are refused, named by ``where`` + key."""
+    name = where.rstrip(". ") or "config"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be an object; got {doc!r}")
+    out = {}
+    for key, (test, what, default) in schema.items():
+        value = out[key] = doc.get(key, default)
+        if value is ...:
+            raise ValueError(f"{where}{key} is required")
+        if isinstance(test, dict):
+            if value is not None or default is not None:
+                out[key] = _parse(value, test, f"{where}{key}.")
+        elif not test(value):
+            raise ValueError(f"{where}{key} must be {what}; got {value!r}")
+    unknown = sorted(set(doc) - set(schema))
+    if unknown:
+        raise ValueError(f"unknown {name} key(s) {', '.join(map(repr, unknown))}; "
+                         f"expected some of {', '.join(schema)}")
+    return out
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -138,10 +200,10 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def resolve_model(config: ExperimentConfig) -> MdpModel:
+    if (config.model_file is None) == (config.generator is None):
+        raise ValueError("config needs exactly one of model.file and model.generator")
     if config.model_file is not None:
         return load_model(config.model_file)
-    if config.generator is None:
-        raise ValueError("config needs either model.file or model.generator")
     return generate_model(config.generator, config.model_seed)
 
 
@@ -158,35 +220,18 @@ def resolve_strategies(config: ExperimentConfig, model: MdpModel) -> list:
     specs = config.bidders or tuple({"kind": "truthful"} for _ in range(model.n))
     if len(specs) != model.n:
         raise ValueError(f"{len(specs)} strategies for {model.n} bidders")
-    return [_bidder_strategy(i, dict(d), model) for i, d in enumerate(specs, 1)]
+    return [_bidder_strategy(i, spec, model) for i, spec in enumerate(specs, 1)]
 
 
-def _bidder_strategy(i: int, spec: dict, model: MdpModel) -> BidderStrategy:
-    """Bidder ``i``'s strategy from its spec, refused by bidder and key when a
-    value has the wrong type (float() would parse a string, a bool would read
-    as 0/1), a window covers no round or fewer rounds than written, or a
-    window or table has the wrong shape (it would fail mid-run)."""
-    for key in ("factor", "offset", "inflate_to"):
-        if key in spec and not (_is_number(spec[key]) or key == "inflate_to" and spec[key] is None):
-            raise ValueError(f"bidder {i} {key} must be a number; got {spec[key]!r}")
-    windows = spec.get("windows", ())
-    if not (isinstance(windows, (list, tuple)) and all(
-            isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_is_int, w))
-            and 0 <= w[0] < w[1] for w in windows)):
-        raise ValueError(f"bidder {i} windows must be [lo, hi] integer pairs with "
-                         f"0 <= lo < hi; got {windows!r}")
-    table = spec.get("table", ())
-    if not (isinstance(table, (list, tuple)) and all(
-            isinstance(row, (list, tuple)) and all(map(_is_number, row)) for row in table)):
-        raise ValueError(f"bidder {i} table must be rows of numbers; got {table!r}")
-    try:
-        strategy = strategy_from_spec(spec)
-    except ValueError as e:
-        raise ValueError(f"bidder {i}: {e}") from e
-    if strategy.table is not None and strategy.table.shape != (model.S, model.A):
-        raise ValueError(f"bidder {i} table must have shape (S, A) = {(model.S, model.A)}; "
-                         f"got {strategy.table.shape}")
-    return strategy
+def _bidder_strategy(i: int, spec, model: MdpModel) -> BidderStrategy:
+    """Bidder ``i``'s strategy from its spec, checked against its kind's keys;
+    a table must also have the model's (S, A) shape (it would fail mid-run)."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    fields = _parse(spec, _BIDDER_KEYS[kind] if kind in KINDS else {"kind": _KIND}, f"bidder {i} ")
+    shape = (model.S, model.A)
+    if kind == "by_bids" and not _is_array(fields["table"], shape):
+        raise ValueError(f"bidder {i} table must be an (S, A) = {shape} array of numbers")
+    return BidderStrategy(**fields)
 
 
 def resolve_horizon(config: ExperimentConfig, lcfg: LearnerConfig) -> int:
@@ -447,12 +492,6 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
     ``seller_factory(mechanism)`` makes each seed's seller from the benchmark
     mechanism; by default a fresh learner that ignores it.
     """
-    seeds = [int(seed) for seed in config.seeds]
-    if not seeds:
-        raise ValueError("config needs at least one seed")
-    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
-    if repeated:
-        raise ValueError(f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
     model = resolve_model(config)
     lcfg = learner_config(config, model)
     if strategies is None:
@@ -473,7 +512,7 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
     checkpoints = checkpoint_grid(horizon, boundaries, extra_checkpoints)
 
     seed_results = []
-    for seed in seeds:
+    for seed in config.seeds:
         try:
             seed_results.append(simulate_run(
                 model, seller_factory(mech), strategies, horizon, seed,
@@ -569,17 +608,16 @@ def _round_header(n: int) -> list:
             + ["u_0"] + [f"u_{i}" for i in range(1, n + 1)] + ["R"])
 
 
-def export(result: OnlineRunResult, out_dir, fmt: Optional[str] = None) -> list:
+def export(result: OnlineRunResult, out_dir) -> list:
     """Write round CSVs, the regret curves, and the JSON summary; returns paths."""
-    fmt = fmt or result.config.format
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    if result.config.format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {result.config.format!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         written = []
         n = result.mechanism.payments.shape[0]
-        if fmt == "csv":
+        if result.config.format == "csv":
             for run in result.seed_results:
                 if run.rounds is None:
                     continue

@@ -18,6 +18,7 @@ import numpy as np
 from .tolerances import TOL
 
 REWARD_FAMILIES = ("deterministic", "bernoulli-scaled")
+AUCTIONS = ("single_item", "multi_unit", "combinatorial")
 
 
 @dataclass
@@ -103,36 +104,26 @@ def reward_caps(n: int, c_max: float) -> np.ndarray:
 def validate_model(model: MdpModel) -> list:
     """Check every model invariant; returns the (possibly empty) violation list."""
     out = []
-    S, A = model.S, model.A
+    for name, values in (("alpha", model.alpha), ("c_max", model.c_max),
+                         ("kernel", model.kernel), ("reward_means", model.reward_means)):
+        for where in np.argwhere(~np.isfinite(values)):
+            value = float(np.asarray(values)[tuple(where)])
+            out.append(Violation("not_finite", tuple(map(int, where)), f"{name}={value!r}"))
     if model.alpha <= 0:
         out.append(Violation("alpha_positive", (), f"alpha={model.alpha} must be > 0"))
-    if model.alpha * S > 1 + TOL.row_sum:
-        out.append(Violation("alpha_mass", (), f"alpha*S={model.alpha * S} exceeds 1"))
+    if model.alpha * model.S > 1 + TOL.row_sum:
+        out.append(Violation("alpha_mass", (), f"alpha*S={model.alpha * model.S} exceeds 1"))
     row_sums = model.kernel.sum(axis=2)
-    bad = np.argwhere(np.abs(row_sums - 1.0) > TOL.row_sum)
-    for s, a in bad:
+    for s, a in np.argwhere(np.abs(row_sums - 1.0) > TOL.row_sum):
         out.append(Violation("row_sum", (int(s), int(a)), f"sums to {float(row_sums[s, a])!r}"))
-    low = np.argwhere(model.kernel < model.alpha - TOL.row_sum)
-    for s, a, s2 in low:
-        out.append(
-            Violation(
-                "ergodicity_margin",
-                (int(s), int(a), int(s2)),
-                f"P={float(model.kernel[s, a, s2])!r} < alpha={model.alpha}",
-            )
-        )
+    for s, a, s2 in np.argwhere(model.kernel < model.alpha - TOL.row_sum):
+        out.append(Violation("ergodicity_margin", (int(s), int(a), int(s2)),
+                             f"P={float(model.kernel[s, a, s2])!r} < alpha={model.alpha}"))
+    r = model.reward_means
     caps = reward_caps(model.n, model.c_max)
-    for i in range(model.n + 1):
-        r = model.reward_means[i]
-        bad = np.argwhere((r < -TOL.row_sum) | (r > caps[i] + TOL.row_sum))
-        for s, a in bad:
-            out.append(
-                Violation(
-                    "reward_range",
-                    (i, int(s), int(a)),
-                    f"r_{i}={float(r[s, a])!r} outside [0, {caps[i]}]",
-                )
-            )
+    for i, s, a in np.argwhere((r < -TOL.row_sum) | (r > caps[:, None, None] + TOL.row_sum)):
+        out.append(Violation("reward_range", (int(i), int(s), int(a)),
+                             f"r_{i}={float(r[i, s, a])!r} outside [0, {caps[i]}]"))
     return out
 
 

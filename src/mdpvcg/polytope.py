@@ -83,10 +83,10 @@ class PolytopeSpec:
         if self.kernel is None:
             if self.band_upper.shape != shape:
                 raise ValueError(f"band arrays must have shape {shape}")
-            if self.band_lower.min() < 0 or self.band_upper.max() > 1 + TOL.row_sum:
-                raise ValueError("band must be clipped to [0, 1]")
+            if not (self.band_lower.min() >= 0 and self.band_upper.max() <= 1 + TOL.row_sum):
+                raise ValueError("band must be clipped to [0, 1]")  # NaN fails the comparisons
         # q = rho * P is an occupancy measure only for a stochastic kernel
-        elif self.kernel.min() < 0 or np.abs(self.kernel.sum(axis=2) - 1.0).max() > TOL.mass:
+        elif not (self.kernel.min() >= 0 and np.abs(self.kernel.sum(axis=2) - 1).max() <= TOL.mass):
             raise ValueError("kernel rows must be probability distributions")
         if self.delta is not None and not 0 < self.delta <= 1.0 / (self.S * self.A):
             raise ValueError(f"delta must lie in (0, 1/(S*A)]; got {self.delta}")

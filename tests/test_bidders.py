@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from mdpvcg import LearnerConfig, episode_schedule
 from mdpvcg.bidders import (adversarial_window, by_bids, reports, scaled,
-                            shifted, strategy_from_spec, truthful,
-                            windows_from_episodes)
+                            shifted, truthful, windows_from_episodes)
 
 from _oracles import reference_report
 
@@ -92,24 +91,3 @@ def test_windows_from_episodes_follow_the_schedule():
     windows = windows_from_episodes(cfg, [2, 3])
     assert windows == [(int(taus[1]), int(taus[2])), (int(taus[2]), int(taus[3]))]
 
-
-def test_strategy_from_spec_roundtrip():
-    specs = [
-        {"kind": "truthful"},
-        {"kind": "scaled", "factor": 1.5},
-        {"kind": "shifted", "offset": -0.2},
-        {"kind": "by_bids", "table": [[0.5, 0.25]]},
-        {"kind": "adversarial_window", "windows": [[5, 9]], "inflate_to": 1.0},
-    ]
-    for doc in specs:
-        strat = strategy_from_spec(doc)
-        assert strat.kind == doc["kind"]
-    with pytest.raises(ValueError, match="unknown strategy kind"):
-        strategy_from_spec({"kind": "mystery"})
-    # a misspelt optional key would fall back to its default: refused by name
-    for doc, key in (({"kind": "adversarial_window", "windows": [[1, 5]], "factr": 3.0},
-                      "'factr'"),
-                     ({"kind": "scaled", "factor": 1.2, "offset": 0.1}, "'offset'"),
-                     ({"kind": "truthful", "table": [[1.0]]}, "'table'")):
-        with pytest.raises(ValueError, match=key):
-            strategy_from_spec(doc)

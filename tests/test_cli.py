@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,8 @@ from scipy.optimize._highspy._core import HighsModelStatus
 
 import mdpvcg.cli as cli_mod
 import mdpvcg.polytope as polytope_mod
-from mdpvcg import (BidProfile, GeneratorSpec, average_utilities, generate_model, load_model,
-                    offline_mechanism, save_model)
+from mdpvcg import (BidProfile, ExperimentConfig, GeneratorSpec, average_utilities,
+                    config_hash, generate_model, load_model, offline_mechanism, save_model)
 from mdpvcg.cli import main
 
 GEN = GeneratorSpec(S=3, n=2, alpha=0.25, A=3, reward_family="bernoulli-scaled")
@@ -95,24 +96,39 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+_MISSING = object()  # a key left out of the config
+
+
 @pytest.mark.parametrize("key, value", [
     ("seeds", [1.5]), ("seeds", [True]), ("seeds", ["2"]), ("seeds", 3),
     ("horizon", 2.7), ("horizon", True), ("episodes", 1.5), ("episodes", False),
     ("model.seed", 1.7), ("model.seed", True), ("model.seed", "1"), ("format", "xml"),
     ("learner.zeta", "0.05"), ("learner.alpha", "0.2"), ("learner.delta", True),
-    ("learner.alpha", True)])
+    ("learner.alpha", True),
+    ("model.generator.S", "3"), ("model.generator.S", 3.0), ("model.generator.S", True),
+    ("model.generator.alpha", "0.2"), ("model.generator.n", _MISSING),
+    ("model.generator.items", "2"), ("model.generator.auction", "dutch"),
+    ("model.file", 5), ("config", [1]), ("model", ["file"]), ("learner", ["delta"])])
 def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key, value):
-    """Refused before any seed is simulated, so nothing is written."""
+    """A mistyped or missing value, or a list for an object, at any level of
+    the config is refused by its key before any seed is simulated, so
+    nothing is written."""
     config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
               "horizon": 100, "seeds": [0]}
-    if key == "model.seed":
-        config["model"]["seed"] = value
-    elif key.startswith("learner."):
-        config["learner"][key.split(".")[1]] = value
-    else:
-        config[key] = value
+    if key.startswith("model.generator."):
+        config["model"] = {"generator": {"S": 3, "n": 2, "alpha": 0.25, "A": 3}}
     if key == "episodes":
         config.pop("horizon")
+    *parents, last = key.split(".")
+    part = config
+    for parent in parents:
+        part = part[parent]
+    if key == "config":
+        config = value
+    elif value is _MISSING:
+        del part[last]
+    else:
+        part[last] = value
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(config))
     with mock.patch.object(cli_mod, "run_online") as run_online:
@@ -123,7 +139,9 @@ def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key,
 
 
 @pytest.mark.parametrize("case, kind", [("margin", "ergodicity_margin"),
-                                        ("seller_reward", "reward_range (0, 1, 2): r_0=5.0")])
+                                        ("seller_reward", "reward_range (0, 1, 2): r_0=5.0"),
+                                        ("kernel_nan", "not_finite (0, 0, 0): kernel=nan"),
+                                        ("alpha_nan", "not_finite (): alpha=nan")])
 @pytest.mark.parametrize("command", ["offline-vcg", "simulate"])
 def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
     """A model file is validated when it loads, before anything is written."""
@@ -132,8 +150,12 @@ def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
     doc = json.loads(path.read_text())
     if case == "margin":  # the kernel's entries go down to alpha = 0.25
         doc["alpha"] = 0.3
-    else:
+    elif case == "seller_reward":
         doc["reward_means"][0][1][2] = 5.0  # the seller's cap is c_max = 1
+    elif case == "kernel_nan":
+        doc["kernel"][0][0][0] = math.nan
+    else:
+        doc["alpha"] = math.nan
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     if command == "offline-vcg":
@@ -163,9 +185,16 @@ def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
     ({"kind": "adversarial_window", "windows": [[-5, 3]]}, "windows"),
     ({"kind": "by_bids", "table": [["0.5"] * 3] * 3}, "table"),
     ({"kind": "by_bids", "table": [[True] * 3] * 3}, "table"),
+    ({"kind": "mystery"}, "kind"),
+    ({"kind": "scaled", "factor": 1.2, "offset": 0.1}, "'offset'"),
+    ({"kind": "truthful", "table": [[1.0]]}, "'table'"),
+    ({"kind": "scaled"}, "factor"),
+    ({"kind": "by_bids", "table": [[0.5] * 3, [0.5] * 3, [0.5] * 2]}, "table"),
+    ("truthful", "object"),
 ])
 def test_simulate_mistyped_bidder_spec_exits_2(model_file, tmp_path, capsys, spec, key):
-    """A bidder spec of the wrong type or shape is refused by bidder and key."""
+    """A bidder spec of the wrong type or shape, of an unknown kind, with a key
+    its kind does not take or without one it needs, is refused by bidder and key."""
     out = tmp_path / "o"
     config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
               "bidders": [{"kind": "truthful"}, spec], "horizon": 100, "out": str(out)}
@@ -175,6 +204,57 @@ def test_simulate_mistyped_bidder_spec_exits_2(model_file, tmp_path, capsys, spe
     err = capsys.readouterr().err
     assert "configuration error" in err and "bidder 2" in err and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bids", [
+    [[["0.5"] * 3] * 3] * 2,
+    [[[True] * 3] * 3] * 2,
+    [[[0.5] * 3] * 3] * 3,  # one table more than the model's bidders
+    [[[0.5] * 3] * 4] * 2,
+    [[[0.5] * 2] * 3] * 2,
+    [[[0.5] * 3] * 3, [[0.5] * 3] * 2],
+], ids=["strings", "bools", "extra-bidder", "wrong-S", "wrong-A", "ragged"])
+def test_offline_vcg_malformed_bid_file_exits_2(model_file, tmp_path, capsys, bids):
+    """A bids file must hold one (S, A) table of numbers per bidder of the model."""
+    bid_file = tmp_path / "bids.json"
+    bid_file.write_text(json.dumps(bids))
+    out = tmp_path / "mech.json"
+    assert main(["offline-vcg", "--model", str(model_file), "--bids", str(bid_file),
+                 "--out", str(out), "--sim-rounds", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "(n, S, A) = (2, 3, 3)" in err
+    assert not out.exists()
+
+
+def test_simulate_model_file_and_generator_exits_2(model_file, tmp_path, capsys):
+    """A config naming both a model file and a generator is refused, not run on the file."""
+    out = tmp_path / "o"
+    config = {"model": {"file": str(model_file),
+                        "generator": {"S": 3, "n": 2, "alpha": 0.25, "A": 3}},
+              "horizon": 100, "out": str(out)}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "model.file" in err and "model.generator" in err
+    assert not out.exists()
+
+
+def test_simulate_flags_override_the_config_file(model_file, tmp_path):
+    """--horizon drops the file's episodes; --seeds, --out and --format replace theirs."""
+    config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
+              "episodes": 1, "seeds": [5], "out": str(tmp_path / "file_out"), "format": "csv"}
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "flag_out"
+    assert main(["simulate", "--config", str(cfg_file), "--horizon", "300", "--seeds", "2",
+                 "--out", str(out), "--format", "json"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seeds"] == [0, 1] and summary["final_regrets"]["t"] == 300
+    assert summary["config_hash"] == config_hash(ExperimentConfig(
+        model_file=str(model_file), delta=0.08, zeta=0.05, horizon=300, format="json"))
+    assert (out / "results.json").exists() and not (out / "regret.csv").exists()
+    assert not (tmp_path / "file_out").exists()
 
 
 def test_missing_model_file_exits_3(tmp_path, capsys):

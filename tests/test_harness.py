@@ -1,7 +1,8 @@
 import json
 import math
 import struct
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,11 +16,11 @@ from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
                     RegretReport, RoundColumns, compute_benchmark, config_hash,
                     episode_schedule, export, generate_model, run_clairvoyant,
                     run_offline, run_online, save_model, truthfulness_gain)
-from mdpvcg.bidders import (BidderStrategy, adversarial_window, scaled, shifted,
+from mdpvcg.bidders import (KINDS, BidderStrategy, adversarial_window, scaled, shifted,
                             truthful)
-from mdpvcg.harness import (SeedRunResult, _decimal_bytes, _round_header,
-                            _write_rounds_csv, checkpoint_grid, resolve_strategies,
-                            simulate_run)
+from mdpvcg.harness import (_BIDDER_KEYS, _CONFIG_KEYS, _GENERATOR_KEYS, SeedRunResult,
+                            _decimal_bytes, _round_header, _write_rounds_csv,
+                            checkpoint_grid, resolve_strategies, simulate_run)
 
 from _oracles import loop_rounds_csv, loop_simulate_run
 
@@ -225,9 +226,10 @@ def test_export_json_format(tmp_path):
 
 
 def test_export_rejects_unknown_format(tmp_path):
-    res = run_online(quick_config(horizon=50, seeds=(0,)))
-    with pytest.raises(ValueError):
-        export(res, tmp_path, fmt="xml")
+    res = run_online(quick_config(horizon=50, seeds=(0,), format="xml"))
+    with pytest.raises(ValueError, match="format"):
+        export(res, tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_dict_roundtrip():
@@ -250,6 +252,38 @@ def test_config_dict_roundtrip():
     assert config_hash(again) == config_hash(cfg)
 
 
+def test_config_defaults_match_the_dataclass():
+    """A config file that gives only the model reads as ExperimentConfig's defaults."""
+    doc = {"model": {"generator": {"S": 3, "n": 2, "alpha": 0.25}}}
+    assert ExperimentConfig.from_dict(doc) == ExperimentConfig(
+        generator=GeneratorSpec(S=3, n=2, alpha=0.25))
+
+
+def test_generator_keys_match_generator_spec():
+    """The generator table has GeneratorSpec's fields and defaults, of the same
+    types, so a parsed generator hashes as GeneratorSpec(**doc) did."""
+    spec = {f.name: f.default if f.default is not MISSING else ... for f in fields(GeneratorSpec)}
+    table = {key: default for key, (_, _, default) in _GENERATOR_KEYS.items()}
+    assert list(table) == list(spec)
+    assert [(type(v), v) for v in table.values()] == [(type(v), v) for v in spec.values()]
+    assert list(_BIDDER_KEYS) == list(KINDS)
+
+
+def _key_names(schema, prefix=""):
+    for key, (test, _, _) in schema.items():
+        yield prefix + key
+        if isinstance(test, dict):
+            yield from _key_names(test, f"{prefix}{key}.")
+
+
+def test_readme_names_every_config_key():
+    """The README's config table has a row for every key, bidder keys included."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = list(_key_names(_CONFIG_KEYS))
+    names += sorted({f"bidders[].{key}" for keys in _BIDDER_KEYS.values() for key in keys})
+    assert [name for name in names if f"| `{name}` |" not in readme] == []
+
+
 def test_strategy_count_must_match_bidders():
     cfg = quick_config(bidders=({"kind": "truthful"},))
     with pytest.raises(ValueError):
@@ -268,6 +302,8 @@ def test_well_typed_bidder_specs_resolve():
     window, table = resolve_strategies(quick_config(bidders=specs), model)
     assert window == adversarial_window([], factor=2, inflate_to=None)
     assert table.table.shape == (GEN.S, GEN.A)
+    specs = ({"kind": "truthful"}, {"kind": "shifted", "offset": -0.2})
+    assert resolve_strategies(quick_config(bidders=specs), model) == [truthful(), shifted(-0.2)]
 
 
 def test_truthfulness_gain_helper_runs():
@@ -521,7 +557,7 @@ def test_decimal_bytes_equal_str(values):
 def test_export_crosses_the_default_block(tmp_path):
     """A run longer than one 8192-row block exports csv.writer's bytes."""
     res = run_online(quick_config(horizon=9000, seeds=(4,)), record_rounds=True)
-    export(res, tmp_path / "out", "csv")
+    export(res, tmp_path / "out")
     rounds = res.seed_results[0].rounds
     want = loop_rounds_csv(tmp_path / "want.csv", _rows(rounds), _round_header(2))
     got = (tmp_path / "out" / "rounds_seed4.csv").read_bytes()

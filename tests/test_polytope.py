@@ -227,6 +227,18 @@ def test_missing_highs_bindings_fail_at_import():
     assert "scipy>=1.15" in out and "imported" not in out
 
 
+def test_rejects_nan_kernel_or_band():
+    """Every comparison with NaN is false, so the spec checks are written to fail on it."""
+    kernel, lower, upper = np.full((2, 2, 2), 0.5), np.zeros((2, 2, 2)), np.ones((2, 2, 2))
+    kernel[0, 1, 0] = lower[1, 0, 1] = upper[0, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="probability distributions"):
+        PolytopeSpec(kernel=kernel)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        PolytopeSpec(band_lower=lower, band_upper=np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        PolytopeSpec(band_lower=np.zeros((2, 2, 2)), band_upper=upper)
+
+
 def test_rejects_malformed_specs():
     kernel, lower, upper = np.full((2, 2, 2), 0.5), np.zeros((2, 2, 2)), np.ones((2, 2, 2))
     with pytest.raises(ValueError, match="bad dims"):

@@ -32,9 +32,6 @@ class BidderStrategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "by_bids" and self.table is None:
             raise ValueError("by_bids needs a bid table")
-        if self.table is not None:
-            self.table = np.clip(np.asarray(self.table, dtype=np.float64), 0.0, 1.0)
-        self.windows = tuple(tuple(w) for w in self.windows)
 
 
 def truthful() -> BidderStrategy:
@@ -42,7 +39,7 @@ def truthful() -> BidderStrategy:
 
 
 def by_bids(table: np.ndarray) -> BidderStrategy:
-    return BidderStrategy("by_bids", table=table)
+    return BidderStrategy("by_bids", table=np.clip(np.asarray(table, float), 0.0, 1.0))
 
 
 def scaled(factor: float) -> BidderStrategy:
@@ -56,7 +53,8 @@ def shifted(offset: float) -> BidderStrategy:
 def adversarial_window(windows, factor: float = 1.0,
                        inflate_to: Optional[float] = 1.0) -> BidderStrategy:
     """Inflated reports during the given [lo, hi) round windows, truthful otherwise."""
-    return BidderStrategy("adversarial_window", factor=factor, windows=windows,
+    return BidderStrategy("adversarial_window", factor=factor,
+                          windows=tuple(tuple(w) for w in windows),
                           inflate_to=inflate_to)
 
 
@@ -94,4 +92,3 @@ def reports(strategy: BidderStrategy, t, s, a, r) -> np.ndarray:
         inside |= (lo <= t) & (t < hi)
     lie = strategy.inflate_to if strategy.inflate_to is not None else strategy.factor * r
     return _clip01(np.where(inside, lie, r))
-

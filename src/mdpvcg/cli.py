@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import ExperimentConfig, _is_array, export, run_offline, run_online
+from .harness import ExperimentConfig, export, load_bids, run_offline, run_online
 from .mdp import load_model
-from .offline import BidProfile
 from .online import ConfigurationError
 from .polytope import calibrate_delta
 
@@ -59,14 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_offline(args) -> int:
-    model = load_model(args.model)
-    bids = None
-    if args.bids:
-        table = json.loads(Path(args.bids).read_text())
-        shape = (model.n, model.S, model.A)
-        if not _is_array(table, shape):
-            raise ValueError(f"{args.bids} must hold an (n, S, A) = {shape} array of numbers")
-        bids = BidProfile(np.array(table))
+    bids = load_bids(args.bids, load_model(args.model)) if args.bids else None
     config = ExperimentConfig(model_file=args.model)
     out = run_offline(config, bids=bids, sim_rounds=args.sim_rounds)
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True))

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import bidders
 from .bidders import KINDS, BidderStrategy, reports, truthful
 from .mdp import AUCTIONS, GeneratorSpec, MdpModel, SimState, generate_model, load_model, play
 from .occupancy import occupancy_from
@@ -47,6 +48,14 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     out: str = "results"
     format: str = "csv"
+
+    def __post_init__(self):
+        seeds = [int(seed) for seed in self.seeds]
+        if not seeds:
+            raise ValueError("config needs at least one seed")
+        repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+        if repeated:
+            raise ValueError(f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
 
     @classmethod
     def from_dict(cls, doc) -> "ExperimentConfig":
@@ -100,18 +109,6 @@ def _is_array(value, shape, item=_is_number) -> bool:
         _is_array(v, shape[1:], item) for v in value)
 
 
-def _is_seed_list(value) -> bool:
-    """A list of integers; an empty list or a repeated seed is refused by name."""
-    if not _is_array(value, (None,), _is_int):
-        return False
-    if not value:
-        raise ValueError("config needs at least one seed")
-    repeated = sorted({seed for seed in value if value.count(seed) > 1})
-    if repeated:
-        raise ValueError(f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
-    return True
-
-
 # Each key maps to (test, what the value must be, default), and ``...`` as the
 # default marks a required key. A dict as the test is the table of a nested
 # object, which stays None when it is absent and its default is None.
@@ -123,7 +120,8 @@ _GENERATOR_KEYS = {  # GeneratorSpec's fields and defaults
     "auction": (lambda v: v in (None, *AUCTIONS), f"one of {', '.join(AUCTIONS)} or null", None),
     "items": (_is_int, "an integer", 1),
     "c_max": (_is_number, "a number", 1.0),
-    "reward_family": (lambda v: isinstance(v, (str, list)), "a name or a list", "deterministic"),
+    "reward_family": (lambda v: isinstance(v, str) or _is_list(v), "a name or a list",
+                      "deterministic"),
 }
 
 _LEARNER_KEYS = {  # ExperimentConfig's fields of the same names
@@ -143,7 +141,7 @@ _CONFIG_KEYS = {
     "bidders": (_is_list, "a list of bidder objects", []),
     "horizon": (lambda v: v is None or _is_int(v), "an integer or null", None),
     "episodes": (lambda v: v is None or _is_int(v), "an integer or null", None),
-    "seeds": (_is_seed_list, "a list of integers", [0]),
+    "seeds": (lambda v: _is_array(v, (None,), _is_int), "a list of integers", [0]),
     "out": (lambda v: isinstance(v, str), "a path", "results"),
     "format": (lambda v: v in ("csv", "json"), "csv or json", "csv"),
 }
@@ -231,7 +229,7 @@ def _bidder_strategy(i: int, spec, model: MdpModel) -> BidderStrategy:
     shape = (model.S, model.A)
     if kind == "by_bids" and not _is_array(fields["table"], shape):
         raise ValueError(f"bidder {i} table must be an (S, A) = {shape} array of numbers")
-    return BidderStrategy(**fields)
+    return getattr(bidders, fields.pop("kind"))(**fields)  # each kind's factory takes its keys
 
 
 def resolve_horizon(config: ExperimentConfig, lcfg: LearnerConfig) -> int:
@@ -542,6 +540,15 @@ def run_clairvoyant(config: ExperimentConfig, extra_checkpoints=()) -> OnlineRun
     with every bidder truthful (the config's bidder list is dropped)."""
     return run_online(replace(config, bidders=()), extra_checkpoints=extra_checkpoints,
                       seller_factory=lambda mech: mech)
+
+
+def load_bids(path, model: MdpModel) -> BidProfile:
+    """The bid profile in JSON file ``path``: an (n, S, A) array of numbers for ``model``."""
+    table = json.loads(Path(path).read_text())
+    shape = (model.n, model.S, model.A)
+    if not _is_array(table, shape):
+        raise ValueError(f"{path} must hold an (n, S, A) = {shape} array of numbers")
+    return BidProfile(np.array(table))
 
 
 def run_offline(config: ExperimentConfig, bids: Optional[BidProfile] = None,

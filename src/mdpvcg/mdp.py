@@ -109,21 +109,36 @@ def validate_model(model: MdpModel) -> list:
         for where in np.argwhere(~np.isfinite(values)):
             value = float(np.asarray(values)[tuple(where)])
             out.append(Violation("not_finite", tuple(map(int, where)), f"{name}={value!r}"))
+    S, A = model.S, model.A
     if model.alpha <= 0:
         out.append(Violation("alpha_positive", (), f"alpha={model.alpha} must be > 0"))
-    if model.alpha * model.S > 1 + TOL.row_sum:
-        out.append(Violation("alpha_mass", (), f"alpha*S={model.alpha * model.S} exceeds 1"))
+    if model.alpha * S > 1 + TOL.row_sum:
+        out.append(Violation("alpha_mass", (), f"alpha*S={model.alpha * S} exceeds 1"))
     row_sums = model.kernel.sum(axis=2)
-    for s, a in np.argwhere(np.abs(row_sums - 1.0) > TOL.row_sum):
+    bad = np.argwhere(np.abs(row_sums - 1.0) > TOL.row_sum)
+    for s, a in bad:
         out.append(Violation("row_sum", (int(s), int(a)), f"sums to {float(row_sums[s, a])!r}"))
-    for s, a, s2 in np.argwhere(model.kernel < model.alpha - TOL.row_sum):
-        out.append(Violation("ergodicity_margin", (int(s), int(a), int(s2)),
-                             f"P={float(model.kernel[s, a, s2])!r} < alpha={model.alpha}"))
-    r = model.reward_means
+    low = np.argwhere(model.kernel < model.alpha - TOL.row_sum)
+    for s, a, s2 in low:
+        out.append(
+            Violation(
+                "ergodicity_margin",
+                (int(s), int(a), int(s2)),
+                f"P={float(model.kernel[s, a, s2])!r} < alpha={model.alpha}",
+            )
+        )
     caps = reward_caps(model.n, model.c_max)
-    for i, s, a in np.argwhere((r < -TOL.row_sum) | (r > caps[:, None, None] + TOL.row_sum)):
-        out.append(Violation("reward_range", (int(i), int(s), int(a)),
-                             f"r_{i}={float(r[i, s, a])!r} outside [0, {caps[i]}]"))
+    for i in range(model.n + 1):
+        r = model.reward_means[i]
+        bad = np.argwhere((r < -TOL.row_sum) | (r > caps[i] + TOL.row_sum))
+        for s, a in bad:
+            out.append(
+                Violation(
+                    "reward_range",
+                    (i, int(s), int(a)),
+                    f"r_{i}={float(r[s, a])!r} outside [0, {caps[i]}]",
+                )
+            )
     return out
 
 

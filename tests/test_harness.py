@@ -250,6 +250,18 @@ def test_config_dict_roundtrip():
     assert cfg.generator.S == 3
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert config_hash(again) == config_hash(cfg)
+    # asdict keeps a Python-built GeneratorSpec's tuple of families a tuple
+    cfg = quick_config(generator=replace(GEN, n=3, reward_family=(
+        "bernoulli-scaled", "deterministic", "bernoulli-scaled", "deterministic")))
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_refuses_empty_or_repeated_seeds():
+    """A Python-built config is refused as a config file is, before any run."""
+    with pytest.raises(ValueError, match="at least one seed"):
+        quick_config(seeds=())
+    with pytest.raises(ValueError, match="seeds must be distinct; repeated: 1, 3"):
+        quick_config(seeds=(3, 1, 2, 1, 3))
 
 
 def test_config_defaults_match_the_dataclass():
@@ -298,10 +310,10 @@ def test_well_typed_bidder_specs_resolve():
     got = resolve_strategies(quick_config(bidders=specs), model)
     assert got == [adversarial_window([(20_000, 40_000)]), scaled(1.5)]
     specs = ({"kind": "adversarial_window", "windows": [], "factor": 2, "inflate_to": None},
-             {"kind": "by_bids", "table": [[0.5] * GEN.A] * GEN.S})
+             {"kind": "by_bids", "table": [[-0.5, 0.5, 1.5]] * GEN.S})
     window, table = resolve_strategies(quick_config(bidders=specs), model)
     assert window == adversarial_window([], factor=2, inflate_to=None)
-    assert table.table.shape == (GEN.S, GEN.A)
+    np.testing.assert_array_equal(table.table, [[0.0, 0.5, 1.0]] * GEN.S)  # clipped by by_bids
     specs = ({"kind": "truthful"}, {"kind": "shifted", "offset": -0.2})
     assert resolve_strategies(quick_config(bidders=specs), model) == [truthful(), shifted(-0.2)]
 

@@ -41,7 +41,7 @@ print("=" * 64)
 print("3. Calibrating delta for a target loss")
 print("=" * 64)
 for epsilon in [0.2, 0.05, 0.01]:
-    delta = calibrate_delta(model, objective, epsilon)
+    delta = calibrate_delta(model.kernel, objective, epsilon)
     sol = maximize(objective, PolytopeSpec(kernel=model.kernel, delta=delta))
     print(f"  epsilon={epsilon:<5} -> delta={delta:.6f}"
           f"   realized loss {exact.objective_value - sol.objective_value:.6f}")

@@ -9,10 +9,12 @@ truthful keeps a nonnegative long-run utility even with an adversary in the
 room.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from mdpvcg import ExperimentConfig, GeneratorSpec, run_online, truthfulness_gain
-from mdpvcg.bidders import adversarial_window, scaled, truthful, windows_from_episodes
+from mdpvcg.bidders import windows_from_episodes
 from mdpvcg.harness import learner_config, resolve_model
 
 T = 30_000
@@ -27,7 +29,8 @@ lcfg = learner_config(config, model)
 print("=" * 64)
 print("1. Stationary distortion: reporting half the realized value")
 print("=" * 64)
-cps, gains = truthfulness_gain(config, bidder_index=0, deviant=scaled(0.5),
+cps, gains = truthfulness_gain(config, bidder_index=0,
+                               deviant={"kind": "scaled", "factor": 0.5},
                                extra_checkpoints=(T // 10, T))
 for t in (T // 10, T):
     g = gains[int(np.where(cps == t)[0][0])]
@@ -41,7 +44,7 @@ windows = windows_from_episodes(lcfg, [2, 3, 4])
 print("  inflation windows (rounds):", windows)
 cps, gains = truthfulness_gain(
     config, bidder_index=0,
-    deviant=adversarial_window(windows, inflate_to=1.0),
+    deviant={"kind": "adversarial_window", "windows": windows, "inflate_to": 1.0},
     extra_checkpoints=(T // 10, T))
 for t in (T // 10, T):
     g = gains[int(np.where(cps == t)[0][0])]
@@ -51,10 +54,10 @@ print()
 print("=" * 64)
 print("3. Individual rationality for the honest bidder")
 print("=" * 64)
-strategies = [truthful(),
-              adversarial_window(windows_from_episodes(lcfg, [2, 3, 5]),
-                                 inflate_to=1.0)]
-res = run_online(config, strategies=strategies, extra_checkpoints=(T,))
+bidders = ({"kind": "truthful"},
+           {"kind": "adversarial_window", "windows": windows_from_episodes(lcfg, [2, 3, 5]),
+            "inflate_to": 1.0})
+res = run_online(replace(config, bidders=bidders), extra_checkpoints=(T,))
 u = np.mean([r.cum_per_bidder[0, -1] for r in res.seed_results]) / T
 print(f"  truthful bidder's average utility with an adversary present: {u:+.4f}")
 print("  (stays clear of negative territory)")

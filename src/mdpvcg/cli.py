@@ -58,9 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_offline(args) -> int:
-    bids = load_bids(args.bids, load_model(args.model)) if args.bids else None
-    config = ExperimentConfig(model_file=args.model)
-    out = run_offline(config, bids=bids, sim_rounds=args.sim_rounds)
+    model = load_model(args.model)
+    bids = load_bids(args.bids, model) if args.bids else None
+    out = run_offline(model, bids=bids, sim_rounds=args.sim_rounds)
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True))
     print(f"wrote {args.out} (welfare {out['welfare']:.6f}, "
           f"identity residual {out['identity_residual']:.2e})")
@@ -90,7 +90,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_calibrate(args) -> int:
     model = load_model(args.model)
     objective = model.reward_means.sum(axis=0)
-    delta = calibrate_delta(model, objective, args.epsilon)
+    delta = calibrate_delta(model.kernel, objective, args.epsilon)
     print(json.dumps({"delta": delta, "epsilon": args.epsilon}))
     return 0
 

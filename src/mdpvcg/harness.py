@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,7 +21,8 @@ import numpy as np
 
 from . import bidders
 from .bidders import KINDS, BidderStrategy, reports, truthful
-from .mdp import AUCTIONS, GeneratorSpec, MdpModel, SimState, generate_model, load_model, play
+from .mdp import (AUCTIONS, GeneratorSpec, MdpModel, SimState, _is_array, _is_int, _is_list,
+                  _is_number, generate_model, load_model, play)
 from .occupancy import occupancy_from
 from .offline import BidProfile, Mechanism, average_utilities, offline_mechanism, seller_utility_identity
 from .online import VARIANTS, ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
@@ -33,7 +33,8 @@ from .tolerances import TOL
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Mirror of the JSON experiment file; ``_CONFIG_KEYS`` is its schema."""
+    """Mirror of the JSON experiment file; ``_CONFIG_KEYS`` is its schema, and
+    a config built in Python is checked against it as a file is."""
 
     generator: Optional[GeneratorSpec] = None
     model_file: Optional[str] = None
@@ -50,10 +51,14 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        seeds = [int(seed) for seed in self.seeds]
-        if not seeds:
+        _parse(self.to_dict(), _CONFIG_KEYS, "")
+        if (self.model_file is None) == (self.generator is None):
+            raise ValueError("config needs exactly one of model.file and model.generator")
+        if self.horizon is None and self.episodes is None:
+            raise ValueError("config needs horizon or episodes")
+        if not self.seeds:
             raise ValueError("config needs at least one seed")
-        repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
         if repeated:
             raise ValueError(f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
 
@@ -80,33 +85,13 @@ class ExperimentConfig:
         return {
             "model": model,
             "learner": {key: getattr(self, key) for key in _LEARNER_KEYS},
-            "bidders": list(self.bidders),
+            "bidders": self.bidders,
             "horizon": self.horizon,
             "episodes": self.episodes,
-            "seeds": list(self.seeds),
+            "seeds": self.seeds,
             "out": self.out,
             "format": self.format,
         }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, float) or _is_int(value)
-
-
-def _is_list(value) -> bool:
-    return isinstance(value, (list, tuple))
-
-
-def _is_array(value, shape, item=_is_number) -> bool:
-    """``value`` is nested lists of ``item``s of ``shape``, where a None length is any."""
-    if not shape:
-        return item(value)
-    return _is_list(value) and shape[0] in (None, len(value)) and all(
-        _is_array(v, shape[1:], item) for v in value)
 
 
 # Each key maps to (test, what the value must be, default), and ``...`` as the
@@ -131,6 +116,11 @@ _LEARNER_KEYS = {  # ExperimentConfig's fields of the same names
     "variant": (lambda v: v in VARIANTS, f"one of {', '.join(VARIANTS)}", "seller_favorable"),
 }
 
+
+def _is_run_length(value) -> bool:
+    return value is None or _is_int(value) and value > 0
+
+
 _CONFIG_KEYS = {
     "model": ({
         "file": (lambda v: v is None or isinstance(v, str), "a path or null", None),
@@ -139,8 +129,8 @@ _CONFIG_KEYS = {
     }, None, {}),
     "learner": (_LEARNER_KEYS, None, {}),
     "bidders": (_is_list, "a list of bidder objects", []),
-    "horizon": (lambda v: v is None or _is_int(v), "an integer or null", None),
-    "episodes": (lambda v: v is None or _is_int(v), "an integer or null", None),
+    "horizon": (_is_run_length, "a positive integer or null", None),
+    "episodes": (_is_run_length, "a positive integer or null", None),
     "seeds": (lambda v: _is_array(v, (None,), _is_int), "a list of integers", [0]),
     "out": (lambda v: isinstance(v, str), "a path", "results"),
     "format": (lambda v: v in ("csv", "json"), "csv or json", "csv"),
@@ -198,8 +188,6 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def resolve_model(config: ExperimentConfig) -> MdpModel:
-    if (config.model_file is None) == (config.generator is None):
-        raise ValueError("config needs exactly one of model.file and model.generator")
     if config.model_file is not None:
         return load_model(config.model_file)
     return generate_model(config.generator, config.model_seed)
@@ -234,10 +222,8 @@ def _bidder_strategy(i: int, spec, model: MdpModel) -> BidderStrategy:
 
 def resolve_horizon(config: ExperimentConfig, lcfg: LearnerConfig) -> int:
     if config.horizon is not None:
-        return int(config.horizon)
-    if config.episodes is not None:
-        return int(episode_schedule(lcfg, int(config.episodes))[-1] - 1)
-    raise ValueError("config needs horizon or episodes")
+        return config.horizon
+    return int(episode_schedule(lcfg, config.episodes)[-1] - 1)
 
 
 # -- per-round and per-episode records ---------------------------------------
@@ -280,7 +266,6 @@ class EpisodeRecord:
     band_width_max: float
     payment_order_ok: bool       # seller-favorable >= bidder-favorable everywhere
     rho_gap: float               # diagnostic: ||rho_hat - rho_true|| for next policy
-    rho_gap_bound: float
 
 
 @dataclass
@@ -443,19 +428,15 @@ def _end_episode(learner: OnlineVcgLearner, model: MdpModel,
     in_bounds = bool(np.all(model.reward_means >= learner.reward_lcb - tol)
                      and np.all(model.reward_means <= learner.reward_ucb + tol))
     order_ok = bool(np.all(learner.payments_seller >= learner.payments_bidder - TOL.mass))
-    # Occupancy mismatch of the newly chosen policy against the true kernel,
-    # next to its high-probability bound (diagnostic only, never asserted).
-    cfg = learner.config
+    # Occupancy mismatch of the newly chosen policy against the true kernel
+    # (diagnostic only, never asserted).
     rho_true = occupancy_from(model.kernel, learner.policy).rho
     rho_gap = float(np.abs(learner.q_hat.rho - rho_true).sum())
-    log_term = math.log(cfg.A * cfg.S * k / cfg.zeta)
-    rho_bound = (6.0 / (cfg.alpha * math.sqrt(cfg.S)) * math.sqrt(log_term / k)
-                 + 20.0 / cfg.alpha * log_term / k)
     return EpisodeRecord(
         k=k, tau=tau, d=d, l=l, policy_min=policy_min, unvisited=unvisited,
         band_contains_truth=in_band, rewards_in_bounds=in_bounds,
         band_width_max=float((learner.band_upper - learner.band_lower).max()),
-        payment_order_ok=order_ok, rho_gap=rho_gap, rho_gap_bound=rho_bound,
+        payment_order_ok=order_ok, rho_gap=rho_gap,
     )
 
 
@@ -482,8 +463,7 @@ def _exact_scores(mech: Mechanism, model: MdpModel) -> dict:
     }
 
 
-def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
-               record_rounds: bool = False, extra_checkpoints=(),
+def run_online(config: ExperimentConfig, record_rounds: bool = False, extra_checkpoints=(),
                seller_factory=None) -> OnlineRunResult:
     """Full multi-seed online experiment against the offline benchmark.
 
@@ -492,11 +472,8 @@ def run_online(config: ExperimentConfig, strategies: Optional[list] = None,
     """
     model = resolve_model(config)
     lcfg = learner_config(config, model)
-    if strategies is None:
-        strategies = resolve_strategies(config, model)
+    strategies = resolve_strategies(config, model)
     horizon = resolve_horizon(config, lcfg)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     mech, bench = compute_benchmark(model)
 
     if seller_factory is None:
@@ -551,10 +528,9 @@ def load_bids(path, model: MdpModel) -> BidProfile:
     return BidProfile(np.array(table))
 
 
-def run_offline(config: ExperimentConfig, bids: Optional[BidProfile] = None,
+def run_offline(model: MdpModel, bids: Optional[BidProfile] = None,
                 sim_rounds: int = 100_000, sim_seed: int = 0) -> dict:
     """Offline mechanism plus exact utilities and a Monte Carlo cross-check."""
-    model = resolve_model(config)
     if bids is None:
         bids = BidProfile.truthful(model)
     mech = offline_mechanism(bids, model.reward_means[0], model.kernel)
@@ -583,19 +559,19 @@ def run_offline(config: ExperimentConfig, bids: Optional[BidProfile] = None,
     }
 
 
-def truthfulness_gain(config: ExperimentConfig, bidder_index: int,
-                      deviant: BidderStrategy, extra_checkpoints=()):
+def truthfulness_gain(config: ExperimentConfig, bidder_index: int, deviant: dict,
+                      extra_checkpoints=()):
     """Seed-averaged (1/t) * sum(u_i_deviant - u_i_truthful) at each checkpoint.
 
-    All other strategies are held fixed at the config's list; the same seeds
-    drive both arms.
+    ``deviant`` is a bidder spec, as in the config's ``bidders`` list. All
+    other bidders keep the config's specs; the same seeds drive both arms.
     """
-    model = resolve_model(config)
-    base = resolve_strategies(config, model)
-    dev = list(base)
-    dev[bidder_index] = deviant
-    honest = run_online(config, strategies=base, extra_checkpoints=extra_checkpoints)
-    twisted = run_online(config, strategies=dev, extra_checkpoints=extra_checkpoints)
+    honest = run_online(config, extra_checkpoints=extra_checkpoints)
+    n = honest.mechanism.payments.shape[0]
+    specs = list(config.bidders or [{"kind": "truthful"}] * n)
+    specs[bidder_index] = deviant
+    twisted = run_online(replace(config, bidders=tuple(specs)),
+                         extra_checkpoints=extra_checkpoints)
     t = honest.report.checkpoints.astype(np.float64)
     u_honest = np.mean([r.cum_per_bidder[bidder_index] for r in honest.seed_results], axis=0)
     u_twisted = np.mean([r.cum_per_bidder[bidder_index] for r in twisted.seed_results], axis=0)
@@ -617,8 +593,6 @@ def _round_header(n: int) -> list:
 
 def export(result: OnlineRunResult, out_dir) -> list:
     """Write round CSVs, the regret curves, and the JSON summary; returns paths."""
-    if result.config.format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {result.config.format!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -740,7 +714,6 @@ def _summary_doc(result: OnlineRunResult) -> dict:
             "min_policy_entry": min(e.policy_min for e in episodes),
             "payment_order_violations": sum(not e.payment_order_ok for e in episodes),
             "max_rho_gap": max(e.rho_gap for e in episodes),
-            "max_rho_gap_bound": max(e.rho_gap_bound for e in episodes),
         }
     return {
         "config_hash": result.config_hash,

@@ -266,6 +266,26 @@ def play(model: MdpModel, sim: SimState, policy: np.ndarray,
     return path[:-1], a, path[1:], draw_rewards(model, path[:-1], a, u_env[:, :m])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, float) or _is_int(value)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _is_array(value, shape, item=_is_number) -> bool:
+    """``value`` is nested lists of ``item``s of ``shape``, where a None length is any."""
+    if not shape:
+        return item(value)
+    return _is_list(value) and shape[0] in (None, len(value)) and all(
+        _is_array(v, shape[1:], item) for v in value)
+
+
 def save_model(model: MdpModel, path) -> None:
     doc = {
         "S": model.S,
@@ -282,6 +302,11 @@ def save_model(model: MdpModel, path) -> None:
 
 def load_model(path) -> MdpModel:
     doc = json.loads(Path(path).read_text())
+    for key, shape in (("alpha", ()), ("c_max", ()), ("kernel", (None,) * 3),
+                       ("reward_means", (None,) * 3)):
+        if not _is_array(doc[key], shape):  # np.array and float() would parse "0.2"
+            what = "an array of numbers" if shape else f"a number; got {doc[key]!r}"
+            raise ValueError(f"model file {path}: {key} must be {what}")
     model = MdpModel(
         kernel=np.array(doc["kernel"]),
         reward_means=np.array(doc["reward_means"]),

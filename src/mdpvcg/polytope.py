@@ -279,7 +279,7 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
     )
 
 
-def calibrate_delta(model_or_kernel, objective: np.ndarray, epsilon: float,
+def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float,
                     delta_min: float = 1e-6) -> float:
     """Largest halving-grid delta whose shrunk optimum stays within epsilon.
 
@@ -289,7 +289,6 @@ def calibrate_delta(model_or_kernel, objective: np.ndarray, epsilon: float,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    kernel = getattr(model_or_kernel, "kernel", model_or_kernel)
     S, A = kernel.shape[0], kernel.shape[1]
     base = maximize(objective, PolytopeSpec(kernel=kernel))
     grid = []

@@ -293,7 +293,7 @@ def test_criterion_13_delta_calibration():
         objective = model.reward_means.sum(axis=0)
         exact = maximize(objective, PolytopeSpec(kernel=model.kernel))
         for epsilon in (0.05, 0.1):
-            delta = calibrate_delta(model, objective, epsilon)
+            delta = calibrate_delta(model.kernel, objective, epsilon)
             shrunk = maximize(objective, PolytopeSpec(kernel=model.kernel, delta=delta))
             checked += 1
             failures += not (

@@ -108,7 +108,8 @@ _MISSING = object()  # a key left out of the config
     ("model.generator.S", "3"), ("model.generator.S", 3.0), ("model.generator.S", True),
     ("model.generator.alpha", "0.2"), ("model.generator.n", _MISSING),
     ("model.generator.items", "2"), ("model.generator.auction", "dutch"),
-    ("model.file", 5), ("config", [1]), ("model", ["file"]), ("learner", ["delta"])])
+    ("model.file", 5), ("config", [1]), ("model", ["file"]), ("learner", ["delta"]),
+    ("horizon", 0), ("horizon", -5), ("episodes", 0)])
 def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key, value):
     """A mistyped or missing value, or a list for an object, at any level of
     the config is refused by its key before any seed is simulated, so
@@ -141,7 +142,10 @@ def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key,
 @pytest.mark.parametrize("case, kind", [("margin", "ergodicity_margin"),
                                         ("seller_reward", "reward_range (0, 1, 2): r_0=5.0"),
                                         ("kernel_nan", "not_finite (0, 0, 0): kernel=nan"),
-                                        ("alpha_nan", "not_finite (): alpha=nan")])
+                                        ("alpha_nan", "not_finite (): alpha=nan"),
+                                        ("kernel_string", "kernel must be an array of numbers"),
+                                        ("alpha_string", "alpha must be a number; got '0.25'"),
+                                        ("c_max_bool", "c_max must be a number; got True")])
 @pytest.mark.parametrize("command", ["offline-vcg", "simulate"])
 def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
     """A model file is validated when it loads, before anything is written."""
@@ -154,6 +158,12 @@ def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
         doc["reward_means"][0][1][2] = 5.0  # the seller's cap is c_max = 1
     elif case == "kernel_nan":
         doc["kernel"][0][0][0] = math.nan
+    elif case == "kernel_string":  # np.array would parse it
+        doc["kernel"][0][0][0] = str(doc["kernel"][0][0][0])
+    elif case == "alpha_string":
+        doc["alpha"] = str(doc["alpha"])
+    elif case == "c_max_bool":
+        doc["c_max"] = True
     else:
         doc["alpha"] = math.nan
     path.write_text(json.dumps(doc))

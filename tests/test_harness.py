@@ -10,17 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdpvcg.cli as cli_mod
 import mdpvcg.harness as harness_mod
 from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
-                    LearnerConfig, OnlineRunResult, OnlineVcgLearner,
+                    LearnerConfig, MdpModel, OnlineRunResult, OnlineVcgLearner,
                     RegretReport, RoundColumns, compute_benchmark, config_hash,
                     episode_schedule, export, generate_model, run_clairvoyant,
                     run_offline, run_online, save_model, truthfulness_gain)
 from mdpvcg.bidders import (KINDS, BidderStrategy, adversarial_window, scaled, shifted,
-                            truthful)
+                            truthful, windows_from_episodes)
 from mdpvcg.harness import (_BIDDER_KEYS, _CONFIG_KEYS, _GENERATOR_KEYS, SeedRunResult,
                             _decimal_bytes, _round_header, _write_rounds_csv,
-                            checkpoint_grid, resolve_strategies, simulate_run)
+                            checkpoint_grid, learner_config, resolve_strategies,
+                            simulate_run)
+from mdpvcg.cli import main
 
 from _oracles import loop_rounds_csv, loop_simulate_run
 
@@ -110,6 +113,22 @@ def test_clairvoyant_resolves_the_model_once(tmp_path, count_calls):
     assert res.mechanism.payments.shape[0] == GEN.n
 
 
+def test_model_file_loads_once_per_run(tmp_path, count_calls):
+    """offline-vcg --bids reads its model file once; truthfulness_gain once per arm."""
+    path = tmp_path / "model.json"
+    save_model(generate_model(GEN, 1), path)
+    bid_file = tmp_path / "bids.json"
+    bid_file.write_text(json.dumps(np.full((GEN.n, GEN.S, GEN.A), 0.5).tolist()))
+    loads = count_calls(harness_mod, "load_model")
+    cli_loads = count_calls(cli_mod, "load_model")
+    assert main(["offline-vcg", "--model", str(path), "--bids", str(bid_file),
+                 "--out", str(tmp_path / "mech.json"), "--sim-rounds", "0"]) == 0
+    assert (len(cli_loads), len(loads)) == (1, 0)
+    truthfulness_gain(ExperimentConfig(model_file=str(path), delta=0.08, horizon=300),
+                      bidder_index=0, deviant={"kind": "scaled", "factor": 0.5})
+    assert (len(cli_loads), len(loads)) == (1, 2)
+
+
 def test_benchmark_scalars_are_consistent():
     model = generate_model(GEN, 1)
     mech, bench = compute_benchmark(model)
@@ -121,8 +140,7 @@ def test_benchmark_scalars_are_consistent():
 
 def test_run_offline_exact_vs_empirical_gap():
     for seed in [1, 5]:
-        cfg = ExperimentConfig(generator=GEN, model_seed=seed)
-        out = run_offline(cfg, sim_rounds=100_000, sim_seed=seed)
+        out = run_offline(generate_model(GEN, seed), sim_rounds=100_000, sim_seed=seed)
         T = out["empirical"]["rounds"]
         slack = 3 / np.sqrt(T) * (2 + 1)  # n + c_max
         assert abs(out["welfare"] - out["empirical"]["welfare"]) <= slack
@@ -137,13 +155,8 @@ def test_run_offline_second_price_payment_average():
     rewards = np.zeros((3, 1, 3))
     rewards[1, 0, 1] = 0.8
     rewards[2, 0, 2] = 0.5
-    from mdpvcg import MdpModel, save_model
-    model = MdpModel(kernel=kernel, reward_means=rewards, alpha=1.0)
-    import tempfile, os
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "m.json")
-        save_model(model, path)
-        out = run_offline(ExperimentConfig(model_file=path), sim_rounds=100_000)
+    out = run_offline(MdpModel(kernel=kernel, reward_means=rewards, alpha=1.0),
+                      sim_rounds=100_000)
     emp_payment = out["seller_utility"]
     assert emp_payment == pytest.approx(0.5, abs=1e-9)
     assert abs(out["empirical"]["seller"] - 0.5) <= 0.01
@@ -152,13 +165,8 @@ def test_run_offline_second_price_payment_average():
 def test_zero_reward_model_all_utilities_zero():
     kernel = np.full((2, 2, 2), 0.5)
     rewards = np.zeros((3, 2, 2))
-    from mdpvcg import MdpModel, save_model
-    import tempfile, os
-    model = MdpModel(kernel=kernel, reward_means=rewards, alpha=0.5)
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "m.json")
-        save_model(model, path)
-        out = run_offline(ExperimentConfig(model_file=path), sim_rounds=2000)
+    out = run_offline(MdpModel(kernel=kernel, reward_means=rewards, alpha=0.5),
+                      sim_rounds=2000)
     assert out["welfare"] == pytest.approx(0.0, abs=1e-10)
     assert out["seller_utility"] == pytest.approx(0.0, abs=1e-10)
     np.testing.assert_allclose(out["bidder_utilities"], 0.0, atol=1e-10)
@@ -225,11 +233,22 @@ def test_export_json_format(tmp_path):
     assert len(doc["rounds"]["0"]) == 80
 
 
-def test_export_rejects_unknown_format(tmp_path):
-    res = run_online(quick_config(horizon=50, seeds=(0,), format="xml"))
-    with pytest.raises(ValueError, match="format"):
-        export(res, tmp_path)
-    assert not any(tmp_path.iterdir())
+@pytest.mark.parametrize("kw, message", [
+    ({"format": "xml"}, "format must be csv or json; got 'xml'"),
+    ({"horizon": 0}, "horizon must be a positive integer or null; got 0"),
+    ({"horizon": 2.5}, "horizon must be a positive integer or null; got 2.5"),
+    ({"delta": "0.08"}, "learner.delta must be a number; got '0.08'"),
+    ({"model_seed": np.int64(1)}, "model.seed must be an integer"),
+    ({"seeds": range(2)}, "seeds must be a list of integers"),
+    ({"model_file": "model.json"}, "exactly one of model.file and model.generator"),
+    ({"horizon": None}, "config needs horizon or episodes"),
+], ids=["format", "horizon_zero", "horizon_float", "delta_string", "numpy_seed",
+        "range_seeds", "two_models", "no_run_length"])
+def test_python_built_config_is_checked_by_the_key_table(kw, message):
+    """A config built in Python is refused by the same rules as a config file,
+    with a message that names the key, before any run."""
+    with pytest.raises(ValueError, match=message):
+        quick_config(**kw)
 
 
 def test_config_dict_roundtrip():
@@ -266,9 +285,9 @@ def test_config_refuses_empty_or_repeated_seeds():
 
 def test_config_defaults_match_the_dataclass():
     """A config file that gives only the model reads as ExperimentConfig's defaults."""
-    doc = {"model": {"generator": {"S": 3, "n": 2, "alpha": 0.25}}}
+    doc = {"model": {"generator": {"S": 3, "n": 2, "alpha": 0.25}}, "horizon": 100}
     assert ExperimentConfig.from_dict(doc) == ExperimentConfig(
-        generator=GeneratorSpec(S=3, n=2, alpha=0.25))
+        generator=GeneratorSpec(S=3, n=2, alpha=0.25), horizon=100)
 
 
 def test_generator_keys_match_generator_spec():
@@ -320,7 +339,8 @@ def test_well_typed_bidder_specs_resolve():
 
 def test_truthfulness_gain_helper_runs():
     cfg = quick_config(horizon=2400, seeds=(0,))
-    cps, gains = truthfulness_gain(cfg, bidder_index=0, deviant=scaled(2.0))
+    cps, gains = truthfulness_gain(cfg, bidder_index=0,
+                                   deviant={"kind": "scaled", "factor": 2.0})
     assert len(cps) == len(gains)
     assert np.all(np.isfinite(gains))
 
@@ -330,10 +350,9 @@ def test_untruthful_gain_does_not_grow():
     # exceed max(0.02, its value at T/10)
     T = 24_000
     cfg = quick_config(horizon=T, seeds=(0, 1, 2, 3))
-    from mdpvcg.bidders import by_bids
     # note: realized rewards are 0/1 under the bernoulli family, so the
     # deviations must actually change reports (halving does, doubling not)
-    deviants = [scaled(0.5), by_bids(np.full((3, 3), 1.0))]
+    deviants = [{"kind": "scaled", "factor": 0.5}, {"kind": "by_bids", "table": [[1.0] * 3] * 3}]
     for deviant in deviants:
         cps, gains = truthfulness_gain(cfg, bidder_index=0, deviant=deviant,
                                        extra_checkpoints=(T // 10, T))
@@ -343,16 +362,13 @@ def test_untruthful_gain_does_not_grow():
 
 
 def test_ir_for_truthful_bidder_against_adversaries():
-    from mdpvcg.bidders import adversarial_window
-    from mdpvcg.harness import learner_config, resolve_model
     T = 24_000
-    cfg = quick_config(horizon=T, seeds=(0, 1, 2, 3))
-    model = resolve_model(cfg)
-    lcfg = learner_config(cfg, model)
-    from mdpvcg.bidders import windows_from_episodes
-    windows = windows_from_episodes(lcfg, [2, 3, 5])
-    strategies = [truthful(), adversarial_window(windows, inflate_to=1.0)]
-    res = run_online(cfg, strategies=strategies, extra_checkpoints=(T,))
+    windows = windows_from_episodes(learner_config(quick_config(), generate_model(GEN, 1)),
+                                    [2, 3, 5])
+    bidders = ({"kind": "truthful"},
+               {"kind": "adversarial_window", "windows": windows, "inflate_to": 1.0})
+    res = run_online(quick_config(horizon=T, seeds=(0, 1, 2, 3), bidders=bidders),
+                     extra_checkpoints=(T,))
     avg_u0 = np.mean([r.cum_per_bidder[0, -1] for r in res.seed_results]) / T
     assert avg_u0 >= -0.02
 

@@ -460,7 +460,7 @@ def test_calibrate_delta_constant_objective_takes_first_candidate():
 def test_calibrate_delta_large_epsilon_takes_first_candidate():
     model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=3), 7)
     r = model.reward_means.sum(axis=0)
-    assert calibrate_delta(model, r, 1.0) == 1.0 / (2 * 3 * 3)
+    assert calibrate_delta(model.kernel, r, 1.0) == 1.0 / (2 * 3 * 3)
 
 
 def test_calibrate_delta_gap_on_random_models():
@@ -468,7 +468,7 @@ def test_calibrate_delta_gap_on_random_models():
         model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.08, A=3), seed)
         r = model.reward_means.sum(axis=0)
         epsilon = 0.05
-        delta = calibrate_delta(model, r, epsilon)
+        delta = calibrate_delta(model.kernel, r, epsilon)
         spec = PolytopeSpec(kernel=model.kernel, delta=delta)
         exact = PolytopeSpec(kernel=model.kernel)
         assert (maximize(r, spec).objective_value

@@ -18,7 +18,7 @@ from .online import (ConfigurationError, LearnerConfig, OnlineVcgLearner,
                      save_checkpoint)
 from .polytope import (ConstraintSystem, LpSolution, PolytopeSpec,
                        build_constraints, calibrate_delta, maximize,
-                       tighten_band)
+                       maximize_each, tighten_band)
 from .tolerances import TOL
 
 __version__ = "0.1.0"

@@ -161,6 +161,10 @@ def _parse(doc, schema: dict, where: str) -> dict:
     name = where.rstrip(". ") or "config"
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must be an object; got {doc!r}")
+    unknown = sorted(set(doc) - set(schema))
+    if unknown:  # first, so a misspelt key is named rather than the one it stands for
+        raise ValueError(f"unknown {name} key(s) {', '.join(map(repr, unknown))}; "
+                         f"expected some of {', '.join(schema)}")
     out = {}
     for key, (test, what, default) in schema.items():
         value = out[key] = doc.get(key, default)
@@ -171,10 +175,6 @@ def _parse(doc, schema: dict, where: str) -> dict:
                 out[key] = _parse(value, test, f"{where}{key}.")
         elif not test(value):
             raise ValueError(f"{where}{key} must be {what}; got {value!r}")
-    unknown = sorted(set(doc) - set(schema))
-    if unknown:
-        raise ValueError(f"unknown {name} key(s) {', '.join(map(repr, unknown))}; "
-                         f"expected some of {', '.join(schema)}")
     return out
 
 
@@ -209,13 +209,18 @@ def resolve_strategies(config: ExperimentConfig, model: MdpModel) -> list:
     return [_bidder_strategy(i, spec, model) for i, spec in enumerate(specs, 1)]
 
 
+def _bidder_fields(i: int, spec) -> dict:
+    """Bidder ``i``'s spec checked against its kind's keys, defaults filled in."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    return _parse(spec, _BIDDER_KEYS[kind] if kind in KINDS else {"kind": _KIND}, f"bidder {i} ")
+
+
 def _bidder_strategy(i: int, spec, model: MdpModel) -> BidderStrategy:
     """Bidder ``i``'s strategy from its spec, checked against its kind's keys;
     a table must also have the model's (S, A) shape (it would fail mid-run)."""
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    fields = _parse(spec, _BIDDER_KEYS[kind] if kind in KINDS else {"kind": _KIND}, f"bidder {i} ")
+    fields = _bidder_fields(i, spec)
     shape = (model.S, model.A)
-    if kind == "by_bids" and not _is_array(fields["table"], shape):
+    if fields["kind"] == "by_bids" and not _is_array(fields["table"], shape):
         raise ValueError(f"bidder {i} table must be an (S, A) = {shape} array of numbers")
     return getattr(bidders, fields.pop("kind"))(**fields)  # each kind's factory takes its keys
 
@@ -565,7 +570,9 @@ def truthfulness_gain(config: ExperimentConfig, bidder_index: int, deviant: dict
 
     ``deviant`` is a bidder spec, as in the config's ``bidders`` list. All
     other bidders keep the config's specs; the same seeds drive both arms.
+    The deviant is checked against its kind's keys before either arm runs.
     """
+    _bidder_fields(bidder_index + 1, deviant)
     honest = run_online(config, extra_checkpoints=extra_checkpoints)
     n = honest.mechanism.payments.shape[0]
     specs = list(config.bidders or [{"kind": "truthful"}] * n)

@@ -307,12 +307,16 @@ def load_model(path) -> MdpModel:
         if not _is_array(doc[key], shape):  # np.array and float() would parse "0.2"
             what = "an array of numbers" if shape else f"a number; got {doc[key]!r}"
             raise ValueError(f"model file {path}: {key} must be {what}")
+    family = doc["reward_family"]  # one name for every player, or one per player
+    if not (isinstance(family, str) or _is_array(family, (None,), lambda v: isinstance(v, str))):
+        raise ValueError(f"model file {path}: reward_family must be a name or a list of "
+                         f"names; got {family!r}")
     model = MdpModel(
         kernel=np.array(doc["kernel"]),
         reward_means=np.array(doc["reward_means"]),
         alpha=float(doc["alpha"]),
         c_max=float(doc["c_max"]),
-        reward_family=tuple(doc["reward_family"]),
+        reward_family=family,
     )
     if model.S != doc["S"] or model.A != doc["A"] or model.n != doc["n"]:
         raise ValueError(f"inconsistent dimensions in model file {path}")

@@ -27,6 +27,16 @@ class OccupancyMeasure:
     def nu(self) -> np.ndarray:
         return self.q.sum(axis=(1, 2))
 
+    @property
+    def policy(self) -> np.ndarray:
+        """pi(a|s) = rho(s,a) / nu(s); states with vanishing mass fall back to uniform."""
+        rho = self.rho
+        nu = rho.sum(axis=1)
+        policy = np.full(rho.shape, 1.0 / rho.shape[1])
+        ok = nu > TOL.denom
+        policy[ok] = rho[ok] / nu[ok][:, None]
+        return policy
+
     def violations(self) -> list:
         """Mass, flow-conservation, and nonnegativity checks; empty when valid."""
         out = []
@@ -76,19 +86,11 @@ def occupancy_from(kernel: np.ndarray, policy: np.ndarray) -> OccupancyMeasure:
 
 def induce(occ: OccupancyMeasure):
     """Recover (kernel, policy) from q; rows with vanishing mass fall back to uniform."""
-    q = occ.q
-    S, A, _ = q.shape
-    rho = q.sum(axis=2)
-    nu = rho.sum(axis=1)
-
-    kernel = np.full_like(q, 1.0 / S)
+    q, rho = occ.q, occ.rho
+    kernel = np.full_like(q, 1.0 / q.shape[0])
     ok = rho > TOL.denom
     kernel[ok] = q[ok] / rho[ok][:, None]
-
-    policy = np.full((S, A), 1.0 / A)
-    okn = nu > TOL.denom
-    policy[okn] = rho[okn] / nu[okn][:, None]
-    return kernel, policy
+    return kernel, occ.policy
 
 
 def payoff(occ: OccupancyMeasure, reward: np.ndarray) -> float:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .occupancy import induce, occupancy_from
-from .polytope import PolytopeSpec, maximize
+from .occupancy import occupancy_from
+from .polytope import PolytopeSpec, maximize_each
 from .tolerances import TOL
 
 
@@ -59,50 +59,36 @@ class Mechanism:
 
 # Per thread, the polytope of the last kernel offline_mechanism solved over,
 # keeping its own float64 copy of the kernel. Truthfulness checks solve many bid
-# profiles on one kernel; restarting its model costs less than building one.
+# profiles on one kernel; reusing its LP costs less than building another.
 _kept = threading.local()
 
 
 def _kernel_polytope(kernel: np.ndarray) -> PolytopeSpec:
     spec = getattr(_kept, "spec", None)
-    if spec is not None and np.array_equal(spec.kernel, kernel):
-        spec.restart()
-        return spec
-    _kept.spec = PolytopeSpec(kernel=np.array(kernel, dtype=np.float64))
-    return _kept.spec
+    if spec is None or not np.array_equal(spec.kernel, kernel):
+        spec = _kept.spec = PolytopeSpec(kernel=np.array(kernel, dtype=np.float64))
+    return spec
 
 
 def offline_mechanism(bids: BidProfile, r0: np.ndarray, kernel: np.ndarray) -> Mechanism:
     """Solve the welfare LP and the n counterfactual LPs; assemble payments.
 
     Bids substitute for the bidders' reward tables throughout. The constraint
-    system is bid-independent, so one polytope serves all n+1 solves, and the
-    next mechanism on an equal kernel restarts it cold instead of building
-    another: the results are those of a new polytope, bit for bit.
+    system is bid-independent, so all n+1 LPs are solved together, in one
+    HiGHS run over n+1 copies of one polytope; the next mechanism on an equal
+    kernel reuses that polytope's LP. Every run is cold, so the results are
+    those of a new polytope, bit for bit.
     """
-    n = bids.n
-    S, A = r0.shape
-    spec = _kernel_polytope(kernel)
     reported = r0 + bids.bids.sum(axis=0)
-
-    best = maximize(reported, spec)
+    others = reported - bids.bids  # (n, S, A): the welfare of all but bidder i
+    best, *counterfactual = maximize_each(np.concatenate([reported[None], others]),
+                                          _kernel_polytope(kernel))
     if best.status != "optimal":
-        raise RuntimeError(f"welfare LP: {best.status}")
-    _, allocation = induce(best.q)
-
-    payments = np.empty((n, S, A))
-    values = np.empty(n)
-    for i in range(n):
-        others = reported - bids.bids[i]
-        sol = maximize(others, spec)
-        if sol.status != "optimal":
-            raise RuntimeError(f"counterfactual LP for bidder {i + 1}: {sol.status}")
-        values[i] = sol.objective_value
-        payments[i] = values[i] - others
-
+        raise RuntimeError(f"welfare and counterfactual LPs: {best.status}")
+    values = np.array([sol.objective_value for sol in counterfactual])
     return Mechanism(
-        allocation=allocation,
-        payments=payments,
+        allocation=best.q.policy,
+        payments=values[:, None, None] - others,
         counterfactual_values=values,
         welfare_value=best.objective_value,
     )

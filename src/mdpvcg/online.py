@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .mdp import reward_caps
-from .occupancy import OccupancyMeasure, induce
+from .occupancy import OccupancyMeasure
 from .polytope import PolytopeSpec, maximize, tighten_band
 
 logger = logging.getLogger(__name__)
@@ -171,7 +171,7 @@ class OnlineVcgLearner:
                 f"episode {k}: allocation LP infeasible; delta={cfg.delta} is too "
                 "large for the current confidence band")
         self.q_hat = sol.q
-        _, self.policy = induce(sol.q)
+        self.policy = sol.q.policy
 
         for i in range(1, n + 1):
             ucb_others = total_ucb - self.reward_ucb[i]

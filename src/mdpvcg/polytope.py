@@ -15,17 +15,20 @@ The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
 
-Each spec builds its HiGHS LP once, from its column-wise matrix, and holds one
-HiGHS model loaded with it on its first solve. A solve only writes the rho
-costs and reruns the model: the first is a cold dual-simplex solve, every later
-one a primal-simplex solve from the previous optimal basis, which a change of
-costs leaves primal feasible. ``restart`` passes the LP to the model again,
-which drops its basis and solution, so the next solve is the cold solve a new
-spec would make, bit for bit, without building another model. A band model
-presolves its cold solve (what ``scipy.optimize.linprog(method="highs-ds")``
-does); a kernel model solves cold without presolve, which would only drop its
-one dependent flow row and costs more than the solve itself; the model leaves
-that row free instead. Spec arrays must not be mutated after construction.
+Each spec builds its constraint system once, and from it one HiGHS LP per
+number of copies it is solved on. ``maximize`` holds one HiGHS model loaded with
+the single LP on its first solve. A solve only writes the rho costs and reruns
+the model: the first is a cold dual-simplex solve, every later one a
+primal-simplex solve from the previous optimal basis, which a change of costs
+leaves primal feasible. ``maximize_each`` solves K objectives in one cold
+dual-simplex run, on K block-diagonal copies of the LP, each with its own
+objective; it passes that LP to its model afresh on every call, which drops
+any basis and solution, so equal inputs give equal results, bit for bit. A
+band model presolves its cold solve (what
+``scipy.optimize.linprog(method="highs-ds")`` does); a kernel model solves cold
+without presolve, which would only drop its one dependent flow row and costs
+more than the solve itself; the LP leaves that row free instead. Spec arrays
+must not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 # the options linprog(method="highs-ds", options=_LP_OPTIONS) passes to HiGHS,
-# but for presolve and simplex_strategy, which PolytopeSpec._load sets per load
+# but for presolve and simplex_strategy, which PolytopeSpec._new_model sets per kind
 _HIGHS_OPTIONS = {**_LP_OPTIONS, "solver": "simplex", "output_flag": False}
 # simplex_strategy values: dual simplex for the cold solve, primal for the warm ones
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
@@ -100,41 +103,55 @@ class PolytopeSpec:
         return (self.kernel if self.kernel is not None else self.band_lower).shape[1]
 
     @cached_property
-    def _lp(self) -> HighsLp:
-        return highs_lp(build_constraints(self))
+    def _system(self) -> ConstraintSystem:
+        return build_constraints(self)
+
+    @cached_property
+    def _lps(self) -> dict:
+        return {}  # number of copies -> HighsLp
+
+    def _lp(self, copies: int) -> HighsLp:
+        """The LP on ``copies`` block-diagonal copies of the system, built
+        once per number of copies (``maximize_each`` writes its costs)."""
+        lp = self._lps.get(copies)
+        if lp is None:
+            system = _stack(self._system, copies)
+            if self.kernel is not None:
+                # the S flow rows sum to zero only up to the kernel's row-sum
+                # error (TOL.mass); the last one is implied by the others, so
+                # each copy leaves it free
+                free = np.arange(copies) * (1 + self.S) + self.S
+                system.row_lower[free], system.row_upper[free] = -np.inf, np.inf
+            lp = self._lps[copies] = highs_lp(system)
+        return lp
 
     @cached_property
     def _rho_columns(self) -> np.ndarray:
         return np.arange(self.S * self.A, dtype=np.int32)
 
-    @cached_property
-    def _model(self) -> _Highs:
+    def _new_model(self) -> _Highs:
+        """An empty HiGHS model with this kind's options, set for a cold
+        dual-simplex solve."""
         model = _Highs()
         for key, value in _HIGHS_OPTIONS.items():
             model.setOptionValue(key, value)
-        self._load(model)
+        # a kernel LP has S*A columns and 1+S rows per copy: presolve only
+        # drops the free flow row, and takes longer than the cold solve it saves
+        model.setOptionValue("presolve", "off" if self.kernel is not None else "on")
+        model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
         return model
 
-    def _load(self, model: _Highs) -> None:
-        """Pass the LP to ``model`` (dropping any basis and solution it held)
-        with this kind's options, ready for a cold dual-simplex solve."""
-        if model.passModel(self._lp) == HighsStatus.kError:
-            raise RuntimeError("HiGHS refused the constraint matrix")
-        if self.kernel is not None:
-            # S*A columns and 1+S rows: presolve only drops the dependent flow
-            # row, and takes longer than the cold solve it saves
-            model.setOptionValue("presolve", "off")
-            # the S flow rows sum to zero only up to the kernel's row-sum error
-            # (TOL.mass); the last one is implied by the others, so leave it free
-            model.changeRowBounds(self.S, -np.inf, np.inf)
-        else:
-            model.setOptionValue("presolve", "on")
-        model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+    @cached_property
+    def _model(self) -> _Highs:
+        """``maximize``'s model, loaded with the single LP once."""
+        model = self._new_model()
+        _pass(model, self._lp(1))
+        return model
 
-    def restart(self) -> None:
-        """Reload the model, so that the next solve is the cold solve a new
-        spec's first one would be."""
-        self._load(self._model)
+    @cached_property
+    def _stacked_model(self) -> _Highs:
+        """``maximize_each``'s model, passed its LP on every call."""
+        return self._new_model()
 
 
 def tighten_band(prior, p_bar, radii):
@@ -233,9 +250,49 @@ def highs_lp(system: ConstraintSystem) -> HighsLp:
     return lp
 
 
+def _stack(system: ConstraintSystem, copies: int) -> ConstraintSystem:
+    """``copies`` block-diagonal copies of ``system``: copy k takes the k-th
+    run of its columns and the k-th run of its rows."""
+    nnz, n_row = len(system.index), len(system.row_lower)
+    offset = np.arange(copies)[:, None]
+    return ConstraintSystem(
+        start=np.append((system.start[:-1] + nnz * offset).ravel(), copies * nnz),
+        index=(system.index + n_row * offset).ravel(),
+        value=np.tile(system.value, copies),
+        row_lower=np.tile(system.row_lower, copies),
+        row_upper=np.tile(system.row_upper, copies),
+        col_lower=np.tile(system.col_lower, copies))
+
+
+def _pass(model: _Highs, lp: HighsLp) -> None:
+    """Pass ``lp`` to ``model``, which drops any basis and solution it held."""
+    if model.passModel(lp) == HighsStatus.kError:
+        raise RuntimeError("HiGHS refused the constraint matrix")
+
+
 def _run(model: _Highs) -> HighsModelStatus:
     model.run()
     return model.getModelStatus()
+
+
+def _read(model: _Highs, status: HighsModelStatus):
+    """(column values, or None for an infeasible LP; simplex iterations) of
+    the run of ``model`` that ended in ``status``."""
+    nit = model.getInfoValue("simplex_iteration_count")[1]
+    if status == HighsModelStatus.kInfeasible:
+        return None, nit
+    if status != HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP solver failed (status {status.value}): "
+                           f"{model.modelStatusToString(status)}")
+    return np.fromiter(model.getSolution().col_value, np.float64), nit
+
+
+def _occupancy(spec: PolytopeSpec, x: np.ndarray) -> OccupancyMeasure:
+    """The q of one copy's column values ``x``."""
+    S, A = spec.S, spec.A
+    if spec.kernel is None:
+        return OccupancyMeasure(x[S * A:].reshape(S, A, S))
+    return OccupancyMeasure(x[:S * A].reshape(S, A, 1) * spec.kernel)
 
 
 @dataclass(frozen=True)
@@ -243,7 +300,7 @@ class LpSolution:
     q: Optional[OccupancyMeasure]
     objective_value: float
     status: str  # "optimal" | "infeasible"
-    nit: int  # HiGHS simplex iterations of this solve
+    nit: int  # HiGHS simplex iterations of the run that solved it
 
 
 def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
@@ -260,23 +317,47 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
     status = _run(model)
     # later solves on this spec start from the basis just found
     model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-    nit = model.getInfoValue("simplex_iteration_count")[1]
-    if status == HighsModelStatus.kInfeasible:
+    x, nit = _read(model, status)
+    if x is None:
         return LpSolution(q=None, objective_value=float("nan"), status="infeasible", nit=nit)
-    if status != HighsModelStatus.kOptimal:
-        raise RuntimeError(f"LP solver failed (status {status.value}): "
-                           f"{model.modelStatusToString(status)}")
-    x = np.fromiter(model.getSolution().col_value, np.float64)
-    if spec.kernel is None:
-        q = x[S * A:].reshape(S, A, S)
-    else:
-        q = x[:S * A].reshape(S, A, 1) * spec.kernel
-    return LpSolution(
-        q=OccupancyMeasure(q),
-        objective_value=-model.getObjectiveValue(),
-        status="optimal",
-        nit=nit,
-    )
+    return LpSolution(q=_occupancy(spec, x), objective_value=-model.getObjectiveValue(),
+                      status="optimal", nit=nit)
+
+
+def maximize_each(objectives, spec: PolytopeSpec) -> list:
+    """Maximize <rho, r_k> over the polytope for each of K per-(s,a) tables
+    r_k (a (K, S, A) array), in one cold dual-simplex run.
+
+    The run solves K block-diagonal copies of the spec's LP, copy k with r_k's
+    costs. Its LP is passed to the model afresh on every call, so a spec
+    solved on before gives what a new one would, bit for bit. Solution k's q
+    and objective value are read off copy k's columns; every solution carries
+    the run's ``nit``. All copies share one polytope, so they are infeasible
+    together.
+    """
+    objectives = np.asarray(objectives, dtype=np.float64)
+    S, A = spec.S, spec.A
+    if objectives.ndim != 3 or objectives.shape[1:] != (S, A) or not len(objectives):
+        raise ValueError(f"objectives must be (K, S, A) with K >= 1 and (S, A) = {(S, A)}")
+    if not np.isfinite(objectives).all():
+        raise ValueError("objectives must be finite")
+    copies, SA = len(objectives), S * A
+    lp = spec._lp(copies)
+    cost = np.zeros((copies, lp.num_col_ // copies))
+    cost[:, :SA] = -objectives.reshape(copies, SA)
+    lp.col_cost_ = cost.ravel()  # written into the LP, passed with it
+    model = spec._stacked_model
+    _pass(model, lp)
+    x, nit = _read(model, _run(model))
+    if x is None:
+        return [LpSolution(q=None, objective_value=float("nan"), status="infeasible",
+                           nit=nit)] * copies
+    x = x.reshape(copies, -1)
+    # each copy's <rho, r> summed in column order, as HiGHS sums an LP's objective
+    values = np.cumsum(objectives.reshape(copies, SA) * x[:, :SA], axis=1)[:, -1]
+    return [LpSolution(q=_occupancy(spec, xk), objective_value=float(value),
+                       status="optimal", nit=nit)
+            for xk, value in zip(x, values)]
 
 
 def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float,

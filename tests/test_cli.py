@@ -145,7 +145,9 @@ def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key,
                                         ("alpha_nan", "not_finite (): alpha=nan"),
                                         ("kernel_string", "kernel must be an array of numbers"),
                                         ("alpha_string", "alpha must be a number; got '0.25'"),
-                                        ("c_max_bool", "c_max must be a number; got True")])
+                                        ("c_max_bool", "c_max must be a number; got True"),
+                                        ("reward_family_number",
+                                         "reward_family must be a name or a list of names")])
 @pytest.mark.parametrize("command", ["offline-vcg", "simulate"])
 def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
     """A model file is validated when it loads, before anything is written."""
@@ -164,6 +166,8 @@ def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
         doc["alpha"] = str(doc["alpha"])
     elif case == "c_max_bool":
         doc["c_max"] = True
+    elif case == "reward_family_number":
+        doc["reward_family"] = 1
     else:
         doc["alpha"] = math.nan
     path.write_text(json.dumps(doc))
@@ -352,10 +356,10 @@ def test_lp_solver_failure_exits_3(model_file, tmp_path, monkeypatch, capsys):
 
 def test_infeasible_episode_lp_exits_2(model_file, tmp_path, monkeypatch, capsys):
     """The benchmark's known-kernel LPs solve; the first episode's band LP
-    (the only one with q columns) reports infeasible."""
+    (the only one that presolves) reports infeasible."""
     code = _simulate_with_failing_lp(model_file, tmp_path, monkeypatch,
                                      HighsModelStatus.kInfeasible,
-                                     lambda model: model.getNumCol() > GEN.S * GEN.A)
+                                     lambda model: model.getOptionValue("presolve")[1] == "on")
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "allocation LP infeasible" in err

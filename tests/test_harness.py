@@ -345,6 +345,15 @@ def test_truthfulness_gain_helper_runs():
     assert np.all(np.isfinite(gains))
 
 
+def test_truthfulness_gain_refuses_a_mistyped_deviant():
+    """A misspelt deviant key is refused, by its name, before either arm runs."""
+    with mock.patch.object(harness_mod, "run_online") as run_online:
+        with pytest.raises(ValueError, match="factr"):
+            truthfulness_gain(quick_config(horizon=20_000), bidder_index=1,
+                              deviant={"kind": "scaled", "factr": 0.5})
+    run_online.assert_not_called()
+
+
 def test_untruthful_gain_does_not_grow():
     # the deviation's seed-averaged per-round gain at the largest T must not
     # exceed max(0.02, its value at T/10)

@@ -177,3 +177,15 @@ def test_model_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(model.reward_means, again.reward_means)
     assert again.reward_family == model.reward_family
     assert again.c_max == model.c_max
+
+
+def test_model_file_accepts_one_family_name(tmp_path):
+    """A model file may name one reward family for every player, as a
+    config's generator may."""
+    path = tmp_path / "model.json"
+    save_model(generate_model(GeneratorSpec(S=2, n=2, alpha=0.2, A=2,
+                                            reward_family="bernoulli-scaled"), 0), path)
+    doc = json.loads(path.read_text())
+    doc["reward_family"] = "deterministic"
+    path.write_text(json.dumps(doc))
+    assert load_model(path).reward_family == ("deterministic",) * 3

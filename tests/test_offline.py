@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import mdpvcg.offline as offline_mod
 import mdpvcg.polytope as polytope_mod
 from _oracles import brute_force_best
-from mdpvcg import (BidProfile, GeneratorSpec, average_utilities,
-                    generate_model, offline_mechanism, seller_utility_identity)
+from mdpvcg import (BidProfile, GeneratorSpec, PolytopeSpec, average_utilities,
+                    generate_model, maximize, offline_mechanism, seller_utility_identity)
 
 
 def single_item_static(values):
@@ -172,13 +172,32 @@ def test_bid_profile_range_enforced():
         BidProfile(np.full((1, 2, 2), 1.4))
 
 
+def test_values_match_lps_solved_alone():
+    """On generated models, with truthful and random bids, the welfare and
+    counterfactual values of the stacked solve are those of the n+1 LPs each
+    solved alone on a new polytope, to 1e-12."""
+    rng = np.random.default_rng(12)
+    for seed in range(30):
+        S, A, n = (int(v) for v in rng.integers(1, 5, size=3))
+        model = generate_model(GeneratorSpec(S=S, A=A, n=n, alpha=0.5 / S), seed)
+        tables = model.reward_means[1:] if seed % 2 else rng.random((n, S, A))
+        mech = offline_mechanism(BidProfile(tables), model.reward_means[0], model.kernel)
+        reported = model.reward_means[0] + tables.sum(axis=0)
+        alone = [maximize(r, PolytopeSpec(kernel=model.kernel)).objective_value
+                 for r in (reported, *(reported - tables))]
+        assert abs(mech.welfare_value - alone[0]) <= 1e-12
+        np.testing.assert_allclose(mech.counterfactual_values, alone[1:], rtol=0, atol=1e-12)
+
+
 def test_constraints_built_once_per_kernel(small_model, count_calls, monkeypatch):
     """Mechanisms in a row on equal kernel values share one polytope; another
-    kernel, or the same array changed in place, builds a new one."""
+    kernel, or the same array changed in place, builds a new one. Each
+    mechanism is one stacked solve, and so one HiGHS run."""
     monkeypatch.setattr(offline_mod, "_kept", threading.local())  # nothing kept yet
     builds = count_calls(polytope_mod, "build_constraints")
     lps = count_calls(polytope_mod, "highs_lp")
-    solves = count_calls(offline_mod, "maximize")
+    solves = count_calls(offline_mod, "maximize_each")
+    runs = count_calls(polytope_mod, "_run")
     bids = BidProfile.truthful(small_model)
     kernel = small_model.kernel.copy()
     other = generate_model(GeneratorSpec(S=3, n=2, alpha=0.1, A=3), seed=8).kernel
@@ -186,7 +205,7 @@ def test_constraints_built_once_per_kernel(small_model, count_calls, monkeypatch
     for calls, (k, built) in enumerate(steps, 1):
         offline_mechanism(bids, small_model.reward_means[0], k)
         assert len(builds) == len(lps) == built
-        assert len(solves) == calls * (small_model.n + 1)
+        assert len(solves) == len(runs) == calls
     kernel[...] = other
     offline_mechanism(bids, small_model.reward_means[0], kernel)
     assert len(builds) == len(lps) == 4
@@ -232,8 +251,8 @@ def test_kept_polytope_mechanisms_equal_fresh_ones(S, A, n, seed, steps):
 
 def test_threads_keep_their_own_polytope(small_model, monkeypatch):
     """Two threads solving mechanisms on one kernel at once, with frequent
-    thread switches, get what each gets alone: neither restarts the other's
-    model mid-mechanism."""
+    thread switches, get what each gets alone: neither passes its LP to the
+    other's model mid-mechanism."""
     monkeypatch.setattr(offline_mod, "_kept", threading.local())
     rng = np.random.default_rng(0)
     profiles = [[BidProfile(rng.random((small_model.n, small_model.S, small_model.A)))

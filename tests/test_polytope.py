@@ -12,8 +12,8 @@ from scipy import sparse
 
 from _oracles import brute_force_best, linprog_maximize, loop_constraints
 from mdpvcg import (GeneratorSpec, PolytopeSpec, build_constraints,
-                    calibrate_delta, generate_model, maximize, occupancy_from,
-                    tighten_band)
+                    calibrate_delta, generate_model, maximize, maximize_each,
+                    occupancy_from, payoff, tighten_band)
 from mdpvcg.tolerances import TOL
 
 # the loop oracle's names for the three polytopes drawn below: a kernel, a
@@ -190,6 +190,33 @@ def test_warm_solves_equal_fresh_solves(n, S, A, variant, delta_frac, seed):
             assert _max_violation(rows, warm.q.q.ravel()) <= 1e-8
 
 
+@settings(max_examples=100, deadline=None)
+@given(copies=st.integers(1, 4), **spec_params)
+def test_stacked_solves_equal_fresh_solves(copies, S, A, variant, delta_frac, seed):
+    """K objectives solved together in one stacked run match each solved alone
+    on a fresh spec: the same status, values within 1e-9 and each q meeting
+    the q-space rows, with the value that q's own payoff. A second stacked
+    solve on the same spec repeats the first bit for bit."""
+    kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
+    spec = PolytopeSpec(**kw)
+    rng = np.random.default_rng(seed + 1)
+    objectives = rng.random((copies, S, A)) * (rng.random((copies, S, A)) >= 0.2)
+    rows = loop_constraints(variant, S, A, **kw)
+    got = maximize_each(objectives, spec)
+    assert len(got) == copies
+    for sol, again, r in zip(got, maximize_each(objectives, spec), objectives):
+        fresh = maximize(r, PolytopeSpec(**kw))
+        assert sol.status == again.status == fresh.status
+        if fresh.status == "optimal":
+            assert abs(sol.objective_value - fresh.objective_value) <= 1e-9
+            assert abs(sol.objective_value - payoff(sol.q, r)) <= 1e-9
+            assert _max_violation(rows, sol.q.q.ravel()) <= 1e-8
+            assert again.objective_value == sol.objective_value
+            _assert_bit_equal(again.q.q, sol.q.q)
+        else:
+            assert sol.q is None
+
+
 @settings(max_examples=80, deadline=None)
 @given(**spec_params)
 def test_columns_equal_csc_of_dense_rows(S, A, variant, delta_frac, seed):
@@ -271,6 +298,10 @@ def test_rejects_malformed_specs():
         maximize(np.ones((3, 3)), uniform_spec(2, 2))  # shape mismatch
     with pytest.raises(ValueError):
         maximize(np.full((2, 2), np.inf), uniform_spec(2, 2))
+    for bad in (np.ones((2, 2)), np.ones((1, 3, 2)), np.ones((0, 2, 2)),
+                np.full((2, 2, 2), np.nan)):  # not (K, S, A) with K >= 1, not finite
+        with pytest.raises(ValueError, match="objectives"):
+            maximize_each(bad, uniform_spec(2, 2))
 
 
 def test_zero_objective_returns_feasible_point():

@@ -22,9 +22,9 @@ import numpy as np
 from . import bidders
 from .bidders import KINDS, BidderStrategy, reports, truthful
 from .mdp import (AUCTIONS, GeneratorSpec, MdpModel, SimState, _is_array, _is_int, _is_list,
-                  _is_number, generate_model, load_model, play)
+                  _is_number, _parse, generate_model, load_model, play)
 from .occupancy import occupancy_from
-from .offline import BidProfile, Mechanism, average_utilities, offline_mechanism, seller_utility_identity
+from .offline import BidProfile, Mechanism, _identity_rhs, average_utilities, offline_mechanism
 from .online import VARIANTS, ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
 from .tolerances import TOL
 
@@ -94,9 +94,7 @@ class ExperimentConfig:
         }
 
 
-# Each key maps to (test, what the value must be, default), and ``...`` as the
-# default marks a required key. A dict as the test is the table of a nested
-# object, which stays None when it is absent and its default is None.
+# Key tables, checked by ``mdp._parse``.
 _GENERATOR_KEYS = {  # GeneratorSpec's fields and defaults
     "S": (_is_int, "an integer", ...),
     "n": (_is_int, "an integer", ...),
@@ -152,30 +150,6 @@ _BIDDER_KEYS = {  # one table per kind
         "inflate_to": (lambda v: v is None or _is_number(v), "a number or null", 1.0),
     },
 }
-
-
-def _parse(doc, schema: dict, where: str) -> dict:
-    """``doc`` checked against ``schema``, with the absent keys' defaults filled in.
-    A non-object, a missing or mistyped value and an unknown key (a misspelt one
-    would fall back to its default) are refused, named by ``where`` + key."""
-    name = where.rstrip(". ") or "config"
-    if not isinstance(doc, dict):
-        raise ValueError(f"{name} must be an object; got {doc!r}")
-    unknown = sorted(set(doc) - set(schema))
-    if unknown:  # first, so a misspelt key is named rather than the one it stands for
-        raise ValueError(f"unknown {name} key(s) {', '.join(map(repr, unknown))}; "
-                         f"expected some of {', '.join(schema)}")
-    out = {}
-    for key, (test, what, default) in schema.items():
-        value = out[key] = doc.get(key, default)
-        if value is ...:
-            raise ValueError(f"{where}{key} is required")
-        if isinstance(test, dict):
-            if value is not None or default is not None:
-                out[key] = _parse(value, test, f"{where}{key}.")
-        elif not test(value):
-            raise ValueError(f"{where}{key} must be {what}; got {value!r}")
-    return out
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -458,13 +432,12 @@ def _exact_scores(mech: Mechanism, model: MdpModel) -> dict:
     """Exact average welfare and utilities of ``mech`` on the true model, and
     the residual of the seller-utility identity."""
     u0, ui, welfare = average_utilities(mech, model.reward_means, model.kernel)
-    lhs, rhs = seller_utility_identity(mech, model.reward_means, model.kernel)
     return {
         "welfare": welfare,
         "seller": u0,
         "bidders": float(ui.sum()),
         "per_bidder": ui,
-        "identity_residual": abs(lhs - rhs),
+        "identity_residual": abs(u0 - _identity_rhs(mech, welfare)),
     }
 
 
@@ -535,7 +508,10 @@ def load_bids(path, model: MdpModel) -> BidProfile:
 
 def run_offline(model: MdpModel, bids: Optional[BidProfile] = None,
                 sim_rounds: int = 100_000, sim_seed: int = 0) -> dict:
-    """Offline mechanism plus exact utilities and a Monte Carlo cross-check."""
+    """Offline mechanism plus exact utilities and a Monte Carlo cross-check
+    of ``sim_rounds`` rounds (none for 0)."""
+    if not (_is_int(sim_rounds) and sim_rounds >= 0):
+        raise ValueError(f"sim_rounds must be a nonnegative integer; got {sim_rounds!r}")
     if bids is None:
         bids = BidProfile.truthful(model)
     mech = offline_mechanism(bids, model.reward_means[0], model.kernel)

@@ -8,6 +8,7 @@ ergodicity margin: every entry P(s'|s,a) >= alpha.
 from __future__ import annotations
 
 import json
+import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -286,6 +287,38 @@ def _is_array(value, shape, item=_is_number) -> bool:
         _is_array(v, shape[1:], item) for v in value)
 
 
+# values in messages: lists and objects cut short (a model file's kernel is large)
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxlist = 2, 4
+
+
+def _parse(doc, schema: dict, where: str) -> dict:
+    """``doc`` checked against ``schema``, with the absent keys' defaults filled in.
+    Each key maps to (test, what the value must be, default), and ``...`` as
+    the default marks a required key. A dict as the test is the table of a
+    nested object, which stays None when it is absent and its default is None.
+    A non-object, a missing or mistyped value and an unknown key (a misspelt
+    one would fall back to its default) are refused, named by ``where`` + key."""
+    name = where.rstrip(". :") or "config"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be an object; got {_SHORT.repr(doc)}")
+    unknown = sorted(set(doc) - set(schema))
+    if unknown:  # first, so a misspelt key is named rather than the one it stands for
+        raise ValueError(f"unknown {name} key(s) {', '.join(map(repr, unknown))}; "
+                         f"expected some of {', '.join(schema)}")
+    out = {}
+    for key, (test, what, default) in schema.items():
+        value = out[key] = doc.get(key, default)
+        if value is ...:
+            raise ValueError(f"{where}{key} is required")
+        if isinstance(test, dict):
+            if value is not None or default is not None:
+                out[key] = _parse(value, test, f"{where}{key}.")
+        elif not test(value):
+            raise ValueError(f"{where}{key} must be {what}; got {_SHORT.repr(value)}")
+    return out
+
+
 def save_model(model: MdpModel, path) -> None:
     doc = {
         "S": model.S,
@@ -300,26 +333,31 @@ def save_model(model: MdpModel, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
+_MODEL_KEYS = {  # save_model's document; np.array and float() would parse "0.2"
+    **dict.fromkeys(("S", "A", "n"), (_is_int, "an integer", ...)),
+    **dict.fromkeys(("alpha", "c_max"), (_is_number, "a number", ...)),
+    **dict.fromkeys(("kernel", "reward_means"),
+                    (lambda v: _is_array(v, (None,) * 3), "an array of numbers", ...)),
+    "reward_family": (  # one name for every player, or one each
+        lambda v: isinstance(v, str) or _is_array(v, (None,), lambda f: isinstance(f, str)),
+        "a name or a list of names", ...),
+}
+
+
 def load_model(path) -> MdpModel:
-    doc = json.loads(Path(path).read_text())
-    for key, shape in (("alpha", ()), ("c_max", ()), ("kernel", (None,) * 3),
-                       ("reward_means", (None,) * 3)):
-        if not _is_array(doc[key], shape):  # np.array and float() would parse "0.2"
-            what = "an array of numbers" if shape else f"a number; got {doc[key]!r}"
-            raise ValueError(f"model file {path}: {key} must be {what}")
-    family = doc["reward_family"]  # one name for every player, or one per player
-    if not (isinstance(family, str) or _is_array(family, (None,), lambda v: isinstance(v, str))):
-        raise ValueError(f"model file {path}: reward_family must be a name or a list of "
-                         f"names; got {family!r}")
+    doc = _parse(json.loads(Path(path).read_text()), _MODEL_KEYS, f"model file {path}: ")
+    S, A, n = doc["S"], doc["A"], doc["n"]
+    for key, shape in (("kernel", (S, A, S)), ("reward_means", (n + 1, S, A))):
+        if not _is_array(doc[key], shape):  # a ragged array fails here too, by key
+            raise ValueError(f"inconsistent dimensions in model file {path}: "
+                             f"{key} must be {shape}")
     model = MdpModel(
         kernel=np.array(doc["kernel"]),
         reward_means=np.array(doc["reward_means"]),
         alpha=float(doc["alpha"]),
         c_max=float(doc["c_max"]),
-        reward_family=family,
+        reward_family=doc["reward_family"],
     )
-    if model.S != doc["S"] or model.A != doc["A"] or model.n != doc["n"]:
-        raise ValueError(f"inconsistent dimensions in model file {path}")
     violations = validate_model(model)
     if violations:
         first = "; ".join(f"{v.kind} {v.where}: {v.detail}" for v in violations[:3])

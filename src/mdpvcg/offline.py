@@ -118,7 +118,10 @@ def seller_utility_identity(mechanism: Mechanism, rewards: np.ndarray,
     lhs is u_0 evaluated directly; rhs rewrites it through the n
     counterfactual optima: -(n-1)<rho*, R> + sum_i <rho*_{-i}, R_{-i}>.
     """
-    n = mechanism.payments.shape[0]
     u_seller, _, welfare = average_utilities(mechanism, rewards, kernel)
-    rhs = -(n - 1) * welfare + mechanism.counterfactual_values.sum()
-    return u_seller, rhs
+    return u_seller, _identity_rhs(mechanism, welfare)
+
+
+def _identity_rhs(mechanism: Mechanism, welfare: float) -> float:
+    """The seller-utility identity's rhs at the allocation's true ``welfare``."""
+    return -(len(mechanism.payments) - 1) * welfare + mechanism.counterfactual_values.sum()

@@ -26,7 +26,7 @@ import numpy as np
 
 from .mdp import reward_caps
 from .occupancy import OccupancyMeasure
-from .polytope import PolytopeSpec, maximize, tighten_band
+from .polytope import PolytopeSpec, maximize_each, tighten_band
 
 logger = logging.getLogger(__name__)
 
@@ -138,7 +138,7 @@ class OnlineVcgLearner:
         self.pos += len(s)
 
     def end_episode(self) -> None:
-        """Refresh estimates, tighten the band, and solve the n+1 update LPs."""
+        """Refresh estimates, tighten the band, and solve the 2n+1 update LPs."""
         if not self.episode_complete:
             raise RuntimeError("stationary phase not complete")
         cfg = self.config
@@ -165,24 +165,24 @@ class OnlineVcgLearner:
         total_ucb = self.reward_ucb.sum(axis=0)
         total_lcb = self.reward_lcb.sum(axis=0)
 
-        sol = maximize(total_ucb, spec)
+        # (n, 2, S, A): each bidder's optimistic, then pessimistic welfare of the others
+        others = np.stack([total_ucb - self.reward_ucb[1:], total_lcb - self.reward_lcb[1:]], 1)
+        # the allocation LP, then opt_1, pes_1, opt_2, ...: one warm chain
+        sol, *counterfactual = maximize_each(
+            np.concatenate([total_ucb[None], others.reshape(2 * n, S, A)]), spec)
         if sol.status != "optimal":
             raise ConfigurationError(
                 f"episode {k}: allocation LP infeasible; delta={cfg.delta} is too "
                 "large for the current confidence band")
         self.q_hat = sol.q
         self.policy = sol.q.policy
-
-        for i in range(1, n + 1):
-            ucb_others = total_ucb - self.reward_ucb[i]
-            lcb_others = total_lcb - self.reward_lcb[i]
-            opt = maximize(ucb_others, spec)
-            pes = maximize(lcb_others, spec)
-            if opt.status != "optimal" or pes.status != "optimal":
+        for i, lp in enumerate(counterfactual):
+            if lp.status != "optimal":
                 raise ConfigurationError(
-                    f"episode {k}: payment LP for bidder {i} infeasible")
-            self.payments_seller[i - 1] = opt.objective_value - lcb_others
-            self.payments_bidder[i - 1] = pes.objective_value - ucb_others
+                    f"episode {k}: payment LP for bidder {i // 2 + 1} infeasible")
+        values = np.array([lp.objective_value for lp in counterfactual]).reshape(n, 2, 1, 1)
+        self.payments_seller = values[:, 0] - others[:, 1]
+        self.payments_bidder = values[:, 1] - others[:, 0]
 
         self.tau_k += self.d_k + self.l_k
         self.k += 1

@@ -15,20 +15,20 @@ The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
 
-Each spec builds its constraint system once, and from it one HiGHS LP per
-number of copies it is solved on. ``maximize`` holds one HiGHS model loaded with
-the single LP on its first solve. A solve only writes the rho costs and reruns
-the model: the first is a cold dual-simplex solve, every later one a
-primal-simplex solve from the previous optimal basis, which a change of costs
-leaves primal feasible. ``maximize_each`` solves K objectives in one cold
-dual-simplex run, on K block-diagonal copies of the LP, each with its own
-objective; it passes that LP to its model afresh on every call, which drops
-any basis and solution, so equal inputs give equal results, bit for bit. A
-band model presolves its cold solve (what
-``scipy.optimize.linprog(method="highs-ds")`` does); a kernel model solves cold
-without presolve, which would only drop its one dependent flow row and costs
-more than the solve itself; the LP leaves that row free instead. Spec arrays
-must not be mutated after construction.
+Each spec builds its constraint system once. ``maximize_each`` is the one
+solver: it maximizes K objectives over the polytope, and the spec picks how.
+A kernel spec solves them in one cold dual-simplex run on K block-diagonal
+copies of its LP, without presolve (it would only drop each copy's one
+dependent flow row, which the LP leaves free, and costs more than the solve);
+the spec keeps one HiGHS model for this and passes it the LP afresh on every
+call. A band spec loads its LP into a new HiGHS model on every call, solves
+objective 0 cold by dual simplex with presolve (what
+``scipy.optimize.linprog(method="highs-ds")`` does), and each later objective
+by primal simplex from the previous optimal basis, which a change of costs
+leaves primal feasible. Each is the faster one for its kind: a stacked band
+solve is cold throughout, and a kernel solve is mostly HiGHS's fixed cost
+per run. Either way a call starts from nothing, so equal inputs give equal
+results, bit for bit. Spec arrays must not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class PolytopeSpec:
 
     def _lp(self, copies: int) -> HighsLp:
         """The LP on ``copies`` block-diagonal copies of the system, built
-        once per number of copies (``maximize_each`` writes its costs)."""
+        once per number of copies (a kernel solve writes its costs into it)."""
         lp = self._lps.get(copies)
         if lp is None:
             system = _stack(self._system, copies)
@@ -124,10 +124,6 @@ class PolytopeSpec:
                 system.row_lower[free], system.row_upper[free] = -np.inf, np.inf
             lp = self._lps[copies] = highs_lp(system)
         return lp
-
-    @cached_property
-    def _rho_columns(self) -> np.ndarray:
-        return np.arange(self.S * self.A, dtype=np.int32)
 
     def _new_model(self) -> _Highs:
         """An empty HiGHS model with this kind's options, set for a cold
@@ -142,15 +138,8 @@ class PolytopeSpec:
         return model
 
     @cached_property
-    def _model(self) -> _Highs:
-        """``maximize``'s model, loaded with the single LP once."""
-        model = self._new_model()
-        _pass(model, self._lp(1))
-        return model
-
-    @cached_property
     def _stacked_model(self) -> _Highs:
-        """``maximize_each``'s model, passed its LP on every call."""
+        """A kernel spec's model, passed its stacked LP on every call."""
         return self._new_model()
 
 
@@ -287,14 +276,6 @@ def _read(model: _Highs, status: HighsModelStatus):
     return np.fromiter(model.getSolution().col_value, np.float64), nit
 
 
-def _occupancy(spec: PolytopeSpec, x: np.ndarray) -> OccupancyMeasure:
-    """The q of one copy's column values ``x``."""
-    S, A = spec.S, spec.A
-    if spec.kernel is None:
-        return OccupancyMeasure(x[S * A:].reshape(S, A, S))
-    return OccupancyMeasure(x[:S * A].reshape(S, A, 1) * spec.kernel)
-
-
 @dataclass(frozen=True)
 class LpSolution:
     q: Optional[OccupancyMeasure]
@@ -303,37 +284,31 @@ class LpSolution:
     nit: int  # HiGHS simplex iterations of the run that solved it
 
 
-def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
-    """Maximize <rho, r> over the polytope; r is a per-(s,a) table."""
-    objective = np.asarray(objective, dtype=np.float64)
-    S, A = spec.S, spec.A
-    if objective.shape != (S, A):
-        raise ValueError(f"objective must be (S, A) = {(S, A)}")
-    cost = -objective.ravel()
-    if not np.isfinite(cost).all():
-        raise ValueError("objective must be finite")
-    model = spec._model
-    model.changeColsCost(S * A, spec._rho_columns, cost)
-    status = _run(model)
-    # later solves on this spec start from the basis just found
-    model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-    x, nit = _read(model, status)
+def _solution(spec: PolytopeSpec, r: np.ndarray, x: Optional[np.ndarray], nit: int) -> LpSolution:
+    """Flat objective ``r``'s solution at its copy's column values ``x`` (None: infeasible)."""
     if x is None:
         return LpSolution(q=None, objective_value=float("nan"), status="infeasible", nit=nit)
-    return LpSolution(q=_occupancy(spec, x), objective_value=-model.getObjectiveValue(),
+    S, A, rho = spec.S, spec.A, x[:len(r)]
+    q = x[S * A:].reshape(S, A, S) if spec.kernel is None else rho.reshape(S, A, 1) * spec.kernel
+    # <rho, r> summed in column order, as HiGHS sums an LP's objective
+    return LpSolution(q=OccupancyMeasure(q), objective_value=float(np.cumsum(r * rho)[-1]),
                       status="optimal", nit=nit)
+
+
+def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
+    """Maximize <rho, r> over the polytope; r is a per-(s,a) table."""
+    return maximize_each(np.asarray(objective, dtype=np.float64)[None], spec)[0]
 
 
 def maximize_each(objectives, spec: PolytopeSpec) -> list:
     """Maximize <rho, r_k> over the polytope for each of K per-(s,a) tables
-    r_k (a (K, S, A) array), in one cold dual-simplex run.
+    r_k (a (K, S, A) array), by the spec kind's strategy (module docstring).
 
-    The run solves K block-diagonal copies of the spec's LP, copy k with r_k's
-    costs. Its LP is passed to the model afresh on every call, so a spec
-    solved on before gives what a new one would, bit for bit. Solution k's q
-    and objective value are read off copy k's columns; every solution carries
-    the run's ``nit``. All copies share one polytope, so they are infeasible
-    together.
+    A kernel spec solves K block-diagonal copies of its LP, copy k with r_k's
+    costs, in one run, and every solution carries that run's ``nit``. A band
+    spec solves the r_k in the order given, each from the previous one's
+    basis, and each solution carries its own solve's ``nit``. All objectives
+    share one polytope, so they are infeasible together.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     S, A = spec.S, spec.A
@@ -342,22 +317,26 @@ def maximize_each(objectives, spec: PolytopeSpec) -> list:
     if not np.isfinite(objectives).all():
         raise ValueError("objectives must be finite")
     copies, SA = len(objectives), S * A
-    lp = spec._lp(copies)
-    cost = np.zeros((copies, lp.num_col_ // copies))
-    cost[:, :SA] = -objectives.reshape(copies, SA)
-    lp.col_cost_ = cost.ravel()  # written into the LP, passed with it
-    model = spec._stacked_model
-    _pass(model, lp)
-    x, nit = _read(model, _run(model))
-    if x is None:
-        return [LpSolution(q=None, objective_value=float("nan"), status="infeasible",
-                           nit=nit)] * copies
-    x = x.reshape(copies, -1)
-    # each copy's <rho, r> summed in column order, as HiGHS sums an LP's objective
-    values = np.cumsum(objectives.reshape(copies, SA) * x[:, :SA], axis=1)[:, -1]
-    return [LpSolution(q=_occupancy(spec, xk), objective_value=float(value),
-                       status="optimal", nit=nit)
-            for xk, value in zip(x, values)]
+    rewards = objectives.reshape(copies, SA)
+    if spec.kernel is not None:
+        lp = spec._lp(copies)
+        lp.col_cost_ = -rewards.ravel()  # a kernel copy's columns are its rho
+        model = spec._stacked_model
+        _pass(model, lp)
+        x, nit = _read(model, _run(model))
+        solved = [(x, nit)] * copies if x is None else [(xk, nit) for xk in x.reshape(copies, SA)]
+    else:
+        model = spec._new_model()
+        _pass(model, spec._lp(1))
+        solved, rho_columns = [], np.arange(SA, dtype=np.int32)
+        for r in rewards:
+            model.changeColsCost(SA, rho_columns, -r)
+            solved.append(_read(model, _run(model)))
+            if solved[0][0] is None:
+                solved *= copies
+                break
+            model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+    return [_solution(spec, r, x, nit) for r, (x, nit) in zip(rewards, solved)]
 
 
 def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float,
@@ -368,8 +347,8 @@ def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float,
     verified by comparing the shrunk-polytope LP optimum against the full
     kernel-polytope optimum.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:  # NaN included
+        raise ValueError(f"epsilon must be positive; got {epsilon}")
     S, A = kernel.shape[0], kernel.shape[1]
     base = maximize(objective, PolytopeSpec(kernel=kernel))
     grid = []

@@ -7,13 +7,13 @@ from mdpvcg import GeneratorSpec, generate_model
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(module, name)`` wraps that attribute for the test and
-    returns a list that grows by one entry per call."""
+    returns a list that grows by one entry per call: its positional arguments."""
     def install(module, name):
         calls = []
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)

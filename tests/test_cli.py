@@ -64,6 +64,22 @@ def test_calibrate_delta_prints_json(model_file, capsys):
     assert 0 < doc["delta"] <= 1.0 / (3 * 3)
 
 
+def test_calibrate_delta_nan_epsilon_exits_2(model_file, capsys):
+    """--epsilon nan is refused: it would print invalid JSON."""
+    assert main(["calibrate-delta", "--model", str(model_file), "--epsilon", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "epsilon must be positive" in captured.err and not captured.out
+
+
+def test_offline_vcg_negative_sim_rounds_exits_2(model_file, tmp_path, capsys):
+    """--sim-rounds -5 is refused, not read as "skip the cross-check"."""
+    out = tmp_path / "mech.json"
+    assert main(["offline-vcg", "--model", str(model_file), "--out", str(out),
+                 "--sim-rounds", "-5"]) == 2
+    assert "sim_rounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_end_to_end(model_file, tmp_path, capsys):
     config = {
         "model": {"file": str(model_file)},
@@ -147,10 +163,17 @@ def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key,
                                         ("alpha_string", "alpha must be a number; got '0.25'"),
                                         ("c_max_bool", "c_max must be a number; got True"),
                                         ("reward_family_number",
-                                         "reward_family must be a name or a list of names")])
-@pytest.mark.parametrize("command", ["offline-vcg", "simulate"])
+                                         "reward_family must be a name or a list of names"),
+                                        ("document_array", ".json must be an object; got [{"),
+                                        ("unknown_key", ".json key(s) 'gamma'"),
+                                        ("n_float", "n must be an integer; got 2.0"),
+                                        ("S_string", "S must be an integer; got '3'"),
+                                        ("kernel_ragged", "kernel must be (3, 3, 3)"),
+                                        ("S_mismatch", "kernel must be (2, 3, 2)")])
+@pytest.mark.parametrize("command", ["offline-vcg", "simulate", "calibrate-delta"])
 def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
-    """A model file is validated when it loads, before anything is written."""
+    """A model file is validated when it loads, by key against its key table,
+    before anything is written."""
     path = tmp_path / f"{case}.json"
     save_model(generate_model(GEN, 1), path)
     doc = json.loads(path.read_text())
@@ -168,20 +191,36 @@ def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
         doc["c_max"] = True
     elif case == "reward_family_number":
         doc["reward_family"] = 1
+    elif case == "document_array":
+        doc = [doc]
+    elif case == "unknown_key":
+        doc["gamma"] = 0.9
+    elif case == "n_float":
+        doc["n"] = 2.0
+    elif case == "S_string":
+        doc["S"] = "3"
+    elif case == "kernel_ragged":  # np.array would fail naming neither key nor file
+        doc["kernel"][0][0] = doc["kernel"][0][0][:2]
+    elif case == "S_mismatch":
+        doc["S"] = 2
     else:
         doc["alpha"] = math.nan
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     if command == "offline-vcg":
         argv = ["offline-vcg", "--model", str(path), "--out", str(out), "--sim-rounds", "10"]
+    elif command == "calibrate-delta":
+        argv = ["calibrate-delta", "--model", str(path), "--epsilon", "0.05"]
     else:
         cfg_file = tmp_path / "config.json"
         cfg_file.write_text(json.dumps({"model": {"file": str(path)}, "horizon": 100}))
         argv = ["simulate", "--config", str(cfg_file), "--out", str(out)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and kind in err and "np.float64" not in err
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and kind in captured.err
+    # one line, too short for the 27 floats of a whole kernel
+    assert "np.float64" not in captured.err and len(captured.err) < 500
+    assert not captured.out and not out.exists()
 
 
 @pytest.mark.parametrize("spec, key", [

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 import mdpvcg.cli as cli_mod
 import mdpvcg.harness as harness_mod
+import mdpvcg.offline as offline_mod
 from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
                     LearnerConfig, MdpModel, OnlineRunResult, OnlineVcgLearner,
                     RegretReport, RoundColumns, compute_benchmark, config_hash,
                     episode_schedule, export, generate_model, run_clairvoyant,
-                    run_offline, run_online, save_model, truthfulness_gain)
+                    run_offline, run_online, save_model, seller_utility_identity,
+                    truthfulness_gain)
 from mdpvcg.bidders import (KINDS, BidderStrategy, adversarial_window, scaled, shifted,
                             truthful, windows_from_episodes)
 from mdpvcg.harness import (_BIDDER_KEYS, _CONFIG_KEYS, _GENERATOR_KEYS, SeedRunResult,
@@ -136,6 +138,18 @@ def test_benchmark_scalars_are_consistent():
     assert bench["welfare"] == pytest.approx(
         bench["seller"] + bench["bidders"], abs=1e-9)
     assert bench["identity_residual"] <= 1e-8
+
+
+def test_exact_scores_solve_the_occupancy_once(count_calls):
+    """One stationary solve per scoring; its residual is that of
+    seller_utility_identity, bit for bit."""
+    model = generate_model(GEN, 1)
+    mech = compute_benchmark(model)[0]
+    solves = count_calls(offline_mod, "occupancy_from")
+    scores = harness_mod._exact_scores(mech, model)
+    assert len(solves) == 1
+    lhs, rhs = seller_utility_identity(mech, model.reward_means, model.kernel)
+    assert scores["identity_residual"] == abs(lhs - rhs)
 
 
 def test_run_offline_exact_vs_empirical_gap():

@@ -271,9 +271,13 @@ def test_constraints_built_once_per_episode(count_calls):
                                          reward_family="bernoulli-scaled"), 4)
     builds = count_calls(polytope_mod, "build_constraints")
     lps = count_calls(polytope_mod, "highs_lp")
-    solves = count_calls(online_mod, "maximize")
+    solves = count_calls(online_mod, "maximize_each")
+    runs = count_calls(polytope_mod, "_run")
     learner = drive(OnlineVcgLearner(config(alpha=0.25, delta=0.08)), model, 3000)
     episodes = learner.k - 1
     assert episodes >= 2
     assert len(builds) == len(lps) == episodes
-    assert len(solves) == episodes * (2 * model.n + 1)
+    # one call per episode: the allocation and 2n counterfactual objectives,
+    # each solved in its own HiGHS run of the warm chain
+    assert [len(objectives) for objectives, _ in solves] == [2 * model.n + 1] * episodes
+    assert len(runs) == episodes * (2 * model.n + 1)

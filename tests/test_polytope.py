@@ -156,38 +156,40 @@ def test_rho_lp_matches_q_space_oracle(S, A, variant, delta_frac, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 3), **spec_params)
-def test_warm_solves_equal_fresh_solves(n, S, A, variant, delta_frac, seed):
-    """2n+1 objectives solved in turn on one spec (each from the previous
-    basis) match the same objectives solved on fresh specs; the first solve
-    is linprog's on the same rows, presolved exactly when the model is (a
-    tie may resolve to another vertex with presolve than without)."""
+@given(n=st.integers(1, 3), **{k: v for k, v in spec_params.items() if k != "variant"})
+def test_warm_solves_equal_fresh_solves(n, S, A, delta_frac, seed):
+    """2n+1 objectives in one ``maximize_each`` call on a band spec (each
+    solved from the previous one's basis) match the same objectives solved
+    alone on fresh specs: the same statuses, values within 1e-9 and each q
+    meeting the q-space rows. The first solve is linprog's on the same rows,
+    presolved as the band's model is (a tie may resolve to another vertex
+    with presolve than without)."""
+    variant = "SHRUNK_CONFIDENCE"
     kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
     spec = PolytopeSpec(**kw)
     rng = np.random.default_rng(seed + 1)
     objectives = rng.random((2 * n + 1, S, A)) * (rng.random((2 * n + 1, S, A)) >= 0.2)
     rows = loop_constraints(variant, S, A, **kw)
-    for k, r in enumerate(objectives):
-        warm = maximize(r, spec)
+    warm = maximize_each(objectives, spec)
+    assert len(warm) == len(objectives)
+    for sol, r in zip(warm, objectives):
         fresh = maximize(r, replace(spec))
-        assert warm.status == fresh.status
-        assert warm.nit >= 0 and fresh.nit >= 0
-        if k == 0:
-            system = build_constraints(spec)
-            c = np.zeros(len(system.col_lower))
-            c[:S * A] = r.ravel()
-            presolve = spec._model.getOptionValue("presolve")[1] == "on"
-            assert presolve == (variant == "SHRUNK_CONFIDENCE")
-            ref = linprog_maximize(c, *_dense_rows(system), presolve=presolve)
-            assert (ref.status == 2) == (warm.status == "infeasible")
-            if ref.status == 0:
-                rho = ref.x[:S * A].reshape(S, A)
-                q = (ref.x[S * A:].reshape(S, A, S) if variant == "SHRUNK_CONFIDENCE"
-                     else rho[:, :, None] * kw["kernel"])
-                np.testing.assert_allclose(warm.q.q, q, rtol=0, atol=1e-12)
-        if warm.status == "optimal":
-            assert abs(warm.objective_value - fresh.objective_value) <= 1e-9
-            assert _max_violation(rows, warm.q.q.ravel()) <= 1e-8
+        assert sol.status == fresh.status
+        assert sol.nit >= 0 and fresh.nit >= 0
+        if sol.status == "optimal":
+            assert abs(sol.objective_value - fresh.objective_value) <= 1e-9
+            assert _max_violation(rows, sol.q.q.ravel()) <= 1e-8
+        else:
+            assert sol.q is None
+    system = build_constraints(spec)
+    c = np.zeros(len(system.col_lower))
+    c[:S * A] = objectives[0].ravel()
+    presolve = spec._new_model().getOptionValue("presolve")[1] == "on"
+    assert presolve
+    ref = linprog_maximize(c, *_dense_rows(system), presolve=presolve)
+    assert (ref.status == 2) == (warm[0].status == "infeasible")
+    if ref.status == 0:
+        np.testing.assert_allclose(warm[0].q.q, ref.x[S * A:].reshape(S, A, S), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -513,10 +515,19 @@ def test_calibrate_delta_rejects_bad_epsilon():
 
 
 def test_identical_inputs_solve_identically():
+    """A solve depends on its inputs alone: on a kernel and on a band spec, a
+    spec solved on before, for the same or another objective, gives what a
+    fresh copy gives, bit for bit."""
     model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=3), 9)
-    r = model.reward_means.sum(axis=0)
+    r, r2 = model.reward_means.sum(axis=0), model.reward_means[0]
     spec = PolytopeSpec(kernel=model.kernel, delta=0.03)
     a = maximize(r, spec)
     b = maximize(r, spec)
     assert a.objective_value == b.objective_value
     np.testing.assert_array_equal(a.q.q, b.q.q)
+    band = PolytopeSpec(band_lower=np.clip(model.kernel - 0.05, 0, 1),
+                        band_upper=np.clip(model.kernel + 0.05, 0, 1), delta=0.03)
+    maximize(r2, band)
+    after, fresh = maximize(r, band), maximize(r, replace(band))
+    assert (after.objective_value, after.nit) == (fresh.objective_value, fresh.nit)
+    _assert_bit_equal(after.q.q, fresh.q.q)

@@ -122,10 +122,11 @@ class OnlineVcgLearner:
     def observe(self, s, a, s2, seller_rewards, bids) -> None:
         """Record played rounds, one entry per round (``bids`` is (n, L)); both
         phases count. Bids outside [0, 1] are clipped, with one warning per call."""
-        s, a = np.asarray(s), np.asarray(a)
+        S, A, n = self.config.S, self.config.A, self.config.n
+        sa = np.asarray(s) * A + np.asarray(a)  # flat (s, a) index
         bids = np.asarray(bids, dtype=np.float64)
-        np.add.at(self.counts, (s, a), 1)
-        np.add.at(self.counts3, (s, a, s2), 1)
+        self.counts += np.bincount(sa, minlength=S * A).reshape(S, A)
+        self.counts3 += np.bincount(sa * S + s2, minlength=S * A * S).reshape(S, A, S)
         out = (bids < 0.0) | (bids > 1.0)
         if out.any():
             first = int(np.flatnonzero(out.any(axis=0))[0])
@@ -133,9 +134,10 @@ class OnlineVcgLearner:
                            int(out.sum()), self.tau_k + self.pos + first)
             bids = np.where(bids < 0.0, 0.0, np.where(bids > 1.0, 1.0, bids))
         # in round order, so each sum adds exactly as one round at a time would
-        np.add.at(self.reward_sums[0], (s, a), seller_rewards)  # capped by c_max, never clipped
-        np.add.at(self.reward_sums[1:], (slice(None), s, a), bids)
-        self.pos += len(s)
+        np.add.at(self.reward_sums[0].reshape(-1), sa, seller_rewards)  # capped, never clipped
+        np.add.at(self.reward_sums[1:].reshape(-1),
+                  (np.arange(n)[:, None] * (S * A) + sa).ravel(), bids.ravel())
+        self.pos += len(sa)
 
     def end_episode(self) -> None:
         """Refresh estimates, tighten the band, and solve the 2n+1 update LPs."""

@@ -7,7 +7,9 @@ nonnegativity:
                   an average-reward MDP); q = rho * P afterwards
   band_lower,     an unknown kernel inside a two-sided band: q(s,a,s') columns
   band_upper      with lower(s,a,s')*rho(s,a) <= q(s,a,s') <= upper(s,a,s')*rho(s,a),
-                  sum_x q(s,a,x) = rho(s,a) and flow balanced in q
+                  sum_x q(s,a,x) = rho(s,a) and flow balanced in q; a band
+                  row that these imply is left out of the LP (see
+                  ``build_constraints``)
   delta           optional with either: every rho(s,a) at least delta (the
                   shrunk polytope), a lower bound on the rho columns, not a row
 
@@ -178,19 +180,25 @@ def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
     Known kernel: S*A columns rho; equality rows mass and one flow row per
     state, sum_a rho(s', a) - sum_{s,a} P(s'|s,a) rho(s,a) = 0, so column
     (s, a) is [1, e_s - P(.|s,a)].
-    Band: the S*A rho columns, then S^2*A columns q. Rows: an upper and a
-    lower band row per (s, a, s'), interleaved (q - upper*rho <= 0 and
+    Band: the S*A rho columns, then S^2*A columns q. Rows: at most an upper
+    and a lower band row per (s, a, s'), interleaved (q - upper*rho <= 0 and
     lower*rho - q <= 0); then equalities mass (over rho), flow per state
     (sum_{s,a} q(s,a,s') - sum_a rho(s',a) = 0) and a link row per (s, a)
-    (sum_x q(s,a,x) - rho(s,a) = 0). Each column lists its entries in row
-    order, without exact zeros.
+    (sum_x q(s,a,x) - rho(s,a) = 0). A band row that the rest implies is
+    left out: the lower row where lower is 0 (it restates q >= 0) and the
+    upper row where upper is 1 or more (q <= sum_x q(s,a,x) = rho already
+    holds). The kept rows keep their order. Each column lists its entries in
+    row order, without exact zeros.
     """
     S, A = spec.S, spec.A
     SA = S * A
     pair = np.arange(SA)
     if spec.kernel is None:
-        n_ub, n_row = 2 * SA * S, 2 * SA * S + 1 + S + SA
-        eq = np.arange(n_ub, n_row)  # mass, flow per state, link per pair
+        n_band = 2 * SA * S  # band rows of the full layout, upper and lower interleaved
+        kept = np.ones(n_band + 1 + S + SA, dtype=bool)  # which full-layout rows stay
+        kept[0:n_band:2] = spec.band_upper.ravel() < 1
+        kept[1:n_band:2] = spec.band_lower.ravel() > 0
+        eq = np.arange(n_band, len(kept))  # mass, flow per state, link per pair
         # one block row per column: 2S band entries, then mass, flow and link
         rows = np.zeros((SA + SA * S, 2 * S + 3), dtype=np.int64)
         values = np.zeros(rows.shape)
@@ -204,6 +212,9 @@ def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
         rows[SA:, :4] = np.column_stack([2 * cell, 2 * cell + 1, eq[1 + cell % S],
                                          eq[1 + S + cell // S]])
         values[SA:, :4] = (1.0, -1.0, 1.0, 1.0)
+        values[~kept[rows]] = 0.0  # a left-out row's entries are dropped as zeros below
+        rows = np.cumsum(kept)[rows] - 1  # full-layout row -> kept row
+        n_ub, n_row = int(kept[:n_band].sum()), int(kept.sum())
     else:
         n_ub, n_row = 0, 1 + S
         rows = np.broadcast_to(np.arange(1 + S), (SA, 1 + S))

@@ -84,6 +84,41 @@ def test_same_seed_reproduces_and_different_seeds_diverge():
     assert config_hash(cfg) != config_hash(quick_config(horizon=601, seeds=(0,)))
 
 
+# final (reg_sw, reg_sell, reg_bid) per seed and (k, tau, d, l, payment_order_ok)
+# per episode of two small runs, recorded with the solver as it stood when the
+# pins were taken; outputs that move show here, not only in the benchmark
+PINNED_RUNS = [
+    (ExperimentConfig(generator=GeneratorSpec(S=3, A=3, n=2, alpha=0.2,
+                                              reward_family="bernoulli-scaled"),
+                      delta=0.01, zeta=0.05, horizon=20_000, seeds=(0, 1),
+                      bidders=({"kind": "scaled", "factor": 1.5}, {"kind": "truthful"})),
+     [[4240.936460471057, 3781.936460471057], [-25498.547863152504, -25332.443300392086],
+      [29739.48432362356, 29114.379760863143]],
+     [(1, 1, 1, 10386, True)]),
+    (ExperimentConfig(generator=GeneratorSpec(S=2, A=2, n=2, alpha=0.2), delta=0.05,
+                      zeta=0.05, episodes=12, seeds=(0, 1)),
+     [[3326.240364236539, 3357.3426703623263], [-18675.03851106244, -18605.66287268314],
+      [22001.27887529898, 21963.005543045467]],
+     [(1, 1, 1, 1753, True), (2, 1755, 2, 2031, True), (3, 3788, 3, 2193, True),
+      (4, 5984, 4, 2308, True), (5, 8296, 5, 2397, True), (6, 10698, 5, 2470, True),
+      (7, 13173, 5, 2532, True), (8, 15710, 6, 2585, True), (9, 18301, 6, 2632, True),
+      (10, 20939, 6, 2674, True), (11, 23619, 6, 2712, True), (12, 26337, 7, 2747, True)]),
+]
+
+
+@pytest.mark.parametrize("cfg, regrets, episodes", PINNED_RUNS, ids=["quick_start", "S2A2"])
+def test_pinned_runs_repeat_their_recorded_outputs(cfg, regrets, episodes):
+    """Final regrets within a relative 1e-9 (HiGHS versions may differ in the
+    last digits of a value, not in a vertex) and the episode records exactly."""
+    result = run_online(cfg)
+    rep = result.report
+    np.testing.assert_allclose([rep.reg_sw[:, -1], rep.reg_sell[:, -1], rep.reg_bid[:, -1]],
+                               regrets, rtol=1e-9, atol=0)
+    for seed_result in result.seed_results:
+        assert [(e.k, e.tau, e.d, e.l, e.payment_order_ok)
+                for e in seed_result.episodes] == episodes
+
+
 def test_clairvoyant_baseline_small():
     cfg = quick_config(horizon=20_000, seeds=(0, 1))
     res = run_clairvoyant(cfg)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdpvcg.online as online_mod
 import mdpvcg.polytope as polytope_mod
@@ -103,6 +105,38 @@ def test_observe_clips_out_of_range_bids(caplog):
     assert learner.reward_sums[2, 1, 2] == 0.0
     warnings = [r.getMessage() for r in caplog.records if "clipped" in r.getMessage()]
     assert warnings == ["3 bids outside [0, 1] clipped, the first in round 6"]
+
+
+def _tuple_index_observe(learner, s, a, s2, seller_rewards, bids):
+    """What ``observe`` adds, by tuple-index scatter-adds on the 2-D and 3-D
+    tables (the reference for its flat-index form)."""
+    np.add.at(learner.counts, (s, a), 1)
+    np.add.at(learner.counts3, (s, a, s2), 1)
+    np.add.at(learner.reward_sums[0], (s, a), seller_rewards)
+    np.add.at(learner.reward_sums[1:], (slice(None), s, a), np.clip(bids, 0.0, 1.0))
+    learner.pos += len(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=st.integers(1, 5), A=st.integers(1, 5), n=st.integers(1, 4),
+       rounds=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_observe_equals_tuple_index_scatter_adds(S, A, n, rounds, seed):
+    """From nonzero counts and sums, ``observe`` leaves every table bit for
+    bit as tuple-index ``np.add.at`` does, out-of-range bids clipped."""
+    rng = np.random.default_rng(seed)
+    got = OnlineVcgLearner(config(S=S, A=A, n=n, alpha=0.5 / S, delta=0.5 / (S * A)))
+    got.counts = rng.integers(0, 1000, (S, A))
+    got.counts3 = rng.integers(0, 1000, (S, A, S))
+    got.reward_sums = rng.random((n + 1, S, A)) * rng.uniform(1, 1e4)
+    want = OnlineVcgLearner.from_checkpoint(got.to_checkpoint())
+    s, a, s2 = (rng.integers(m, size=rounds) for m in (S, A, S))
+    seller_rewards, bids = rng.random(rounds), rng.uniform(-0.2, 1.2, (n, rounds))
+    got.observe(s, a, s2, seller_rewards, bids)
+    _tuple_index_observe(want, s, a, s2, seller_rewards, bids)
+    for key in ("counts", "counts3", "reward_sums"):
+        assert getattr(got, key).dtype == getattr(want, key).dtype
+        assert np.array_equal(getattr(got, key), getattr(want, key))
+    assert got.pos == want.pos == rounds
 
 
 def test_counting_identity_holds_after_any_sequence():

@@ -54,17 +54,32 @@ def _max_violation(rows, x):
 
 def test_full_constraint_counts():
     """Row and column counts of every polytope, read off the shapes; mass over
-    the rho columns; delta as a lower bound on the rho columns only."""
+    the rho columns; delta as a lower bound on the rho columns only. A band
+    keeps a lower row only where its lower bound is above 0 and an upper row
+    only where its upper bound is below 1: none for the [0, 1] band. A mixed
+    band keeps those rows, upper before lower, in (s, a, s') order."""
     S, A = 2, 3
     SA, nq = S * A, S * A * S
     kernel = np.full((S, A, S), 1.0 / S)
+    rng = np.random.default_rng(0)
+    lower, upper = rng.uniform(0.1, 0.4, (S, A, S)), rng.uniform(0.6, 0.9, (S, A, S))
+    lower.flat[[0, 3, 4, 9]] = 0.0
+    upper.flat[[3, 5, 10]] = 1.0
+    upper.flat[11] = 1.0 + TOL.row_sum  # what the spec lets through above 1
+    mixed_rows = [(c, side) for c in range(nq) for side, kept in
+                  (("upper", upper.flat[c] < 1), ("lower", lower.flat[c] > 0)) if kept]
+    assert len(mixed_rows) == 2 * nq - 8
+    mixed = PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.1)
+    inner = PolytopeSpec(band_lower=np.maximum(lower, 0.05), band_upper=np.minimum(upper, 0.95))
     cases = [
         (PolytopeSpec(kernel=kernel), SA, 1 + S, 0, 0.0),
         (PolytopeSpec(kernel=kernel, delta=0.1), SA, 1 + S, 0, 0.1),
         (PolytopeSpec(band_lower=np.zeros((S, A, S)), band_upper=np.ones((S, A, S)),
-                      delta=0.1), SA + nq, 1 + S + SA, 2 * nq, 0.1),
+                      delta=0.1), SA + nq, 1 + S + SA, 0, 0.1),
         (PolytopeSpec(band_lower=np.zeros((S, A, S)), band_upper=np.ones((S, A, S))),
-         SA + nq, 1 + S + SA, 2 * nq, 0.0),
+         SA + nq, 1 + S + SA, 0, 0.0),
+        (inner, SA + nq, 1 + S + SA, 2 * nq, 0.0),
+        (mixed, SA + nq, 1 + S + SA, len(mixed_rows), 0.1),
     ]
     for spec, nv, n_eq, n_ub, floor in cases:
         assert (spec.S, spec.A) == (S, A)
@@ -77,6 +92,14 @@ def test_full_constraint_counts():
         np.testing.assert_array_equal(b_ub, 0.0)
         np.testing.assert_array_equal(bounds[:, 0], np.repeat([floor, 0.0], [SA, nv - SA]))
         np.testing.assert_array_equal(bounds[:, 1], np.inf)
+    A_ub = _dense_rows(build_constraints(mixed))[2]
+    want = np.zeros((len(mixed_rows), SA + nq))
+    for row, (c, side) in zip(want, mixed_rows):
+        row[c // S], row[SA + c] = ((-upper.flat[c], 1.0) if side == "upper"
+                                    else (lower.flat[c], -1.0))
+    np.testing.assert_array_equal(A_ub, want)
+    np.testing.assert_array_equal(_dense_rows(build_constraints(mixed))[0],
+                                  _dense_rows(build_constraints(inner))[0])
 
 
 def test_exact_kernel_has_one_flow_row_per_state():
@@ -190,6 +213,38 @@ def test_warm_solves_equal_fresh_solves(n, S, A, delta_frac, seed):
     assert (ref.status == 2) == (warm[0].status == "infeasible")
     if ref.status == 0:
         np.testing.assert_allclose(warm[0].q.q, ref.x[S * A:].reshape(S, A, S), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), S=st.integers(1, 5), A=st.integers(1, 5), floor=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_lp_matches_the_full_row_oracle(n, S, A, floor, seed):
+    """On bands with many entries at exactly 0 and at 1 or more, whose band
+    rows the LP leaves out, 2n+1 objectives in one ``maximize_each`` call
+    reach the optimum of the q-space LP with every band row (the loop
+    oracle) within 1e-9, with and without delta, and each q meets the rows
+    left out, q >= 0 and q <= rho, within 1e-10."""
+    rng = np.random.default_rng(seed)
+    shape = (S, A, S)
+    kernel = rng.dirichlet(np.ones(S), size=(S, A))
+    lower, upper = tighten_band(None, kernel, rng.uniform(0, 0.6, shape))
+    lower[rng.random(shape) < 0.3] = 0.0
+    upper[rng.random(shape) < 0.3] = 1.0
+    upper[rng.random(shape) < 0.1] = 1.0 + TOL.row_sum
+    delta = rng.uniform(0.01, 1) / (S * A) if floor else None
+    objectives = rng.random((2 * n + 1, S, A))
+    rows = loop_constraints("SHRUNK_CONFIDENCE", S, A, delta=delta or 0.0,
+                            band_lower=lower, band_upper=upper)
+    got = maximize_each(objectives, PolytopeSpec(band_lower=lower, band_upper=upper, delta=delta))
+    for sol, r in zip(got, objectives):
+        want = linprog_maximize(np.repeat(r[:, :, None], S, axis=2).ravel(), *rows)
+        assert want.status in (0, 2)
+        assert (sol.status == "infeasible") == (want.status == 2)
+        if want.status == 0:
+            assert abs(sol.objective_value - -want.fun) <= 1e-9
+            q = sol.q.q
+            assert q[lower == 0].min(initial=0.0) >= -1e-10
+            assert (q - q.sum(axis=2, keepdims=True))[upper >= 1].max(initial=0.0) <= 1e-10
 
 
 @settings(max_examples=100, deadline=None)

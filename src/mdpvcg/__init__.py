@@ -3,9 +3,9 @@
 from .bidders import (BidderStrategy, adversarial_window, by_bids, reports,
                       scaled, shifted, truthful, windows_from_episodes)
 from .harness import (ExperimentConfig, OnlineRunResult, RegretReport,
-                      RoundColumns, compute_benchmark, config_hash, export,
-                      run_clairvoyant, run_offline, run_online, simulate_run,
-                      truthfulness_gain)
+                      RoundColumns, RunState, advance, compute_benchmark,
+                      config_hash, export, run_clairvoyant, run_offline,
+                      run_online, simulate_run, truthfulness_gain)
 from .mdp import (GeneratorSpec, MdpModel, SimState, generate_model, load_model,
                   play, save_model, validate_model)
 from .occupancy import (OccupancyMeasure, induce, kernel_shift_bound,

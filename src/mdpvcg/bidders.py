@@ -59,8 +59,11 @@ def adversarial_window(windows, factor: float = 1.0,
 
 
 def windows_from_episodes(config: LearnerConfig, episodes) -> list:
-    """Round windows covering the given episode indices under the fixed schedule."""
+    """Round windows covering the given episode indices (from 1) under the fixed schedule."""
     episodes = sorted(set(int(k) for k in episodes))
+    if not episodes or episodes[0] < 1:
+        raise ValueError("episode indices must be a non-empty list of integers >= 1; "
+                         f"got {[k for k in episodes if k < 1] or 'an empty list'}")
     taus = episode_schedule(config, max(episodes))
     return [(int(taus[k - 1]), int(taus[k])) for k in episodes]
 

@@ -199,12 +199,6 @@ def _bidder_strategy(i: int, spec, model: MdpModel) -> BidderStrategy:
     return getattr(bidders, fields.pop("kind"))(**fields)  # each kind's factory takes its keys
 
 
-def resolve_horizon(config: ExperimentConfig, lcfg: LearnerConfig) -> int:
-    if config.horizon is not None:
-        return config.horizon
-    return int(episode_schedule(lcfg, config.episodes)[-1] - 1)
-
-
 # -- per-round and per-episode records ---------------------------------------
 
 @dataclass
@@ -245,16 +239,6 @@ class EpisodeRecord:
     band_width_max: float
     payment_order_ok: bool       # seller-favorable >= bidder-favorable everywhere
     rho_gap: float               # diagnostic: ||rho_hat - rho_true|| for next policy
-
-
-@dataclass
-class SeedRunResult:
-    seed: int
-    cum_welfare: np.ndarray      # realized sum of R^t at each checkpoint
-    cum_seller: np.ndarray
-    cum_per_bidder: np.ndarray   # (n, n_checkpoints)
-    episodes: list
-    rounds: Optional[RoundColumns] = None
 
 
 @dataclass
@@ -303,72 +287,88 @@ def checkpoint_grid(horizon: int, boundaries=(), extra=()) -> np.ndarray:
     while p <= horizon:
         pts.add(p)
         p *= 2
-    pts.update(int(b) for b in boundaries if 1 <= b <= horizon)
-    pts.update(int(e) for e in extra if 1 <= e <= horizon)
+    pts.update(int(b) for b in (*boundaries, *extra) if 1 <= b <= horizon)
     return np.array(sorted(pts), dtype=np.int64)
+
+
+@dataclass
+class RunState:
+    """One seed's run of the online protocol between two segments; played to
+    the horizon, it is the seed's result.
+
+    ``seller`` is an OnlineVcgLearner, played on in place, or a fixed
+    Mechanism, which plays like an episode that never ends. The ``cum_*``
+    sums are realized at the checkpoints reached so far, and ``totals`` holds
+    R, u_0 and each u_i summed over the rounds played. A deep copy plays on
+    exactly as the original does.
+    """
+
+    model: MdpModel
+    seller: OnlineVcgLearner | Mechanism
+    strategies: Sequence[BidderStrategy]
+    horizon: int
+    checkpoints: np.ndarray
+    seed: int
+    sim: SimState
+    rng: np.random.Generator             # the seller's: one uniform per action
+    cum_welfare: np.ndarray              # realized sum of R^t at each checkpoint
+    cum_seller: np.ndarray
+    cum_per_bidder: np.ndarray           # (n, n_checkpoints)
+    totals: np.ndarray
+    episodes: list
+    episode_counts: Optional[np.ndarray]  # the learner's visit counts at the episode's start
+    rounds: Optional[RoundColumns]
+
+    @classmethod
+    def start(cls, model, seller, strategies, horizon, seed, checkpoints,
+              record_rounds=False) -> "RunState":
+        """The run before its first round, from ``simulate_run``'s arguments."""
+        env_seed, seller_seed = np.random.SeedSequence(seed).spawn(2)
+        n, ncp = model.n, len(checkpoints)
+        return cls(model, seller, strategies, horizon, checkpoints, seed,
+                   SimState.start(model, env_seed), np.random.default_rng(seller_seed),
+                   np.zeros(ncp), np.zeros(ncp), np.zeros((n, ncp)), np.zeros(n + 2), [],
+                   seller.counts.copy() if isinstance(seller, OnlineVcgLearner) else None,
+                   RoundColumns.allocate(horizon, n) if record_rounds else None)
 
 
 def simulate_run(model: MdpModel, seller: OnlineVcgLearner | Mechanism,
                  strategies: Sequence[BidderStrategy], horizon: int, seed: int,
-                 checkpoints: np.ndarray, record_rounds: bool = False) -> SeedRunResult:
-    """One seeded pass of the online protocol; diagnostics when the seller learns.
+                 checkpoints: np.ndarray, record_rounds: bool = False) -> RunState:
+    """One seeded pass of the online protocol, played to the horizon one
+    segment at a time; diagnostics when the seller learns."""
+    state = RunState.start(model, seller, strategies, horizon, seed, checkpoints, record_rounds)
+    while state.sim.t <= horizon:
+        advance(state)
+    return state
 
-    ``seller`` is an OnlineVcgLearner or a fixed Mechanism, which plays like
-    an episode that never ends. Play goes one segment at a time: the rest of
-    the current episode, cut at the horizon and at ``_SEGMENT_MAX`` rounds.
-    A segment's policy and charges are fixed, so its rounds are drawn and
-    accounted with array operations: the same draws as one round at a time,
-    and the same sums added in the same order.
+
+def advance(state: RunState) -> None:
+    """Play the run's next segment: the rest of the current episode, cut at
+    the horizon and at ``_SEGMENT_MAX`` rounds. End the episode if the
+    segment finishes it.
+
+    An episode's first d_k rounds are not charged. A segment's policy and
+    charges are fixed, so its rounds are drawn and accounted with array
+    operations: the same draws as one round at a time, and the same sums
+    added in the same order. Rows of ``state.rounds`` are filled when it is kept.
     """
-    n = model.n
-    ss = np.random.SeedSequence(seed)
-    env_seed, seller_seed = ss.spawn(2)
-    sim = SimState.start(model, env_seed)
-    rng_seller = np.random.default_rng(seller_seed)
+    model, seller, n, t0 = state.model, state.seller, state.model.n, state.sim.t
+    length = min(state.horizon - t0 + 1, _SEGMENT_MAX)
     learner = seller if isinstance(seller, OnlineVcgLearner) else None
-    episode_counts = learner.counts.copy() if learner is not None else None
-
-    # running sums of R, u_0 and each u_i; their values at the checkpoints
-    totals = np.zeros(n + 2)
-    at_checkpoints = np.zeros((n + 2, len(checkpoints)))
-    rounds = RoundColumns.allocate(horizon, n) if record_rounds else None
-    episodes: list = []
-    while sim.t <= horizon:
-        length = min(horizon - sim.t + 1, _SEGMENT_MAX)
-        if learner is None:
-            mixing, k, policy, payments = 0, 0, seller.allocation, seller.payments
-        else:
-            length = min(length, learner.d_k + learner.l_k - learner.pos)
-            mixing = min(length, max(0, learner.d_k - learner.pos))
-            k, policy, payments = learner.k, learner.policy, learner.payments
-        totals = _play_segment(model, sim, rng_seller, learner, strategies, length, mixing, k,
-                               policy, payments, checkpoints, totals, at_checkpoints, rounds)
-
-        if learner is not None and learner.episode_complete:
-            episodes.append(_end_episode(learner, model, episode_counts))
-            episode_counts = learner.counts.copy()
-
-    return SeedRunResult(seed=seed, cum_welfare=at_checkpoints[0], cum_seller=at_checkpoints[1],
-                         cum_per_bidder=at_checkpoints[2:], episodes=episodes, rounds=rounds)
-
-
-def _play_segment(model, sim, rng, learner, strategies, length, mixing, k, policy,
-                  payments, checkpoints, totals, at_checkpoints, rounds):
-    """Play ``length`` rounds under ``policy``; returns the running sums after them.
-
-    The first ``mixing`` rounds are not charged. Sums at the checkpoints
-    inside the segment go to ``at_checkpoints``; rows of ``rounds`` are
-    filled when it is given.
-    """
-    n = model.n
-    t0 = sim.t
+    if learner is None:
+        mixing, k, policy = 0, 0, seller.allocation
+    else:
+        length = min(length, learner.d_k + learner.l_k - learner.pos)
+        mixing = min(length, max(0, learner.d_k - learner.pos))
+        k, policy = learner.k, learner.policy
     t = np.arange(t0, t0 + length)
-    s, a, s2, r = play(model, sim, policy, rng, length)
-    bids = np.array([reports(strategies[i], t, s, a, r[i + 1])
+    s, a, s2, r = play(model, state.sim, policy, state.rng, length)
+    bids = np.array([reports(state.strategies[i], t, s, a, r[i + 1])
                      for i in range(n)]).reshape(n, length)
     if learner is not None:
         learner.observe(s, a, s2, r[0], bids)
-    charges = payments[:, s, a]
+    charges = seller.payments[:, s, a]
     charges[:, :mixing] = 0.0
 
     bidder_total = pay_total = 0.0  # added left to right: 0.0 + x_1 + x_2 + ...
@@ -376,21 +376,29 @@ def _play_segment(model, sim, rng, learner, strategies, length, mixing, k, polic
         bidder_total = bidder_total + r[i + 1]
         pay_total = pay_total + charges[i]
     flows = np.empty((n + 2, length + 1))
-    flows[:, 0] = totals
+    flows[:, 0] = state.totals
     flows[0, 1:] = r[0] + bidder_total  # R
     flows[1, 1:] = r[0] + pay_total     # u_0
     flows[2:, 1:] = r[1:] - charges     # u_i
     sums = np.cumsum(flows, axis=1)     # sequential, seeded with the totals
-    lo, hi = np.searchsorted(checkpoints, [t0, t0 + length])
-    at_checkpoints[:, lo:hi] = sums[:, checkpoints[lo:hi] - t0 + 1]
+    state.totals = sums[:, -1].copy()  # a copy: a view would keep all of ``sums``
+    lo, hi = np.searchsorted(state.checkpoints, [t0, t0 + length])
+    at = sums[:, state.checkpoints[lo:hi] - t0 + 1]
+    state.cum_welfare[lo:hi], state.cum_seller[lo:hi] = at[0], at[1]
+    state.cum_per_bidder[:, lo:hi] = at[2:]
 
-    if rounds is not None:
+    if state.rounds is not None:
         phase = np.where(np.arange(length) < mixing, "mixing", "stationary")
         for name, column in (("k", k), ("phase", phase), ("s", s), ("a", a), ("rewards", r.T),
                              ("bids", bids.T), ("charges", charges.T), ("R", flows[0, 1:]),
                              ("u0", flows[1, 1:]), ("ui", flows[2:, 1:].T)):
-            getattr(rounds, name)[t0 - 1:t0 - 1 + length] = column
-    return sums[:, -1]
+            getattr(state.rounds, name)[t0 - 1:t0 - 1 + length] = column
+        del phase, column
+    # free the segment's arrays before the episode's LPs allocate theirs
+    del t, s, a, s2, r, bids, charges, flows, sums
+    if learner is not None and learner.episode_complete:
+        state.episodes.append(_end_episode(learner, model, state.episode_counts))
+        state.episode_counts = learner.counts.copy()
 
 
 def _end_episode(learner: OnlineVcgLearner, model: MdpModel,
@@ -451,15 +459,14 @@ def run_online(config: ExperimentConfig, record_rounds: bool = False, extra_chec
     model = resolve_model(config)
     lcfg = learner_config(config, model)
     strategies = resolve_strategies(config, model)
-    horizon = resolve_horizon(config, lcfg)
+    horizon = config.horizon or int(episode_schedule(lcfg, config.episodes)[-1] - 1)
     mech, bench = compute_benchmark(model)
 
     if seller_factory is None:
         seller_factory = lambda _: OnlineVcgLearner(lcfg)
-        episodes = 1  # enough for the schedule to pass the horizon
-        while episode_schedule(lcfg, episodes)[-1] <= horizon:
-            episodes *= 2
-        boundaries = episode_schedule(lcfg, episodes) - 1
+        boundaries = [0]  # each episode's last round, until one reaches the horizon
+        while boundaries[-1] < horizon:
+            boundaries.append(boundaries[-1] + sum(lcfg.lengths(len(boundaries))))
     else:
         boundaries = ()
     checkpoints = checkpoint_grid(horizon, boundaries, extra_checkpoints)
@@ -548,9 +555,13 @@ def truthfulness_gain(config: ExperimentConfig, bidder_index: int, deviant: dict
     other bidders keep the config's specs; the same seeds drive both arms.
     The deviant is checked against its kind's keys before either arm runs.
     """
+    if not (_is_int(bidder_index) and bidder_index >= 0):
+        raise ValueError(f"bidder_index must be a nonnegative integer; got {bidder_index!r}")
     _bidder_fields(bidder_index + 1, deviant)
     honest = run_online(config, extra_checkpoints=extra_checkpoints)
     n = honest.mechanism.payments.shape[0]
+    if bidder_index >= n:
+        raise ValueError(f"bidder_index {bidder_index} is out of range for n = {n} bidders")
     specs = list(config.bidders or [{"kind": "truthful"}] * n)
     specs[bidder_index] = deviant
     twisted = run_online(replace(config, bidders=tuple(specs)),
@@ -680,12 +691,10 @@ def _write_regret_per_seed_csv(path, seeds, report: RegretReport):
 def _summary_doc(result: OnlineRunResult) -> dict:
     rep = result.report
     last = -1 if len(rep.checkpoints) else None
-    schedule = []
-    if result.seed_results and result.seed_results[0].episodes:
-        schedule = [
-            {"k": e.k, "tau": e.tau, "d": e.d, "l": e.l}
-            for e in result.seed_results[0].episodes
-        ]
+    schedule = [
+        {"k": e.k, "tau": e.tau, "d": e.d, "l": e.l}
+        for e in result.seed_results[0].episodes
+    ]
     diag = {}
     episodes = [e for r in result.seed_results for e in r.episodes]
     if episodes:
@@ -719,10 +728,8 @@ def _summary_doc(result: OnlineRunResult) -> dict:
 
 def _result_doc(result: OnlineRunResult) -> dict:
     doc = _summary_doc(result)
-    doc["checkpoints"] = result.report.checkpoints.tolist()
-    doc["reg_sw"] = result.report.reg_sw.tolist()
-    doc["reg_sell"] = result.report.reg_sell.tolist()
-    doc["reg_bid"] = result.report.reg_bid.tolist()
+    for key in ("checkpoints", "reg_sw", "reg_sell", "reg_bid"):
+        doc[key] = getattr(result.report, key).tolist()
     keys = ("t", "k", "phase", "s", "a", "rewards", "bids", "charges")
     doc["rounds"] = {
         str(r.seed): [dict(zip(keys, row)) for row in

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import reprlib
 from bisect import bisect_right
+from itertools import product
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -42,11 +43,9 @@ class MdpModel:
                 f"reward_means must be (n+1, S, A), got {self.reward_means.shape}"
             )
         fam = self.reward_family
-        if isinstance(fam, str):
-            fam = (fam,) * (self.n + 1)
-        fam = tuple(fam)
+        fam = (fam,) if isinstance(fam, str) else tuple(fam)
         if len(fam) == 1:
-            fam = fam * (self.n + 1)
+            fam *= self.n + 1
         if len(fam) != self.n + 1:
             raise ValueError(f"need one reward family per player, got {len(fam)}")
         for f in fam:
@@ -175,15 +174,8 @@ class GeneratorSpec:
             return ["no-sale"] + [f"to-bidder-{i}" for i in range(1, self.n + 1)]
         if self.auction == "multi_unit":
             return [str(a) for a in _multi_unit_actions(self.n, self.items)]
-        if self.auction == "combinatorial":
-            labels = []
-            for code in range(self.num_actions()):
-                assign, c = [], code
-                for _ in range(self.items):
-                    assign.append(c % (self.n + 1))
-                    c //= self.n + 1
-                labels.append(str(tuple(assign)))
-            return labels
+        if self.auction == "combinatorial":  # good j's owner: digit j of the code in base n+1
+            return [str(goods[::-1]) for goods in product(range(self.n + 1), repeat=self.items)]
         return [f"a{j}" for j in range(self.num_actions())]
 
     def num_actions(self) -> int:

@@ -35,10 +35,6 @@ class BidProfile:
     def truthful(cls, model) -> "BidProfile":
         return cls(model.reward_means[1:].copy())
 
-    @property
-    def n(self) -> int:
-        return self.bids.shape[0]
-
 
 @dataclass(frozen=True)
 class Mechanism:

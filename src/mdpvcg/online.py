@@ -58,6 +58,10 @@ class LearnerConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
+    def lengths(self, k: int) -> tuple:
+        """Episode k's mixing and stationary lengths (d_k, l_k)."""
+        return episode_lengths(k, self.alpha, self.S, self.A, self.delta, self.zeta)
+
 
 def episode_lengths(k: int, alpha: float, S: int, A: int, delta: float, zeta: float):
     """Mixing and stationary lengths (d_k, l_k) for episode k.
@@ -77,9 +81,7 @@ def episode_schedule(config: LearnerConfig, episodes: int) -> np.ndarray:
     """Start rounds tau_1..tau_{K+1} implied by the episode-length formulas."""
     taus = [1]
     for k in range(1, episodes + 1):
-        d, l = episode_lengths(k, config.alpha, config.S, config.A,
-                               config.delta, config.zeta)
-        taus.append(taus[-1] + d + l)
+        taus.append(taus[-1] + sum(config.lengths(k)))
     return np.array(taus, dtype=np.int64)
 
 
@@ -93,8 +95,6 @@ class OnlineVcgLearner:
         self.k = 1
         self.tau_k = 1
         self.pos = 0  # rounds already played in the current episode
-        self.d_k, self.l_k = episode_lengths(1, config.alpha, S, A,
-                                             config.delta, config.zeta)
         self.counts = np.zeros((S, A), dtype=np.int64)
         self.counts3 = np.zeros((S, A, S), dtype=np.int64)
         self.reward_sums = np.zeros((n + 1, S, A))
@@ -107,6 +107,15 @@ class OnlineVcgLearner:
         self.policy = np.full((S, A), 1.0 / A)
         self.payments_seller = np.ones((n, S, A))
         self.payments_bidder = np.ones((n, S, A))
+
+    @property
+    def d_k(self) -> int:
+        """Episode k's mixing length; ``l_k`` is its stationary length."""
+        return self.config.lengths(self.k)[0]
+
+    @property
+    def l_k(self) -> int:
+        return self.config.lengths(self.k)[1]
 
     @property
     def episode_complete(self) -> bool:
@@ -188,8 +197,6 @@ class OnlineVcgLearner:
 
         self.tau_k += self.d_k + self.l_k
         self.k += 1
-        self.d_k, self.l_k = episode_lengths(self.k, cfg.alpha, S, A,
-                                             cfg.delta, cfg.zeta)
         self.pos = 0
 
     # -- checkpointing -----------------------------------------------------
@@ -205,9 +212,6 @@ class OnlineVcgLearner:
     def from_checkpoint(cls, doc: dict) -> "OnlineVcgLearner":
         learner = cls(LearnerConfig(**doc["config"]))
         learner.k, learner.tau_k, learner.pos = int(doc["k"]), int(doc["tau_k"]), int(doc["pos"])
-        cfg = learner.config
-        learner.d_k, learner.l_k = episode_lengths(learner.k, cfg.alpha, cfg.S, cfg.A,
-                                                   cfg.delta, cfg.zeta)
         for key in _CHECKPOINT_ARRAYS:
             setattr(learner, key, np.array(doc[key], dtype=np.int64 if key.startswith("counts")
                                            else np.float64))

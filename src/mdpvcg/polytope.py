@@ -146,14 +146,10 @@ class PolytopeSpec:
 
 
 def tighten_band(prior, p_bar, radii):
-    """Intersect a prior [lower, upper] kernel band with p_bar +/- radii."""
+    """Intersect a prior [lower, upper] kernel band (None: [0, 1]) with p_bar +/- radii."""
     if np.any(radii < 0):
         raise ValueError("radii must be nonnegative")
-    if prior is None:
-        lo = np.zeros_like(p_bar)
-        hi = np.ones_like(p_bar)
-    else:
-        lo, hi = prior
+    lo, hi = (0.0, 1.0) if prior is None else prior
     lower = np.clip(np.maximum(lo, p_bar - radii), 0.0, 1.0)
     upper = np.clip(np.minimum(hi, p_bar + radii), 0.0, 1.0)
     return lower, upper

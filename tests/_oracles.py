@@ -8,11 +8,12 @@ LP optima, and an if-chain for bidder reports.
 """
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linprog
 
-from mdpvcg.harness import SeedRunResult, _end_episode
+from mdpvcg.harness import _end_episode
 from mdpvcg.online import OnlineVcgLearner
 from mdpvcg.polytope import _LP_OPTIONS
 
@@ -277,8 +278,8 @@ def loop_simulate_run(model, seller, strategies, horizon, seed, checkpoints,
             episode_counts = seller.counts.copy()
             cdf = np.cumsum(seller.policy, axis=1)
 
-    return SeedRunResult(seed=seed, cum_welfare=cum_welfare, cum_seller=cum_seller,
-                         cum_per_bidder=cum_per_bidder, episodes=episodes, rounds=rounds)
+    return SimpleNamespace(seed=seed, cum_welfare=cum_welfare, cum_seller=cum_seller,
+                           cum_per_bidder=cum_per_bidder, episodes=episodes, rounds=rounds)
 
 
 def loop_rounds_csv(path, rounds, header):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,3 +93,11 @@ def test_windows_from_episodes_follow_the_schedule():
     windows = windows_from_episodes(cfg, [2, 3])
     assert windows == [(int(taus[1]), int(taus[2])), (int(taus[2]), int(taus[3]))]
 
+
+@pytest.mark.parametrize("episodes, named", [([0], "[0]"), ([-1], "[-1]"),
+                                             ([3, 0, -2], "[-2, 0]"), ([], "an empty list")])
+def test_windows_from_episodes_refuse_indices_below_one(episodes, named):
+    """Episodes count from 1: an empty list or an index below 1 is refused, by name."""
+    cfg = LearnerConfig(S=3, A=3, n=2, alpha=0.25, delta=0.08, zeta=0.05)
+    with pytest.raises(ValueError, match=re.escape(f"got {named}")):
+        windows_from_episodes(cfg, episodes)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import struct
@@ -15,13 +16,13 @@ import mdpvcg.harness as harness_mod
 import mdpvcg.offline as offline_mod
 from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
                     LearnerConfig, MdpModel, OnlineRunResult, OnlineVcgLearner,
-                    RegretReport, RoundColumns, compute_benchmark, config_hash,
-                    episode_schedule, export, generate_model, run_clairvoyant,
-                    run_offline, run_online, save_model, seller_utility_identity,
-                    truthfulness_gain)
+                    RegretReport, RoundColumns, RunState, advance, compute_benchmark,
+                    config_hash, episode_schedule, export, generate_model,
+                    run_clairvoyant, run_offline, run_online, save_model,
+                    seller_utility_identity, truthfulness_gain)
 from mdpvcg.bidders import (KINDS, BidderStrategy, adversarial_window, scaled, shifted,
                             truthful, windows_from_episodes)
-from mdpvcg.harness import (_BIDDER_KEYS, _CONFIG_KEYS, _GENERATOR_KEYS, SeedRunResult,
+from mdpvcg.harness import (_BIDDER_KEYS, _CONFIG_KEYS, _GENERATOR_KEYS,
                             _decimal_bytes, _round_header, _write_rounds_csv,
                             checkpoint_grid, learner_config, resolve_strategies,
                             simulate_run)
@@ -260,10 +261,8 @@ def test_export_empty_run_writes_headers_and_zero_regrets(tmp_path):
             checkpoints=np.zeros(0, dtype=np.int64),
             reg_sw=np.zeros((1, 0)), reg_sell=np.zeros((1, 0)),
             reg_bid=np.zeros((1, 0))),
-        seed_results=[SeedRunResult(
-            seed=0, cum_welfare=np.zeros(0), cum_seller=np.zeros(0),
-            cum_per_bidder=np.zeros((2, 0)), episodes=[],
-            rounds=RoundColumns.allocate(0, 2))],
+        seed_results=[simulate_run(model, mech, [truthful(), truthful()], 0, 0,
+                                   np.zeros(0, dtype=np.int64), record_rounds=True)],
     )
     export(empty, tmp_path)
     assert (tmp_path / "rounds_seed0.csv").read_text().count("\n") == 1
@@ -403,6 +402,18 @@ def test_truthfulness_gain_refuses_a_mistyped_deviant():
     run_online.assert_not_called()
 
 
+@pytest.mark.parametrize("index", [2, -1, True])
+def test_truthfulness_gain_refuses_a_bidder_index_out_of_range(index, count_calls):
+    """With n = 2, a negative or non-integer index is refused before either arm
+    runs and index 2 before the deviant arm runs; the message names the index."""
+    arms = count_calls(harness_mod, "run_online")
+    message = "bidder_index 2 is out of range for n = 2" if index == 2 else f"got {index!r}"
+    with pytest.raises(ValueError, match=message):
+        truthfulness_gain(quick_config(horizon=300, seeds=(0,)), bidder_index=index,
+                          deviant={"kind": "scaled", "factor": 0.5})
+    assert len(arms) == (1 if index == 2 else 0)
+
+
 def test_untruthful_gain_does_not_grow():
     # the deviation's seed-averaged per-round gain at the largest T must not
     # exceed max(0.02, its value at T/10)
@@ -534,6 +545,44 @@ def test_batched_simulation_equals_round_loop(case, seed):
     oracle = _oracle_columns(want.rounds, model.n)
     for name in ("t", "k", "phase", "s", "a", "rewards", "bids", "charges", "u0", "ui", "R"):
         _assert_bit_equal(getattr(got.rounds, name), getattr(oracle, name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=simulation_cases(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_run_copied_between_segments_plays_on_unchanged(case, seed, data):
+    """A deep copy of a paused run, and the run itself, played on in turn one
+    segment each, end bit for bit as an uninterrupted run. A learner's run
+    pauses where one of its episodes ends; a fixed mechanism's between two
+    segments."""
+    model, lcfg, strategies, horizon, fixed, segment_max = case
+    mech = compute_benchmark(model)[0] if fixed else None
+    seller = lambda: mech if fixed else OnlineVcgLearner(lcfg)
+    args = (strategies, horizon, seed, checkpoint_grid(horizon, episode_schedule(lcfg, 4) - 1))
+    with mock.patch.object(harness_mod, "_SEGMENT_MAX", segment_max or harness_mod._SEGMENT_MAX):
+        try:
+            whole = simulate_run(model, seller(), *args, record_rounds=True)
+        except ConfigurationError:  # an episode's LP, infeasible in every run alike
+            return
+        state = RunState.start(model, seller(), *args, record_rounds=True)
+        pause = data.draw(st.integers(0, 3 if fixed else len(whole.episodes)), label="pause")
+        segments = 0
+        while state.sim.t <= horizon and (segments if fixed else len(state.episodes)) < pause:
+            advance(state)
+            segments += 1
+        copied = copy.deepcopy(state)
+        while state.sim.t <= horizon or copied.sim.t <= horizon:
+            for run in (state, copied):
+                if run.sim.t <= horizon:
+                    advance(run)
+    for run in (state, copied):
+        for name in ("cum_welfare", "cum_seller", "cum_per_bidder", "totals"):
+            _assert_bit_equal(getattr(run, name), getattr(whole, name))
+        assert run.episodes == whole.episodes
+        if not fixed:
+            assert (json.dumps(run.seller.to_checkpoint())
+                    == json.dumps(whole.seller.to_checkpoint()))
+        for column in fields(RoundColumns):
+            _assert_bit_equal(getattr(run.rounds, column.name), getattr(whole.rounds, column.name))
 
 
 def test_rounds_csv_equals_row_by_row_csv_writer(tmp_path):

@@ -1,7 +1,6 @@
 """Average-reward MDP auctions: offline VCG mechanism and its online learner."""
 
-from .bidders import (BidderStrategy, adversarial_window, by_bids, reports,
-                      scaled, shifted, truthful, windows_from_episodes)
+from .bidders import checked_spec, reports, windows_from_episodes
 from .harness import (ExperimentConfig, OnlineRunResult, RegretReport,
                       RoundColumns, RunState, advance, compute_benchmark,
                       config_hash, export, run_clairvoyant, run_offline,

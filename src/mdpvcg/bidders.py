@@ -1,69 +1,62 @@
-"""Pluggable bidder reporting behaviors for the online auction loop.
+"""Bidder reporting behaviors for the online auction loop.
 
-truthful and by_bids are stationary by construction; scaled/shifted are
-stationary distortions of the realized reward; adversarial_window inflates
-reports inside configured round windows and is truthful outside them (the
-only non-stationary kind).
+A bidder is a spec: a dict of its ``kind`` and that kind's keys, checked
+against ``_BIDDER_KEYS`` by ``checked_spec``. truthful and by_bids are
+stationary by construction; scaled/shifted are stationary distortions of the
+realized reward; adversarial_window inflates reports inside configured round
+windows and is truthful outside them (the only non-stationary kind).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
+from .mdp import _is_array, _is_int, _is_number, _parse
 from .online import LearnerConfig, episode_schedule
 
 KINDS = ("truthful", "by_bids", "scaled", "shifted", "adversarial_window")
 
-
-@dataclass
-class BidderStrategy:
-    kind: str
-    table: Optional[np.ndarray] = None        # by_bids
-    factor: float = 1.0                       # scaled, adversarial_window
-    offset: float = 0.0                       # shifted
-    windows: tuple = ()                       # adversarial_window: (lo, hi) rounds, hi exclusive
-    inflate_to: Optional[float] = None        # adversarial_window: constant report
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "by_bids" and self.table is None:
-            raise ValueError("by_bids needs a bid table")
-
-
-def truthful() -> BidderStrategy:
-    return BidderStrategy("truthful")
+_KIND = (lambda v: v in KINDS, f"one of {', '.join(KINDS)}", ...)
+_BIDDER_KEYS = {  # one table per kind
+    "truthful": {"kind": _KIND},
+    "by_bids": {"kind": _KIND,
+                "table": (lambda v: _is_array(v, (None, None)), "rows of numbers", ...)},
+    "scaled": {"kind": _KIND, "factor": (_is_number, "a number", ...)},
+    "shifted": {"kind": _KIND, "offset": (_is_number, "a number", ...)},
+    "adversarial_window": {  # inflated reports in the [lo, hi) round windows
+        "kind": _KIND,
+        "windows": (lambda v: _is_array(v, (None, 2), _is_int)
+                    and all(0 <= lo < hi for lo, hi in v),
+                    "[lo, hi] integer pairs with 0 <= lo < hi", ...),
+        "factor": (_is_number, "a number", 1.0),
+        "inflate_to": (lambda v: v is None or _is_number(v), "a number or null", 1.0),
+    },
+}
 
 
-def by_bids(table: np.ndarray) -> BidderStrategy:
-    return BidderStrategy("by_bids", table=np.clip(np.asarray(table, float), 0.0, 1.0))
+def checked_spec(spec, i: int = 1, shape=None) -> dict:
+    """Bidder ``i``'s spec checked against its kind's keys, defaults filled in.
 
-
-def scaled(factor: float) -> BidderStrategy:
-    return BidderStrategy("scaled", factor=factor)
-
-
-def shifted(offset: float) -> BidderStrategy:
-    return BidderStrategy("shifted", offset=offset)
-
-
-def adversarial_window(windows, factor: float = 1.0,
-                       inflate_to: Optional[float] = 1.0) -> BidderStrategy:
-    """Inflated reports during the given [lo, hi) round windows, truthful otherwise."""
-    return BidderStrategy("adversarial_window", factor=factor,
-                          windows=tuple(tuple(w) for w in windows),
-                          inflate_to=inflate_to)
+    A ``by_bids`` table must have ``shape`` (S, A) when it is given (it would
+    fail mid-run), and it becomes a float array clipped to [0, 1].
+    """
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    spec = _parse(spec, _BIDDER_KEYS[kind] if kind in KINDS else {"kind": _KIND}, f"bidder {i} ")
+    if kind == "by_bids":
+        if shape is not None and not _is_array(spec["table"], shape):
+            raise ValueError(f"bidder {i} table must be an (S, A) = {shape} array of numbers")
+        spec["table"] = np.clip(np.asarray(spec["table"], float), 0.0, 1.0)
+    return spec
 
 
 def windows_from_episodes(config: LearnerConfig, episodes) -> list:
     """Round windows covering the given episode indices (from 1) under the fixed schedule."""
-    episodes = sorted(set(int(k) for k in episodes))
-    if not episodes or episodes[0] < 1:
+    episodes = list(episodes)
+    bad = [k for k in episodes if not _is_int(k)] or sorted({k for k in episodes if k < 1})
+    if bad or not episodes:
         raise ValueError("episode indices must be a non-empty list of integers >= 1; "
-                         f"got {[k for k in episodes if k < 1] or 'an empty list'}")
+                         f"got {bad or 'an empty list'}")
+    episodes = sorted(set(episodes))
     taus = episode_schedule(config, max(episodes))
     return [(int(taus[k - 1]), int(taus[k])) for k in episodes]
 
@@ -73,25 +66,25 @@ def _clip01(x):
     return np.where(x > 0.0, np.minimum(x, 1.0), 0.0)
 
 
-def reports(strategy: BidderStrategy, t, s, a, r) -> np.ndarray:
-    """What the bidder reports in rounds t at (s, a) given realized rewards r.
+def reports(spec: dict, t, s, a, r) -> np.ndarray:
+    """What the bidder of ``spec`` reports in rounds t at (s, a) given realized rewards r.
 
     Arguments are equal-length arrays (or scalars). Reports are clipped to
-    [0, 1]; ``by_bids`` tables are clipped at construction.
+    [0, 1]; ``by_bids`` tables are clipped by ``checked_spec``.
     """
-    kind = strategy.kind
+    kind = spec["kind"]
     r = np.asarray(r, dtype=np.float64)
     if kind == "truthful":  # in-range values pass through untouched
         return np.where(r >= 0.0, np.minimum(r, 1.0), 0.0)
     if kind == "by_bids":
-        return strategy.table[s, a]
+        return spec["table"][s, a]
     if kind == "scaled":
-        return _clip01(strategy.factor * r)
+        return _clip01(spec["factor"] * r)
     if kind == "shifted":
-        return _clip01(r + strategy.offset)
+        return _clip01(r + spec["offset"])
     t = np.asarray(t)
     inside = np.zeros(t.shape, dtype=bool)
-    for lo, hi in strategy.windows:
+    for lo, hi in spec["windows"]:
         inside |= (lo <= t) & (t < hi)
-    lie = strategy.inflate_to if strategy.inflate_to is not None else strategy.factor * r
+    lie = spec["inflate_to"] if spec["inflate_to"] is not None else spec["factor"] * r
     return _clip01(np.where(inside, lie, r))

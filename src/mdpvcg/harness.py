@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import bidders
-from .bidders import KINDS, BidderStrategy, reports, truthful
+from .bidders import checked_spec, reports
 from .mdp import (AUCTIONS, GeneratorSpec, MdpModel, SimState, _is_array, _is_int, _is_list,
                   _is_number, _parse, generate_model, load_model, play)
 from .occupancy import occupancy_from
@@ -54,6 +53,13 @@ class ExperimentConfig:
         _parse(self.to_dict(), _CONFIG_KEYS, "")
         if (self.model_file is None) == (self.generator is None):
             raise ValueError("config needs exactly one of model.file and model.generator")
+        gen = self.generator  # an auction sets A, and only two auctions read items
+        if gen and gen.auction and gen.A is not None:
+            raise ValueError("model.generator.A must be null when model.generator.auction "
+                             f"is given; got {gen.A}")
+        if gen and gen.items != 1 and gen.auction not in ("multi_unit", "combinatorial"):
+            raise ValueError("model.generator.items must be 1 unless model.generator.auction "
+                             f"is multi_unit or combinatorial; got {gen.items}")
         if self.horizon is None and self.episodes is None:
             raise ValueError("config needs horizon or episodes")
         if not self.seeds:
@@ -94,14 +100,22 @@ class ExperimentConfig:
         }
 
 
+def _is_count(value) -> bool:
+    return _is_int(value) and value > 0
+
+
+def _is_count_or_null(value) -> bool:
+    return value is None or _is_count(value)
+
+
 # Key tables, checked by ``mdp._parse``.
 _GENERATOR_KEYS = {  # GeneratorSpec's fields and defaults
-    "S": (_is_int, "an integer", ...),
-    "n": (_is_int, "an integer", ...),
+    "S": (_is_count, "a positive integer", ...),
+    "n": (_is_count, "a positive integer", ...),
     "alpha": (_is_number, "a number", ...),
-    "A": (lambda v: v is None or _is_int(v), "an integer or null", None),
+    "A": (_is_count_or_null, "a positive integer or null", None),  # null with an auction
     "auction": (lambda v: v in (None, *AUCTIONS), f"one of {', '.join(AUCTIONS)} or null", None),
-    "items": (_is_int, "an integer", 1),
+    "items": (_is_count, "a positive integer", 1),  # 1 but for multi_unit and combinatorial
     "c_max": (_is_number, "a number", 1.0),
     "reward_family": (lambda v: isinstance(v, str) or _is_list(v), "a name or a list",
                       "deterministic"),
@@ -115,10 +129,6 @@ _LEARNER_KEYS = {  # ExperimentConfig's fields of the same names
 }
 
 
-def _is_run_length(value) -> bool:
-    return value is None or _is_int(value) and value > 0
-
-
 _CONFIG_KEYS = {
     "model": ({
         "file": (lambda v: v is None or isinstance(v, str), "a path or null", None),
@@ -127,30 +137,12 @@ _CONFIG_KEYS = {
     }, None, {}),
     "learner": (_LEARNER_KEYS, None, {}),
     "bidders": (_is_list, "a list of bidder objects", []),
-    "horizon": (_is_run_length, "a positive integer or null", None),
-    "episodes": (_is_run_length, "a positive integer or null", None),
+    "horizon": (_is_count_or_null, "a positive integer or null", None),
+    "episodes": (_is_count_or_null, "a positive integer or null", None),
     "seeds": (lambda v: _is_array(v, (None,), _is_int), "a list of integers", [0]),
     "out": (lambda v: isinstance(v, str), "a path", "results"),
     "format": (lambda v: v in ("csv", "json"), "csv or json", "csv"),
 }
-
-_KIND = (lambda v: v in KINDS, f"one of {', '.join(KINDS)}", ...)
-_BIDDER_KEYS = {  # one table per kind
-    "truthful": {"kind": _KIND},
-    "by_bids": {"kind": _KIND,
-                "table": (lambda v: _is_array(v, (None, None)), "rows of numbers", ...)},
-    "scaled": {"kind": _KIND, "factor": (_is_number, "a number", ...)},
-    "shifted": {"kind": _KIND, "offset": (_is_number, "a number", ...)},
-    "adversarial_window": {
-        "kind": _KIND,
-        "windows": (lambda v: _is_array(v, (None, 2), _is_int)
-                    and all(0 <= lo < hi for lo, hi in v),
-                    "[lo, hi] integer pairs with 0 <= lo < hi", ...),
-        "factor": (_is_number, "a number", 1.0),
-        "inflate_to": (lambda v: v is None or _is_number(v), "a number or null", 1.0),
-    },
-}
-
 
 def config_hash(config: ExperimentConfig) -> str:
     """Digest of everything except the seed list (seeds vary, hash must not)."""
@@ -177,26 +169,11 @@ def learner_config(config: ExperimentConfig, model: MdpModel) -> LearnerConfig:
 
 
 def resolve_strategies(config: ExperimentConfig, model: MdpModel) -> list:
+    """The config's bidder specs, checked; a table must have the model's (S, A) shape."""
     specs = config.bidders or tuple({"kind": "truthful"} for _ in range(model.n))
     if len(specs) != model.n:
         raise ValueError(f"{len(specs)} strategies for {model.n} bidders")
-    return [_bidder_strategy(i, spec, model) for i, spec in enumerate(specs, 1)]
-
-
-def _bidder_fields(i: int, spec) -> dict:
-    """Bidder ``i``'s spec checked against its kind's keys, defaults filled in."""
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    return _parse(spec, _BIDDER_KEYS[kind] if kind in KINDS else {"kind": _KIND}, f"bidder {i} ")
-
-
-def _bidder_strategy(i: int, spec, model: MdpModel) -> BidderStrategy:
-    """Bidder ``i``'s strategy from its spec, checked against its kind's keys;
-    a table must also have the model's (S, A) shape (it would fail mid-run)."""
-    fields = _bidder_fields(i, spec)
-    shape = (model.S, model.A)
-    if fields["kind"] == "by_bids" and not _is_array(fields["table"], shape):
-        raise ValueError(f"bidder {i} table must be an (S, A) = {shape} array of numbers")
-    return getattr(bidders, fields.pop("kind"))(**fields)  # each kind's factory takes its keys
+    return [checked_spec(spec, i, (model.S, model.A)) for i, spec in enumerate(specs, 1)]
 
 
 # -- per-round and per-episode records ---------------------------------------
@@ -305,7 +282,7 @@ class RunState:
 
     model: MdpModel
     seller: OnlineVcgLearner | Mechanism
-    strategies: Sequence[BidderStrategy]
+    strategies: Sequence[dict]           # checked bidder specs
     horizon: int
     checkpoints: np.ndarray
     seed: int
@@ -323,6 +300,9 @@ class RunState:
     def start(cls, model, seller, strategies, horizon, seed, checkpoints,
               record_rounds=False) -> "RunState":
         """The run before its first round, from ``simulate_run``'s arguments."""
+        if isinstance(seller, OnlineVcgLearner) and (seller.k, seller.pos) != (1, 0):
+            raise ValueError(f"the learner has played (episode {seller.k}, {seller.pos} rounds "
+                             "in); advance a RunState to continue a run")
         env_seed, seller_seed = np.random.SeedSequence(seed).spawn(2)
         n, ncp = model.n, len(checkpoints)
         return cls(model, seller, strategies, horizon, checkpoints, seed,
@@ -333,7 +313,7 @@ class RunState:
 
 
 def simulate_run(model: MdpModel, seller: OnlineVcgLearner | Mechanism,
-                 strategies: Sequence[BidderStrategy], horizon: int, seed: int,
+                 strategies: Sequence[dict], horizon: int, seed: int,
                  checkpoints: np.ndarray, record_rounds: bool = False) -> RunState:
     """One seeded pass of the online protocol, played to the horizon one
     segment at a time; diagnostics when the seller learns."""
@@ -526,7 +506,7 @@ def run_offline(model: MdpModel, bids: Optional[BidProfile] = None,
 
     empirical = None
     if sim_rounds > 0:
-        strategies = [truthful() for _ in range(model.n)]
+        strategies = [checked_spec({"kind": "truthful"})] * model.n
         cps = np.array([sim_rounds], dtype=np.int64)
         run = simulate_run(model, mech, strategies,
                            sim_rounds, sim_seed, cps)
@@ -557,7 +537,7 @@ def truthfulness_gain(config: ExperimentConfig, bidder_index: int, deviant: dict
     """
     if not (_is_int(bidder_index) and bidder_index >= 0):
         raise ValueError(f"bidder_index must be a nonnegative integer; got {bidder_index!r}")
-    _bidder_fields(bidder_index + 1, deviant)
+    checked_spec(deviant, bidder_index + 1)
     honest = run_online(config, extra_checkpoints=extra_checkpoints)
     n = honest.mechanism.payments.shape[0]
     if bidder_index >= n:

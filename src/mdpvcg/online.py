@@ -20,6 +20,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,7 @@ class LearnerConfig:
         return episode_lengths(k, self.alpha, self.S, self.A, self.delta, self.zeta)
 
 
+@lru_cache(maxsize=4096)  # read every segment through d_k and l_k
 def episode_lengths(k: int, alpha: float, S: int, A: int, delta: float, zeta: float):
     """Mixing and stationary lengths (d_k, l_k) for episode k.
 

@@ -76,17 +76,18 @@ def simulate_average_reward(kernel, policy_actions, reward, T, seed):
 
 def reference_report(strategy, t, s, a, r):
     """A bidder's report by the strategy's definition, clipped to [0, 1]."""
-    kind = strategy.kind
+    kind = strategy["kind"]
     if kind == "truthful":
         value = r
     elif kind == "by_bids":
-        value = strategy.table[s, a]
+        value = strategy["table"][s, a]
     elif kind == "scaled":
-        value = strategy.factor * r
+        value = strategy["factor"] * r
     elif kind == "shifted":
-        value = r + strategy.offset
-    elif any(lo <= t < hi for lo, hi in strategy.windows):  # adversarial_window
-        value = strategy.inflate_to if strategy.inflate_to is not None else strategy.factor * r
+        value = r + strategy["offset"]
+    elif any(lo <= t < hi for lo, hi in strategy["windows"]):  # adversarial_window
+        value = (strategy["inflate_to"] if strategy["inflate_to"] is not None
+                 else strategy["factor"] * r)
     else:
         value = r
     return float(min(1.0, max(0.0, value)))
@@ -164,19 +165,19 @@ def loop_constraints(variant, S, A, kernel=None, delta=None, band_lower=None,
 
 def _loop_reporter(strategy):
     """Per-round report closure ``(t, s, a, r) -> report`` (the pre-batching code)."""
-    kind = strategy.kind
+    kind = strategy["kind"]
     if kind == "truthful":
         return lambda t, s, a, r: r if 0.0 <= r <= 1.0 else min(1.0, max(0.0, r))
     if kind == "by_bids":
-        table = strategy.table
+        table = strategy["table"]
         return lambda t, s, a, r: table[s, a]
     if kind == "scaled":
-        f = strategy.factor
+        f = strategy["factor"]
         return lambda t, s, a, r: min(1.0, max(0.0, f * r))
     if kind == "shifted":
-        off = strategy.offset
+        off = strategy["offset"]
         return lambda t, s, a, r: min(1.0, max(0.0, r + off))
-    windows, inflate_to, factor = strategy.windows, strategy.inflate_to, strategy.factor
+    windows, inflate_to, factor = strategy["windows"], strategy["inflate_to"], strategy["factor"]
 
     def adversarial(t, s, a, r):
         if any(lo <= t < hi for lo, hi in windows):

@@ -125,11 +125,15 @@ _MISSING = object()  # a key left out of the config
     ("model.generator.alpha", "0.2"), ("model.generator.n", _MISSING),
     ("model.generator.items", "2"), ("model.generator.auction", "dutch"),
     ("model.file", 5), ("config", [1]), ("model", ["file"]), ("learner", ["delta"]),
-    ("horizon", 0), ("horizon", -5), ("episodes", 0)])
+    ("horizon", 0), ("horizon", -5), ("episodes", 0),
+    ("model.generator.S", 0), ("model.generator.n", 0), ("model.generator.A", 0),
+    ("model.generator.items", 0), ("model.generator.auction", "single_item"),
+    pytest.param("model.generator.items", 2, id="model.generator.items-2-without-auction")])
 def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key, value):
     """A mistyped or missing value, or a list for an object, at any level of
     the config is refused by its key before any seed is simulated, so
-    nothing is written."""
+    nothing is written. So are generator sizes below 1, an A that an auction
+    would override and an items count that no auction reads."""
     config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
               "horizon": 100, "seeds": [0]}
     if key.startswith("model.generator."):

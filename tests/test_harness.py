@@ -20,9 +20,8 @@ from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
                     config_hash, episode_schedule, export, generate_model,
                     run_clairvoyant, run_offline, run_online, save_model,
                     seller_utility_identity, truthfulness_gain)
-from mdpvcg.bidders import (KINDS, BidderStrategy, adversarial_window, scaled, shifted,
-                            truthful, windows_from_episodes)
-from mdpvcg.harness import (_BIDDER_KEYS, _CONFIG_KEYS, _GENERATOR_KEYS,
+from mdpvcg.bidders import _BIDDER_KEYS, KINDS, checked_spec, windows_from_episodes
+from mdpvcg.harness import (_CONFIG_KEYS, _GENERATOR_KEYS,
                             _decimal_bytes, _round_header, _write_rounds_csv,
                             checkpoint_grid, learner_config, resolve_strategies,
                             simulate_run)
@@ -32,6 +31,7 @@ from _oracles import loop_rounds_csv, loop_simulate_run
 
 
 GEN = GeneratorSpec(S=3, n=2, alpha=0.25, A=3, reward_family="bernoulli-scaled")
+TRUTHFUL = checked_spec({"kind": "truthful"})
 
 
 def quick_config(**kw):
@@ -261,7 +261,7 @@ def test_export_empty_run_writes_headers_and_zero_regrets(tmp_path):
             checkpoints=np.zeros(0, dtype=np.int64),
             reg_sw=np.zeros((1, 0)), reg_sell=np.zeros((1, 0)),
             reg_bid=np.zeros((1, 0))),
-        seed_results=[simulate_run(model, mech, [truthful(), truthful()], 0, 0,
+        seed_results=[simulate_run(model, mech, [TRUTHFUL] * 2, 0, 0,
                                    np.zeros(0, dtype=np.int64), record_rounds=True)],
     )
     export(empty, tmp_path)
@@ -370,19 +370,25 @@ def test_strategy_count_must_match_bidders():
 
 
 def test_well_typed_bidder_specs_resolve():
-    """Defaults, integer windows, numbers of either type and an (S, A) table pass."""
+    """Defaults, integer windows, numbers of either type and an (S, A) table
+    pass; a table is clipped to [0, 1], and its in-range entries keep their bits."""
     model = generate_model(GEN, 1)
     specs = ({"kind": "adversarial_window", "windows": [[20_000, 40_000]]},
              {"kind": "scaled", "factor": 1.5})
     got = resolve_strategies(quick_config(bidders=specs), model)
-    assert got == [adversarial_window([(20_000, 40_000)]), scaled(1.5)]
+    assert got == [{"kind": "adversarial_window", "windows": [[20_000, 40_000]], "factor": 1.0,
+                    "inflate_to": 1.0}, {"kind": "scaled", "factor": 1.5}]
     specs = ({"kind": "adversarial_window", "windows": [], "factor": 2, "inflate_to": None},
-             {"kind": "by_bids", "table": [[-0.5, 0.5, 1.5]] * GEN.S})
+             {"kind": "by_bids",
+              "table": [[-0.5, 0.5, 1.5], [-0.0, 0.5, 1.0], [-0.5, 0.5, 1.5]]})
     window, table = resolve_strategies(quick_config(bidders=specs), model)
-    assert window == adversarial_window([], factor=2, inflate_to=None)
-    np.testing.assert_array_equal(table.table, [[0.0, 0.5, 1.0]] * GEN.S)  # clipped by by_bids
+    assert window == {"kind": "adversarial_window", "windows": [], "factor": 2,
+                      "inflate_to": None}
+    np.testing.assert_array_equal(table["table"], [[0.0, 0.5, 1.0]] * GEN.S)  # clipped
+    assert np.signbit(table["table"]).tolist() == [[False] * 3, [True, False, False],
+                                                   [False] * 3]  # in range: bits kept
     specs = ({"kind": "truthful"}, {"kind": "shifted", "offset": -0.2})
-    assert resolve_strategies(quick_config(bidders=specs), model) == [truthful(), shifted(-0.2)]
+    assert resolve_strategies(quick_config(bidders=specs), model) == list(specs)
 
 
 def test_truthfulness_gain_helper_runs():
@@ -445,7 +451,7 @@ def test_ir_for_truthful_bidder_against_adversaries():
 def test_simulate_run_with_clairvoyant_has_no_episodes():
     model = generate_model(GEN, 1)
     mech, _ = compute_benchmark(model)
-    res = simulate_run(model, mech, [truthful(), truthful()], 200, 0,
+    res = simulate_run(model, mech, [TRUTHFUL] * 2, 200, 0,
                        checkpoint_grid(200), record_rounds=True)
     assert res.episodes == []
     assert res.cum_welfare[-1] > 0
@@ -496,18 +502,18 @@ def simulation_cases(draw):
         if kind == "by_bids":  # unclipped table: the learner clips out-of-range bids
             table = np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=S * A,
                                            max_size=S * A))).reshape(S, A)
-            strategies.append(BidderStrategy("by_bids", table=table))
+            strategies.append({"kind": "by_bids", "table": table})
         elif kind == "scaled":
-            strategies.append(scaled(draw(st.floats(-1.0, 3.0))))
+            strategies.append({"kind": "scaled", "factor": draw(st.floats(-1.0, 3.0))})
         elif kind == "shifted":
-            strategies.append(shifted(draw(st.floats(-1.0, 1.0))))
+            strategies.append({"kind": "shifted", "offset": draw(st.floats(-1.0, 1.0))})
         elif kind == "adversarial_window":
             window = (edge - draw(st.integers(1, 30)), edge + draw(st.integers(1, 30)))
             inflate_to = draw(st.sampled_from([1.0, 0.3, None]))
-            strategies.append(adversarial_window([window], factor=draw(st.floats(0.0, 3.0)),
-                                                 inflate_to=inflate_to))
+            strategies.append({"kind": "adversarial_window", "windows": [window],
+                               "factor": draw(st.floats(0.0, 3.0)), "inflate_to": inflate_to})
         else:
-            strategies.append(truthful())
+            strategies.append(TRUTHFUL)
     # the horizon falls in episode e + 1, often on its last round
     e = draw(st.integers(0, 3))
     first, last = int(taus[e]), int(taus[e + 1]) - 1
@@ -591,8 +597,9 @@ def test_rounds_csv_equals_row_by_row_csv_writer(tmp_path):
                                          reward_family=("bernoulli-scaled", "deterministic",
                                                         "bernoulli-scaled", "deterministic")), 2)
     lcfg = LearnerConfig(S=3, A=2, n=3, alpha=0.25, delta=0.1, zeta=0.5)
-    strategies = [scaled(-0.5), shifted(0.3),
-                  adversarial_window([(100, 700)], factor=1.5, inflate_to=None)]
+    strategies = [{"kind": "scaled", "factor": -0.5}, {"kind": "shifted", "offset": 0.3},
+                  {"kind": "adversarial_window", "windows": [(100, 700)], "factor": 1.5,
+                   "inflate_to": None}]
     horizon = 2000
     cps = checkpoint_grid(horizon)
     got = simulate_run(model, OnlineVcgLearner(lcfg), strategies, horizon, 5, cps,

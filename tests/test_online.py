@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -8,12 +9,15 @@ from hypothesis import strategies as st
 import mdpvcg.online as online_mod
 import mdpvcg.polytope as polytope_mod
 from mdpvcg import (ConfigurationError, GeneratorSpec, LearnerConfig,
-                    OnlineVcgLearner, SimState, episode_lengths,
-                    episode_schedule, generate_model, load_checkpoint, play,
-                    save_checkpoint, simulate_run)
-from mdpvcg.bidders import truthful
+                    OnlineVcgLearner, RunState, SimState, advance,
+                    episode_lengths, episode_schedule, generate_model,
+                    load_checkpoint, play, save_checkpoint, simulate_run)
+from mdpvcg.bidders import checked_spec
 from mdpvcg.harness import checkpoint_grid
 from mdpvcg.mdp import reward_caps
+
+
+TRUTHFUL = checked_spec({"kind": "truthful"})
 
 
 def config(**kw):
@@ -24,7 +28,7 @@ def config(**kw):
 
 def drive(learner, model, rounds, seed=0):
     """Play the learner against truthful bidders for a fixed number of rounds."""
-    simulate_run(model, learner, [truthful()] * model.n, rounds, seed,
+    simulate_run(model, learner, [TRUTHFUL] * model.n, rounds, seed,
                  checkpoint_grid(rounds))
     return learner
 
@@ -73,7 +77,7 @@ def test_initial_state_is_uniform_with_unit_payments():
 
 def test_mixing_rounds_charge_zero_then_stationary_charges_one():
     model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.1, A=3), 0)
-    run = simulate_run(model, OnlineVcgLearner(config()), [truthful()] * 2, 3, 0,
+    run = simulate_run(model, OnlineVcgLearner(config()), [TRUTHFUL] * 2, 3, 0,
                        checkpoint_grid(3), record_rounds=True)
     # d_1 = 1, so rounds 2 and 3 of the episode are stationary
     assert run.rounds.phase.tolist() == ["mixing", "stationary", "stationary"]
@@ -213,10 +217,15 @@ def test_reward_bounds_are_ordered_and_clipped():
 def test_band_width_nonincreasing_across_episodes():
     model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.25, A=3,
                                          reward_family="bernoulli-scaled"), 3)
-    learner = OnlineVcgLearner(config(alpha=0.25, delta=0.08))
+    cfg = config(alpha=0.25, delta=0.08)
+    horizon = int(episode_schedule(cfg, 6)[-1]) - 1
+    state = RunState.start(model, OnlineVcgLearner(cfg), [TRUTHFUL] * 2, horizon, 5,
+                           checkpoint_grid(horizon))
+    learner = state.seller
     widths = [(learner.band_upper - learner.band_lower).copy()]
-    for seed in range(5, 11):  # one episode per run
-        drive(learner, model, learner.d_k + learner.l_k, seed=seed)
+    for k in range(1, 7):
+        while len(state.episodes) < k:  # one run, played until episode k closes
+            advance(state)
         widths.append((learner.band_upper - learner.band_lower).copy())
     for w_prev, w_next in zip(widths, widths[1:]):
         assert np.all(w_next <= w_prev + 1e-12)
@@ -281,7 +290,11 @@ def test_checkpoint_roundtrip_resumes_identically(tmp_path):
     model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.25, A=3,
                                          reward_family="bernoulli-scaled"), 6)
     cfg = config(alpha=0.25, delta=0.08)
-    learner = drive(OnlineVcgLearner(cfg), model, 3000, seed=2)
+    state = RunState.start(model, OnlineVcgLearner(cfg), [TRUTHFUL] * 2, 5500, 2,
+                           checkpoint_grid(5500))
+    while not state.episodes:  # pause where episode 1 ends
+        advance(state)
+    learner = state.seller
     path = tmp_path / "ckpt.json"
     save_checkpoint(learner, path)
     clone = load_checkpoint(path)
@@ -291,13 +304,32 @@ def test_checkpoint_roundtrip_resumes_identically(tmp_path):
     np.testing.assert_allclose(clone.payments_seller, learner.payments_seller, atol=0)
     assert clone.k == learner.k and clone.tau_k == learner.tau_k
 
-    # both play on from mid-episode to identical sums and states
-    cps = checkpoint_grid(2500)
-    runs = [simulate_run(model, ln, [truthful()] * 2, 2500, 9, cps) for ln in (learner, clone)]
-    np.testing.assert_array_equal(runs[0].cum_welfare, runs[1].cum_welfare)
-    np.testing.assert_array_equal(runs[0].cum_per_bidder, runs[1].cum_per_bidder)
-    assert runs[0].episodes == runs[1].episodes and runs[0].episodes
+    # the run, and a copy of it playing the restored learner, play on to
+    # identical sums and states
+    restored = copy.deepcopy(state)
+    restored.seller = clone
+    for run in (state, restored):
+        while run.sim.t <= run.horizon:
+            advance(run)
+    np.testing.assert_array_equal(state.cum_welfare, restored.cum_welfare)
+    np.testing.assert_array_equal(state.cum_per_bidder, restored.cum_per_bidder)
+    assert state.episodes == restored.episodes and len(state.episodes) >= 2
     assert learner.to_checkpoint() == clone.to_checkpoint()
+
+
+def test_a_learner_that_has_played_is_refused():
+    """A run starts with a fresh learner; one that has played is continued by
+    advancing its RunState, not by a new start."""
+    model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.25, A=3), 1)
+    learner = OnlineVcgLearner(config(alpha=0.25, delta=0.08))
+    learner.observe(*rounds_at(0, 0, 1, 0.2, [0.3, 0.3]))
+    with pytest.raises(ValueError, match="advance a RunState"):
+        simulate_run(model, learner, [TRUTHFUL] * 2, 10, 0, checkpoint_grid(10))
+    learner = OnlineVcgLearner(config(alpha=0.25, delta=0.08))
+    drive(learner, model, learner.d_k + learner.l_k)  # to the end of episode 1
+    assert (learner.k, learner.pos) == (2, 0)
+    with pytest.raises(ValueError, match=r"episode 2, 0 rounds in"):
+        RunState.start(model, learner, [TRUTHFUL] * 2, 10, 0, checkpoint_grid(10))
 
 
 def test_constraints_built_once_per_episode(count_calls):

@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bidders import checked_spec, reports
-from .mdp import (AUCTIONS, GeneratorSpec, MdpModel, SimState, _is_array, _is_int, _is_list,
-                  _is_number, _parse, generate_model, load_model, play)
+from .mdp import (_SHORT, AUCTIONS, GeneratorSpec, MdpModel, SimState, _is_array, _is_count,
+                  _is_count_or_null, _is_int, _is_list, _is_number, _parse, generate_model,
+                  load_model, play)
 from .occupancy import occupancy_from
 from .offline import BidProfile, Mechanism, _identity_rhs, average_utilities, offline_mechanism
 from .online import VARIANTS, ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
@@ -98,14 +99,6 @@ class ExperimentConfig:
             "out": self.out,
             "format": self.format,
         }
-
-
-def _is_count(value) -> bool:
-    return _is_int(value) and value > 0
-
-
-def _is_count_or_null(value) -> bool:
-    return value is None or _is_count(value)
 
 
 # Key tables, checked by ``mdp._parse``.
@@ -303,6 +296,11 @@ class RunState:
         if isinstance(seller, OnlineVcgLearner) and (seller.k, seller.pos) != (1, 0):
             raise ValueError(f"the learner has played (episode {seller.k}, {seller.pos} rounds "
                              "in); advance a RunState to continue a run")
+        cp = np.asarray(checkpoints)
+        if cp.size and not (cp.ndim == 1 and cp.dtype.kind in "iu" and 1 <= cp[0]
+                            and cp[-1] <= horizon and (np.diff(cp) > 0).all()):
+            raise ValueError("checkpoints must be strictly increasing integers in "
+                             f"[1, {horizon}]; got {_SHORT.repr(cp.tolist())}")
         env_seed, seller_seed = np.random.SeedSequence(seed).spawn(2)
         n, ncp = model.n, len(checkpoints)
         return cls(model, seller, strategies, horizon, checkpoints, seed,

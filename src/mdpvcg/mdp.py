@@ -263,6 +263,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_count(value) -> bool:
+    return _is_int(value) and value > 0
+
+
+def _is_count_or_null(value) -> bool:
+    return value is None or _is_count(value)
+
+
 def _is_number(value) -> bool:
     return isinstance(value, float) or _is_int(value)
 
@@ -326,7 +334,7 @@ def save_model(model: MdpModel, path) -> None:
 
 
 _MODEL_KEYS = {  # save_model's document; np.array and float() would parse "0.2"
-    **dict.fromkeys(("S", "A", "n"), (_is_int, "an integer", ...)),
+    **dict.fromkeys(("S", "A", "n"), (_is_count, "a positive integer", ...)),
     **dict.fromkeys(("alpha", "c_max"), (_is_number, "a number", ...)),
     **dict.fromkeys(("kernel", "reward_means"),
                     (lambda v: _is_array(v, (None,) * 3), "an array of numbers", ...)),

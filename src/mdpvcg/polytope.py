@@ -17,20 +17,20 @@ The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
 
-Each spec builds its constraint system once. ``maximize_each`` is the one
-solver: it maximizes K objectives over the polytope, and the spec picks how.
-A kernel spec solves them in one cold dual-simplex run on K block-diagonal
-copies of its LP, without presolve (it would only drop each copy's one
-dependent flow row, which the LP leaves free, and costs more than the solve);
-the spec keeps one HiGHS model for this and passes it the LP afresh on every
-call. A band spec loads its LP into a new HiGHS model on every call, solves
-objective 0 cold by dual simplex with presolve (what
-``scipy.optimize.linprog(method="highs-ds")`` does), and each later objective
-by primal simplex from the previous optimal basis, which a change of costs
-leaves primal feasible. Each is the faster one for its kind: a stacked band
-solve is cold throughout, and a kernel solve is mostly HiGHS's fixed cost
-per run. Either way a call starts from nothing, so equal inputs give equal
-results, bit for bit. Spec arrays must not be mutated after construction.
+Each spec builds its LP once per number of copies and keeps one HiGHS model.
+``maximize_each`` is the one solver: it maximizes K objectives over the
+polytope in one loop over groups of copies, and the spec's kind sets the group.
+A kernel spec runs all K as one group, one cold dual-simplex run on K
+block-diagonal copies of its LP, without presolve (it would only drop each
+copy's one dependent flow row, which the LP leaves free, and costs more than
+the solve). A band spec runs K groups of one: objective 0 cold by dual simplex
+with presolve (what ``scipy.optimize.linprog(method="highs-ds")`` does), and
+each later objective by primal simplex from the previous optimal basis, which
+a change of costs leaves primal feasible. Each is the faster one for its kind:
+a stacked band solve is cold throughout, and a kernel solve is mostly HiGHS's
+fixed cost per run. Every call passes the model its LP afresh, which drops any
+basis and solution an earlier call left, so equal inputs give equal results,
+bit for bit. Spec arrays must not be mutated after construction.
 """
 
 from __future__ import annotations
@@ -60,10 +60,12 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 # the options linprog(method="highs-ds", options=_LP_OPTIONS) passes to HiGHS,
-# but for presolve and simplex_strategy, which PolytopeSpec._new_model sets per kind
+# but for presolve, which PolytopeSpec._model sets per kind, and simplex_strategy,
+# which maximize_each sets per run
 _HIGHS_OPTIONS = {**_LP_OPTIONS, "solver": "simplex", "output_flag": False}
 # simplex_strategy values: dual simplex for the cold solve, primal for the warm ones
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
+_DELTA_MIN = 1e-6  # the smallest delta calibrate_delta tries, and its floor
 
 
 @dataclass(frozen=True)
@@ -105,19 +107,15 @@ class PolytopeSpec:
         return (self.kernel if self.kernel is not None else self.band_lower).shape[1]
 
     @cached_property
-    def _system(self) -> ConstraintSystem:
-        return build_constraints(self)
-
-    @cached_property
     def _lps(self) -> dict:
         return {}  # number of copies -> HighsLp
 
     def _lp(self, copies: int) -> HighsLp:
-        """The LP on ``copies`` block-diagonal copies of the system, built
-        once per number of copies (a kernel solve writes its costs into it)."""
+        """The LP on ``copies`` block-diagonal copies of the system, with zero
+        costs, built once per number of copies and never written after."""
         lp = self._lps.get(copies)
         if lp is None:
-            system = _stack(self._system, copies)
+            system = _stack(build_constraints(self), copies)
             if self.kernel is not None:
                 # the S flow rows sum to zero only up to the kernel's row-sum
                 # error (TOL.mass); the last one is implied by the others, so
@@ -127,22 +125,17 @@ class PolytopeSpec:
             lp = self._lps[copies] = highs_lp(system)
         return lp
 
-    def _new_model(self) -> _Highs:
-        """An empty HiGHS model with this kind's options, set for a cold
-        dual-simplex solve."""
+    @cached_property
+    def _model(self) -> _Highs:
+        """The spec's one HiGHS model, with this kind's options; every
+        ``maximize_each`` call passes it an LP afresh."""
         model = _Highs()
         for key, value in _HIGHS_OPTIONS.items():
             model.setOptionValue(key, value)
         # a kernel LP has S*A columns and 1+S rows per copy: presolve only
         # drops the free flow row, and takes longer than the cold solve it saves
         model.setOptionValue("presolve", "off" if self.kernel is not None else "on")
-        model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
         return model
-
-    @cached_property
-    def _stacked_model(self) -> _Highs:
-        """A kernel spec's model, passed its stacked LP on every call."""
-        return self._new_model()
 
 
 def tighten_band(prior, p_bar, radii):
@@ -260,12 +253,6 @@ def _stack(system: ConstraintSystem, copies: int) -> ConstraintSystem:
         col_lower=np.tile(system.col_lower, copies))
 
 
-def _pass(model: _Highs, lp: HighsLp) -> None:
-    """Pass ``lp`` to ``model``, which drops any basis and solution it held."""
-    if model.passModel(lp) == HighsStatus.kError:
-        raise RuntimeError("HiGHS refused the constraint matrix")
-
-
 def _run(model: _Highs) -> HighsModelStatus:
     model.run()
     return model.getModelStatus()
@@ -309,13 +296,11 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
 
 def maximize_each(objectives, spec: PolytopeSpec) -> list:
     """Maximize <rho, r_k> over the polytope for each of K per-(s,a) tables
-    r_k (a (K, S, A) array), by the spec kind's strategy (module docstring).
-
-    A kernel spec solves K block-diagonal copies of its LP, copy k with r_k's
-    costs, in one run, and every solution carries that run's ``nit``. A band
-    spec solves the r_k in the order given, each from the previous one's
-    basis, and each solution carries its own solve's ``nit``. All objectives
-    share one polytope, so they are infeasible together.
+    r_k (a (K, S, A) array), in HiGHS runs on block-diagonal copies of the LP
+    (module docstring): one run of K copies for a kernel spec, K runs of one
+    for a band spec, in the order given, each warm from the one before. Each
+    solution carries its run's ``nit``. All objectives share one polytope, so
+    they are infeasible together.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     S, A = spec.S, spec.A
@@ -325,32 +310,29 @@ def maximize_each(objectives, spec: PolytopeSpec) -> list:
         raise ValueError("objectives must be finite")
     copies, SA = len(objectives), S * A
     rewards = objectives.reshape(copies, SA)
-    if spec.kernel is not None:
-        lp = spec._lp(copies)
-        lp.col_cost_ = -rewards.ravel()  # a kernel copy's columns are its rho
-        model = spec._stacked_model
-        _pass(model, lp)
+    group = copies if spec.kernel is not None else 1
+    model = spec._model
+    model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+    # passing the LP drops any basis and solution an earlier call left
+    if model.passModel(spec._lp(group)) == HighsStatus.kError:
+        raise RuntimeError("HiGHS refused the constraint matrix")
+    # the rho columns: a kernel LP has no others, and a band runs one copy
+    rho_columns = np.arange(group * SA, dtype=np.int32)
+    solved = []
+    for costs in rewards.reshape(-1, group * SA):
+        model.changeColsCost(len(rho_columns), rho_columns, -costs)
         x, nit = _read(model, _run(model))
-        solved = [(x, nit)] * copies if x is None else [(xk, nit) for xk in x.reshape(copies, SA)]
-    else:
-        model = spec._new_model()
-        _pass(model, spec._lp(1))
-        solved, rho_columns = [], np.arange(SA, dtype=np.int32)
-        for r in rewards:
-            model.changeColsCost(SA, rho_columns, -r)
-            solved.append(_read(model, _run(model)))
-            if solved[0][0] is None:
-                solved *= copies
-                break
-            model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        if x is None:
+            return [_solution(spec, r, None, nit) for r in rewards]
+        solved += [(xk, nit) for xk in x.reshape(group, -1)]
+        model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
     return [_solution(spec, r, x, nit) for r, (x, nit) in zip(rewards, solved)]
 
 
-def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float,
-                    delta_min: float = 1e-6) -> float:
+def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float) -> float:
     """Largest halving-grid delta whose shrunk optimum stays within epsilon.
 
-    Grid: 1/(2SA), 1/(4SA), ... down to ``delta_min``. Each candidate is
+    Grid: 1/(2SA), 1/(4SA), ... down to ``_DELTA_MIN``. Each candidate is
     verified by comparing the shrunk-polytope LP optimum against the full
     kernel-polytope optimum.
     """
@@ -360,16 +342,16 @@ def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float,
     base = maximize(objective, PolytopeSpec(kernel=kernel))
     grid = []
     d = 1.0 / (2 * S * A)
-    while d > delta_min:
+    while d > _DELTA_MIN:
         grid.append(d)
         d /= 2
-    grid.append(delta_min)
+    grid.append(_DELTA_MIN)
     for d in grid:
         sol = maximize(objective, PolytopeSpec(kernel=kernel, delta=d))
         if sol.status == "optimal" and sol.objective_value >= base.objective_value - epsilon:
             return d
     logger.warning(
         "delta floor %.1e still violates the %.3g gap; returning the floor",
-        delta_min, epsilon,
+        _DELTA_MIN, epsilon,
     )
-    return delta_min
+    return _DELTA_MIN

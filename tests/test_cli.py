@@ -170,8 +170,9 @@ def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key,
                                          "reward_family must be a name or a list of names"),
                                         ("document_array", ".json must be an object; got [{"),
                                         ("unknown_key", ".json key(s) 'gamma'"),
-                                        ("n_float", "n must be an integer; got 2.0"),
-                                        ("S_string", "S must be an integer; got '3'"),
+                                        ("n_float", "n must be a positive integer; got 2.0"),
+                                        ("S_string", "S must be a positive integer; got '3'"),
+                                        ("n_zero", "n must be a positive integer; got 0"),
                                         ("kernel_ragged", "kernel must be (3, 3, 3)"),
                                         ("S_mismatch", "kernel must be (2, 3, 2)")])
 @pytest.mark.parametrize("command", ["offline-vcg", "simulate", "calibrate-delta"])
@@ -203,6 +204,9 @@ def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
         doc["n"] = 2.0
     elif case == "S_string":
         doc["S"] = "3"
+    elif case == "n_zero":  # a seller alone: the mechanism would fail naming no key
+        doc["n"], doc["reward_means"] = 0, doc["reward_means"][:1]
+        doc["reward_family"] = doc["reward_family"][:1]
     elif case == "kernel_ragged":  # np.array would fail naming neither key nor file
         doc["kernel"][0][0] = doc["kernel"][0][0][:2]
     elif case == "S_mismatch":

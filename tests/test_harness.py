@@ -272,6 +272,17 @@ def test_export_empty_run_writes_headers_and_zero_regrets(tmp_path):
                                         "reg_sell": 0.0, "reg_bid": 0.0}
 
 
+@pytest.mark.parametrize("checkpoints", [[5, 20], [0, 5], [5, 5], [7, 3], [2.0, 5.0], [[1, 2]]])
+def test_bad_checkpoints_are_refused(checkpoints):
+    """A checkpoint past the horizon used to read 0.0 for a welfare sum; the
+    checkpoints must be strictly increasing integers in [1, horizon]."""
+    model = generate_model(GEN, 1)
+    mech, _ = compute_benchmark(model)
+    with pytest.raises(ValueError, match=r"strictly increasing integers in \[1, 10\]"):
+        simulate_run(model, mech, [TRUTHFUL] * 2, 10, 0, np.array(checkpoints))
+    assert simulate_run(model, mech, [TRUTHFUL] * 2, 10, 0, np.array([5, 10])).cum_welfare.all()
+
+
 def test_export_json_format(tmp_path):
     cfg = quick_config(horizon=80, seeds=(0,), format="json")
     res = run_online(cfg, record_rounds=True)

@@ -14,6 +14,7 @@ from _oracles import brute_force_best, linprog_maximize, loop_constraints
 from mdpvcg import (GeneratorSpec, PolytopeSpec, build_constraints,
                     calibrate_delta, generate_model, maximize, maximize_each,
                     occupancy_from, payoff, tighten_band)
+from mdpvcg.polytope import _DELTA_MIN
 from mdpvcg.tolerances import TOL
 
 # the loop oracle's names for the three polytopes drawn below: a kernel, a
@@ -207,7 +208,7 @@ def test_warm_solves_equal_fresh_solves(n, S, A, delta_frac, seed):
     system = build_constraints(spec)
     c = np.zeros(len(system.col_lower))
     c[:S * A] = objectives[0].ravel()
-    presolve = spec._new_model().getOptionValue("presolve")[1] == "on"
+    presolve = spec._model.getOptionValue("presolve")[1] == "on"
     assert presolve
     ref = linprog_maximize(c, *_dense_rows(system), presolve=presolve)
     assert (ref.status == 2) == (warm[0].status == "infeasible")
@@ -563,6 +564,16 @@ def test_calibrate_delta_gap_on_random_models():
                 >= maximize(r, exact).objective_value - epsilon)
 
 
+def test_calibrate_delta_tiny_epsilon_returns_the_floor_with_a_warning(caplog):
+    # one state: every delta costs delta * 1.3 of the optimum, more than epsilon
+    kernel = np.ones((1, 3, 1))
+    with caplog.at_level("WARNING", logger="mdpvcg.polytope"):
+        delta = calibrate_delta(kernel, np.array([[0.9, 0.4, 0.1]]), 1e-9)
+    assert delta == _DELTA_MIN
+    assert [r.getMessage() for r in caplog.records] == [
+        "delta floor 1.0e-06 still violates the 1e-09 gap; returning the floor"]
+
+
 def test_calibrate_delta_rejects_bad_epsilon():
     kernel = np.ones((1, 2, 1))
     with pytest.raises(ValueError):
@@ -571,8 +582,8 @@ def test_calibrate_delta_rejects_bad_epsilon():
 
 def test_identical_inputs_solve_identically():
     """A solve depends on its inputs alone: on a kernel and on a band spec, a
-    spec solved on before, for the same or another objective, gives what a
-    fresh copy gives, bit for bit."""
+    spec solved on before, for the same or another objective or number of
+    objectives, gives what a fresh copy gives, bit for bit."""
     model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=3), 9)
     r, r2 = model.reward_means.sum(axis=0), model.reward_means[0]
     spec = PolytopeSpec(kernel=model.kernel, delta=0.03)
@@ -586,3 +597,20 @@ def test_identical_inputs_solve_identically():
     after, fresh = maximize(r, band), maximize(r, replace(band))
     assert (after.objective_value, after.nit) == (fresh.objective_value, fresh.nit)
     _assert_bit_equal(after.q.q, fresh.q.q)
+
+    def assert_same(got, want):
+        for g, w in zip(got, want, strict=True):
+            assert (g.status, g.nit, g.objective_value) == (w.status, w.nit, w.objective_value)
+            _assert_bit_equal(g.q.q, w.q.q)
+
+    # a learner's 2n+1 chain: the allocation, then each bidder's two counterfactuals
+    chain = np.concatenate([r[None], np.repeat(r - model.reward_means[1:], 2, axis=0)])
+    chain[2::2] *= 0.9
+    first = maximize_each(chain, band)
+    assert_same(maximize_each(chain, band), first)
+    assert_same(maximize_each(chain, replace(band)), first)
+    # a kernel spec's stacked LPs for K = 3, then K = 1, then K = 3 again
+    three = maximize_each(chain[:3], spec)
+    one = maximize_each(chain[2:], spec)
+    assert_same(maximize_each(chain[:3], spec), three)
+    assert_same(one, maximize_each(chain[2:], replace(spec)))

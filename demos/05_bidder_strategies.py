@@ -58,6 +58,6 @@ bidders = ({"kind": "truthful"},
            {"kind": "adversarial_window", "windows": windows_from_episodes(lcfg, [2, 3, 5]),
             "inflate_to": 1.0})
 res = run_online(replace(config, bidders=bidders), extra_checkpoints=(T,))
-u = np.mean([r.cum_per_bidder[0, -1] for r in res.seed_results]) / T
+u = np.mean([r.cum[1, -1] for r in res.seed_results]) / T
 print(f"  truthful bidder's average utility with an adversary present: {u:+.4f}")
 print("  (stays clear of negative territory)")

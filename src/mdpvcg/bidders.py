@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import _is_array, _is_int, _is_number, _parse
+from .mdp import _is_array, _is_finite, _is_int, _parse
 from .online import LearnerConfig, episode_schedule
 
 KINDS = ("truthful", "by_bids", "scaled", "shifted", "adversarial_window")
@@ -20,16 +20,17 @@ _KIND = (lambda v: v in KINDS, f"one of {', '.join(KINDS)}", ...)
 _BIDDER_KEYS = {  # one table per kind
     "truthful": {"kind": _KIND},
     "by_bids": {"kind": _KIND,
-                "table": (lambda v: _is_array(v, (None, None)), "rows of numbers", ...)},
-    "scaled": {"kind": _KIND, "factor": (_is_number, "a number", ...)},
-    "shifted": {"kind": _KIND, "offset": (_is_number, "a number", ...)},
+                "table": (lambda v: _is_array(v, (None, None), _is_finite),
+                          "rows of finite numbers", ...)},
+    "scaled": {"kind": _KIND, "factor": (_is_finite, "a finite number", ...)},
+    "shifted": {"kind": _KIND, "offset": (_is_finite, "a finite number", ...)},
     "adversarial_window": {  # inflated reports in the [lo, hi) round windows
         "kind": _KIND,
         "windows": (lambda v: _is_array(v, (None, 2), _is_int)
                     and all(0 <= lo < hi for lo, hi in v),
                     "[lo, hi] integer pairs with 0 <= lo < hi", ...),
-        "factor": (_is_number, "a number", 1.0),
-        "inflate_to": (lambda v: v is None or _is_number(v), "a number or null", 1.0),
+        "factor": (_is_finite, "a finite number", 1.0),
+        "inflate_to": (lambda v: v is None or _is_finite(v), "a finite number or null", 1.0),
     },
 }
 

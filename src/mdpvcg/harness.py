@@ -21,8 +21,8 @@ import numpy as np
 
 from .bidders import checked_spec, reports
 from .mdp import (_SHORT, AUCTIONS, GeneratorSpec, MdpModel, SimState, _is_array, _is_count,
-                  _is_count_or_null, _is_int, _is_list, _is_number, _parse, generate_model,
-                  load_model, play)
+                  _is_count_or_null, _is_finite, _is_int, _is_list, _is_number, _parse,
+                  generate_model, load_model, play)
 from .occupancy import occupancy_from
 from .offline import BidProfile, Mechanism, _identity_rhs, average_utilities, offline_mechanism
 from .online import VARIANTS, ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
@@ -105,11 +105,11 @@ class ExperimentConfig:
 _GENERATOR_KEYS = {  # GeneratorSpec's fields and defaults
     "S": (_is_count, "a positive integer", ...),
     "n": (_is_count, "a positive integer", ...),
-    "alpha": (_is_number, "a number", ...),
+    "alpha": (_is_finite, "a finite number", ...),
     "A": (_is_count_or_null, "a positive integer or null", None),  # null with an auction
     "auction": (lambda v: v in (None, *AUCTIONS), f"one of {', '.join(AUCTIONS)} or null", None),
     "items": (_is_count, "a positive integer", 1),  # 1 but for multi_unit and combinatorial
-    "c_max": (_is_number, "a number", 1.0),
+    "c_max": (lambda v: _is_finite(v) and v >= 0, "a nonnegative finite number", 1.0),
     "reward_family": (lambda v: isinstance(v, str) or _is_list(v), "a name or a list",
                       "deterministic"),
 }
@@ -183,17 +183,14 @@ class RoundColumns:
     rewards: np.ndarray   # (T, n+1) realized, all players, seller first
     bids: np.ndarray      # (T, n) reported values
     charges: np.ndarray   # (T, n) payments this round
-    u0: np.ndarray
-    ui: np.ndarray        # (T, n)
-    R: np.ndarray
+    utilities: np.ndarray  # (T, n+2) u_0, u_1..u_n, then R
 
     @classmethod
     def allocate(cls, horizon: int, n: int) -> "RoundColumns":
         ints, floats = np.zeros(horizon, dtype=np.int64), np.zeros((horizon, n))
         return cls(t=np.arange(1, horizon + 1), k=ints, phase=np.empty(horizon, dtype="<U10"),
                    s=ints.copy(), a=ints.copy(), rewards=np.zeros((horizon, n + 1)),
-                   bids=floats, charges=floats.copy(), u0=np.zeros(horizon),
-                   ui=floats.copy(), R=np.zeros(horizon))
+                   bids=floats, charges=floats.copy(), utilities=np.zeros((horizon, n + 2)))
 
 
 @dataclass
@@ -267,10 +264,11 @@ class RunState:
     the horizon, it is the seed's result.
 
     ``seller`` is an OnlineVcgLearner, played on in place, or a fixed
-    Mechanism, which plays like an episode that never ends. The ``cum_*``
-    sums are realized at the checkpoints reached so far, and ``totals`` holds
-    R, u_0 and each u_i summed over the rounds played. A deep copy plays on
-    exactly as the original does.
+    Mechanism, which plays like an episode that never ends. Row i of ``cum``
+    and ``totals`` is player i's realized utility, seller first, and the last
+    row is the welfare R: ``cum`` sums them to each checkpoint reached so far,
+    ``totals`` over the rounds played. A deep copy plays on exactly as the
+    original does.
     """
 
     model: MdpModel
@@ -281,10 +279,8 @@ class RunState:
     seed: int
     sim: SimState
     rng: np.random.Generator             # the seller's: one uniform per action
-    cum_welfare: np.ndarray              # realized sum of R^t at each checkpoint
-    cum_seller: np.ndarray
-    cum_per_bidder: np.ndarray           # (n, n_checkpoints)
-    totals: np.ndarray
+    cum: np.ndarray                      # (n+2, n_checkpoints)
+    totals: np.ndarray                   # (n+2,)
     episodes: list
     episode_counts: Optional[np.ndarray]  # the learner's visit counts at the episode's start
     rounds: Optional[RoundColumns]
@@ -305,8 +301,8 @@ class RunState:
         n, ncp = model.n, len(checkpoints)
         return cls(model, seller, strategies, horizon, checkpoints, seed,
                    SimState.start(model, env_seed), np.random.default_rng(seller_seed),
-                   np.zeros(ncp), np.zeros(ncp), np.zeros((n, ncp)), np.zeros(n + 2), [],
-                   seller.counts.copy() if isinstance(seller, OnlineVcgLearner) else None,
+                   np.zeros((n + 2, ncp)), np.zeros(n + 2), [],
+                   seller.counts if isinstance(seller, OnlineVcgLearner) else None,
                    RoundColumns.allocate(horizon, n) if record_rounds else None)
 
 
@@ -355,28 +351,26 @@ def advance(state: RunState) -> None:
         pay_total = pay_total + charges[i]
     flows = np.empty((n + 2, length + 1))
     flows[:, 0] = state.totals
-    flows[0, 1:] = r[0] + bidder_total  # R
-    flows[1, 1:] = r[0] + pay_total     # u_0
-    flows[2:, 1:] = r[1:] - charges     # u_i
-    sums = np.cumsum(flows, axis=1)     # sequential, seeded with the totals
+    flows[0, 1:] = r[0] + pay_total      # u_0
+    flows[1:-1, 1:] = r[1:] - charges    # u_i
+    flows[-1, 1:] = r[0] + bidder_total  # R
+    sums = np.cumsum(flows, axis=1)      # sequential, seeded with the totals
     state.totals = sums[:, -1].copy()  # a copy: a view would keep all of ``sums``
     lo, hi = np.searchsorted(state.checkpoints, [t0, t0 + length])
-    at = sums[:, state.checkpoints[lo:hi] - t0 + 1]
-    state.cum_welfare[lo:hi], state.cum_seller[lo:hi] = at[0], at[1]
-    state.cum_per_bidder[:, lo:hi] = at[2:]
+    state.cum[:, lo:hi] = sums[:, state.checkpoints[lo:hi] - t0 + 1]
 
     if state.rounds is not None:
         phase = np.where(np.arange(length) < mixing, "mixing", "stationary")
         for name, column in (("k", k), ("phase", phase), ("s", s), ("a", a), ("rewards", r.T),
-                             ("bids", bids.T), ("charges", charges.T), ("R", flows[0, 1:]),
-                             ("u0", flows[1, 1:]), ("ui", flows[2:, 1:].T)):
+                             ("bids", bids.T), ("charges", charges.T),
+                             ("utilities", flows[:, 1:].T)):
             getattr(state.rounds, name)[t0 - 1:t0 - 1 + length] = column
         del phase, column
     # free the segment's arrays before the episode's LPs allocate theirs
     del t, s, a, s2, r, bids, charges, flows, sums
     if learner is not None and learner.episode_complete:
         state.episodes.append(_end_episode(learner, model, state.episode_counts))
-        state.episode_counts = learner.counts.copy()
+        state.episode_counts = learner.counts
 
 
 def _end_episode(learner: OnlineVcgLearner, model: MdpModel,
@@ -459,11 +453,10 @@ def run_online(config: ExperimentConfig, record_rounds: bool = False, extra_chec
             raise ConfigurationError(f"seed {seed}: {e}") from e
 
     t = checkpoints.astype(np.float64)
-    reg_sw = np.array([bench["welfare"] * t - r.cum_welfare for r in seed_results])
-    reg_sell = np.array([bench["seller"] * t - r.cum_seller for r in seed_results])
+    reg_sw = np.array([bench["welfare"] * t - r.cum[-1] for r in seed_results])
+    reg_sell = np.array([bench["seller"] * t - r.cum[0] for r in seed_results])
     # payments cancel: sum_i u_i^t == R^t - u_0^t identically
-    reg_bid = np.array([bench["bidders"] * t - (r.cum_welfare - r.cum_seller)
-                        for r in seed_results])
+    reg_bid = np.array([bench["bidders"] * t - (r.cum[-1] - r.cum[0]) for r in seed_results])
     report_ = RegretReport(
         benchmark_welfare=bench["welfare"], benchmark_seller=bench["seller"],
         benchmark_bidders=bench["bidders"], checkpoints=checkpoints,
@@ -483,11 +476,11 @@ def run_clairvoyant(config: ExperimentConfig, extra_checkpoints=()) -> OnlineRun
 
 
 def load_bids(path, model: MdpModel) -> BidProfile:
-    """The bid profile in JSON file ``path``: an (n, S, A) array of numbers for ``model``."""
+    """The bid profile in JSON file ``path``: an (n, S, A) array of finite numbers for ``model``."""
     table = json.loads(Path(path).read_text())
     shape = (model.n, model.S, model.A)
-    if not _is_array(table, shape):
-        raise ValueError(f"{path} must hold an (n, S, A) = {shape} array of numbers")
+    if not _is_array(table, shape, _is_finite):
+        raise ValueError(f"{path} must hold an (n, S, A) = {shape} array of finite numbers")
     return BidProfile(np.array(table))
 
 
@@ -506,14 +499,10 @@ def run_offline(model: MdpModel, bids: Optional[BidProfile] = None,
     if sim_rounds > 0:
         strategies = [checked_spec({"kind": "truthful"})] * model.n
         cps = np.array([sim_rounds], dtype=np.int64)
-        run = simulate_run(model, mech, strategies,
-                           sim_rounds, sim_seed, cps)
-        empirical = {
-            "welfare": float(run.cum_welfare[0] / sim_rounds),
-            "seller": float(run.cum_seller[0] / sim_rounds),
-            "per_bidder": (run.cum_per_bidder[:, 0] / sim_rounds).tolist(),
-            "rounds": sim_rounds,
-        }
+        run = simulate_run(model, mech, strategies, sim_rounds, sim_seed, cps)
+        mean = run.cum[:, 0] / sim_rounds  # u_0, u_1..u_n, R per round
+        empirical = {"welfare": float(mean[-1]), "seller": float(mean[0]),
+                     "per_bidder": mean[1:-1].tolist(), "rounds": sim_rounds}
     return {
         "allocation": mech.allocation.tolist(),
         "payments": mech.payments.tolist(),
@@ -545,8 +534,8 @@ def truthfulness_gain(config: ExperimentConfig, bidder_index: int, deviant: dict
     twisted = run_online(replace(config, bidders=tuple(specs)),
                          extra_checkpoints=extra_checkpoints)
     t = honest.report.checkpoints.astype(np.float64)
-    u_honest = np.mean([r.cum_per_bidder[bidder_index] for r in honest.seed_results], axis=0)
-    u_twisted = np.mean([r.cum_per_bidder[bidder_index] for r in twisted.seed_results], axis=0)
+    u_honest = np.mean([r.cum[1 + bidder_index] for r in honest.seed_results], axis=0)
+    u_twisted = np.mean([r.cum[1 + bidder_index] for r in twisted.seed_results], axis=0)
     return honest.report.checkpoints, (u_twisted - u_honest) / t
 
 
@@ -560,7 +549,7 @@ def _round_header(n: int) -> list:
             + [f"r_{i}" for i in range(n + 1)]
             + [f"b_{i}" for i in range(1, n + 1)]
             + [f"p_{i}" for i in range(1, n + 1)]
-            + ["u_0"] + [f"u_{i}" for i in range(1, n + 1)] + ["R"])
+            + [f"u_{i}" for i in range(n + 1)] + ["R"])
 
 
 def export(result: OnlineRunResult, out_dir) -> list:
@@ -600,7 +589,7 @@ def _write_rounds_csv(path, rounds: RoundColumns, n: int, block: int = 8192):
     segment, the phase, (s, a), the reward draws, the bid window), so a block
     holds few distinct rows once ``t`` is left out. Each distinct row is
     formatted once: rows are keyed on their bytes (floats by bit pattern, so
-    -0.0 and 0.0 and NaN payloads stay apart), and ``t`` is written in bulk.
+    -0.0 and 0.0 and NaN payloads stay apart), and ``t`` is written in front of it.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(_round_header(n)) + "\r\n").encode())
@@ -608,8 +597,7 @@ def _write_rounds_csv(path, rounds: RoundColumns, n: int, block: int = 8192):
             hi = lo + block
             ints = np.column_stack((rounds.k[lo:hi], rounds.s[lo:hi], rounds.a[lo:hi]))
             floats = np.column_stack((rounds.rewards[lo:hi], rounds.bids[lo:hi],
-                                      rounds.charges[lo:hi], rounds.u0[lo:hi],
-                                      rounds.ui[lo:hi], rounds.R[lo:hi]))
+                                      rounds.charges[lo:hi], rounds.utilities[lo:hi]))
             phase = rounds.phase[lo:hi]
             rows = len(phase)
             keys = np.concatenate((ints.view(np.uint8), floats.view(np.uint8),
@@ -622,23 +610,10 @@ def _write_rounds_csv(path, rounds: RoundColumns, n: int, block: int = 8192):
                                                 floats[at].tolist()))
             text = dict(zip(rep, texts))
             lines = [b""] * (2 * rows)
-            lines[0::2] = _decimal_bytes(rounds.t[lo:hi])
+            lines[0::2] = [b"%d" % v for v in rounds.t[lo:hi].tolist()]
             lines[1::2] = map(text.__getitem__, keys)
             fh.write(b"".join(lines))
     return path
-
-
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-
-
-def _decimal_bytes(values: np.ndarray) -> list:
-    """``str(v).encode()`` for each non-negative int64 ``v``, built from one
-    left-aligned digit array whose trailing NULs the ``S`` view drops."""
-    ndigits = np.maximum(np.searchsorted(_POW10, values, side="right"), 1)
-    power = ndigits[:, None] - 1 - np.arange(ndigits.max(initial=1))
-    digits = (values[:, None] // _POW10[np.maximum(power, 0)]) % 10 + ord("0")
-    digits = np.where(power >= 0, digits, 0).astype(np.uint8)
-    return digits.view(f"S{digits.shape[1]}").ravel().tolist()
 
 
 def _write_regret_csv(path, report: RegretReport):

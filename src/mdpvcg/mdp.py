@@ -8,6 +8,7 @@ ergodicity margin: every entry P(s'|s,a) >= alpha.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from bisect import bisect_right
 from itertools import product
@@ -273,6 +274,11 @@ def _is_count_or_null(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, float) or _is_int(value)
+
+
+def _is_finite(value) -> bool:
+    """A number but NaN and the infinities, which JSON's NaN and Infinity parse to."""
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
 def _is_list(value) -> bool:

@@ -27,8 +27,8 @@ class BidProfile:
         b = np.asarray(self.bids, dtype=np.float64)
         if b.ndim != 3:
             raise ValueError(f"bids must be (n, S, A), got {b.shape}")
-        if b.min() < -TOL.row_sum or b.max() > 1 + TOL.row_sum:
-            raise ValueError("bids must lie in [0, 1]")
+        if not (b.min() >= -TOL.row_sum and b.max() <= 1 + TOL.row_sum):
+            raise ValueError("bids must lie in [0, 1]")  # NaN fails the comparisons
         object.__setattr__(self, "bids", b)
 
     @classmethod

@@ -97,7 +97,6 @@ class OnlineVcgLearner:
         self.k = 1
         self.tau_k = 1
         self.pos = 0  # rounds already played in the current episode
-        self.counts = np.zeros((S, A), dtype=np.int64)
         self.counts3 = np.zeros((S, A, S), dtype=np.int64)
         self.reward_sums = np.zeros((n + 1, S, A))
         self.band_lower = np.zeros((S, A, S))
@@ -120,6 +119,11 @@ class OnlineVcgLearner:
         return self.config.lengths(self.k)[1]
 
     @property
+    def counts(self) -> np.ndarray:
+        """Visits per (s, a): ``counts3`` summed over the next state."""
+        return self.counts3.sum(axis=2)
+
+    @property
     def episode_complete(self) -> bool:
         return self.pos >= self.d_k + self.l_k
 
@@ -136,7 +140,6 @@ class OnlineVcgLearner:
         S, A, n = self.config.S, self.config.A, self.config.n
         sa = np.asarray(s) * A + np.asarray(a)  # flat (s, a) index
         bids = np.asarray(bids, dtype=np.float64)
-        self.counts += np.bincount(sa, minlength=S * A).reshape(S, A)
         self.counts3 += np.bincount(sa * S + s2, minlength=S * A * S).reshape(S, A, S)
         out = (bids < 0.0) | (bids > 1.0)
         if out.any():
@@ -180,7 +183,7 @@ class OnlineVcgLearner:
 
         # (n, 2, S, A): each bidder's optimistic, then pessimistic welfare of the others
         others = np.stack([total_ucb - self.reward_ucb[1:], total_lcb - self.reward_lcb[1:]], 1)
-        # the allocation LP, then opt_1, pes_1, opt_2, ...: one warm chain
+        # the allocation LP, then opt_1, pes_1, opt_2, ...: one chain, infeasible together
         sol, *counterfactual = maximize_each(
             np.concatenate([total_ucb[None], others.reshape(2 * n, S, A)]), spec)
         if sol.status != "optimal":
@@ -189,10 +192,6 @@ class OnlineVcgLearner:
                 "large for the current confidence band")
         self.q_hat = sol.q
         self.policy = sol.q.policy
-        for i, lp in enumerate(counterfactual):
-            if lp.status != "optimal":
-                raise ConfigurationError(
-                    f"episode {k}: payment LP for bidder {i // 2 + 1} infeasible")
         values = np.array([lp.objective_value for lp in counterfactual]).reshape(n, 2, 1, 1)
         self.payments_seller = values[:, 0] - others[:, 1]
         self.payments_bidder = values[:, 1] - others[:, 0]
@@ -215,16 +214,15 @@ class OnlineVcgLearner:
         learner = cls(LearnerConfig(**doc["config"]))
         learner.k, learner.tau_k, learner.pos = int(doc["k"]), int(doc["tau_k"]), int(doc["pos"])
         for key in _CHECKPOINT_ARRAYS:
-            setattr(learner, key, np.array(doc[key], dtype=np.int64 if key.startswith("counts")
+            setattr(learner, key, np.array(doc[key], dtype=np.int64 if key == "counts3"
                                            else np.float64))
         learner.q_hat = OccupancyMeasure(learner.q_hat)
         return learner
 
 
 # learner arrays in a checkpoint, in file order (q_hat as its q table)
-_CHECKPOINT_ARRAYS = ("counts", "counts3", "reward_sums", "band_lower", "band_upper",
-                      "reward_ucb", "reward_lcb", "q_hat", "policy", "payments_seller",
-                      "payments_bidder")
+_CHECKPOINT_ARRAYS = ("counts3", "reward_sums", "band_lower", "band_upper", "reward_ucb",
+                      "reward_lcb", "q_hat", "policy", "payments_seller", "payments_bidder")
 
 
 def save_checkpoint(learner: OnlineVcgLearner, path) -> None:

@@ -26,7 +26,8 @@ copy's one dependent flow row, which the LP leaves free, and costs more than
 the solve). A band spec runs K groups of one: objective 0 cold by dual simplex
 with presolve (what ``scipy.optimize.linprog(method="highs-ds")`` does), and
 each later objective by primal simplex from the previous optimal basis, which
-a change of costs leaves primal feasible. Each is the faster one for its kind:
+a change of costs leaves primal feasible (a run that stops "optimal" at a point
+HiGHS finds infeasible runs again, cold). Each is the faster one for its kind:
 a stacked band solve is cold throughout, and a kernel solve is mostly HiGHS's
 fixed cost per run. Every call passes the model its LP afresh, which drops any
 basis and solution an earlier call left, so equal inputs give equal results,
@@ -65,6 +66,7 @@ _LP_OPTIONS = {
 _HIGHS_OPTIONS = {**_LP_OPTIONS, "solver": "simplex", "output_flag": False}
 # simplex_strategy values: dual simplex for the cold solve, primal for the warm ones
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
+_FEASIBLE_POINT = 2  # HiGHS's primal_solution_status of a primal feasible point
 _DELTA_MIN = 1e-6  # the smallest delta calibrate_delta tries, and its floor
 
 
@@ -321,7 +323,14 @@ def maximize_each(objectives, spec: PolytopeSpec) -> list:
     solved = []
     for costs in rewards.reshape(-1, group * SA):
         model.changeColsCost(len(rho_columns), rho_columns, -costs)
-        x, nit = _read(model, _run(model))
+        status = _run(model)
+        if (status == HighsModelStatus.kOptimal
+                and model.getInfoValue("primal_solution_status")[1] != _FEASIBLE_POINT):
+            # a warm run can stop "optimal" just outside the tolerance: run it again, cold
+            model.clearSolver()
+            model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+            status = _run(model)
+        x, nit = _read(model, status)
         if x is None:
             return [_solution(spec, r, None, nit) for r in rewards]
         solved += [(xk, nit) for xk in x.reshape(group, -1)]

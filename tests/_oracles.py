@@ -246,7 +246,6 @@ def loop_simulate_run(model, seller, strategies, horizon, seed, checkpoints,
         bids = [reporters[i](t, s, a, rewards[i + 1]) for i in range(n)]
 
         if learning:
-            seller.counts[s, a] += 1
             seller.counts3[s, a, s2] += 1
             seller.reward_sums[0, s, a] += rewards[0]
             for i, b in enumerate(bids):

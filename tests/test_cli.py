@@ -128,12 +128,15 @@ _MISSING = object()  # a key left out of the config
     ("horizon", 0), ("horizon", -5), ("episodes", 0),
     ("model.generator.S", 0), ("model.generator.n", 0), ("model.generator.A", 0),
     ("model.generator.items", 0), ("model.generator.auction", "single_item"),
-    pytest.param("model.generator.items", 2, id="model.generator.items-2-without-auction")])
+    pytest.param("model.generator.items", 2, id="model.generator.items-2-without-auction"),
+    ("model.generator.alpha", math.nan), ("model.generator.c_max", math.nan),
+    ("model.generator.c_max", math.inf), ("model.generator.c_max", -1)])
 def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key, value):
     """A mistyped or missing value, or a list for an object, at any level of
     the config is refused by its key before any seed is simulated, so
     nothing is written. So are generator sizes below 1, an A that an auction
-    would override and an items count that no auction reads."""
+    would override, an items count that no auction reads, a NaN or infinite
+    alpha and a c_max that is not a nonnegative finite number."""
     config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
               "horizon": 100, "seeds": [0]}
     if key.startswith("model.generator."):
@@ -252,10 +255,16 @@ def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
     ({"kind": "scaled"}, "factor"),
     ({"kind": "by_bids", "table": [[0.5] * 3, [0.5] * 3, [0.5] * 2]}, "table"),
     ("truthful", "object"),
+    ({"kind": "scaled", "factor": math.nan}, "factor"),
+    ({"kind": "shifted", "offset": math.inf}, "offset"),
+    ({"kind": "adversarial_window", "windows": [[1, 50]], "inflate_to": math.nan}, "inflate_to"),
+    ({"kind": "adversarial_window", "windows": [[1, 50]], "factor": -math.inf}, "factor"),
+    ({"kind": "by_bids", "table": [[0.5, math.nan, 0.5]] + [[0.5] * 3] * 2}, "table"),
 ])
 def test_simulate_mistyped_bidder_spec_exits_2(model_file, tmp_path, capsys, spec, key):
     """A bidder spec of the wrong type or shape, of an unknown kind, with a key
-    its kind does not take or without one it needs, is refused by bidder and key."""
+    its kind does not take or without one it needs, or with a NaN or infinite
+    number, is refused by bidder and key."""
     out = tmp_path / "o"
     config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
               "bidders": [{"kind": "truthful"}, spec], "horizon": 100, "out": str(out)}
@@ -274,9 +283,10 @@ def test_simulate_mistyped_bidder_spec_exits_2(model_file, tmp_path, capsys, spe
     [[[0.5] * 3] * 4] * 2,
     [[[0.5] * 2] * 3] * 2,
     [[[0.5] * 3] * 3, [[0.5] * 3] * 2],
-], ids=["strings", "bools", "extra-bidder", "wrong-S", "wrong-A", "ragged"])
+    [[[0.5] * 3] * 3, [[0.5, math.nan, 0.5]] + [[0.5] * 3] * 2],
+], ids=["strings", "bools", "extra-bidder", "wrong-S", "wrong-A", "ragged", "nan"])
 def test_offline_vcg_malformed_bid_file_exits_2(model_file, tmp_path, capsys, bids):
-    """A bids file must hold one (S, A) table of numbers per bidder of the model."""
+    """A bids file must hold one (S, A) table of finite numbers per bidder of the model."""
     bid_file = tmp_path / "bids.json"
     bid_file.write_text(json.dumps(bids))
     out = tmp_path / "mech.json"

@@ -72,6 +72,20 @@ def test_multi_unit_and_combinatorial_action_spaces():
                          items=2).num_actions() == 9
 
 
+@pytest.mark.parametrize("kw, labels", [
+    ({"auction": "multi_unit", "n": 2, "items": 2},
+     ["(0, 0)", "(0, 1)", "(0, 2)", "(1, 0)", "(1, 1)", "(2, 0)"]),
+    ({"auction": "combinatorial", "n": 1, "items": 2},  # good j's owner is entry j
+     ["(0, 0)", "(1, 0)", "(0, 1)", "(1, 1)"]),
+    ({"A": 3, "n": 1}, ["a0", "a1", "a2"]),
+], ids=["multi_unit", "combinatorial", "plain"])
+def test_action_labels(kw, labels):
+    """One label per action, in action order."""
+    spec = GeneratorSpec(S=2, alpha=0.1, **kw)
+    assert spec.action_labels() == labels
+    assert len(labels) == spec.num_actions()
+
+
 def test_generate_is_deterministic_in_seed():
     spec = GeneratorSpec(S=3, n=2, alpha=0.1, A=4)
     a = generate_model(spec, 42)

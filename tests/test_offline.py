@@ -170,6 +170,11 @@ def test_payment_is_independent_of_own_bid():
 def test_bid_profile_range_enforced():
     with pytest.raises(ValueError):
         BidProfile(np.full((1, 2, 2), 1.4))
+    for bad in (np.nan, -np.inf):  # NaN would reach the LPs as an objective
+        bids = np.full((1, 2, 2), 0.5)
+        bids[0, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"bids must lie in \[0, 1\]"):
+            BidProfile(bids)
 
 
 def test_values_match_lps_solved_alone():

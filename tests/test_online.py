@@ -114,7 +114,6 @@ def test_observe_clips_out_of_range_bids(caplog):
 def _tuple_index_observe(learner, s, a, s2, seller_rewards, bids):
     """What ``observe`` adds, by tuple-index scatter-adds on the 2-D and 3-D
     tables (the reference for its flat-index form)."""
-    np.add.at(learner.counts, (s, a), 1)
     np.add.at(learner.counts3, (s, a, s2), 1)
     np.add.at(learner.reward_sums[0], (s, a), seller_rewards)
     np.add.at(learner.reward_sums[1:], (slice(None), s, a), np.clip(bids, 0.0, 1.0))
@@ -129,7 +128,6 @@ def test_observe_equals_tuple_index_scatter_adds(S, A, n, rounds, seed):
     bit as tuple-index ``np.add.at`` does, out-of-range bids clipped."""
     rng = np.random.default_rng(seed)
     got = OnlineVcgLearner(config(S=S, A=A, n=n, alpha=0.5 / S, delta=0.5 / (S * A)))
-    got.counts = rng.integers(0, 1000, (S, A))
     got.counts3 = rng.integers(0, 1000, (S, A, S))
     got.reward_sums = rng.random((n + 1, S, A)) * rng.uniform(1, 1e4)
     want = OnlineVcgLearner.from_checkpoint(got.to_checkpoint())
@@ -311,10 +309,13 @@ def test_checkpoint_roundtrip_resumes_identically(tmp_path):
     for run in (state, restored):
         while run.sim.t <= run.horizon:
             advance(run)
-    np.testing.assert_array_equal(state.cum_welfare, restored.cum_welfare)
-    np.testing.assert_array_equal(state.cum_per_bidder, restored.cum_per_bidder)
+    np.testing.assert_array_equal(state.cum, restored.cum)
     assert state.episodes == restored.episodes and len(state.episodes) >= 2
     assert learner.to_checkpoint() == clone.to_checkpoint()
+    # visit counts are counts3's sums, not stored; an older file's "counts" is ignored
+    older = {**learner.to_checkpoint(), "counts": learner.counts.tolist()}
+    assert "counts" not in learner.to_checkpoint()
+    assert OnlineVcgLearner.from_checkpoint(older).to_checkpoint() == learner.to_checkpoint()
 
 
 def test_a_learner_that_has_played_is_refused():

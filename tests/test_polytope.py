@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -219,6 +219,7 @@ def test_warm_solves_equal_fresh_solves(n, S, A, delta_frac, seed):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 3), S=st.integers(1, 5), A=st.integers(1, 5), floor=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
+@example(n=2, S=5, A=1, floor=False, seed=841)  # a warm run stops "optimal" but infeasible
 def test_band_lp_matches_the_full_row_oracle(n, S, A, floor, seed):
     """On bands with many entries at exactly 0 and at 1 or more, whose band
     rows the LP leaves out, 2n+1 objectives in one ``maximize_each`` call
@@ -470,10 +471,14 @@ def test_band_contradiction_reports_infeasible():
     S, A = 2, 2
     lower = np.full((S, A, S), 0.9)  # rows would sum to 1.8
     upper = np.ones((S, A, S))
-    sol = maximize(np.ones((S, A)),
-                   PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.01))
+    spec = PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.01)
+    sol = maximize(np.ones((S, A)), spec)
     assert sol.status == "infeasible"
     assert sol.q is None
+    # one polytope: a chain of K objectives is infeasible all together
+    chain = maximize_each(np.random.default_rng(0).random((3, S, A)), spec)
+    assert [s.status for s in chain] == ["infeasible"] * 3
+    assert all(s.q is None for s in chain)
 
 
 def test_transient_state_under_a_floor_reports_infeasible():

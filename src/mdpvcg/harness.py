@@ -520,16 +520,16 @@ def truthfulness_gain(config: ExperimentConfig, bidder_index: int, deviant: dict
 
     ``deviant`` is a bidder spec, as in the config's ``bidders`` list. All
     other bidders keep the config's specs; the same seeds drive both arms.
-    The deviant is checked against its kind's keys before either arm runs.
+    The index and the deviant (kind keys, table shape) are checked before either arm runs.
     """
     if not (_is_int(bidder_index) and bidder_index >= 0):
         raise ValueError(f"bidder_index must be a nonnegative integer; got {bidder_index!r}")
-    checked_spec(deviant, bidder_index + 1)
+    model = resolve_model(config)
+    if bidder_index >= model.n:
+        raise ValueError(f"bidder_index {bidder_index} is out of range for n = {model.n} bidders")
+    checked_spec(deviant, bidder_index + 1, shape=(model.S, model.A))
     honest = run_online(config, extra_checkpoints=extra_checkpoints)
-    n = honest.mechanism.payments.shape[0]
-    if bidder_index >= n:
-        raise ValueError(f"bidder_index {bidder_index} is out of range for n = {n} bidders")
-    specs = list(config.bidders or [{"kind": "truthful"}] * n)
+    specs = list(config.bidders or [{"kind": "truthful"}] * model.n)
     specs[bidder_index] = deviant
     twisted = run_online(replace(config, bidders=tuple(specs)),
                          extra_checkpoints=extra_checkpoints)

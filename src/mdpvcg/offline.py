@@ -1,20 +1,24 @@
 """Offline VCG mechanism for average-reward auctions with a known kernel.
 
-The allocation maximizes bid-reported welfare over the kernel's occupancy
-polytope; each bidder pays, per round, the welfare the others could have
+The allocation maximizes bid-reported welfare over the kernel's stationary
+policies; each bidder pays, per round, the welfare the others could have
 earned without her minus what they actually earn at the realized (s, a).
+The welfare problem and the n counterfactual problems share the kernel and
+are solved together by batched average-reward policy iteration (Howard;
+Puterman 1994, section 8.6), which needs every kernel entry positive: then
+every stationary policy is ergodic, and the iteration is exact and finite.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .occupancy import occupancy_from
-from .polytope import PolytopeSpec, maximize_each
 from .tolerances import TOL
+
+_MAX_ITERATIONS = 1000  # generated models take at most 3
 
 
 @dataclass(frozen=True)
@@ -53,40 +57,58 @@ class Mechanism:
         return out
 
 
-# Per thread, the polytope of the last kernel offline_mechanism solved over,
-# keeping its own float64 copy of the kernel. Truthfulness checks solve many bid
-# profiles on one kernel; reusing its LP costs less than building another.
-_kept = threading.local()
+def _policy_iteration(rewards: np.ndarray, kernel: np.ndarray):
+    """(gains (K,), policies (K, S) of action indices) of the K average-reward
+    problems on ``kernel`` with reward tables ``rewards`` (K, S, A), solved
+    together from the per-state greedy policy.
 
-
-def _kernel_polytope(kernel: np.ndarray) -> PolytopeSpec:
-    spec = getattr(_kept, "spec", None)
-    if spec is None or not np.array_equal(spec.kernel, kernel):
-        spec = _kept.spec = PolytopeSpec(kernel=np.array(kernel, dtype=np.float64))
-    return spec
+    Each iteration solves, per problem, g + h(s) - sum_t P(t|s,pi(s)) h(t) =
+    r(s, pi(s)) with h(0) = 0 (column 0 carries g in place of h(0)). A state's
+    action changes only when another beats it by more than ``TOL.exact``, to
+    the lowest-index best action, so ties and rounding never cycle.
+    """
+    K, S, A = rewards.shape
+    flat, rows = rewards.reshape(K, S * A), kernel.reshape(S * A, S)
+    problems, first = np.arange(K)[:, None], np.arange(S) * A
+    pairs = first + rewards.argmax(axis=2)  # the flat (s, pi(s)) of each problem and state
+    identity = np.eye(S)
+    for _ in range(_MAX_ITERATIONS):
+        system = identity - rows[pairs]  # (K, S, S)
+        system[:, :, 0] = 1.0
+        x = np.linalg.solve(system, flat[problems, pairs][..., None])[..., 0]
+        gain = x[:, 0].copy()
+        x[:, 0] = 0.0  # now h
+        q = (flat + x @ rows.T).reshape(K, S, A)
+        better = q.max(axis=2) > q.reshape(K, S * A)[problems, pairs] + TOL.exact
+        if not better.any():
+            return gain, pairs - first
+        pairs = np.where(better, first + q.argmax(axis=2), pairs)
+    raise RuntimeError(f"policy iteration did not converge in {_MAX_ITERATIONS} iterations")
 
 
 def offline_mechanism(bids: BidProfile, r0: np.ndarray, kernel: np.ndarray) -> Mechanism:
-    """Solve the welfare LP and the n counterfactual LPs; assemble payments.
+    """Solve the welfare problem and the n counterfactual problems; assemble payments.
 
-    Bids substitute for the bidders' reward tables throughout. The constraint
-    system is bid-independent, so all n+1 LPs are solved together, in one
-    HiGHS run over n+1 copies of one polytope; the next mechanism on an equal
-    kernel reuses that polytope's LP. Every run is cold, so the results are
-    those of a new polytope, bit for bit.
+    Bids substitute for the bidders' reward tables throughout. The allocation
+    is the welfare problem's optimal deterministic policy, each value a gain.
     """
     reported = r0 + bids.bids.sum(axis=0)
     others = reported - bids.bids  # (n, S, A): the welfare of all but bidder i
-    best, *counterfactual = maximize_each(np.concatenate([reported[None], others]),
-                                          _kernel_polytope(kernel))
-    if best.status != "optimal":
-        raise RuntimeError(f"welfare and counterfactual LPs: {best.status}")
-    values = np.array([sol.objective_value for sol in counterfactual])
+    kernel = np.asarray(kernel, dtype=np.float64)
+    S, A = reported.shape
+    if kernel.shape != (S, A, S):
+        raise ValueError(f"kernel must be (S, A, S) = {(S, A, S)}; got {kernel.shape}")
+    low = kernel.min()
+    if not (low >= 0 and np.abs(kernel.sum(axis=2) - 1).max() <= TOL.mass):
+        raise ValueError("kernel rows must be probability distributions")  # NaN included
+    if low == 0:
+        raise ValueError("kernel has a zero entry: policy iteration needs every entry positive")
+    gains, policies = _policy_iteration(np.concatenate([reported[None], others]), kernel)
     return Mechanism(
-        allocation=best.q.policy,
-        payments=values[:, None, None] - others,
-        counterfactual_values=values,
-        welfare_value=best.objective_value,
+        allocation=np.eye(A)[policies[0]],
+        payments=gains[1:, None, None] - others,
+        counterfactual_values=gains[1:],
+        welfare_value=float(gains[0]),
     )
 
 

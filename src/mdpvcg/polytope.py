@@ -17,38 +17,28 @@ The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
 
-Each spec builds its LP once per number of copies and keeps one HiGHS model.
-``maximize_each`` is the one solver: it maximizes K objectives over the
-polytope in one loop over groups of copies, and the spec's kind sets the group.
-A kernel spec runs all K as one group, one cold dual-simplex run on K
-block-diagonal copies of its LP, without presolve (it would only drop each
-copy's one dependent flow row, which the LP leaves free, and costs more than
-the solve). A band spec runs K groups of one: objective 0 cold by dual simplex
-with presolve (what ``scipy.optimize.linprog(method="highs-ds")`` does), and
-each later objective by primal simplex from the previous optimal basis, which
-a change of costs leaves primal feasible (a run that stops "optimal" at a point
-HiGHS finds infeasible runs again, cold). Each is the faster one for its kind:
-a stacked band solve is cold throughout, and a kernel solve is mostly HiGHS's
-fixed cost per run. Every call passes the model its LP afresh, which drops any
-basis and solution an earlier call left, so equal inputs give equal results,
-bit for bit. Spec arrays must not be mutated after construction.
+Each spec builds its LP once and keeps one HiGHS model. ``maximize_each`` is
+the one solver: every spec runs K groups of one, objective 0 cold by dual
+simplex and each later objective by primal simplex from the previous optimal
+basis, which a change of costs leaves primal feasible (a run that stops
+"optimal" at a point HiGHS finds infeasible runs again, cold). A band model
+presolves (what ``scipy.optimize.linprog(method="highs-ds")`` does); a kernel
+model does not (presolve would only drop the one dependent flow row, which the
+LP leaves free, and costs more than the solve). Every call passes the model its
+LP afresh, which drops any basis and solution an earlier call left, so equal
+inputs give equal results, bit for bit. Spec arrays must not be mutated after
+construction. The HiGHS bindings, and with them all of ``scipy.optimize``,
+load with the first LP, not with the module: ``mdpvcg.offline`` solves none.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
-
-try:  # the HiGHS bindings that scipy ships; highspy is not a dependency
-    from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
-                                               MatrixFormat, _Highs)
-except ImportError as e:
-    raise ImportError("mdpvcg needs scipy>=1.15 for its HiGHS bindings "
-                      "(scipy.optimize._highspy._core)") from e
 
 from .occupancy import OccupancyMeasure
 from .tolerances import TOL
@@ -68,6 +58,17 @@ _HIGHS_OPTIONS = {**_LP_OPTIONS, "solver": "simplex", "output_flag": False}
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
 _FEASIBLE_POINT = 2  # HiGHS's primal_solution_status of a primal feasible point
 _DELTA_MIN = 1e-6  # the smallest delta calibrate_delta tries, and its floor
+
+
+@cache
+def _highs():
+    """scipy's HiGHS bindings (highspy is not a dependency), imported on first use."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as e:
+        raise ImportError("mdpvcg needs scipy>=1.15 for its HiGHS bindings "
+                          "(scipy.optimize._highspy._core)") from e
+    return _core
 
 
 @dataclass(frozen=True)
@@ -109,32 +110,24 @@ class PolytopeSpec:
         return (self.kernel if self.kernel is not None else self.band_lower).shape[1]
 
     @cached_property
-    def _lps(self) -> dict:
-        return {}  # number of copies -> HighsLp
-
-    def _lp(self, copies: int) -> HighsLp:
-        """The LP on ``copies`` block-diagonal copies of the system, with zero
-        costs, built once per number of copies and never written after."""
-        lp = self._lps.get(copies)
-        if lp is None:
-            system = _stack(build_constraints(self), copies)
-            if self.kernel is not None:
-                # the S flow rows sum to zero only up to the kernel's row-sum
-                # error (TOL.mass); the last one is implied by the others, so
-                # each copy leaves it free
-                free = np.arange(copies) * (1 + self.S) + self.S
-                system.row_lower[free], system.row_upper[free] = -np.inf, np.inf
-            lp = self._lps[copies] = highs_lp(system)
-        return lp
+    def _lp(self):
+        """The spec's HiGHS LP, with zero costs, built once and never written after."""
+        system = build_constraints(self)
+        if self.kernel is not None:
+            # the S flow rows sum to zero only up to the kernel's row-sum
+            # error (TOL.mass); the last one is implied by the others, so
+            # the LP leaves it free
+            system.row_lower[self.S], system.row_upper[self.S] = -np.inf, np.inf
+        return highs_lp(system)
 
     @cached_property
-    def _model(self) -> _Highs:
+    def _model(self):
         """The spec's one HiGHS model, with this kind's options; every
         ``maximize_each`` call passes it an LP afresh."""
-        model = _Highs()
+        model = _highs()._Highs()
         for key, value in _HIGHS_OPTIONS.items():
             model.setOptionValue(key, value)
-        # a kernel LP has S*A columns and 1+S rows per copy: presolve only
+        # a kernel LP has S*A columns and 1+S rows: presolve only
         # drops the free flow row, and takes longer than the cold solve it saves
         model.setOptionValue("presolve", "off" if self.kernel is not None else "on")
         return model
@@ -227,46 +220,32 @@ def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
                             row_lower=row_lower, row_upper=row_upper, col_lower=col_lower)
 
 
-def highs_lp(system: ConstraintSystem) -> HighsLp:
+def highs_lp(system: ConstraintSystem):
     """The system as a HiGHS LP, with zero costs and no column upper bounds."""
-    lp = HighsLp()
+    lp = _highs().HighsLp()
     lp.num_row_, lp.num_col_ = len(system.row_lower), len(system.col_lower)
     lp.col_cost_ = np.zeros(lp.num_col_)
     lp.col_lower_, lp.col_upper_ = system.col_lower, np.full(lp.num_col_, np.inf)
     lp.row_lower_, lp.row_upper_ = system.row_lower, system.row_upper
     matrix = lp.a_matrix_
     matrix.num_row_, matrix.num_col_ = lp.num_row_, lp.num_col_
-    matrix.format_ = MatrixFormat.kColwise
+    matrix.format_ = _highs().MatrixFormat.kColwise
     matrix.start_, matrix.index_, matrix.value_ = system.start, system.index, system.value
     return lp
 
 
-def _stack(system: ConstraintSystem, copies: int) -> ConstraintSystem:
-    """``copies`` block-diagonal copies of ``system``: copy k takes the k-th
-    run of its columns and the k-th run of its rows."""
-    nnz, n_row = len(system.index), len(system.row_lower)
-    offset = np.arange(copies)[:, None]
-    return ConstraintSystem(
-        start=np.append((system.start[:-1] + nnz * offset).ravel(), copies * nnz),
-        index=(system.index + n_row * offset).ravel(),
-        value=np.tile(system.value, copies),
-        row_lower=np.tile(system.row_lower, copies),
-        row_upper=np.tile(system.row_upper, copies),
-        col_lower=np.tile(system.col_lower, copies))
-
-
-def _run(model: _Highs) -> HighsModelStatus:
+def _run(model):
     model.run()
     return model.getModelStatus()
 
 
-def _read(model: _Highs, status: HighsModelStatus):
+def _read(model, status):
     """(column values, or None for an infeasible LP; simplex iterations) of
     the run of ``model`` that ended in ``status``."""
     nit = model.getInfoValue("simplex_iteration_count")[1]
-    if status == HighsModelStatus.kInfeasible:
+    if status == _highs().HighsModelStatus.kInfeasible:
         return None, nit
-    if status != HighsModelStatus.kOptimal:
+    if status != _highs().HighsModelStatus.kOptimal:
         raise RuntimeError(f"LP solver failed (status {status.value}): "
                            f"{model.modelStatusToString(status)}")
     return np.fromiter(model.getSolution().col_value, np.float64), nit
@@ -281,7 +260,7 @@ class LpSolution:
 
 
 def _solution(spec: PolytopeSpec, r: np.ndarray, x: Optional[np.ndarray], nit: int) -> LpSolution:
-    """Flat objective ``r``'s solution at its copy's column values ``x`` (None: infeasible)."""
+    """Flat objective ``r``'s solution at the LP's column values ``x`` (None: infeasible)."""
     if x is None:
         return LpSolution(q=None, objective_value=float("nan"), status="infeasible", nit=nit)
     S, A, rho = spec.S, spec.A, x[:len(r)]
@@ -298,11 +277,9 @@ def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
 
 def maximize_each(objectives, spec: PolytopeSpec) -> list:
     """Maximize <rho, r_k> over the polytope for each of K per-(s,a) tables
-    r_k (a (K, S, A) array), in HiGHS runs on block-diagonal copies of the LP
-    (module docstring): one run of K copies for a kernel spec, K runs of one
-    for a band spec, in the order given, each warm from the one before. Each
-    solution carries its run's ``nit``. All objectives share one polytope, so
-    they are infeasible together.
+    r_k (a (K, S, A) array), in K HiGHS runs in the order given, each warm
+    from the one before (module docstring). Each solution carries its run's
+    ``nit``. All objectives share one polytope, so they are infeasible together.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     S, A = spec.S, spec.A
@@ -310,21 +287,18 @@ def maximize_each(objectives, spec: PolytopeSpec) -> list:
         raise ValueError(f"objectives must be (K, S, A) with K >= 1 and (S, A) = {(S, A)}")
     if not np.isfinite(objectives).all():
         raise ValueError("objectives must be finite")
-    copies, SA = len(objectives), S * A
-    rewards = objectives.reshape(copies, SA)
-    group = copies if spec.kernel is not None else 1
-    model = spec._model
+    rewards = objectives.reshape(len(objectives), S * A)
+    highs, model = _highs(), spec._model
     model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
     # passing the LP drops any basis and solution an earlier call left
-    if model.passModel(spec._lp(group)) == HighsStatus.kError:
+    if model.passModel(spec._lp) == highs.HighsStatus.kError:
         raise RuntimeError("HiGHS refused the constraint matrix")
-    # the rho columns: a kernel LP has no others, and a band runs one copy
-    rho_columns = np.arange(group * SA, dtype=np.int32)
+    rho_columns = np.arange(S * A, dtype=np.int32)
     solved = []
-    for costs in rewards.reshape(-1, group * SA):
-        model.changeColsCost(len(rho_columns), rho_columns, -costs)
+    for r in rewards:
+        model.changeColsCost(len(rho_columns), rho_columns, -r)
         status = _run(model)
-        if (status == HighsModelStatus.kOptimal
+        if (status == highs.HighsModelStatus.kOptimal
                 and model.getInfoValue("primal_solution_status")[1] != _FEASIBLE_POINT):
             # a warm run can stop "optimal" just outside the tolerance: run it again, cold
             model.clearSolver()
@@ -333,9 +307,9 @@ def maximize_each(objectives, spec: PolytopeSpec) -> list:
         x, nit = _read(model, status)
         if x is None:
             return [_solution(spec, r, None, nit) for r in rewards]
-        solved += [(xk, nit) for xk in x.reshape(group, -1)]
+        solved.append(_solution(spec, r, x, nit))
         model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-    return [_solution(spec, r, x, nit) for r, (x, nit) in zip(rewards, solved)]
+    return solved
 
 
 def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float) -> float:

@@ -412,8 +412,8 @@ def test_lp_solver_failure_exits_3(model_file, tmp_path, monkeypatch, capsys):
 
 
 def test_infeasible_episode_lp_exits_2(model_file, tmp_path, monkeypatch, capsys):
-    """The benchmark's known-kernel LPs solve; the first episode's band LP
-    (the only one that presolves) reports infeasible."""
+    """The first episode's band LP (the only one that presolves; the benchmark
+    mechanism solves no LP) reports infeasible."""
     code = _simulate_with_failing_lp(model_file, tmp_path, monkeypatch,
                                      HighsModelStatus.kInfeasible,
                                      lambda model: model.getOptionValue("presolve")[1] == "on")

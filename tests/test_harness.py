@@ -153,7 +153,8 @@ def test_clairvoyant_resolves_the_model_once(tmp_path, count_calls):
 
 
 def test_model_file_loads_once_per_run(tmp_path, count_calls):
-    """offline-vcg --bids reads its model file once; truthfulness_gain once per arm."""
+    """offline-vcg --bids reads its model file once; truthfulness_gain once to
+    check its inputs and once per arm."""
     path = tmp_path / "model.json"
     save_model(generate_model(GEN, 1), path)
     bid_file = tmp_path / "bids.json"
@@ -165,7 +166,7 @@ def test_model_file_loads_once_per_run(tmp_path, count_calls):
     assert (len(cli_loads), len(loads)) == (1, 0)
     truthfulness_gain(ExperimentConfig(model_file=str(path), delta=0.08, horizon=300),
                       bidder_index=0, deviant={"kind": "scaled", "factor": 0.5})
-    assert (len(cli_loads), len(loads)) == (1, 2)
+    assert (len(cli_loads), len(loads)) == (1, 3)
 
 
 def test_benchmark_scalars_are_consistent():
@@ -422,14 +423,24 @@ def test_truthfulness_gain_refuses_a_mistyped_deviant():
 
 @pytest.mark.parametrize("index", [2, -1, True])
 def test_truthfulness_gain_refuses_a_bidder_index_out_of_range(index, count_calls):
-    """With n = 2, a negative or non-integer index is refused before either arm
-    runs and index 2 before the deviant arm runs; the message names the index."""
+    """With n = 2, a negative, non-integer or out-of-range index is refused
+    before either arm runs; the message names the index."""
     arms = count_calls(harness_mod, "run_online")
     message = "bidder_index 2 is out of range for n = 2" if index == 2 else f"got {index!r}"
     with pytest.raises(ValueError, match=message):
         truthfulness_gain(quick_config(horizon=300, seeds=(0,)), bidder_index=index,
                           deviant={"kind": "scaled", "factor": 0.5})
-    assert len(arms) == (1 if index == 2 else 0)
+    assert len(arms) == 0
+
+
+def test_truthfulness_gain_refuses_a_wrong_shape_table(count_calls):
+    """A by_bids deviant whose table is not the model's (S, A) = (3, 3) is
+    refused before either arm runs."""
+    arms = count_calls(harness_mod, "run_online")
+    with pytest.raises(ValueError, match=r"\(S, A\) = \(3, 3\)"):
+        truthfulness_gain(quick_config(horizon=300, seeds=(0,)), bidder_index=0,
+                          deviant={"kind": "by_bids", "table": [[0.5] * 2] * 2})
+    assert len(arms) == 0
 
 
 def test_untruthful_gain_does_not_grow():

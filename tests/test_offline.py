@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mdpvcg.offline as offline_mod
-import mdpvcg.polytope as polytope_mod
 from _oracles import brute_force_best
 from mdpvcg import (BidProfile, GeneratorSpec, PolytopeSpec, average_utilities,
                     generate_model, maximize, offline_mechanism, seller_utility_identity)
@@ -179,7 +177,7 @@ def test_bid_profile_range_enforced():
 
 def test_values_match_lps_solved_alone():
     """On generated models, with truthful and random bids, the welfare and
-    counterfactual values of the stacked solve are those of the n+1 LPs each
+    counterfactual values of policy iteration are those of the n+1 LPs each
     solved alone on a new polytope, to 1e-12."""
     rng = np.random.default_rng(12)
     for seed in range(30):
@@ -194,26 +192,38 @@ def test_values_match_lps_solved_alone():
         np.testing.assert_allclose(mech.counterfactual_values, alone[1:], rtol=0, atol=1e-12)
 
 
-def test_constraints_built_once_per_kernel(small_model, count_calls, monkeypatch):
-    """Mechanisms in a row on equal kernel values share one polytope; another
-    kernel, or the same array changed in place, builds a new one. Each
-    mechanism is one stacked solve, and so one HiGHS run."""
-    monkeypatch.setattr(offline_mod, "_kept", threading.local())  # nothing kept yet
-    builds = count_calls(polytope_mod, "build_constraints")
-    lps = count_calls(polytope_mod, "highs_lp")
-    solves = count_calls(offline_mod, "maximize_each")
-    runs = count_calls(polytope_mod, "_run")
-    bids = BidProfile.truthful(small_model)
+@settings(max_examples=60, deadline=None)
+@given(S=st.integers(1, 12), A=st.integers(1, 32), n=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_policy_iteration_matches_the_kernel_lp(S, A, n, seed):
+    """On generated models with random bids (tie-free almost surely), the
+    welfare and counterfactual values equal the HiGHS kernel LP's, each solved
+    on a fresh spec, to 1e-12, and the allocation is the LP's policy."""
+    rng = np.random.default_rng(seed)
+    model = generate_model(GeneratorSpec(S=S, A=A, n=n, alpha=float(rng.uniform(0.05, 1)) / S),
+                           seed)
+    tables = rng.random((n, S, A))
+    mech = offline_mechanism(BidProfile(tables), model.reward_means[0], model.kernel)
+    reported = model.reward_means[0] + tables.sum(axis=0)
+    best = maximize(reported, PolytopeSpec(kernel=model.kernel))
+    assert abs(mech.welfare_value - best.objective_value) <= 1e-12
+    assert np.array_equal(mech.allocation, best.q.policy)
+    for i in range(n):
+        lp = maximize(reported - tables[i], PolytopeSpec(kernel=model.kernel))
+        assert abs(mech.counterfactual_values[i] - lp.objective_value) <= 1e-12
+
+
+def test_kernel_with_a_zero_entry_is_refused(small_model):
+    """Policy iteration needs every policy ergodic: a zero kernel entry is
+    refused, saying so, with no LP fallback; a non-stochastic one as before."""
     kernel = small_model.kernel.copy()
-    other = generate_model(GeneratorSpec(S=3, n=2, alpha=0.1, A=3), seed=8).kernel
-    steps = ((kernel, 1), (kernel, 1), (small_model.kernel, 1), (other, 2), (kernel, 3))
-    for calls, (k, built) in enumerate(steps, 1):
-        offline_mechanism(bids, small_model.reward_means[0], k)
-        assert len(builds) == len(lps) == built
-        assert len(solves) == len(runs) == calls
-    kernel[...] = other
-    offline_mechanism(bids, small_model.reward_means[0], kernel)
-    assert len(builds) == len(lps) == 4
+    kernel[1, 2] = (0.0, 0.4, 0.6)
+    bids = BidProfile.truthful(small_model)
+    with pytest.raises(ValueError, match="zero entry"):
+        offline_mechanism(bids, small_model.reward_means[0], kernel)
+    kernel[1, 2] = (np.nan, 0.4, 0.6)
+    with pytest.raises(ValueError, match="probability distributions"):
+        offline_mechanism(bids, small_model.reward_means[0], kernel)
 
 
 def _mechanism_bits(mech):
@@ -227,11 +237,12 @@ def _mechanism_bits(mech):
        seed=st.integers(0, 2**32 - 1),
        steps=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(("same", "copy", "live"))),
                       min_size=2, max_size=8))
-def test_kept_polytope_mechanisms_equal_fresh_ones(S, A, n, seed, steps):
+def test_interleaved_mechanisms_equal_fresh_ones(S, A, n, seed, steps):
     """A run of mechanisms over interleaved kernels (two tie-heavy, one
     random), each passed as one shared array, as an equal copy, or written
     into one live array in place before the call, equals the same mechanisms
-    each solved on a new polytope, bit for bit."""
+    each computed first, in reverse order, on its own copy of the kernel, bit
+    for bit."""
     rng = np.random.default_rng(seed)
     kernels = [alpha / S + (1 - alpha) * np.eye(S)[rng.integers(S, size=(S, A))]
                for alpha in (0.05, 0.2)] + [rng.dirichlet(np.ones(S), size=(S, A))]
@@ -240,25 +251,19 @@ def test_kept_polytope_mechanisms_equal_fresh_ones(S, A, n, seed, steps):
     for k, how in steps:
         rewards = rng.choice(LEVELS, size=(n + 1, S, A))
         calls.append((BidProfile(rewards[1:]), rewards[0], k, how))
-    with pytest.MonkeyPatch.context() as mp:
-        fresh = []
-        for bids, r0, k, _ in calls:
-            mp.setattr(offline_mod, "_kept", threading.local())
-            fresh.append(offline_mechanism(bids, r0, kernels[k]))
-        mp.setattr(offline_mod, "_kept", threading.local())
-        for (bids, r0, k, how), want in zip(calls, fresh):
-            if how == "live":
-                live[...] = kernels[k]
-            kernel = {"same": kernels[k], "copy": kernels[k].copy(), "live": live}[how]
-            got = offline_mechanism(bids, r0, kernel)
-            assert _mechanism_bits(got) == _mechanism_bits(want)
+    fresh = [offline_mechanism(bids, r0, kernels[k].copy()) for bids, r0, k, _ in calls[::-1]]
+    for (bids, r0, k, how), want in zip(calls, fresh[::-1]):
+        if how == "live":
+            live[...] = kernels[k]
+        kernel = {"same": kernels[k], "copy": kernels[k].copy(), "live": live}[how]
+        got = offline_mechanism(bids, r0, kernel)
+        assert _mechanism_bits(got) == _mechanism_bits(want)
 
 
-def test_threads_keep_their_own_polytope(small_model, monkeypatch):
+def test_threads_keep_their_own_polytope(small_model):
     """Two threads solving mechanisms on one kernel at once, with frequent
-    thread switches, get what each gets alone: neither passes its LP to the
-    other's model mid-mechanism."""
-    monkeypatch.setattr(offline_mod, "_kept", threading.local())
+    thread switches, get what each gets alone: no state is shared between
+    mechanisms."""
     rng = np.random.default_rng(0)
     profiles = [[BidProfile(rng.random((small_model.n, small_model.S, small_model.A)))
                  for _ in range(30)] for _ in range(2)]

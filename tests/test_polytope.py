@@ -252,10 +252,10 @@ def test_band_lp_matches_the_full_row_oracle(n, S, A, floor, seed):
 @settings(max_examples=100, deadline=None)
 @given(copies=st.integers(1, 4), **spec_params)
 def test_stacked_solves_equal_fresh_solves(copies, S, A, variant, delta_frac, seed):
-    """K objectives solved together in one stacked run match each solved alone
+    """K objectives solved in one ``maximize_each`` call match each solved alone
     on a fresh spec: the same status, values within 1e-9 and each q meeting
-    the q-space rows, with the value that q's own payoff. A second stacked
-    solve on the same spec repeats the first bit for bit."""
+    the q-space rows, with the value that q's own payoff. A second call on
+    the same spec repeats the first bit for bit."""
     kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
     spec = PolytopeSpec(**kw)
     rng = np.random.default_rng(seed + 1)
@@ -301,16 +301,37 @@ def test_columns_equal_csc_of_dense_rows(S, A, variant, delta_frac, seed):
         _assert_bit_equal(got.astype(want.dtype), want)
 
 
-def test_missing_highs_bindings_fail_at_import():
-    """Without scipy's HiGHS bindings the module refuses to import, naming the
-    scipy floor, instead of falling back to another solver."""
-    code = ("import sys; sys.modules['scipy.optimize._highspy._core'] = None\n"
-            "try:\n    import mdpvcg.polytope\n"
-            "except ImportError as e:\n    print(e)\nelse:\n    print('imported')")
+def _run_python(code):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert "scipy>=1.15" in out and "imported" not in out
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_missing_highs_bindings_fail_at_the_first_lp():
+    """Without scipy's HiGHS bindings, mdpvcg imports and the offline mechanism
+    runs; each LP refuses to run, naming the scipy floor, instead of falling
+    back to another solver."""
+    code = ("import sys; sys.modules['scipy.optimize._highspy._core'] = None\n"
+            "import mdpvcg\n"
+            "m = mdpvcg.generate_model(mdpvcg.GeneratorSpec(S=2, A=2, n=1, alpha=0.2), 0)\n"
+            "mdpvcg.offline_mechanism(mdpvcg.BidProfile.truthful(m), m.reward_means[0], m.kernel)\n"
+            "for _ in range(2):\n"
+            "    try:\n"
+            "        mdpvcg.maximize(m.reward_means[0], mdpvcg.PolytopeSpec(kernel=m.kernel))\n"
+            "    except ImportError as e:\n        print(e)\n"
+            "    else:\n        print('solved')")
+    lines = _run_python(code).splitlines()
+    assert len(lines) == 2 and all("scipy>=1.15" in line for line in lines)
+
+
+def test_offline_mechanism_loads_no_lp_solver():
+    """Importing mdpvcg and solving an offline mechanism load no scipy.optimize
+    module: the HiGHS bindings are imported with the first LP."""
+    code = ("import sys, mdpvcg\n"
+            "m = mdpvcg.generate_model(mdpvcg.GeneratorSpec(S=3, A=3, n=2, alpha=0.2), 0)\n"
+            "mdpvcg.offline_mechanism(mdpvcg.BidProfile.truthful(m), m.reward_means[0], m.kernel)\n"
+            "print(sorted(k for k in sys.modules if k.startswith('scipy.optimize')))")
+    assert _run_python(code).strip() == "[]"
 
 
 def test_rejects_nan_kernel_or_band():
@@ -614,7 +635,7 @@ def test_identical_inputs_solve_identically():
     first = maximize_each(chain, band)
     assert_same(maximize_each(chain, band), first)
     assert_same(maximize_each(chain, replace(band)), first)
-    # a kernel spec's stacked LPs for K = 3, then K = 1, then K = 3 again
+    # a kernel spec's chains for K = 3, then K = 1, then K = 3 again
     three = maximize_each(chain[:3], spec)
     one = maximize_each(chain[2:], spec)
     assert_same(maximize_each(chain[:3], spec), three)

@@ -428,7 +428,13 @@ def run_online(config: ExperimentConfig, record_rounds: bool = False, extra_chec
     ``seller_factory(mechanism)`` makes each seed's seller from the benchmark
     mechanism; by default a fresh learner that ignores it.
     """
-    model = resolve_model(config)
+    return _run_online(config, resolve_model(config), record_rounds, extra_checkpoints,
+                       seller_factory)
+
+
+def _run_online(config: ExperimentConfig, model: MdpModel, record_rounds=False,
+                extra_checkpoints=(), seller_factory=None) -> OnlineRunResult:
+    """``run_online`` on the config's model, already resolved."""
     lcfg = learner_config(config, model)
     strategies = resolve_strategies(config, model)
     horizon = config.horizon or int(episode_schedule(lcfg, config.episodes)[-1] - 1)
@@ -528,11 +534,11 @@ def truthfulness_gain(config: ExperimentConfig, bidder_index: int, deviant: dict
     if bidder_index >= model.n:
         raise ValueError(f"bidder_index {bidder_index} is out of range for n = {model.n} bidders")
     checked_spec(deviant, bidder_index + 1, shape=(model.S, model.A))
-    honest = run_online(config, extra_checkpoints=extra_checkpoints)
+    honest = _run_online(config, model, extra_checkpoints=extra_checkpoints)
     specs = list(config.bidders or [{"kind": "truthful"}] * model.n)
     specs[bidder_index] = deviant
-    twisted = run_online(replace(config, bidders=tuple(specs)),
-                         extra_checkpoints=extra_checkpoints)
+    twisted = _run_online(replace(config, bidders=tuple(specs)), model,
+                          extra_checkpoints=extra_checkpoints)
     t = honest.report.checkpoints.astype(np.float64)
     u_honest = np.mean([r.cum[1 + bidder_index] for r in honest.seed_results], axis=0)
     u_twisted = np.mean([r.cum[1 + bidder_index] for r in twisted.seed_results], axis=0)

@@ -92,10 +92,13 @@ def offline_mechanism(bids: BidProfile, r0: np.ndarray, kernel: np.ndarray) -> M
     Bids substitute for the bidders' reward tables throughout. The allocation
     is the welfare problem's optimal deterministic policy, each value a gain.
     """
+    S, A = bids.bids.shape[1:]
+    r0 = np.asarray(r0, dtype=np.float64)
+    if r0.shape != (S, A):  # a row or a scalar would broadcast
+        raise ValueError(f"r0 must be (S, A) = {(S, A)}; got {r0.shape}")
     reported = r0 + bids.bids.sum(axis=0)
     others = reported - bids.bids  # (n, S, A): the welfare of all but bidder i
     kernel = np.asarray(kernel, dtype=np.float64)
-    S, A = reported.shape
     if kernel.shape != (S, A, S):
         raise ValueError(f"kernel must be (S, A, S) = {(S, A, S)}; got {kernel.shape}")
     low = kernel.min()

@@ -27,13 +27,19 @@ model does not (presolve would only drop the one dependent flow row, which the
 LP leaves free, and costs more than the solve). Every call passes the model its
 LP afresh, which drops any basis and solution an earlier call left, so equal
 inputs give equal results, bit for bit. Spec arrays must not be mutated after
-construction. The HiGHS bindings, and with them all of ``scipy.optimize``,
-load with the first LP, not with the module: ``mdpvcg.offline`` solves none.
+construction. The HiGHS bindings load with the first LP, not with the module
+(``mdpvcg.offline`` solves none), and only their extension module loads, not
+``scipy.optimize``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
@@ -60,15 +66,41 @@ _FEASIBLE_POINT = 2  # HiGHS's primal_solution_status of a primal feasible point
 _DELTA_MIN = 1e-6  # the smallest delta calibrate_delta tries, and its floor
 
 
+_HIGHS = "scipy.optimize._highspy._core"
+_HIGHS_LOCK = threading.Lock()
+
+
 @cache
 def _highs():
-    """scipy's HiGHS bindings (highspy is not a dependency), imported on first use."""
+    """scipy's HiGHS bindings (highspy is not a dependency), loaded on first use.
+
+    Only the extension module loads: it is found in scipy's install and
+    registered in ``sys.modules`` under its full name without running
+    ``scipy.optimize``, so a later ``import scipy.optimize`` reuses it.
+    """
     try:
-        from scipy.optimize._highspy import _core
+        with _HIGHS_LOCK:  # concurrent first LPs load it once
+            if _HIGHS in sys.modules:
+                if sys.modules[_HIGHS] is None:
+                    raise ImportError(f"import of {_HIGHS} halted; None in sys.modules")
+                return sys.modules[_HIGHS]
+            scipy = importlib.util.find_spec("scipy")
+            dirs = [os.path.join(d, "optimize", "_highspy")
+                    for d in (scipy and scipy.submodule_search_locations or ())]
+            found = importlib.machinery.PathFinder.find_spec("_core", dirs)
+            if found is None:
+                raise ImportError(f"no {_HIGHS} in scipy's install")
+            spec = importlib.util.spec_from_file_location(_HIGHS, found.origin)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                sys.modules.pop(_HIGHS, None)
+                raise
+            return module
     except ImportError as e:
-        raise ImportError("mdpvcg needs scipy>=1.15 for its HiGHS bindings "
-                          "(scipy.optimize._highspy._core)") from e
-    return _core
+        raise ImportError(f"mdpvcg needs scipy>=1.15 for its HiGHS bindings ({_HIGHS})") from e
 
 
 @dataclass(frozen=True)

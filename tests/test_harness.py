@@ -153,8 +153,8 @@ def test_clairvoyant_resolves_the_model_once(tmp_path, count_calls):
 
 
 def test_model_file_loads_once_per_run(tmp_path, count_calls):
-    """offline-vcg --bids reads its model file once; truthfulness_gain once to
-    check its inputs and once per arm."""
+    """offline-vcg --bids reads its model file once; truthfulness_gain once,
+    for its input checks and both arms."""
     path = tmp_path / "model.json"
     save_model(generate_model(GEN, 1), path)
     bid_file = tmp_path / "bids.json"
@@ -166,7 +166,7 @@ def test_model_file_loads_once_per_run(tmp_path, count_calls):
     assert (len(cli_loads), len(loads)) == (1, 0)
     truthfulness_gain(ExperimentConfig(model_file=str(path), delta=0.08, horizon=300),
                       bidder_index=0, deviant={"kind": "scaled", "factor": 0.5})
-    assert (len(cli_loads), len(loads)) == (1, 3)
+    assert (len(cli_loads), len(loads)) == (1, 1)
 
 
 def test_benchmark_scalars_are_consistent():
@@ -414,7 +414,7 @@ def test_truthfulness_gain_helper_runs():
 
 def test_truthfulness_gain_refuses_a_mistyped_deviant():
     """A misspelt deviant key is refused, by its name, before either arm runs."""
-    with mock.patch.object(harness_mod, "run_online") as run_online:
+    with mock.patch.object(harness_mod, "_run_online") as run_online:
         with pytest.raises(ValueError, match="factr"):
             truthfulness_gain(quick_config(horizon=20_000), bidder_index=1,
                               deviant={"kind": "scaled", "factr": 0.5})
@@ -425,7 +425,7 @@ def test_truthfulness_gain_refuses_a_mistyped_deviant():
 def test_truthfulness_gain_refuses_a_bidder_index_out_of_range(index, count_calls):
     """With n = 2, a negative, non-integer or out-of-range index is refused
     before either arm runs; the message names the index."""
-    arms = count_calls(harness_mod, "run_online")
+    arms = count_calls(harness_mod, "_run_online")
     message = "bidder_index 2 is out of range for n = 2" if index == 2 else f"got {index!r}"
     with pytest.raises(ValueError, match=message):
         truthfulness_gain(quick_config(horizon=300, seeds=(0,)), bidder_index=index,
@@ -436,7 +436,7 @@ def test_truthfulness_gain_refuses_a_bidder_index_out_of_range(index, count_call
 def test_truthfulness_gain_refuses_a_wrong_shape_table(count_calls):
     """A by_bids deviant whose table is not the model's (S, A) = (3, 3) is
     refused before either arm runs."""
-    arms = count_calls(harness_mod, "run_online")
+    arms = count_calls(harness_mod, "_run_online")
     with pytest.raises(ValueError, match=r"\(S, A\) = \(3, 3\)"):
         truthfulness_gain(quick_config(horizon=300, seeds=(0,)), bidder_index=0,
                           deviant={"kind": "by_bids", "table": [[0.5] * 2] * 2})

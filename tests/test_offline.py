@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -224,6 +225,17 @@ def test_kernel_with_a_zero_entry_is_refused(small_model):
     kernel[1, 2] = (np.nan, 0.4, 0.6)
     with pytest.raises(ValueError, match="probability distributions"):
         offline_mechanism(bids, small_model.reward_means[0], kernel)
+
+
+def test_misshaped_seller_rewards_are_refused():
+    """r0 must be the bids' (S, A) table: a row or a scalar is refused, naming
+    the shapes, instead of being broadcast."""
+    model = generate_model(GeneratorSpec(S=3, A=2, n=1, alpha=0.2), 0)
+    bids = BidProfile.truthful(model)
+    for r0 in (5.0, model.reward_means[0][0], model.reward_means[0].T, model.reward_means[:1]):
+        with pytest.raises(ValueError, match=r"r0 must be \(S, A\) = \(3, 2\); got "
+                                             + re.escape(str(np.shape(r0)))):
+            offline_mechanism(bids, r0, model.kernel)
 
 
 def _mechanism_bits(mech):

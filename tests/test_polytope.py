@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -301,10 +302,24 @@ def test_columns_equal_csc_of_dense_rows(S, A, variant, delta_frac, seed):
         _assert_bit_equal(got.astype(want.dtype), want)
 
 
-def _run_python(code):
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+def _run_python(code, *path):
+    """stdout of ``code`` in a fresh interpreter, with ``path`` before the package on its path."""
+    path = [*map(str, path), str(Path(__file__).parents[1] / "src")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True).stdout
+
+
+# a subprocess's solve(): the values of three warm-chained objectives on a
+# fresh band spec around the kernel of model seed 2 (S=4, A=3)
+_BAND_LP = ("import sys, numpy as np, mdpvcg\n"
+            "from mdpvcg import polytope\n"
+            "m = mdpvcg.generate_model(mdpvcg.GeneratorSpec(S=4, A=3, n=2, alpha=0.1), 2)\n"
+            "def solve():\n"
+            "    band = mdpvcg.PolytopeSpec(band_lower=np.clip(m.kernel - 0.05, 0, 1),\n"
+            "                               band_upper=np.clip(m.kernel + 0.05, 0, 1))\n"
+            "    solutions = mdpvcg.maximize_each(m.reward_means, band)\n"
+            "    return [s.objective_value.hex() for s in solutions]\n")
 
 
 def test_missing_highs_bindings_fail_at_the_first_lp():
@@ -332,6 +347,71 @@ def test_offline_mechanism_loads_no_lp_solver():
             "mdpvcg.offline_mechanism(mdpvcg.BidProfile.truthful(m), m.reward_means[0], m.kernel)\n"
             "print(sorted(k for k in sys.modules if k.startswith('scipy.optimize')))")
     assert _run_python(code).strip() == "[]"
+
+
+def test_first_lp_loads_only_the_highs_extension():
+    """A band LP loads scipy's HiGHS extension module and the submodules it
+    registers, and no other scipy.optimize module: the parent packages do not run."""
+    code = _BAND_LP + ("solve()\nimport json\n"
+                       "print(json.dumps([k for k in sys.modules if 'scipy.optimize' in k]))")
+    loaded = json.loads(_run_python(code))
+    assert "scipy.optimize._highspy._core" in loaded
+    assert all(k.startswith("scipy.optimize._highspy._core") for k in loaded), loaded
+
+
+def test_scipy_optimize_reuses_the_loaded_extension():
+    """After the first LP, scipy.optimize imports, reuses the loaded module
+    (pybind11 does not initialise it twice), and its linprog solves."""
+    code = _BAND_LP + ("solve()\n"
+                       "from scipy.optimize import linprog\n"
+                       "import scipy.optimize._highspy._core as core\n"
+                       "from scipy.optimize._highspy import _highs_wrapper\n"
+                       "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])\n"
+                       "print(res.status, res.fun, core is polytope._highs(),\n"
+                       "      _highs_wrapper._h is polytope._highs())")
+    assert _run_python(code).split() == ["0", "1.0", "True", "True"]
+
+
+def test_either_import_order_gives_the_same_module_and_values():
+    """Importing scipy.optimize before the first LP or after it gives one
+    module, and the band LP's values agree bit for bit."""
+    check = "print(sys.modules['scipy.optimize._highspy._core'] is polytope._highs())\n"
+    first = _run_python("import scipy.optimize\n" + _BAND_LP + "print(solve())\n" + check)
+    after = _run_python(_BAND_LP + "print(solve())\nimport scipy.optimize\n" + check)
+    assert first == after and first.splitlines()[1] == "True"
+
+
+def test_concurrent_first_lps_both_solve():
+    """Two threads' first LPs, started together, both solve; the extension
+    module is created once, although the first creation is slowed down."""
+    code = _BAND_LP + (
+        "import importlib.util, threading, time\n"
+        "created, create = [], importlib.util.module_from_spec\n"
+        "def slow(spec):\n"
+        "    created.append(spec.name); time.sleep(0.2); return create(spec)\n"
+        "importlib.util.module_from_spec = slow\n"
+        "start, values = threading.Barrier(2), []\n"
+        "def run():\n"
+        "    start.wait(); values.append(solve())\n"
+        "threads = [threading.Thread(target=run) for _ in range(2)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join()\n"
+        "print(len(values), values[0] == values[-1], created)")
+    assert _run_python(code).strip() == "2 True ['scipy.optimize._highspy._core']"
+
+
+def test_missing_highs_extension_is_an_import_error(tmp_path):
+    """A scipy install without the extension file gives the ImportError that
+    names the scipy floor, at each LP."""
+    (tmp_path / "scipy" / "optimize" / "_highspy").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    code = _BAND_LP + ("for _ in range(2):\n"
+                       "    try:\n        solve()\n"
+                       "    except ImportError as e:\n        print(type(e).__name__, e)\n"
+                       "import importlib.util; print(importlib.util.find_spec('scipy').origin)")
+    lines = _run_python(code, tmp_path).splitlines()
+    assert len(lines) == 3 and lines[2] == str(tmp_path / "scipy" / "__init__.py")
+    assert all(line.startswith("ImportError ") and "scipy>=1.15" in line for line in lines[:2])
 
 
 def test_rejects_nan_kernel_or_band():

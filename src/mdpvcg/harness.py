@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bidders import checked_spec, reports
-from .mdp import (_SHORT, AUCTIONS, GeneratorSpec, MdpModel, SimState, _is_array, _is_count,
-                  _is_count_or_null, _is_finite, _is_int, _is_list, _is_number, _parse,
-                  generate_model, load_model, play)
+from .mdp import (_SHORT, AUCTIONS, REWARD_FAMILIES, GeneratorSpec, MdpModel, SimState,
+                  _is_array, _is_count, _is_count_or_null, _is_finite, _is_int, _is_list,
+                  _is_number, _parse, generate_model, load_model, play)
 from .occupancy import occupancy_from
 from .offline import BidProfile, Mechanism, _identity_rhs, average_utilities, offline_mechanism
 from .online import VARIANTS, ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
@@ -61,6 +61,9 @@ class ExperimentConfig:
         if gen and gen.items != 1 and gen.auction not in ("multi_unit", "combinatorial"):
             raise ValueError("model.generator.items must be 1 unless model.generator.auction "
                              f"is multi_unit or combinatorial; got {gen.items}")
+        if gen and _is_list(gen.reward_family) and len(gen.reward_family) not in (1, gen.n + 1):
+            raise ValueError(f"model.generator.reward_family must list 1 or n+1 = {gen.n + 1} "
+                             f"names; got {len(gen.reward_family)}")
         if self.horizon is None and self.episodes is None:
             raise ValueError("config needs horizon or episodes")
         if not self.seeds:
@@ -101,6 +104,14 @@ class ExperimentConfig:
         }
 
 
+def _is_seed(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _is_family(value) -> bool:
+    return isinstance(value, str) and value in REWARD_FAMILIES
+
+
 # Key tables, checked by ``mdp._parse``.
 _GENERATOR_KEYS = {  # GeneratorSpec's fields and defaults
     "S": (_is_count, "a positive integer", ...),
@@ -110,8 +121,8 @@ _GENERATOR_KEYS = {  # GeneratorSpec's fields and defaults
     "auction": (lambda v: v in (None, *AUCTIONS), f"one of {', '.join(AUCTIONS)} or null", None),
     "items": (_is_count, "a positive integer", 1),  # 1 but for multi_unit and combinatorial
     "c_max": (lambda v: _is_finite(v) and v >= 0, "a nonnegative finite number", 1.0),
-    "reward_family": (lambda v: isinstance(v, str) or _is_list(v), "a name or a list",
-                      "deterministic"),
+    "reward_family": (lambda v: _is_family(v) or _is_array(v, (None,), _is_family),
+                      f"one of {', '.join(REWARD_FAMILIES)} or a list of them", "deterministic"),
 }
 
 _LEARNER_KEYS = {  # ExperimentConfig's fields of the same names
@@ -126,13 +137,13 @@ _CONFIG_KEYS = {
     "model": ({
         "file": (lambda v: v is None or isinstance(v, str), "a path or null", None),
         "generator": (_GENERATOR_KEYS, None, None),
-        "seed": (_is_int, "an integer", 0),
+        "seed": (_is_seed, "a nonnegative integer", 0),
     }, None, {}),
     "learner": (_LEARNER_KEYS, None, {}),
     "bidders": (_is_list, "a list of bidder objects", []),
     "horizon": (_is_count_or_null, "a positive integer or null", None),
     "episodes": (_is_count_or_null, "a positive integer or null", None),
-    "seeds": (lambda v: _is_array(v, (None,), _is_int), "a list of integers", [0]),
+    "seeds": (lambda v: _is_array(v, (None,), _is_seed), "a list of nonnegative integers", [0]),
     "out": (lambda v: isinstance(v, str), "a path", "results"),
     "format": (lambda v: v in ("csv", "json"), "csv or json", "csv"),
 }
@@ -248,12 +259,15 @@ _SEGMENT_MAX = 1 << 16
 
 
 def checkpoint_grid(horizon: int, boundaries=(), extra=()) -> np.ndarray:
-    """Powers of two plus episode boundaries plus the horizon and extras."""
+    """Powers of two plus episode boundaries plus the horizon and the integer extras."""
     pts = {horizon}
     p = 1
     while p <= horizon:
         pts.add(p)
         p *= 2
+    bad = [b for b in extra if not isinstance(b, (int, np.integer)) or isinstance(b, bool)]
+    if bad:
+        raise ValueError(f"extra checkpoints must be integers; got {_SHORT.repr(bad)}")
     pts.update(int(b) for b in (*boundaries, *extra) if 1 <= b <= horizon)
     return np.array(sorted(pts), dtype=np.int64)
 
@@ -293,15 +307,15 @@ class RunState:
             raise ValueError(f"the learner has played (episode {seller.k}, {seller.pos} rounds "
                              "in); advance a RunState to continue a run")
         cp = np.asarray(checkpoints)
-        if cp.size and not (cp.ndim == 1 and cp.dtype.kind in "iu" and 1 <= cp[0]
-                            and cp[-1] <= horizon and (np.diff(cp) > 0).all()):
+        if not (cp.ndim == 1 and (not cp.size or cp.dtype.kind in "iu" and 1 <= cp[0]
+                                  and cp[-1] <= horizon and (np.diff(cp) > 0).all())):
             raise ValueError("checkpoints must be strictly increasing integers in "
                              f"[1, {horizon}]; got {_SHORT.repr(cp.tolist())}")
         env_seed, seller_seed = np.random.SeedSequence(seed).spawn(2)
-        n, ncp = model.n, len(checkpoints)
-        return cls(model, seller, strategies, horizon, checkpoints, seed,
+        n = model.n
+        return cls(model, seller, strategies, horizon, cp.astype(np.int64), seed,
                    SimState.start(model, env_seed), np.random.default_rng(seller_seed),
-                   np.zeros((n + 2, ncp)), np.zeros(n + 2), [],
+                   np.zeros((n + 2, cp.size)), np.zeros(n + 2), [],
                    seller.counts if isinstance(seller, OnlineVcgLearner) else None,
                    RoundColumns.allocate(horizon, n) if record_rounds else None)
 

@@ -17,19 +17,18 @@ The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
 
-Each spec builds its LP once and keeps one HiGHS model. ``maximize_each`` is
-the one solver: every spec runs K groups of one, objective 0 cold by dual
-simplex and each later objective by primal simplex from the previous optimal
-basis, which a change of costs leaves primal feasible (a run that stops
-"optimal" at a point HiGHS finds infeasible runs again, cold). A band model
-presolves (what ``scipy.optimize.linprog(method="highs-ds")`` does); a kernel
-model does not (presolve would only drop the one dependent flow row, which the
-LP leaves free, and costs more than the solve). Every call passes the model its
-LP afresh, which drops any basis and solution an earlier call left, so equal
-inputs give equal results, bit for bit. Spec arrays must not be mutated after
-construction. The HiGHS bindings load with the first LP, not with the module
-(``mdpvcg.offline`` solves none), and only their extension module loads, not
-``scipy.optimize``.
+``maximize_each`` is the one solver. Each call builds the spec's LP and a
+HiGHS model of its own, runs its K objectives in that model and drops it, so
+equal inputs give equal results, bit for bit, and a spec holds no solver
+state. Objective 0 runs cold by dual simplex and each later objective by
+primal simplex from the previous optimal basis, which a change of costs
+leaves primal feasible (a run that stops "optimal" at a point HiGHS finds
+infeasible runs again, cold). A band LP presolves (what
+``scipy.optimize.linprog(method="highs-ds")`` does); a kernel LP does not
+(presolve would only drop the one dependent flow row, which the LP leaves
+free, and costs more than the solve). The HiGHS bindings load with the first
+LP, not with the module (``mdpvcg.offline`` solves none), and only their
+extension module loads, not ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -57,8 +56,7 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 # the options linprog(method="highs-ds", options=_LP_OPTIONS) passes to HiGHS,
-# but for presolve, which PolytopeSpec._model sets per kind, and simplex_strategy,
-# which maximize_each sets per run
+# but for presolve and simplex_strategy, which maximize_each sets per kind and per run
 _HIGHS_OPTIONS = {**_LP_OPTIONS, "solver": "simplex", "output_flag": False}
 # simplex_strategy values: dual simplex for the cold solve, primal for the warm ones
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
@@ -140,29 +138,6 @@ class PolytopeSpec:
     @property
     def A(self) -> int:
         return (self.kernel if self.kernel is not None else self.band_lower).shape[1]
-
-    @cached_property
-    def _lp(self):
-        """The spec's HiGHS LP, with zero costs, built once and never written after."""
-        system = build_constraints(self)
-        if self.kernel is not None:
-            # the S flow rows sum to zero only up to the kernel's row-sum
-            # error (TOL.mass); the last one is implied by the others, so
-            # the LP leaves it free
-            system.row_lower[self.S], system.row_upper[self.S] = -np.inf, np.inf
-        return highs_lp(system)
-
-    @cached_property
-    def _model(self):
-        """The spec's one HiGHS model, with this kind's options; every
-        ``maximize_each`` call passes it an LP afresh."""
-        model = _highs()._Highs()
-        for key, value in _HIGHS_OPTIONS.items():
-            model.setOptionValue(key, value)
-        # a kernel LP has S*A columns and 1+S rows: presolve only
-        # drops the free flow row, and takes longer than the cold solve it saves
-        model.setOptionValue("presolve", "off" if self.kernel is not None else "on")
-        return model
 
 
 def tighten_band(prior, p_bar, radii):
@@ -320,10 +295,20 @@ def maximize_each(objectives, spec: PolytopeSpec) -> list:
     if not np.isfinite(objectives).all():
         raise ValueError("objectives must be finite")
     rewards = objectives.reshape(len(objectives), S * A)
-    highs, model = _highs(), spec._model
+    system = build_constraints(spec)
+    if spec.kernel is not None:
+        # the S flow rows sum to zero only up to the kernel's row-sum error
+        # (TOL.mass); the last one is implied by the others, so the LP leaves it free
+        system.row_lower[S], system.row_upper[S] = -np.inf, np.inf
+    highs = _highs()
+    model = highs._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        model.setOptionValue(key, value)
+    # a kernel LP has S*A columns and 1+S rows: presolve only drops the free
+    # flow row, and takes longer than the cold solve it saves
+    model.setOptionValue("presolve", "off" if spec.kernel is not None else "on")
     model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
-    # passing the LP drops any basis and solution an earlier call left
-    if model.passModel(spec._lp) == highs.HighsStatus.kError:
+    if model.passModel(highs_lp(system)) == highs.HighsStatus.kError:
         raise RuntimeError("HiGHS refused the constraint matrix")
     rho_columns = np.arange(S * A, dtype=np.int32)
     solved = []

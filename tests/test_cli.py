@@ -130,13 +130,17 @@ _MISSING = object()  # a key left out of the config
     ("model.generator.items", 0), ("model.generator.auction", "single_item"),
     pytest.param("model.generator.items", 2, id="model.generator.items-2-without-auction"),
     ("model.generator.alpha", math.nan), ("model.generator.c_max", math.nan),
-    ("model.generator.c_max", math.inf), ("model.generator.c_max", -1)])
+    ("model.generator.c_max", math.inf), ("model.generator.c_max", -1),
+    ("seeds", [0, -1]), ("model.seed", -3), ("model.generator.reward_family", "gaussian"),
+    ("model.generator.reward_family", ["deterministic"] * 5)])
 def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key, value):
     """A mistyped or missing value, or a list for an object, at any level of
     the config is refused by its key before any seed is simulated, so
     nothing is written. So are generator sizes below 1, an A that an auction
     would override, an items count that no auction reads, a NaN or infinite
-    alpha and a c_max that is not a nonnegative finite number."""
+    alpha, a c_max that is not a nonnegative finite number, a negative seed,
+    an unknown reward family and a list of reward families that is neither
+    one name nor one per player."""
     config = {"model": {"file": str(model_file)}, "learner": {"delta": 0.08, "zeta": 0.05},
               "horizon": 100, "seeds": [0]}
     if key.startswith("model.generator."):

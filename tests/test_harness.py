@@ -285,6 +285,29 @@ def test_bad_checkpoints_are_refused(checkpoints):
     assert simulate_run(model, mech, [TRUTHFUL] * 2, 10, 0, np.array([5, 10])).cum[-1].all()
 
 
+@pytest.mark.parametrize("checkpoints", [[5, 10], (5, 10), []], ids=["list", "tuple", "empty"])
+def test_checkpoints_given_as_a_sequence_play_as_an_array(checkpoints):
+    """Checkpoints passed as a list or a tuple, empty or not, give the same
+    sums as the same int64 array."""
+    model = generate_model(GEN, 1)
+    mech, _ = compute_benchmark(model)
+    want = simulate_run(model, mech, [TRUTHFUL] * 2, 10, 0, np.array(checkpoints, dtype=np.int64))
+    got = simulate_run(model, mech, [TRUTHFUL] * 2, 10, 0, checkpoints)
+    assert got.checkpoints.dtype == np.int64
+    np.testing.assert_array_equal(got.cum, want.cum)
+    np.testing.assert_array_equal(got.totals, want.totals)
+
+
+@pytest.mark.parametrize("extra", [[2.5, 33.3], [True], [np.float64(4.0)]])
+def test_checkpoint_grid_refuses_non_integer_extras(extra):
+    """An extra checkpoint that is not an integer is refused, by value, rather
+    than truncated; numpy integers pass, and out-of-range ones are dropped."""
+    with pytest.raises(ValueError, match=r"extra checkpoints must be integers; got \["):
+        checkpoint_grid(100, extra=extra)
+    np.testing.assert_array_equal(checkpoint_grid(100, extra=[np.int64(90), 400, 0]),
+                                  checkpoint_grid(100, extra=[90]))
+
+
 def test_export_json_format(tmp_path):
     cfg = quick_config(horizon=80, seeds=(0,), format="json")
     res = run_online(cfg, record_rounds=True)
@@ -299,8 +322,8 @@ def test_export_json_format(tmp_path):
     ({"horizon": 0}, "horizon must be a positive integer or null; got 0"),
     ({"horizon": 2.5}, "horizon must be a positive integer or null; got 2.5"),
     ({"delta": "0.08"}, "learner.delta must be a number; got '0.08'"),
-    ({"model_seed": np.int64(1)}, "model.seed must be an integer"),
-    ({"seeds": range(2)}, "seeds must be a list of integers"),
+    ({"model_seed": np.int64(1)}, "model.seed must be a nonnegative integer"),
+    ({"seeds": range(2)}, "seeds must be a list of nonnegative integers"),
     ({"model_file": "model.json"}, "exactly one of model.file and model.generator"),
     ({"horizon": None}, "config needs horizon or episodes"),
 ], ids=["format", "horizon_zero", "horizon_float", "delta_string", "numpy_seed",

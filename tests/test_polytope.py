@@ -1,9 +1,12 @@
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from _oracles import brute_force_best, linprog_maximize, loop_constraints
+import mdpvcg.polytope as polytope_mod
 from mdpvcg import (GeneratorSpec, PolytopeSpec, build_constraints,
                     calibrate_delta, generate_model, maximize, maximize_each,
                     occupancy_from, payoff, tighten_band)
@@ -195,7 +199,14 @@ def test_warm_solves_equal_fresh_solves(n, S, A, delta_frac, seed):
     rng = np.random.default_rng(seed + 1)
     objectives = rng.random((2 * n + 1, S, A)) * (rng.random((2 * n + 1, S, A)) >= 0.2)
     rows = loop_constraints(variant, S, A, **kw)
-    warm = maximize_each(objectives, spec)
+    run, presolves = polytope_mod._run, []
+
+    def recording(model):
+        presolves.append(model.getOptionValue("presolve")[1])
+        return run(model)
+
+    with mock.patch.object(polytope_mod, "_run", recording):
+        warm = maximize_each(objectives, spec)
     assert len(warm) == len(objectives)
     for sol, r in zip(warm, objectives):
         fresh = maximize(r, replace(spec))
@@ -209,7 +220,7 @@ def test_warm_solves_equal_fresh_solves(n, S, A, delta_frac, seed):
     system = build_constraints(spec)
     c = np.zeros(len(system.col_lower))
     c[:S * A] = objectives[0].ravel()
-    presolve = spec._model.getOptionValue("presolve")[1] == "on"
+    presolve = presolves[0] == "on"
     assert presolve
     ref = linprog_maximize(c, *_dense_rows(system), presolve=presolve)
     assert (ref.status == 2) == (warm[0].status == "infeasible")
@@ -720,3 +731,18 @@ def test_identical_inputs_solve_identically():
     one = maximize_each(chain[2:], spec)
     assert_same(maximize_each(chain[:3], spec), three)
     assert_same(one, maximize_each(chain[2:], replace(spec)))
+
+
+def test_solved_specs_copy_and_pickle():
+    """A spec keeps no solver state: after a solve, a band and a kernel spec
+    deep-copy and pickle, and each copy solves as the original does, bit for bit."""
+    model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=3), 9)
+    chain = np.concatenate([model.reward_means.sum(axis=0)[None], model.reward_means])
+    band = PolytopeSpec(band_lower=np.clip(model.kernel - 0.05, 0, 1),
+                        band_upper=np.clip(model.kernel + 0.05, 0, 1), delta=0.03)
+    for spec in (band, PolytopeSpec(kernel=model.kernel, delta=0.03)):
+        want = maximize_each(chain, spec)
+        for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            for g, w in zip(maximize_each(chain, twin), want, strict=True):
+                assert (g.status, g.nit, g.objective_value) == (w.status, w.nit, w.objective_value)
+                _assert_bit_equal(g.q.q, w.q.q)

@@ -21,8 +21,9 @@ import numpy as np
 
 from .bidders import checked_spec, reports
 from .mdp import (_SHORT, AUCTIONS, REWARD_FAMILIES, GeneratorSpec, MdpModel, SimState,
-                  _is_array, _is_count, _is_count_or_null, _is_finite, _is_int, _is_list,
-                  _is_number, _parse, generate_model, load_model, play)
+                  _check_family_count, _is_array, _is_count, _is_count_or_null, _is_families,
+                  _is_finite, _is_int, _is_list, _is_number, _parse, generate_model,
+                  load_model, play)
 from .occupancy import occupancy_from
 from .offline import BidProfile, Mechanism, _identity_rhs, average_utilities, offline_mechanism
 from .online import VARIANTS, ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
@@ -61,9 +62,8 @@ class ExperimentConfig:
         if gen and gen.items != 1 and gen.auction not in ("multi_unit", "combinatorial"):
             raise ValueError("model.generator.items must be 1 unless model.generator.auction "
                              f"is multi_unit or combinatorial; got {gen.items}")
-        if gen and _is_list(gen.reward_family) and len(gen.reward_family) not in (1, gen.n + 1):
-            raise ValueError(f"model.generator.reward_family must list 1 or n+1 = {gen.n + 1} "
-                             f"names; got {len(gen.reward_family)}")
+        if gen:
+            _check_family_count(gen.reward_family, gen.n, "model.generator.")
         if self.horizon is None and self.episodes is None:
             raise ValueError("config needs horizon or episodes")
         if not self.seeds:
@@ -108,10 +108,6 @@ def _is_seed(value) -> bool:
     return _is_int(value) and value >= 0
 
 
-def _is_family(value) -> bool:
-    return isinstance(value, str) and value in REWARD_FAMILIES
-
-
 # Key tables, checked by ``mdp._parse``.
 _GENERATOR_KEYS = {  # GeneratorSpec's fields and defaults
     "S": (_is_count, "a positive integer", ...),
@@ -121,8 +117,8 @@ _GENERATOR_KEYS = {  # GeneratorSpec's fields and defaults
     "auction": (lambda v: v in (None, *AUCTIONS), f"one of {', '.join(AUCTIONS)} or null", None),
     "items": (_is_count, "a positive integer", 1),  # 1 but for multi_unit and combinatorial
     "c_max": (lambda v: _is_finite(v) and v >= 0, "a nonnegative finite number", 1.0),
-    "reward_family": (lambda v: _is_family(v) or _is_array(v, (None,), _is_family),
-                      f"one of {', '.join(REWARD_FAMILIES)} or a list of them", "deterministic"),
+    "reward_family": (_is_families, f"one of {', '.join(REWARD_FAMILIES)} or a list of them",
+                      "deterministic"),
 }
 
 _LEARNER_KEYS = {  # ExperimentConfig's fields of the same names
@@ -253,9 +249,12 @@ class OnlineRunResult:
 
 # -- simulation ---------------------------------------------------------------
 
-# Longest segment played at once: bounds the per-segment arrays when an
-# episode (or a fixed mechanism's endless one) is long.
-_SEGMENT_MAX = 1 << 16
+# Most rounds the harness handles at once: a segment played by ``advance``
+# and a block of the rounds CSV. Each round of a segment holds a few hundred
+# bytes of temporaries, so a run's working set is one chunk of this many
+# rounds however long its episodes grow (a fixed mechanism's never ends);
+# cutting an episode into chunks changes no output bit.
+_SEGMENT_MAX = 8192
 
 
 def checkpoint_grid(horizon: int, boundaries=(), extra=()) -> np.ndarray:
@@ -333,13 +332,15 @@ def simulate_run(model: MdpModel, seller: OnlineVcgLearner | Mechanism,
 
 def advance(state: RunState) -> None:
     """Play the run's next segment: the rest of the current episode, cut at
-    the horizon and at ``_SEGMENT_MAX`` rounds. End the episode if the
-    segment finishes it.
+    the horizon and at ``_SEGMENT_MAX`` rounds, so a long episode is played
+    in chunks. End the episode if the segment finishes it.
 
     An episode's first d_k rounds are not charged. A segment's policy and
     charges are fixed, so its rounds are drawn and accounted with array
     operations: the same draws as one round at a time, and the same sums
-    added in the same order. Rows of ``state.rounds`` are filled when it is kept.
+    added in the same order, wherever the episode is cut. The segment's
+    arrays are freed before the episode ends, so its LPs' peak does not
+    stack on theirs. Rows of ``state.rounds`` are filled when it is kept.
     """
     model, seller, n, t0 = state.model, state.seller, state.model.n, state.sim.t
     length = min(state.horizon - t0 + 1, _SEGMENT_MAX)
@@ -496,12 +497,19 @@ def run_clairvoyant(config: ExperimentConfig, extra_checkpoints=()) -> OnlineRun
 
 
 def load_bids(path, model: MdpModel) -> BidProfile:
-    """The bid profile in JSON file ``path``: an (n, S, A) array of finite numbers for ``model``."""
+    """The bid profile in JSON file ``path``: an (n, S, A) array of finite
+    numbers in [0, 1] (up to ``BidProfile``'s tolerance) for ``model``."""
     table = json.loads(Path(path).read_text())
     shape = (model.n, model.S, model.A)
     if not _is_array(table, shape, _is_finite):
         raise ValueError(f"{path} must hold an (n, S, A) = {shape} array of finite numbers")
-    return BidProfile(np.array(table))
+    bids = np.array(table, dtype=np.float64)
+    out = np.argwhere((bids < -TOL.row_sum) | (bids > 1 + TOL.row_sum))
+    if out.size:
+        i, s, a = out[0].tolist()
+        raise ValueError(f"{path}: bids must lie in [0, 1]; entry (i, s, a) = ({i}, {s}, {a}) "
+                         f"is {table[i][s][a]!r}")
+    return BidProfile(bids)
 
 
 def run_offline(model: MdpModel, bids: Optional[BidProfile] = None,
@@ -601,9 +609,9 @@ def export(result: OnlineRunResult, out_dir) -> list:
         raise OSError(f"export to {out_dir} failed: {e}") from e
 
 
-def _write_rounds_csv(path, rounds: RoundColumns, n: int, block: int = 8192):
+def _write_rounds_csv(path, rounds: RoundColumns, n: int, block: int = _SEGMENT_MAX):
     """Rows as csv.writer writes them (ints and phases by str, floats by repr,
-    CRLF line ends), a block of rows at a time.
+    CRLF line ends), a block of rows at a time (one chunk by default).
 
     Within a block every column but ``t`` follows from a few inputs (the
     segment, the phase, (s, a), the reward draws, the bid window), so a block

@@ -285,6 +285,20 @@ def _is_list(value) -> bool:
     return isinstance(value, (list, tuple))
 
 
+def _is_families(value) -> bool:
+    """A reward family's name, or a list of them."""
+    named = lambda v: isinstance(v, str) and v in REWARD_FAMILIES
+    return named(value) or _is_array(value, (None,), named)
+
+
+def _check_family_count(families, n: int, where: str) -> None:
+    """Refuse a list of reward families that is not 1 long (one for every
+    player) or n+1 long (one each), naming the key after ``where``."""
+    if _is_list(families) and len(families) not in (1, n + 1):
+        raise ValueError(f"{where}reward_family must list 1 or n+1 = {n + 1} names; "
+                         f"got {len(families)}")
+
+
 def _is_array(value, shape, item=_is_number) -> bool:
     """``value`` is nested lists of ``item``s of ``shape``, where a None length is any."""
     if not shape:
@@ -344,9 +358,8 @@ _MODEL_KEYS = {  # save_model's document; np.array and float() would parse "0.2"
     **dict.fromkeys(("alpha", "c_max"), (_is_number, "a number", ...)),
     **dict.fromkeys(("kernel", "reward_means"),
                     (lambda v: _is_array(v, (None,) * 3), "an array of numbers", ...)),
-    "reward_family": (  # one name for every player, or one each
-        lambda v: isinstance(v, str) or _is_array(v, (None,), lambda f: isinstance(f, str)),
-        "a name or a list of names", ...),
+    "reward_family": (_is_families,  # one name for every player, or one each
+                      f"a name or a list of names among {', '.join(REWARD_FAMILIES)}", ...),
 }
 
 
@@ -357,6 +370,7 @@ def load_model(path) -> MdpModel:
         if not _is_array(doc[key], shape):  # a ragged array fails here too, by key
             raise ValueError(f"inconsistent dimensions in model file {path}: "
                              f"{key} must be {shape}")
+    _check_family_count(doc["reward_family"], n, f"model file {path}: ")
     model = MdpModel(
         kernel=np.array(doc["kernel"]),
         reward_means=np.array(doc["reward_means"]),

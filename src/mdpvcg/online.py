@@ -136,7 +136,9 @@ class OnlineVcgLearner:
 
     def observe(self, s, a, s2, seller_rewards, bids) -> None:
         """Record played rounds, one entry per round (``bids`` is (n, L)); both
-        phases count. Bids outside [0, 1] are clipped, with one warning per call."""
+        phases count. Bids outside [0, 1] are clipped, with one warning per
+        call: the harness calls once per segment, so an episode longer than
+        ``harness._SEGMENT_MAX`` rounds can warn once per chunk."""
         S, A, n = self.config.S, self.config.A, self.config.n
         sa = np.asarray(s) * A + np.asarray(a)  # flat (s, a) index
         bids = np.asarray(bids, dtype=np.float64)

@@ -181,7 +181,14 @@ def test_simulate_mistyped_run_length_exits_2(model_file, tmp_path, capsys, key,
                                         ("S_string", "S must be a positive integer; got '3'"),
                                         ("n_zero", "n must be a positive integer; got 0"),
                                         ("kernel_ragged", "kernel must be (3, 3, 3)"),
-                                        ("S_mismatch", "kernel must be (2, 3, 2)")])
+                                        ("S_mismatch", "kernel must be (2, 3, 2)"),
+                                        ("reward_family_unknown",
+                                         ".json: reward_family must be a name or a list of "
+                                         "names among deterministic, bernoulli-scaled; "
+                                         "got 'gaussian'"),
+                                        ("reward_family_length",
+                                         ".json: reward_family must list 1 or n+1 = 3 names; "
+                                         "got 2")])
 @pytest.mark.parametrize("command", ["offline-vcg", "simulate", "calibrate-delta"])
 def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
     """A model file is validated when it loads, by key against its key table,
@@ -218,6 +225,10 @@ def test_invalid_model_file_exits_2(tmp_path, capsys, case, kind, command):
         doc["kernel"][0][0] = doc["kernel"][0][0][:2]
     elif case == "S_mismatch":
         doc["S"] = 2
+    elif case == "reward_family_unknown":
+        doc["reward_family"] = "gaussian"
+    elif case == "reward_family_length":  # n = 2: one name or three
+        doc["reward_family"] = doc["reward_family"][:2]
     else:
         doc["alpha"] = math.nan
     path.write_text(json.dumps(doc))
@@ -299,6 +310,37 @@ def test_offline_vcg_malformed_bid_file_exits_2(model_file, tmp_path, capsys, bi
     err = capsys.readouterr().err
     assert "configuration error" in err and "(n, S, A) = (2, 3, 3)" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, value", [((1, 2, 0), 1.5), ((0, 0, 1), -0.25),
+                                          ((1, 1, 1), 1 + 1e-9)])
+def test_offline_vcg_bid_out_of_range_exits_2(model_file, tmp_path, capsys, entry, value):
+    """A bid outside [0, 1], beyond BidProfile's tolerance, is refused by the
+    file and the first such entry before anything is written."""
+    bids = np.full((2, 3, 3), 0.5)
+    bids[entry] = value
+    bids[1, 2, 2] = 7.0  # a later entry out of range: the first one is named
+    bid_file = tmp_path / "bids.json"
+    bid_file.write_text(json.dumps(bids.tolist()))
+    out = tmp_path / "mech.json"
+    assert main(["offline-vcg", "--model", str(model_file), "--bids", str(bid_file),
+                 "--out", str(out), "--sim-rounds", "0"]) == 2
+    err = capsys.readouterr().err
+    assert (f"{bid_file}: bids must lie in [0, 1]; entry (i, s, a) = {entry} is {value!r}"
+            in err)
+    assert not out.exists()
+
+
+def test_offline_vcg_bids_within_tolerance_are_accepted(model_file, tmp_path):
+    """Bids off [0, 1] by no more than BidProfile's tolerance pass, as BidProfile takes them."""
+    bids = np.full((2, 3, 3), 0.5)
+    bids[0, 0, 0], bids[1, 2, 2] = -1e-13, 1 + 1e-13
+    bid_file = tmp_path / "bids.json"
+    bid_file.write_text(json.dumps(bids.tolist()))
+    out = tmp_path / "mech.json"
+    assert main(["offline-vcg", "--model", str(model_file), "--bids", str(bid_file),
+                 "--out", str(out), "--sim-rounds", "0"]) == 0
+    assert out.exists()
 
 
 def test_simulate_model_file_and_generator_exits_2(model_file, tmp_path, capsys):

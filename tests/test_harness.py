@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from unittest import mock
@@ -634,6 +635,45 @@ def test_a_run_copied_between_segments_plays_on_unchanged(case, seed, data):
                     == json.dumps(whole.seller.to_checkpoint()))
         for column in fields(RoundColumns):
             _assert_bit_equal(getattr(run.rounds, column.name), getattr(whole.rounds, column.name))
+
+
+@pytest.mark.parametrize("segment_max", [1 << 16, 8192, 1000])
+def test_chunk_size_changes_no_output_bit(segment_max):
+    """The quick-start learner's episode 1 (10,387 rounds) played whole, in
+    two chunks or in eleven ends bit for bit the same, with one bidder's
+    bids clipped in every chunk."""
+    config = ExperimentConfig(
+        generator=GeneratorSpec(S=3, A=3, n=2, alpha=0.2, reward_family="bernoulli-scaled"),
+        delta=0.01, zeta=0.05, horizon=12_000, seeds=(0,),
+        bidders=({"kind": "scaled", "factor": 1.5}, {"kind": "truthful"}))
+    runs = []
+    for chunk in (segment_max, 1 << 16):
+        with mock.patch.object(harness_mod, "_SEGMENT_MAX", chunk):
+            runs.append(run_online(config, record_rounds=True).seed_results[0])
+    got, want = runs
+    assert want.episodes[0].d + want.episodes[0].l == 10_387 and len(want.episodes) == 1
+    for name in ("cum", "totals"):
+        _assert_bit_equal(getattr(got, name), getattr(want, name))
+    assert got.episodes == want.episodes
+    assert json.dumps(got.seller.to_checkpoint()) == json.dumps(want.seller.to_checkpoint())
+    for column in fields(RoundColumns):
+        _assert_bit_equal(getattr(got.rounds, column.name), getattr(want.rounds, column.name))
+
+
+def test_a_long_run_holds_one_chunk_of_rounds():
+    """A fixed mechanism's 100,000 rounds on the benchmark's large model
+    allocate at most a few MB at once, not a share of every round."""
+    model = generate_model(GeneratorSpec(S=10, n=3, alpha=0.09, auction="combinatorial",
+                                         items=2), 0)
+    mech = compute_benchmark(model)[0]
+    horizon = 100_000
+    tracemalloc.start()
+    try:
+        simulate_run(model, mech, [TRUTHFUL] * model.n, horizon, 0, checkpoint_grid(horizon))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_rounds_csv_equals_row_by_row_csv_writer(tmp_path):

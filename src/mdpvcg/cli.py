@@ -47,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--format", choices=("csv", "json"), help="output format")
     simp.add_argument("--record-rounds", action="store_true",
                       help="export every round: rounds_seed<k>.csv per seed with csv, "
-                           "a rounds entry in results.json with json (large for long "
-                           "horizons)")
+                           "a rounds entry in results.json with json (large on disk for "
+                           "long horizons, but written as played, not held in memory)")
 
     cal = sub.add_parser("calibrate-delta", help="calibrate the shrink size")
     cal.add_argument("--model", required=True, help="model JSON file")

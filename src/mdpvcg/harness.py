@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
@@ -176,29 +177,7 @@ def resolve_strategies(config: ExperimentConfig, model: MdpModel) -> list:
     return [checked_spec(spec, i, (model.S, model.A)) for i, spec in enumerate(specs, 1)]
 
 
-# -- per-round and per-episode records ---------------------------------------
-
-@dataclass
-class RoundColumns:
-    """Per-round records, one array per field and one row per round."""
-
-    t: np.ndarray
-    k: np.ndarray         # episode; 0 for a fixed mechanism
-    phase: np.ndarray     # "mixing" or "stationary"
-    s: np.ndarray
-    a: np.ndarray
-    rewards: np.ndarray   # (T, n+1) realized, all players, seller first
-    bids: np.ndarray      # (T, n) reported values
-    charges: np.ndarray   # (T, n) payments this round
-    utilities: np.ndarray  # (T, n+2) u_0, u_1..u_n, then R
-
-    @classmethod
-    def allocate(cls, horizon: int, n: int) -> "RoundColumns":
-        ints, floats = np.zeros(horizon, dtype=np.int64), np.zeros((horizon, n))
-        return cls(t=np.arange(1, horizon + 1), k=ints, phase=np.empty(horizon, dtype="<U10"),
-                   s=ints.copy(), a=ints.copy(), rewards=np.zeros((horizon, n + 1)),
-                   bids=floats, charges=floats.copy(), utilities=np.zeros((horizon, n + 2)))
-
+# -- per-episode records -----------------------------------------------------
 
 @dataclass
 class EpisodeRecord:
@@ -249,10 +228,10 @@ class OnlineRunResult:
 
 # -- simulation ---------------------------------------------------------------
 
-# Most rounds the harness handles at once: a segment played by ``advance``
-# and a block of the rounds CSV. Each round of a segment holds a few hundred
-# bytes of temporaries, so a run's working set is one chunk of this many
-# rounds however long its episodes grow (a fixed mechanism's never ends);
+# Most rounds ``advance`` plays at once, and so the most rows it formats for
+# a rounds file at once. Each round of a segment holds a few hundred bytes of
+# temporaries, so a run's working set is one chunk of this many rounds however
+# long its episodes grow (a fixed mechanism's never ends), recorded or not;
 # cutting an episode into chunks changes no output bit.
 _SEGMENT_MAX = 8192
 
@@ -280,8 +259,9 @@ class RunState:
     Mechanism, which plays like an episode that never ends. Row i of ``cum``
     and ``totals`` is player i's realized utility, seller first, and the last
     row is the welfare R: ``cum`` sums them to each checkpoint reached so far,
-    ``totals`` over the rounds played. A deep copy plays on exactly as the
-    original does.
+    ``totals`` over the rounds played. ``rounds`` is the binary file the
+    rows are written to, or None. A deep copy plays on exactly as the
+    original does when it has no rounds file or an in-memory one (``io.BytesIO``).
     """
 
     model: MdpModel
@@ -296,11 +276,11 @@ class RunState:
     totals: np.ndarray                   # (n+2,)
     episodes: list
     episode_counts: Optional[np.ndarray]  # the learner's visit counts at the episode's start
-    rounds: Optional[RoundColumns]
+    rounds: Optional[BinaryIO]
 
     @classmethod
     def start(cls, model, seller, strategies, horizon, seed, checkpoints,
-              record_rounds=False) -> "RunState":
+              rounds=None) -> "RunState":
         """The run before its first round, from ``simulate_run``'s arguments."""
         if isinstance(seller, OnlineVcgLearner) and (seller.k, seller.pos) != (1, 0):
             raise ValueError(f"the learner has played (episode {seller.k}, {seller.pos} rounds "
@@ -312,19 +292,22 @@ class RunState:
                              f"[1, {horizon}]; got {_SHORT.repr(cp.tolist())}")
         env_seed, seller_seed = np.random.SeedSequence(seed).spawn(2)
         n = model.n
+        if rounds is not None:
+            rounds.write((",".join(_round_header(n)) + "\r\n").encode())
         return cls(model, seller, strategies, horizon, cp.astype(np.int64), seed,
                    SimState.start(model, env_seed), np.random.default_rng(seller_seed),
                    np.zeros((n + 2, cp.size)), np.zeros(n + 2), [],
                    seller.counts if isinstance(seller, OnlineVcgLearner) else None,
-                   RoundColumns.allocate(horizon, n) if record_rounds else None)
+                   rounds)
 
 
 def simulate_run(model: MdpModel, seller: OnlineVcgLearner | Mechanism,
                  strategies: Sequence[dict], horizon: int, seed: int,
-                 checkpoints: np.ndarray, record_rounds: bool = False) -> RunState:
+                 checkpoints: np.ndarray, rounds: Optional[BinaryIO] = None) -> RunState:
     """One seeded pass of the online protocol, played to the horizon one
-    segment at a time; diagnostics when the seller learns."""
-    state = RunState.start(model, seller, strategies, horizon, seed, checkpoints, record_rounds)
+    segment at a time; diagnostics when the seller learns, and each round's
+    row in the open binary file ``rounds`` when one is given."""
+    state = RunState.start(model, seller, strategies, horizon, seed, checkpoints, rounds)
     while state.sim.t <= horizon:
         advance(state)
     return state
@@ -340,7 +323,7 @@ def advance(state: RunState) -> None:
     operations: the same draws as one round at a time, and the same sums
     added in the same order, wherever the episode is cut. The segment's
     arrays are freed before the episode ends, so its LPs' peak does not
-    stack on theirs. Rows of ``state.rounds`` are filled when it is kept.
+    stack on theirs. The segment's rows go to the run's rounds file, if any.
     """
     model, seller, n, t0 = state.model, state.seller, state.model.n, state.sim.t
     length = min(state.horizon - t0 + 1, _SEGMENT_MAX)
@@ -375,12 +358,10 @@ def advance(state: RunState) -> None:
     state.cum[:, lo:hi] = sums[:, state.checkpoints[lo:hi] - t0 + 1]
 
     if state.rounds is not None:
-        phase = np.where(np.arange(length) < mixing, "mixing", "stationary")
-        for name, column in (("k", k), ("phase", phase), ("s", s), ("a", a), ("rewards", r.T),
-                             ("bids", bids.T), ("charges", charges.T),
-                             ("utilities", flows[:, 1:].T)):
-            getattr(state.rounds, name)[t0 - 1:t0 - 1 + length] = column
-        del phase, column
+        state.rounds.write(_rounds_csv_rows(
+            t, np.column_stack((np.full(length, k), s, a)),
+            np.where(np.arange(length) < mixing, "mixing", "stationary"),
+            np.column_stack((r.T, bids.T, charges.T, flows[:, 1:].T))))
     # free the segment's arrays before the episode's LPs allocate theirs
     del t, s, a, s2, r, bids, charges, flows, sums
     if learner is not None and learner.episode_complete:
@@ -441,7 +422,9 @@ def run_online(config: ExperimentConfig, record_rounds: bool = False, extra_chec
     """Full multi-seed online experiment against the offline benchmark.
 
     ``seller_factory(mechanism)`` makes each seed's seller from the benchmark
-    mechanism; by default a fresh learner that ignores it.
+    mechanism; by default a fresh learner that ignores it. ``record_rounds``
+    writes each seed's rounds to ``rounds_seed<k>.csv`` in the config's
+    ``out`` as they are played, and a run that raises removes them.
     """
     return _run_online(config, resolve_model(config), record_rounds, extra_checkpoints,
                        seller_factory)
@@ -464,14 +447,21 @@ def _run_online(config: ExperimentConfig, model: MdpModel, record_rounds=False,
         boundaries = ()
     checkpoints = checkpoint_grid(horizon, boundaries, extra_checkpoints)
 
-    seed_results = []
-    for seed in config.seeds:
-        try:
-            seed_results.append(simulate_run(
-                model, seller_factory(mech), strategies, horizon, seed,
-                checkpoints, record_rounds=record_rounds))
-        except ConfigurationError as e:
+    seed_results, opened = [], []
+    try:
+        for seed in config.seeds:
+            if record_rounds:
+                opened.append(Path(config.out) / f"rounds_seed{seed}.csv")
+                opened[-1].parent.mkdir(parents=True, exist_ok=True)
+            with open(opened[-1], "wb") if record_rounds else nullcontext() as rounds:
+                seed_results.append(simulate_run(model, seller_factory(mech), strategies,
+                                                 horizon, seed, checkpoints, rounds))
+    except BaseException as e:
+        for path in opened:  # a failed run leaves no rounds file
+            path.unlink(missing_ok=True)
+        if isinstance(e, ConfigurationError):
             raise ConfigurationError(f"seed {seed}: {e}") from e
+        raise
 
     t = checkpoints.astype(np.float64)
     reg_sw = np.array([bench["welfare"] * t - r.cum[-1] for r in seed_results])
@@ -569,11 +559,8 @@ def truthfulness_gain(config: ExperimentConfig, bidder_index: int, deviant: dict
 
 # -- export -------------------------------------------------------------------
 
-ROUND_COLUMNS_FIXED = ["t", "k", "phase", "s", "a"]
-
-
 def _round_header(n: int) -> list:
-    return (ROUND_COLUMNS_FIXED
+    return (["t", "k", "phase", "s", "a"]
             + [f"r_{i}" for i in range(n + 1)]
             + [f"b_{i}" for i in range(1, n + 1)]
             + [f"p_{i}" for i in range(1, n + 1)]
@@ -581,26 +568,22 @@ def _round_header(n: int) -> list:
 
 
 def export(result: OnlineRunResult, out_dir) -> list:
-    """Write round CSVs, the regret curves, and the JSON summary; returns paths."""
+    """Write the regret curves and the JSON summary; returns paths, with the
+    rounds files the run wrote first. With ``format: json`` their rows move
+    into ``results.json`` and the files are removed."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        written = []
-        n = result.mechanism.payments.shape[0]
+        rounds = [Path(run.rounds.name) for run in result.seed_results if run.rounds is not None]
         if result.config.format == "csv":
-            for run in result.seed_results:
-                if run.rounds is None:
-                    continue
-                path = out / f"rounds_seed{run.seed}.csv"
-                _write_rounds_csv(path, run.rounds, n)
-                written.append(path)
-            written.append(_write_regret_csv(out / "regret.csv", result.report))
-            written.append(_write_regret_per_seed_csv(
-                out / "regret_per_seed.csv", result.config.seeds, result.report))
+            written = rounds + [
+                _write_regret_csv(out / "regret.csv", result.report),
+                _write_regret_per_seed_csv(out / "regret_per_seed.csv", result.config.seeds,
+                                           result.report)]
         else:
-            path = out / "results.json"
-            path.write_text(json.dumps(_result_doc(result), sort_keys=True))
-            written.append(path)
+            written = [_write_results_json(out / "results.json", result)]
+            for path in rounds:
+                path.unlink()
         summary = out / "summary.json"
         summary.write_text(json.dumps(_summary_doc(result), sort_keys=True, indent=1))
         written.append(summary)
@@ -609,39 +592,31 @@ def export(result: OnlineRunResult, out_dir) -> list:
         raise OSError(f"export to {out_dir} failed: {e}") from e
 
 
-def _write_rounds_csv(path, rounds: RoundColumns, n: int, block: int = _SEGMENT_MAX):
-    """Rows as csv.writer writes them (ints and phases by str, floats by repr,
-    CRLF line ends), a block of rows at a time (one chunk by default).
+def _rounds_csv_rows(t, ints, phase, floats) -> bytes:
+    """One segment's rows as csv.writer writes them (ints and phases by str,
+    floats by repr, CRLF line ends): round ``t[j]`` has (k, s, a) ``ints[j]``,
+    phase ``phase[j]`` and rewards, bids, charges and utilities ``floats[j]``.
 
-    Within a block every column but ``t`` follows from a few inputs (the
-    segment, the phase, (s, a), the reward draws, the bid window), so a block
-    holds few distinct rows once ``t`` is left out. Each distinct row is
-    formatted once: rows are keyed on their bytes (floats by bit pattern, so
-    -0.0 and 0.0 and NaN payloads stay apart), and ``t`` is written in front of it.
+    Within a segment every column but ``t`` follows from a few inputs (the
+    phase, (s, a), the reward draws, the bid window), so a segment holds few
+    distinct rows once ``t`` is left out. Each distinct row is formatted
+    once: rows are keyed on their bytes (floats by bit pattern, so -0.0 and
+    0.0 and NaN payloads stay apart), and ``t`` is written in front of it.
     """
-    with open(path, "wb") as fh:
-        fh.write((",".join(_round_header(n)) + "\r\n").encode())
-        for lo in range(0, len(rounds.t), block):
-            hi = lo + block
-            ints = np.column_stack((rounds.k[lo:hi], rounds.s[lo:hi], rounds.a[lo:hi]))
-            floats = np.column_stack((rounds.rewards[lo:hi], rounds.bids[lo:hi],
-                                      rounds.charges[lo:hi], rounds.utilities[lo:hi]))
-            phase = rounds.phase[lo:hi]
-            rows = len(phase)
-            keys = np.concatenate((ints.view(np.uint8), floats.view(np.uint8),
-                                   phase.view(np.uint8).reshape(rows, -1)), axis=1)
-            keys = keys.view(f"V{keys.shape[1]}").ravel().tolist()
-            rep = dict(zip(keys, range(rows)))  # one row per distinct key
-            at = np.fromiter(rep.values(), np.intp, len(rep))
-            texts = (("," + ",".join([str(k), p, str(s), str(a), *map(repr, f)]) + "\r\n").encode()
-                     for (k, s, a), p, f in zip(ints[at].tolist(), phase[at].tolist(),
-                                                floats[at].tolist()))
-            text = dict(zip(rep, texts))
-            lines = [b""] * (2 * rows)
-            lines[0::2] = [b"%d" % v for v in rounds.t[lo:hi].tolist()]
-            lines[1::2] = map(text.__getitem__, keys)
-            fh.write(b"".join(lines))
-    return path
+    rows = len(phase)
+    keys = np.concatenate((ints.view(np.uint8), floats.view(np.uint8),
+                           phase.view(np.uint8).reshape(rows, -1)), axis=1)
+    keys = keys.view(f"V{keys.shape[1]}").ravel().tolist()
+    rep = dict(zip(keys, range(rows)))  # one row per distinct key
+    at = np.fromiter(rep.values(), np.intp, len(rep))
+    texts = (("," + ",".join([str(k), p, str(s), str(a), *map(repr, f)]) + "\r\n").encode()
+             for (k, s, a), p, f in zip(ints[at].tolist(), phase[at].tolist(),
+                                        floats[at].tolist()))
+    text = dict(zip(rep, texts))
+    lines = [b""] * (2 * rows)
+    lines[0::2] = [b"%d" % v for v in t.tolist()]
+    lines[1::2] = map(text.__getitem__, keys)
+    return b"".join(lines)
 
 
 def _write_regret_csv(path, report: RegretReport):
@@ -707,15 +682,47 @@ def _summary_doc(result: OnlineRunResult) -> dict:
     }
 
 
-def _result_doc(result: OnlineRunResult) -> dict:
+def _write_results_json(path, result: OnlineRunResult):
+    """``json.dumps(doc, sort_keys=True)`` of the summary, the regrets and
+    each seed's rounds, streamed from its rounds file in between the keys
+    that sort before "rounds" and "seeds", seeds in string order. A JSON row
+    is its CSV row's fields rearranged: both write ints by ``str`` and floats
+    by ``repr``, as ``json.dumps`` does for finite floats, and each is finite
+    (rewards are model means or caps, ``reports`` clips bids to [0, 1] with
+    NaN as 0, payment tables are finite; u and R are left out).
+    """
     doc = _summary_doc(result)
+    seeds = doc.pop("seeds")
     for key in ("checkpoints", "reg_sw", "reg_sell", "reg_bid"):
         doc[key] = getattr(result.report, key).tolist()
-    keys = ("t", "k", "phase", "s", "a", "rewards", "bids", "charges")
-    doc["rounds"] = {
-        str(r.seed): [dict(zip(keys, row)) for row in
-                      zip(*(getattr(r.rounds, key).tolist() for key in keys))]
-        if r.rounds is not None else []
-        for r in result.seed_results
-    }
-    return doc
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(doc, sort_keys=True)[:-1].encode() + b', "rounds": {')
+        for j, run in enumerate(sorted(result.seed_results, key=lambda run: str(run.seed))):
+            fh.write(b'%s"%d": [' % (b", " if j else b"", run.seed))
+            if run.rounds is not None:
+                with open(run.rounds.name, "rb") as rows:
+                    fh.writelines(_json_rows(rows, result.mechanism.payments.shape[0]))
+            fh.write(b"]")
+        fh.write(b'}, "seeds": %s}' % json.dumps(seeds).encode())
+    return path
+
+
+def _json_rows(rows, n: int):
+    """A rounds file's rows as results.json's ", "-separated row objects, a
+    block of lines at a time."""
+    next(rows)  # the header
+    sep = b""
+    while block := rows.readlines(1 << 20):
+        heads = {}  # each distinct row but t, formatted once per block
+        for i, line in enumerate(block):
+            t, rest = line.split(b",", 1)
+            if rest not in heads:
+                k, phase, s, a, *f = rest.split(b",")
+                rewards, bids, charges = (b", ".join(f[lo:lo + m])
+                                          for lo, m in ((0, n + 1), (n + 1, n), (2 * n + 1, n)))
+                heads[rest] = (b'{"a": %s, "bids": [%s], "charges": [%s], "k": %s, "phase": "%s", '
+                               b'"rewards": [%s], "s": %s, "t": '
+                               % (a, bids, charges, k, phase, rewards, s))
+            block[i] = heads[rest] + t + b"}"
+        yield sep + b", ".join(block)
+        sep = b", "

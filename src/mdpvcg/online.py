@@ -16,12 +16,10 @@ maintained every episode; ``variant`` selects which one is charged.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -225,11 +223,3 @@ class OnlineVcgLearner:
 # learner arrays in a checkpoint, in file order (q_hat as its q table)
 _CHECKPOINT_ARRAYS = ("counts3", "reward_sums", "band_lower", "band_upper", "reward_ucb",
                       "reward_lcb", "q_hat", "policy", "payments_seller", "payments_bidder")
-
-
-def save_checkpoint(learner: OnlineVcgLearner, path) -> None:
-    Path(path).write_text(json.dumps(learner.to_checkpoint()))
-
-
-def load_checkpoint(path) -> OnlineVcgLearner:
-    return OnlineVcgLearner.from_checkpoint(json.loads(Path(path).read_text()))

@@ -8,6 +8,7 @@ LP optima, and an if-chain for bidder reports.
 """
 
 import csv
+import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -282,17 +283,17 @@ def loop_simulate_run(model, seller, strategies, horizon, seed, checkpoints,
                            cum_per_bidder=cum_per_bidder, episodes=episodes, rounds=rounds)
 
 
-def loop_rounds_csv(path, rounds, header):
-    """The per-round CSV written row by row with ``csv.writer``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for t, k, phase, s, a, rewards, bids, charges, u0, ui, R in rounds:
-            w.writerow([t, k, phase, s, a]
-                       + [repr(float(x)) for x in rewards]
-                       + [repr(float(x)) for x in bids]
-                       + [repr(float(x)) for x in charges]
-                       + [repr(float(u0))]
-                       + [repr(float(x)) for x in ui]
-                       + [repr(float(R))])
-    return path
+def loop_rounds_csv(rounds, header) -> bytes:
+    """The per-round CSV's bytes, written row by row with ``csv.writer``."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(header)
+    for t, k, phase, s, a, rewards, bids, charges, u0, ui, R in rounds:
+        w.writerow([t, k, phase, s, a]
+                   + [repr(float(x)) for x in rewards]
+                   + [repr(float(x)) for x in bids]
+                   + [repr(float(x)) for x in charges]
+                   + [repr(float(u0))]
+                   + [repr(float(x)) for x in ui]
+                   + [repr(float(R))])
+    return fh.getvalue().encode()

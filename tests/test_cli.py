@@ -433,9 +433,10 @@ def test_simulate_empty_or_repeated_seeds_exit_2(model_file, tmp_path, capsys):
     assert not out.exists()
 
 
-def _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, status, fails):
-    """Run ``simulate`` with the HiGHS model status ``status`` on the solves
-    whose model ``fails(model)`` picks; the others are solved for real."""
+def _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, status, fails, *flags):
+    """Run ``simulate`` (with ``flags`` added) with the HiGHS model status
+    ``status`` on the solves whose model ``fails(model)`` picks; the others
+    are solved for real."""
     real = polytope_mod._run
 
     def injected(model):
@@ -446,7 +447,7 @@ def _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, status, fails):
               "horizon": 1500, "seeds": [0], "out": str(tmp_path / "o")}
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(config))
-    return main(["simulate", "--config", str(cfg_file)])
+    return main(["simulate", "--config", str(cfg_file), *flags])
 
 
 def test_lp_solver_failure_exits_3(model_file, tmp_path, monkeypatch, capsys):
@@ -466,3 +467,32 @@ def test_infeasible_episode_lp_exits_2(model_file, tmp_path, monkeypatch, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "allocation LP infeasible" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_recorded_run_leaves_no_rounds_file(model_file, tmp_path, monkeypatch, capsys,
+                                                     fmt):
+    """Seed 0 plays to its horizon and seed 1's first episode LP is
+    infeasible: the run exits 2, and the rounds files of both seeds (one
+    whole, one cut short) are removed, as no export runs."""
+    presolved = []
+
+    def fails(model):  # the first episode's band LP, the only one that presolves
+        presolved.append(model.getOptionValue("presolve")[1] == "on")
+        return presolved[-1] and presolved.count(True) > per_seed
+
+    per_seed = math.inf  # seed 0 alone, to count its presolved LPs
+    assert _simulate_with_failing_lp(model_file, tmp_path, monkeypatch, None, fails) == 0
+    per_seed = presolved.count(True)
+    presolved.clear()
+    monkeypatch.undo()  # the next run wraps the real solver, not the counting one
+    assert per_seed >= 1
+    code = _simulate_with_failing_lp(model_file, tmp_path, monkeypatch,
+                                     HighsModelStatus.kInfeasible, fails,
+                                     "--record-rounds", "--seed-list", "0", "1",
+                                     "--format", fmt, "--out", str(tmp_path / "rec"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "seed 1: " in err
+    assert not list(tmp_path.glob("rec/rounds_seed*.csv"))
+    assert not (tmp_path / "rec" / "results.json").exists()

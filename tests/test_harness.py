@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import math
 import struct
@@ -17,15 +18,15 @@ import mdpvcg.harness as harness_mod
 import mdpvcg.offline as offline_mod
 from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
                     LearnerConfig, MdpModel, OnlineRunResult, OnlineVcgLearner,
-                    RegretReport, RoundColumns, RunState, advance, compute_benchmark,
+                    RegretReport, RunState, advance, compute_benchmark,
                     config_hash, episode_schedule, export, generate_model,
                     run_clairvoyant, run_offline, run_online, save_model,
                     seller_utility_identity, truthfulness_gain)
 from mdpvcg.bidders import _BIDDER_KEYS, KINDS, checked_spec, windows_from_episodes
 from mdpvcg.harness import (_CONFIG_KEYS, _GENERATOR_KEYS,
-                            _round_header, _write_rounds_csv,
-                            checkpoint_grid, learner_config, resolve_strategies,
-                            simulate_run)
+                            _round_header, _rounds_csv_rows, _summary_doc,
+                            checkpoint_grid, learner_config, resolve_model,
+                            resolve_strategies, simulate_run)
 from mdpvcg.cli import main
 
 from _oracles import loop_rounds_csv, loop_simulate_run
@@ -50,19 +51,45 @@ def test_checkpoint_grid_contents():
     assert np.all(np.diff(grid) > 0)
 
 
-def test_round_records_reconstruct_identities():
-    cfg = quick_config(horizon=400, seeds=(3,))
-    res = run_online(cfg, record_rounds=True)
-    rounds = res.seed_results[0].rounds
-    assert len(rounds.t) == 400
-    np.testing.assert_array_equal(rounds.t, np.arange(1, 401))
-    u = rounds.utilities
-    np.testing.assert_array_equal(u[:, 0], rounds.rewards[:, 0] + rounds.charges.sum(axis=1))
-    np.testing.assert_array_equal(u[:, 1:-1], rounds.rewards[:, 1:] - rounds.charges)
-    np.testing.assert_allclose(u[:, -1], rounds.rewards.sum(axis=1), rtol=0, atol=1e-12)
-    mixing = rounds.phase == "mixing"
+def _loop_rounds(config, seed):
+    """The round loop's rows for ``config``'s run of ``seed``, as ``run_online`` plays it."""
+    model = resolve_model(config)
+    return loop_simulate_run(model, OnlineVcgLearner(learner_config(config, model)),
+                             resolve_strategies(config, model), config.horizon, seed,
+                             checkpoint_grid(config.horizon), record_rounds=True).rounds
+
+
+def _loop_csv(config, seed):
+    """``csv.writer``'s bytes for the round loop's rows of ``config``'s run of ``seed``."""
+    return loop_rounds_csv(_loop_rounds(config, seed), _round_header(resolve_model(config).n))
+
+
+def _columns(data: bytes) -> dict:
+    """A rounds file's columns by name: phases as text, the rest as floats
+    (exact, as each was written by ``repr`` or ``str``)."""
+    header, *rows = (line.split(",") for line in data.decode().splitlines())
+    return {name: np.array(column, dtype=str if name == "phase" else float)
+            for name, column in zip(header, zip(*rows))}
+
+
+def _stack(columns, prefix, first, last):
+    return np.column_stack([columns[f"{prefix}_{i}"] for i in range(first, last + 1)])
+
+
+def test_round_records_reconstruct_identities(tmp_path):
+    cfg = quick_config(horizon=400, seeds=(3,), out=str(tmp_path))
+    run_online(cfg, record_rounds=True)
+    data = (tmp_path / "rounds_seed3.csv").read_bytes()
+    assert data == _loop_csv(cfg, 3)
+    rounds = _columns(data)
+    np.testing.assert_array_equal(rounds["t"], np.arange(1, 401))
+    rewards, charges = _stack(rounds, "r", 0, 2), _stack(rounds, "p", 1, 2)
+    np.testing.assert_array_equal(rounds["u_0"], rewards[:, 0] + charges.sum(axis=1))
+    np.testing.assert_array_equal(_stack(rounds, "u", 1, 2), rewards[:, 1:] - charges)
+    np.testing.assert_allclose(rounds["R"], rewards.sum(axis=1), rtol=0, atol=1e-12)
+    mixing = rounds["phase"] == "mixing"
     assert mixing[0] and not mixing.all()
-    np.testing.assert_array_equal(rounds.charges[mixing], 0.0)
+    np.testing.assert_array_equal(charges[mixing], 0.0)
 
 
 def test_regret_additivity_at_every_checkpoint():
@@ -72,16 +99,15 @@ def test_regret_additivity_at_every_checkpoint():
     assert gap.max() <= 1e-9
 
 
-def test_same_seed_reproduces_and_different_seeds_diverge():
+def test_same_seed_reproduces_and_different_seeds_diverge(tmp_path):
     cfg = quick_config(horizon=600, seeds=(0,))
-    a = run_online(cfg, record_rounds=True)
-    b = run_online(cfg, record_rounds=True)
-    ra, rb = a.seed_results[0].rounds, b.seed_results[0].rounds
-    np.testing.assert_array_equal(ra.s, rb.s)
-    np.testing.assert_array_equal(ra.a, rb.a)
-    c = run_online(quick_config(horizon=600, seeds=(1,)), record_rounds=True)
-    rc = c.seed_results[0].rounds
-    assert not (np.array_equal(ra.s, rc.s) and np.array_equal(ra.a, rc.a))
+    for out in ("a", "b"):
+        run_online(replace(cfg, out=str(tmp_path / out)), record_rounds=True)
+    ra, rb = ((tmp_path / out / "rounds_seed0.csv").read_bytes() for out in ("a", "b"))
+    assert ra == rb == _loop_csv(cfg, 0)
+    run_online(quick_config(horizon=600, seeds=(1,), out=str(tmp_path / "c")), record_rounds=True)
+    ra, rc = _columns(ra), _columns((tmp_path / "c" / "rounds_seed1.csv").read_bytes())
+    assert not (np.array_equal(ra["s"], rc["s"]) and np.array_equal(ra["a"], rc["a"]))
     # the config hash ignores the seed list
     assert config_hash(cfg) == config_hash(quick_config(horizon=600, seeds=(1,)))
     assert config_hash(cfg) != config_hash(quick_config(horizon=601, seeds=(0,)))
@@ -231,6 +257,7 @@ def test_export_round_csv_shape_and_determinism(tmp_path):
     res = run_online(cfg, record_rounds=True)
     paths = export(res, cfg.out)
     rounds = tmp_path / "a" / "rounds_seed0.csv"
+    assert paths[0] == rounds and rounds.read_bytes() == _loop_csv(cfg, 0)
     lines = rounds.read_text().splitlines()
     assert len(lines) == 1101  # header + one row per round
     n = 2
@@ -244,7 +271,8 @@ def test_export_round_csv_shape_and_determinism(tmp_path):
     assert regret.splitlines()[0] == ("t,reg_sw,reg_sell,reg_bid,"
                                       "reg_sw_over_t,reg_sell_over_t,reg_bid_over_t")
 
-    export(res, str(tmp_path / "b"))
+    again = replace(cfg, out=str(tmp_path / "b"))
+    export(run_online(again, record_rounds=True), again.out)
     for name in ["rounds_seed0.csv", "regret.csv", "regret_per_seed.csv"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
@@ -264,9 +292,11 @@ def test_export_empty_run_writes_headers_and_zero_regrets(tmp_path):
             checkpoints=np.zeros(0, dtype=np.int64),
             reg_sw=np.zeros((1, 0)), reg_sell=np.zeros((1, 0)),
             reg_bid=np.zeros((1, 0))),
-        seed_results=[simulate_run(model, mech, [TRUTHFUL] * 2, 0, 0,
-                                   np.zeros(0, dtype=np.int64), record_rounds=True)],
+        seed_results=[],
     )
+    with open(tmp_path / "rounds_seed0.csv", "wb") as rounds:
+        empty.seed_results.append(simulate_run(model, mech, [TRUTHFUL] * 2, 0, 0,
+                                               np.zeros(0, dtype=np.int64), rounds))
     export(empty, tmp_path)
     assert (tmp_path / "rounds_seed0.csv").read_text().count("\n") == 1
     assert (tmp_path / "regret.csv").read_text().count("\n") == 1
@@ -310,12 +340,25 @@ def test_checkpoint_grid_refuses_non_integer_extras(extra):
 
 
 def test_export_json_format(tmp_path):
-    cfg = quick_config(horizon=80, seeds=(0,), format="json")
-    res = run_online(cfg, record_rounds=True)
-    export(res, tmp_path)
-    doc = json.loads((tmp_path / "results.json").read_text())
-    assert "reg_sw" in doc and "rounds" in doc
-    assert len(doc["rounds"]["0"]) == 80
+    """results.json is one sorted ``json.dumps`` line whose rounds are the
+    loop's rows (seeds in string order: "10" before "2"); the rounds files
+    the run wrote are folded into it and removed."""
+    cfg = quick_config(horizon=80, seeds=(2, 10), format="json", out=str(tmp_path))
+    keys = ("t", "k", "phase", "s", "a", "rewards", "bids", "charges")
+    for record in (True, False):
+        res = run_online(cfg, record_rounds=record)
+        export(res, tmp_path)
+        doc = _summary_doc(res)
+        for key in ("checkpoints", "reg_sw", "reg_sell", "reg_bid"):
+            doc[key] = getattr(res.report, key).tolist()
+        doc["rounds"] = {str(seed): [dict(zip(keys, (*row[:5], *(x.tolist() for x in row[5:8]))))
+                                     for row in _loop_rounds(cfg, seed)] if record else []
+                         for seed in cfg.seeds}
+        got = (tmp_path / "results.json").read_bytes()
+        assert json.loads(got)["rounds"] == doc["rounds"]
+        assert got == json.dumps(doc, sort_keys=True).encode()
+        assert len(doc["rounds"]["10"]) == (80 if record else 0)
+        assert not list(tmp_path.glob("rounds_seed*.csv"))
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -498,13 +541,17 @@ def test_ir_for_truthful_bidder_against_adversaries():
 def test_simulate_run_with_clairvoyant_has_no_episodes():
     model = generate_model(GEN, 1)
     mech, _ = compute_benchmark(model)
-    res = simulate_run(model, mech, [TRUTHFUL] * 2, 200, 0,
-                       checkpoint_grid(200), record_rounds=True)
+    res = simulate_run(model, mech, [TRUTHFUL] * 2, 200, 0, checkpoint_grid(200), io.BytesIO())
     assert res.episodes == []
     assert res.cum[-1, -1] > 0
-    rounds = res.rounds
-    assert set(rounds.phase) == {"stationary"} and set(rounds.k) == {0}
-    np.testing.assert_array_equal(rounds.charges, mech.payments[:, rounds.s, rounds.a].T)
+    data = res.rounds.getvalue()
+    want = loop_simulate_run(model, mech, [TRUTHFUL] * 2, 200, 0, checkpoint_grid(200),
+                             record_rounds=True)
+    assert data == loop_rounds_csv(want.rounds, _round_header(2))
+    rounds = _columns(data)
+    assert set(rounds["phase"]) == {"stationary"} and set(rounds["k"]) == {0}
+    s, a = rounds["s"].astype(int), rounds["a"].astype(int)
+    np.testing.assert_array_equal(_stack(rounds, "p", 1, 2), mech.payments[:, s, a].T)
 
 
 def _assert_bit_equal(got, want):
@@ -513,16 +560,6 @@ def _assert_bit_equal(got, want):
     np.testing.assert_array_equal(got, want)
     if got.dtype.kind == "f":
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
-def _oracle_columns(rows, n):
-    """The oracle's per-round tuples as RoundColumns."""
-    cols = RoundColumns.allocate(len(rows), n)
-    for j, (t, k, phase, s, a, rewards, bids, charges, u0, ui, R) in enumerate(rows):
-        cols.t[j], cols.k[j], cols.phase[j], cols.s[j], cols.a[j] = t, k, phase, s, a
-        cols.rewards[j], cols.bids[j], cols.charges[j] = rewards, bids, charges
-        cols.utilities[j] = (u0, *ui, R)
-    return cols
 
 
 @st.composite
@@ -578,11 +615,11 @@ def test_batched_simulation_equals_round_loop(case, seed):
     checkpoints = checkpoint_grid(horizon, episode_schedule(lcfg, 4) - 1)
     outcomes, sellers = [], []
     with mock.patch.object(harness_mod, "_SEGMENT_MAX", segment_max or harness_mod._SEGMENT_MAX):
-        for run in (simulate_run, loop_simulate_run):
+        for run, rounds in ((simulate_run, io.BytesIO()), (loop_simulate_run, True)):
             sellers.append(mech if fixed else OnlineVcgLearner(lcfg))
             try:
                 outcomes.append(run(model, sellers[-1], strategies, horizon, seed, checkpoints,
-                                    record_rounds=True))
+                                    rounds))
             except ConfigurationError as e:  # the LP in an episode update: same in both
                 outcomes.append(str(e))
     got, want = outcomes
@@ -594,9 +631,7 @@ def test_batched_simulation_equals_round_loop(case, seed):
     if not fixed:  # simulate_run plays the learner it is given on in place
         assert (json.dumps(sellers[0].to_checkpoint())
                 == json.dumps(sellers[1].to_checkpoint()))
-    oracle = _oracle_columns(want.rounds, model.n)
-    for column in fields(RoundColumns):
-        _assert_bit_equal(getattr(got.rounds, column.name), getattr(oracle, column.name))
+    assert got.rounds.getvalue() == loop_rounds_csv(want.rounds, _round_header(model.n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -612,10 +647,10 @@ def test_a_run_copied_between_segments_plays_on_unchanged(case, seed, data):
     args = (strategies, horizon, seed, checkpoint_grid(horizon, episode_schedule(lcfg, 4) - 1))
     with mock.patch.object(harness_mod, "_SEGMENT_MAX", segment_max or harness_mod._SEGMENT_MAX):
         try:
-            whole = simulate_run(model, seller(), *args, record_rounds=True)
+            whole = simulate_run(model, seller(), *args, io.BytesIO())
         except ConfigurationError:  # an episode's LP, infeasible in every run alike
             return
-        state = RunState.start(model, seller(), *args, record_rounds=True)
+        state = RunState.start(model, seller(), *args, io.BytesIO())
         pause = data.draw(st.integers(0, 3 if fixed else len(whole.episodes)), label="pause")
         segments = 0
         while state.sim.t <= horizon and (segments if fixed else len(state.episodes)) < pause:
@@ -633,12 +668,11 @@ def test_a_run_copied_between_segments_plays_on_unchanged(case, seed, data):
         if not fixed:
             assert (json.dumps(run.seller.to_checkpoint())
                     == json.dumps(whole.seller.to_checkpoint()))
-        for column in fields(RoundColumns):
-            _assert_bit_equal(getattr(run.rounds, column.name), getattr(whole.rounds, column.name))
+        assert run.rounds.getvalue() == whole.rounds.getvalue()
 
 
 @pytest.mark.parametrize("segment_max", [1 << 16, 8192, 1000])
-def test_chunk_size_changes_no_output_bit(segment_max):
+def test_chunk_size_changes_no_output_bit(segment_max, tmp_path):
     """The quick-start learner's episode 1 (10,387 rounds) played whole, in
     two chunks or in eleven ends bit for bit the same, with one bidder's
     bids clipped in every chunk."""
@@ -647,17 +681,18 @@ def test_chunk_size_changes_no_output_bit(segment_max):
         delta=0.01, zeta=0.05, horizon=12_000, seeds=(0,),
         bidders=({"kind": "scaled", "factor": 1.5}, {"kind": "truthful"}))
     runs = []
-    for chunk in (segment_max, 1 << 16):
+    for j, chunk in enumerate((segment_max, 1 << 16)):
         with mock.patch.object(harness_mod, "_SEGMENT_MAX", chunk):
-            runs.append(run_online(config, record_rounds=True).seed_results[0])
+            runs.append(run_online(replace(config, out=str(tmp_path / str(j))),
+                                   record_rounds=True).seed_results[0])
     got, want = runs
     assert want.episodes[0].d + want.episodes[0].l == 10_387 and len(want.episodes) == 1
     for name in ("cum", "totals"):
         _assert_bit_equal(getattr(got, name), getattr(want, name))
     assert got.episodes == want.episodes
     assert json.dumps(got.seller.to_checkpoint()) == json.dumps(want.seller.to_checkpoint())
-    for column in fields(RoundColumns):
-        _assert_bit_equal(getattr(got.rounds, column.name), getattr(want.rounds, column.name))
+    data = (tmp_path / "0" / "rounds_seed0.csv").read_bytes()
+    assert data == (tmp_path / "1" / "rounds_seed0.csv").read_bytes() == _loop_csv(config, 0)
 
 
 def test_a_long_run_holds_one_chunk_of_rounds():
@@ -676,7 +711,22 @@ def test_a_long_run_holds_one_chunk_of_rounds():
     assert peak < 4 << 20, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_rounds_csv_equals_row_by_row_csv_writer(tmp_path):
+def test_a_long_recorded_run_holds_one_chunk_of_rounds(tmp_path):
+    """A learner's 100,000 recorded rounds are written as they are played:
+    the run allocates at most a few MB at once, not a record of every round."""
+    config = quick_config(horizon=100_000, seeds=(0,), out=str(tmp_path))
+    run_online(replace(config, horizon=2000), record_rounds=True)  # load HiGHS outside the trace
+    tracemalloc.start()
+    try:
+        run_online(config, record_rounds=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "rounds_seed0.csv").read_bytes().count(b"\r\n") == 100_001
+    assert peak < 4 << 20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_rounds_csv_equals_row_by_row_csv_writer():
     """Column-block CSV bytes equal csv.writer's over the loop's rows."""
     model = generate_model(GeneratorSpec(S=3, n=3, alpha=0.25, A=2,
                                          reward_family=("bernoulli-scaled", "deterministic",
@@ -687,23 +737,31 @@ def test_rounds_csv_equals_row_by_row_csv_writer(tmp_path):
                    "inflate_to": None}]
     horizon = 2000
     cps = checkpoint_grid(horizon)
-    got = simulate_run(model, OnlineVcgLearner(lcfg), strategies, horizon, 5, cps,
-                       record_rounds=True)
+    with mock.patch.object(harness_mod, "_SEGMENT_MAX", 300):
+        got = simulate_run(model, OnlineVcgLearner(lcfg), strategies, horizon, 5, cps,
+                           io.BytesIO())
     want = loop_simulate_run(model, OnlineVcgLearner(lcfg), strategies, horizon, 5, cps,
                              record_rounds=True)
     assert len(got.episodes) >= 2
-    header = _round_header(model.n)
-    batched = _write_rounds_csv(tmp_path / "batched.csv", got.rounds, model.n, block=300)
-    rows = loop_rounds_csv(tmp_path / "rows.csv", want.rounds, header)
-    assert batched.read_bytes() == rows.read_bytes()
-    assert batched.read_bytes().count(b"\r\n") == horizon + 1
+    batched = got.rounds.getvalue()
+    assert batched == loop_rounds_csv(want.rounds, _round_header(model.n))
+    assert batched.count(b"\r\n") == horizon + 1
 
 
-def _rows(rounds):
-    """``RoundColumns`` as the row tuples ``loop_rounds_csv`` writes."""
-    return zip(rounds.t.tolist(), rounds.k.tolist(), rounds.phase.tolist(), rounds.s.tolist(),
-               rounds.a.tolist(), rounds.rewards, rounds.bids, rounds.charges,
-               rounds.utilities[:, 0], rounds.utilities[:, 1:-1], rounds.utilities[:, -1])
+def _rows(t, ints, phase, floats, n):
+    """One segment's columns as the row tuples ``loop_rounds_csv`` writes."""
+    return [(t_, k, p, s, a, f[:n + 1], f[n + 1:2 * n + 1], f[2 * n + 1:3 * n + 1], f[3 * n + 1],
+             f[3 * n + 2:-1], f[-1])
+            for t_, (k, s, a), p, f in zip(t.tolist(), ints.tolist(), phase.tolist(), floats)]
+
+
+def _segment(data: bytes):
+    """A rounds file's rows as one segment's (t, ints, phase, floats) columns."""
+    rounds = _columns(data)
+    names = list(rounds)
+    ints = np.column_stack([rounds[k] for k in "ksa"]).astype(np.int64)
+    return (rounds["t"].astype(np.int64), ints, rounds["phase"].astype("<U10"),
+            np.column_stack([rounds[k] for k in names[5:]]))
 
 
 def _bits_float(bits):
@@ -720,9 +778,10 @@ _SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, _bits_float(0x7FF800000000000
 
 @st.composite
 def round_columns(draw):
-    """Adversarial ``RoundColumns``: each column either repeats a small pool of
-    values or holds a distinct bit pattern in every row."""
-    n, L = draw(st.integers(1, 3)), draw(st.integers(0, 24))
+    """Adversarial columns of one segment (``advance`` formats no empty one):
+    each column either repeats a small pool of values or holds a distinct bit
+    pattern in every row."""
+    n, L = draw(st.integers(1, 3)), draw(st.integers(1, 24))
     value = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
                       st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
     repeating = st.lists(value, min_size=1, max_size=3).flatmap(
@@ -736,45 +795,39 @@ def round_columns(draw):
 
     def ints():
         pool = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=3))
-        return np.array(draw(st.lists(st.sampled_from(pool), min_size=L, max_size=L)),
-                        dtype=np.int64)
+        return draw(st.lists(st.sampled_from(pool), min_size=L, max_size=L))
 
     # "mix" and "" hold NUL padding where "mixing" and "stationary" hold letters
     phases = draw(st.lists(st.sampled_from(["mixing", "stationary", "mix", ""]),
                            min_size=L, max_size=L))
-    block = draw(st.one_of(st.just(1), st.integers(2, max(2, L)), st.integers(max(1, L), L + 9)))
-    rounds = RoundColumns(t=np.arange(1, L + 1), k=ints(), phase=np.array(phases, dtype="<U10"),
-                          s=ints(), a=ints(), rewards=floats(n + 1), bids=floats(n),
-                          charges=floats(n), utilities=floats(n + 2))
-    return rounds, n, block
+    return (np.arange(1, L + 1), np.array([ints(), ints(), ints()], dtype=np.int64).T.copy(),
+            np.array(phases, dtype="<U10"), floats(4 * n + 3), n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=round_columns())
-def test_rounds_csv_bytes_equal_csv_writer_on_adversarial_columns(tmp_path_factory, case):
-    rounds, n, block = case
-    tmp = tmp_path_factory.mktemp("csv")
-    got = _write_rounds_csv(tmp / "got.csv", rounds, n, block=block)
-    want = loop_rounds_csv(tmp / "want.csv", _rows(rounds), _round_header(n))
-    assert got.read_bytes() == want.read_bytes()
+def test_rounds_csv_bytes_equal_csv_writer_on_adversarial_columns(case):
+    *columns, n = case
+    header = (",".join(_round_header(n)) + "\r\n").encode()
+    assert header + _rounds_csv_rows(*columns) == loop_rounds_csv(_rows(*columns, n),
+                                                                   _round_header(n))
 
 
 @pytest.mark.parametrize("start", [95, 9_990, 10**18 - 37, 2**63 - 301])
 def test_rounds_csv_t_crosses_a_power_of_ten_inside_a_block(tmp_path, start):
-    """Round numbers that do not start at 1 change width mid-block."""
-    res = run_online(quick_config(horizon=300, seeds=(2,)), record_rounds=True)
-    rounds = replace(res.seed_results[0].rounds, t=np.arange(start, start + 300))
-    got = _write_rounds_csv(tmp_path / "got.csv", rounds, 2, block=128)
-    want = loop_rounds_csv(tmp_path / "want.csv", _rows(rounds), _round_header(2))
-    assert got.read_bytes() == want.read_bytes()
+    """Round numbers that do not start at 1 change width mid-segment."""
+    run_online(quick_config(horizon=300, seeds=(2,), out=str(tmp_path)), record_rounds=True)
+    _, *columns = _segment((tmp_path / "rounds_seed2.csv").read_bytes())
+    t = np.arange(start, start + 300)
+    header = (",".join(_round_header(2)) + "\r\n").encode()
+    assert header + _rounds_csv_rows(t, *columns) == loop_rounds_csv(_rows(t, *columns, 2),
+                                                                      _round_header(2))
 
 
 def test_export_crosses_the_default_block(tmp_path):
-    """A run longer than one 8192-row block exports csv.writer's bytes."""
-    res = run_online(quick_config(horizon=9000, seeds=(4,)), record_rounds=True)
-    export(res, tmp_path / "out")
-    rounds = res.seed_results[0].rounds
-    want = loop_rounds_csv(tmp_path / "want.csv", _rows(rounds), _round_header(2))
+    """A run longer than one 8192-round segment exports csv.writer's bytes."""
+    cfg = quick_config(horizon=9000, seeds=(4,), out=str(tmp_path / "out"))
+    export(run_online(cfg, record_rounds=True), cfg.out)
     got = (tmp_path / "out" / "rounds_seed4.csv").read_bytes()
-    assert got == want.read_bytes()
+    assert got == _loop_csv(cfg, 4)
     assert got.count(b"\r\n") == 9001

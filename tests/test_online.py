@@ -1,4 +1,6 @@
 import copy
+import io
+import json
 import math
 
 import numpy as np
@@ -11,10 +13,12 @@ import mdpvcg.polytope as polytope_mod
 from mdpvcg import (ConfigurationError, GeneratorSpec, LearnerConfig,
                     OnlineVcgLearner, RunState, SimState, advance,
                     episode_lengths, episode_schedule, generate_model,
-                    load_checkpoint, play, save_checkpoint, simulate_run)
+                    play, simulate_run)
 from mdpvcg.bidders import checked_spec
-from mdpvcg.harness import checkpoint_grid
+from mdpvcg.harness import _round_header, checkpoint_grid
 from mdpvcg.mdp import reward_caps
+
+from _oracles import loop_rounds_csv, loop_simulate_run
 
 
 TRUTHFUL = checked_spec({"kind": "truthful"})
@@ -78,11 +82,17 @@ def test_initial_state_is_uniform_with_unit_payments():
 def test_mixing_rounds_charge_zero_then_stationary_charges_one():
     model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.1, A=3), 0)
     run = simulate_run(model, OnlineVcgLearner(config()), [TRUTHFUL] * 2, 3, 0,
-                       checkpoint_grid(3), record_rounds=True)
+                       checkpoint_grid(3), io.BytesIO())
+    data = run.rounds.getvalue()
+    want = loop_simulate_run(model, OnlineVcgLearner(config()), [TRUTHFUL] * 2, 3, 0,
+                             checkpoint_grid(3), record_rounds=True)
+    assert data == loop_rounds_csv(want.rounds, _round_header(2))
     # d_1 = 1, so rounds 2 and 3 of the episode are stationary
-    assert run.rounds.phase.tolist() == ["mixing", "stationary", "stationary"]
-    np.testing.assert_array_equal(run.rounds.charges[0], 0.0)
-    np.testing.assert_array_equal(run.rounds.charges[1:], 1.0)
+    header, *rows = (line.split(",") for line in data.decode().splitlines())
+    rows = [dict(zip(header, row)) for row in rows]
+    assert [row["phase"] for row in rows] == ["mixing", "stationary", "stationary"]
+    assert [(row["p_1"], row["p_2"]) for row in rows] == [("0.0", "0.0"), ("1.0", "1.0"),
+                                                          ("1.0", "1.0")]
 
 
 def test_observe_updates_counters_and_sums():
@@ -284,7 +294,7 @@ def test_infeasible_delta_surfaces_configuration_error():
         online_mod.tighten_band = saved
 
 
-def test_checkpoint_roundtrip_resumes_identically(tmp_path):
+def test_checkpoint_roundtrip_resumes_identically():
     model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.25, A=3,
                                          reward_family="bernoulli-scaled"), 6)
     cfg = config(alpha=0.25, delta=0.08)
@@ -293,9 +303,7 @@ def test_checkpoint_roundtrip_resumes_identically(tmp_path):
     while not state.episodes:  # pause where episode 1 ends
         advance(state)
     learner = state.seller
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(learner, path)
-    clone = load_checkpoint(path)
+    clone = OnlineVcgLearner.from_checkpoint(json.loads(json.dumps(learner.to_checkpoint())))
     np.testing.assert_array_equal(clone.counts, learner.counts)
     np.testing.assert_array_equal(clone.counts3, learner.counts3)
     np.testing.assert_allclose(clone.policy, learner.policy, atol=0)

@@ -1,11 +1,12 @@
-"""Occupancy polytopes, described by their inputs: a kernel or a band, and delta.
+"""Occupancy polytopes, described by their inputs: a kernel band, and delta.
 
-Maximizing <q, r> over the polytope of a known kernel recovers the optimal
-stationary policy. Adding a floor delta (every state-action mass >= delta)
-shrinks the polytope and forces exploration at a welfare cost that the
-calibration routine keeps below a chosen epsilon. Giving a two-sided band
-(band_lower, band_upper) instead of the kernel leaves the kernel unknown
-inside it; a band with a floor is what the online learner solves each episode.
+A known kernel P is the band of width zero, (P, P). Maximizing <q, r> over
+its polytope recovers the optimal stationary policy. Adding a floor delta
+(every state-action mass >= delta) shrinks the polytope and forces
+exploration at a welfare cost that the calibration routine keeps below a
+chosen epsilon. A wider two-sided band (band_lower, band_upper) leaves the
+kernel unknown inside it; a band with a floor is what the online learner
+solves each episode.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ objective = model.reward_means.sum(axis=0)
 print("=" * 64)
 print("1. Optimal welfare over the exact-kernel polytope")
 print("=" * 64)
-exact = maximize(objective, PolytopeSpec(kernel=model.kernel))
+exact = maximize(objective, PolytopeSpec(model.kernel, model.kernel))
 print("optimum:", round(exact.objective_value, 6))
 print("optimizer's policy mass rho:\n", exact.q.rho.round(4))
 
@@ -28,7 +29,7 @@ print("=" * 64)
 print("2. The price of shrinking")
 print("=" * 64)
 for delta in [0.001, 0.01, 0.05, 0.1]:
-    sol = maximize(objective, PolytopeSpec(kernel=model.kernel, delta=delta))
+    sol = maximize(objective, PolytopeSpec(model.kernel, model.kernel, delta))
     if sol.status == "optimal":
         loss = exact.objective_value - sol.objective_value
         print(f"  delta={delta:<6} optimum {sol.objective_value:.6f}"
@@ -42,7 +43,7 @@ print("3. Calibrating delta for a target loss")
 print("=" * 64)
 for epsilon in [0.2, 0.05, 0.01]:
     delta = calibrate_delta(model.kernel, objective, epsilon)
-    sol = maximize(objective, PolytopeSpec(kernel=model.kernel, delta=delta))
+    sol = maximize(objective, PolytopeSpec(model.kernel, model.kernel, delta))
     print(f"  epsilon={epsilon:<5} -> delta={delta:.6f}"
           f"   realized loss {exact.objective_value - sol.objective_value:.6f}")
 

@@ -25,7 +25,6 @@ from .mdp import (_SHORT, AUCTIONS, REWARD_FAMILIES, GeneratorSpec, MdpModel, Si
                   _check_family_count, _is_array, _is_count, _is_count_or_null, _is_families,
                   _is_finite, _is_int, _is_list, _is_number, _parse, generate_model,
                   load_model, play)
-from .occupancy import occupancy_from
 from .offline import BidProfile, Mechanism, _identity_rhs, average_utilities, offline_mechanism
 from .online import VARIANTS, ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
 from .tolerances import TOL
@@ -191,7 +190,6 @@ class EpisodeRecord:
     rewards_in_bounds: bool
     band_width_max: float
     payment_order_ok: bool       # seller-favorable >= bidder-favorable everywhere
-    rho_gap: float               # diagnostic: ||rho_hat - rho_true|| for next policy
 
 
 @dataclass
@@ -383,15 +381,11 @@ def _end_episode(learner: OnlineVcgLearner, model: MdpModel,
     in_bounds = bool(np.all(model.reward_means >= learner.reward_lcb - tol)
                      and np.all(model.reward_means <= learner.reward_ucb + tol))
     order_ok = bool(np.all(learner.payments_seller >= learner.payments_bidder - TOL.mass))
-    # Occupancy mismatch of the newly chosen policy against the true kernel
-    # (diagnostic only, never asserted).
-    rho_true = occupancy_from(model.kernel, learner.policy).rho
-    rho_gap = float(np.abs(learner.q_hat.rho - rho_true).sum())
     return EpisodeRecord(
         k=k, tau=tau, d=d, l=l, policy_min=policy_min, unvisited=unvisited,
         band_contains_truth=in_band, rewards_in_bounds=in_bounds,
         band_width_max=float((learner.band_upper - learner.band_lower).max()),
-        payment_order_ok=order_ok, rho_gap=rho_gap,
+        payment_order_ok=order_ok,
     )
 
 
@@ -661,7 +655,6 @@ def _summary_doc(result: OnlineRunResult) -> dict:
             "episodes_with_unvisited_pair": sum(e.unvisited > 0 for e in episodes),
             "min_policy_entry": min(e.policy_min for e in episodes),
             "payment_order_violations": sum(not e.payment_order_ok for e in episodes),
-            "max_rho_gap": max(e.rho_gap for e in episodes),
         }
     return {
         "config_hash": result.config_hash,

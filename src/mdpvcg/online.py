@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .mdp import reward_caps
-from .occupancy import OccupancyMeasure
 from .polytope import PolytopeSpec, maximize_each, tighten_band
 
 logger = logging.getLogger(__name__)
@@ -102,7 +101,6 @@ class OnlineVcgLearner:
         caps = reward_caps(n, config.c_max)
         self.reward_ucb = np.broadcast_to(caps[:, None, None], (n + 1, S, A)).copy()
         self.reward_lcb = np.zeros((n + 1, S, A))
-        self.q_hat = OccupancyMeasure(np.full((S, A, S), 1.0 / (A * S * S)))
         self.policy = np.full((S, A), 1.0 / A)
         self.payments_seller = np.ones((n, S, A))
         self.payments_bidder = np.ones((n, S, A))
@@ -190,7 +188,6 @@ class OnlineVcgLearner:
             raise ConfigurationError(
                 f"episode {k}: allocation LP infeasible; delta={cfg.delta} is too "
                 "large for the current confidence band")
-        self.q_hat = sol.q
         self.policy = sol.q.policy
         values = np.array([lp.objective_value for lp in counterfactual]).reshape(n, 2, 1, 1)
         self.payments_seller = values[:, 0] - others[:, 1]
@@ -205,8 +202,7 @@ class OnlineVcgLearner:
     def to_checkpoint(self) -> dict:
         doc = {"config": asdict(self.config), "k": self.k, "tau_k": self.tau_k, "pos": self.pos}
         for key in _CHECKPOINT_ARRAYS:
-            value = getattr(self, key)
-            doc[key] = (value.q if key == "q_hat" else value).tolist()
+            doc[key] = getattr(self, key).tolist()
         return doc
 
     @classmethod
@@ -216,10 +212,10 @@ class OnlineVcgLearner:
         for key in _CHECKPOINT_ARRAYS:
             setattr(learner, key, np.array(doc[key], dtype=np.int64 if key == "counts3"
                                            else np.float64))
-        learner.q_hat = OccupancyMeasure(learner.q_hat)
         return learner
 
 
-# learner arrays in a checkpoint, in file order (q_hat as its q table)
+# learner arrays in a checkpoint, in file order; a key not listed (such as an
+# older file's "q_hat") is ignored
 _CHECKPOINT_ARRAYS = ("counts3", "reward_sums", "band_lower", "band_upper", "reward_ucb",
-                      "reward_lcb", "q_hat", "policy", "payments_seller", "payments_bidder")
+                      "reward_lcb", "policy", "payments_seller", "payments_bidder")

@@ -1,17 +1,14 @@
 """Occupancy-measure polytopes and LP maximization over them.
 
-A polytope is given by its inputs; every one has mass, flow and
-nonnegativity:
-  kernel          a known kernel P: the LP runs over rho(s,a) alone, with
-                  sum_a rho(s',a) = sum_{s,a} P(s'|s,a) rho(s,a) (the dual LP of
-                  an average-reward MDP); q = rho * P afterwards
-  band_lower,     an unknown kernel inside a two-sided band: q(s,a,s') columns
-  band_upper      with lower(s,a,s')*rho(s,a) <= q(s,a,s') <= upper(s,a,s')*rho(s,a),
-                  sum_x q(s,a,x) = rho(s,a) and flow balanced in q; a band
-                  row that these imply is left out of the LP (see
-                  ``build_constraints``)
-  delta           optional with either: every rho(s,a) at least delta (the
-                  shrunk polytope), a lower bound on the rho columns, not a row
+A polytope is given by a kernel band and an optional floor:
+  band_lower,     a kernel inside a two-sided band: rho(s,a) and q(s,a,s')
+  band_upper      columns with lower(s,a,s')*rho(s,a) <= q(s,a,s') <=
+                  upper(s,a,s')*rho(s,a), sum_x q(s,a,x) = rho(s,a), mass 1 and
+                  flow balanced in q; a band row that these imply is left out
+                  of the LP (see ``build_constraints``). A known kernel P is the
+                  band of width zero, (P, P), whose q is rho * P
+  delta           optional: every rho(s,a) at least delta (the shrunk
+                  polytope), a lower bound on the rho columns, not a row
 
 The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
@@ -23,12 +20,10 @@ equal inputs give equal results, bit for bit, and a spec holds no solver
 state. Objective 0 runs cold by dual simplex and each later objective by
 primal simplex from the previous optimal basis, which a change of costs
 leaves primal feasible (a run that stops "optimal" at a point HiGHS finds
-infeasible runs again, cold). A band LP presolves (what
-``scipy.optimize.linprog(method="highs-ds")`` does); a kernel LP does not
-(presolve would only drop the one dependent flow row, which the LP leaves
-free, and costs more than the solve). The HiGHS bindings load with the first
-LP, not with the module (``mdpvcg.offline`` solves none), and only their
-extension module loads, not ``scipy.optimize``.
+infeasible runs again, cold). Every LP presolves, as
+``scipy.optimize.linprog(method="highs-ds")`` does. The HiGHS bindings load
+with the first LP, not with the module (``mdpvcg.offline`` solves none), and
+only their extension module loads, not ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -56,8 +51,8 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 # the options linprog(method="highs-ds", options=_LP_OPTIONS) passes to HiGHS,
-# but for presolve and simplex_strategy, which maximize_each sets per kind and per run
-_HIGHS_OPTIONS = {**_LP_OPTIONS, "solver": "simplex", "output_flag": False}
+# but for simplex_strategy, which maximize_each sets per run
+_HIGHS_OPTIONS = {**_LP_OPTIONS, "solver": "simplex", "presolve": "on", "output_flag": False}
 # simplex_strategy values: dual simplex for the cold solve, primal for the warm ones
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
 _FEASIBLE_POINT = 2  # HiGHS's primal_solution_status of a primal feasible point
@@ -103,41 +98,32 @@ def _highs():
 
 @dataclass(frozen=True)
 class PolytopeSpec:
-    """A known ``kernel`` or a (``band_lower``, ``band_upper``) pair, each of
-    shape (S, A, S); ``delta``, if given, floors every rho(s, a)."""
+    """A kernel band (``band_lower``, ``band_upper``), each of shape (S, A, S);
+    a known kernel P is the band (P, P). ``delta``, if given, floors every
+    rho(s, a)."""
 
-    kernel: Optional[np.ndarray] = None
-    band_lower: Optional[np.ndarray] = None
-    band_upper: Optional[np.ndarray] = None
+    band_lower: np.ndarray
+    band_upper: np.ndarray
     delta: Optional[float] = None
 
     def __post_init__(self):
-        band = [b for b in (self.band_lower, self.band_upper) if b is not None]
-        if (self.kernel is None) == (not band):
-            raise ValueError("give exactly one of kernel or band_lower/band_upper")
-        if self.kernel is None and len(band) < 2:
-            raise ValueError("a band needs both band_lower and band_upper")
-        shape = (self.kernel if self.kernel is not None else self.band_lower).shape
+        shape = self.band_lower.shape
         if len(shape) != 3 or shape[0] != shape[2] or 0 in shape:
             raise ValueError(f"bad dims: arrays must be (S, A, S) with S, A >= 1; got {shape}")
-        if self.kernel is None:
-            if self.band_upper.shape != shape:
-                raise ValueError(f"band arrays must have shape {shape}")
-            if not (self.band_lower.min() >= 0 and self.band_upper.max() <= 1 + TOL.row_sum):
-                raise ValueError("band must be clipped to [0, 1]")  # NaN fails the comparisons
-        # q = rho * P is an occupancy measure only for a stochastic kernel
-        elif not (self.kernel.min() >= 0 and np.abs(self.kernel.sum(axis=2) - 1).max() <= TOL.mass):
-            raise ValueError("kernel rows must be probability distributions")
+        if self.band_upper.shape != shape:
+            raise ValueError(f"band arrays must have shape {shape}")
+        if not (self.band_lower.min() >= 0 and self.band_upper.max() <= 1 + TOL.row_sum):
+            raise ValueError("band must be clipped to [0, 1]")  # NaN fails the comparisons
         if self.delta is not None and not 0 < self.delta <= 1.0 / (self.S * self.A):
             raise ValueError(f"delta must lie in (0, 1/(S*A)]; got {self.delta}")
 
     @property
     def S(self) -> int:
-        return (self.kernel if self.kernel is not None else self.band_lower).shape[0]
+        return self.band_lower.shape[0]
 
     @property
     def A(self) -> int:
-        return (self.kernel if self.kernel is not None else self.band_lower).shape[1]
+        return self.band_lower.shape[1]
 
 
 def tighten_band(prior, p_bar, radii):
@@ -153,7 +139,7 @@ def tighten_band(prior, p_bar, radii):
 @dataclass
 class ConstraintSystem:
     """The HiGHS input: a column-wise matrix (``start``, ``index``, ``value``)
-    over the flat columns rho[s, a], followed for a band by q[s, a, s'];
+    over the flat columns rho[s, a], then q[s, a, s'];
     ``row_lower``/``row_upper`` bound its rows and ``col_lower`` its columns
     (delta or 0 below rho, 0 below q, no column upper bounds)."""
 
@@ -168,11 +154,8 @@ class ConstraintSystem:
 def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
     """Emit the column-wise matrix selecting the polytope.
 
-    Known kernel: S*A columns rho; equality rows mass and one flow row per
-    state, sum_a rho(s', a) - sum_{s,a} P(s'|s,a) rho(s,a) = 0, so column
-    (s, a) is [1, e_s - P(.|s,a)].
-    Band: the S*A rho columns, then S^2*A columns q. Rows: at most an upper
-    and a lower band row per (s, a, s'), interleaved (q - upper*rho <= 0 and
+    The S*A rho columns, then S^2*A columns q. Rows: at most an upper and a
+    lower band row per (s, a, s'), interleaved (q - upper*rho <= 0 and
     lower*rho - q <= 0); then equalities mass (over rho), flow per state
     (sum_{s,a} q(s,a,s') - sum_a rho(s',a) = 0) and a link row per (s, a)
     (sum_x q(s,a,x) - rho(s,a) = 0). A band row that the rest implies is
@@ -184,35 +167,27 @@ def build_constraints(spec: PolytopeSpec) -> ConstraintSystem:
     S, A = spec.S, spec.A
     SA = S * A
     pair = np.arange(SA)
-    if spec.kernel is None:
-        n_band = 2 * SA * S  # band rows of the full layout, upper and lower interleaved
-        kept = np.ones(n_band + 1 + S + SA, dtype=bool)  # which full-layout rows stay
-        kept[0:n_band:2] = spec.band_upper.ravel() < 1
-        kept[1:n_band:2] = spec.band_lower.ravel() > 0
-        eq = np.arange(n_band, len(kept))  # mass, flow per state, link per pair
-        # one block row per column: 2S band entries, then mass, flow and link
-        rows = np.zeros((SA + SA * S, 2 * S + 3), dtype=np.int64)
-        values = np.zeros(rows.shape)
-        rows[:SA, :2 * S] = 2 * S * pair[:, None] + np.arange(2 * S)
-        rows[:SA, 2 * S:] = np.column_stack([np.full(SA, eq[0]), eq[1 + pair // A],
-                                             eq[1 + S + pair]])
-        values[:SA, 0:2 * S:2] = -spec.band_upper.reshape(SA, S)
-        values[:SA, 1:2 * S:2] = spec.band_lower.reshape(SA, S)
-        values[:SA, 2 * S:] = (1.0, -1.0, -1.0)
-        cell = np.arange(SA * S)  # q column (s, a, x)
-        rows[SA:, :4] = np.column_stack([2 * cell, 2 * cell + 1, eq[1 + cell % S],
-                                         eq[1 + S + cell // S]])
-        values[SA:, :4] = (1.0, -1.0, 1.0, 1.0)
-        values[~kept[rows]] = 0.0  # a left-out row's entries are dropped as zeros below
-        rows = np.cumsum(kept)[rows] - 1  # full-layout row -> kept row
-        n_ub, n_row = int(kept[:n_band].sum()), int(kept.sum())
-    else:
-        n_ub, n_row = 0, 1 + S
-        rows = np.broadcast_to(np.arange(1 + S), (SA, 1 + S))
-        values = np.empty((SA, 1 + S))
-        values[:, 0] = 1.0  # mass
-        values[:, 1:] = -spec.kernel.reshape(SA, S)
-        values[pair, 1 + pair // A] += 1.0
+    n_band = 2 * SA * S  # band rows of the full layout, upper and lower interleaved
+    kept = np.ones(n_band + 1 + S + SA, dtype=bool)  # which full-layout rows stay
+    kept[0:n_band:2] = spec.band_upper.ravel() < 1
+    kept[1:n_band:2] = spec.band_lower.ravel() > 0
+    eq = np.arange(n_band, len(kept))  # mass, flow per state, link per pair
+    # one block row per column: 2S band entries, then mass, flow and link
+    rows = np.zeros((SA + SA * S, 2 * S + 3), dtype=np.int64)
+    values = np.zeros(rows.shape)
+    rows[:SA, :2 * S] = 2 * S * pair[:, None] + np.arange(2 * S)
+    rows[:SA, 2 * S:] = np.column_stack([np.full(SA, eq[0]), eq[1 + pair // A],
+                                         eq[1 + S + pair]])
+    values[:SA, 0:2 * S:2] = -spec.band_upper.reshape(SA, S)
+    values[:SA, 1:2 * S:2] = spec.band_lower.reshape(SA, S)
+    values[:SA, 2 * S:] = (1.0, -1.0, -1.0)
+    cell = np.arange(SA * S)  # q column (s, a, x)
+    rows[SA:, :4] = np.column_stack([2 * cell, 2 * cell + 1, eq[1 + cell % S],
+                                     eq[1 + S + cell // S]])
+    values[SA:, :4] = (1.0, -1.0, 1.0, 1.0)
+    values[~kept[rows]] = 0.0  # a left-out row's entries are dropped as zeros below
+    rows = np.cumsum(kept)[rows] - 1  # full-layout row -> kept row
+    n_ub, n_row = int(kept[:n_band].sum()), int(kept.sum())
     keep = values != 0
     start = np.zeros(len(values) + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=1), out=start[1:])
@@ -270,10 +245,10 @@ def _solution(spec: PolytopeSpec, r: np.ndarray, x: Optional[np.ndarray], nit: i
     """Flat objective ``r``'s solution at the LP's column values ``x`` (None: infeasible)."""
     if x is None:
         return LpSolution(q=None, objective_value=float("nan"), status="infeasible", nit=nit)
-    S, A, rho = spec.S, spec.A, x[:len(r)]
-    q = x[S * A:].reshape(S, A, S) if spec.kernel is None else rho.reshape(S, A, 1) * spec.kernel
+    S, A = spec.S, spec.A
     # <rho, r> summed in column order, as HiGHS sums an LP's objective
-    return LpSolution(q=OccupancyMeasure(q), objective_value=float(np.cumsum(r * rho)[-1]),
+    return LpSolution(q=OccupancyMeasure(x[S * A:].reshape(S, A, S)),
+                      objective_value=float(np.cumsum(r * x[:S * A])[-1]),
                       status="optimal", nit=nit)
 
 
@@ -296,17 +271,10 @@ def maximize_each(objectives, spec: PolytopeSpec) -> list:
         raise ValueError("objectives must be finite")
     rewards = objectives.reshape(len(objectives), S * A)
     system = build_constraints(spec)
-    if spec.kernel is not None:
-        # the S flow rows sum to zero only up to the kernel's row-sum error
-        # (TOL.mass); the last one is implied by the others, so the LP leaves it free
-        system.row_lower[S], system.row_upper[S] = -np.inf, np.inf
     highs = _highs()
     model = highs._Highs()
     for key, value in _HIGHS_OPTIONS.items():
         model.setOptionValue(key, value)
-    # a kernel LP has S*A columns and 1+S rows: presolve only drops the free
-    # flow row, and takes longer than the cold solve it saves
-    model.setOptionValue("presolve", "off" if spec.kernel is not None else "on")
     model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
     if model.passModel(highs_lp(system)) == highs.HighsStatus.kError:
         raise RuntimeError("HiGHS refused the constraint matrix")
@@ -334,12 +302,24 @@ def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float) -
 
     Grid: 1/(2SA), 1/(4SA), ... down to ``_DELTA_MIN``. Each candidate is
     verified by comparing the shrunk-polytope LP optimum against the full
-    kernel-polytope optimum.
+    polytope's, both over the collapsed band (kernel, kernel). That band fixes
+    q = rho * kernel, which meets the link rows sum_x q(s,a,x) = rho(s,a) only
+    as closely as the kernel's rows sum to 1: within ``TOL.row_sum``, the
+    model-file tolerance, or the LP is refused.
     """
     if not epsilon > 0:  # NaN included
         raise ValueError(f"epsilon must be positive; got {epsilon}")
-    S, A = kernel.shape[0], kernel.shape[1]
-    base = maximize(objective, PolytopeSpec(kernel=kernel))
+    kernel, objective = np.asarray(kernel, dtype=np.float64), np.asarray(objective)
+    if kernel.ndim != 3 or kernel.shape[0] != kernel.shape[2] or 0 in kernel.shape:
+        raise ValueError(f"kernel must be (S, A, S) with S, A >= 1; got shape {kernel.shape}")
+    S, A = kernel.shape[:2]
+    if objective.shape != (S, A):
+        raise ValueError(f"objective must be (S, A) = {(S, A)}; got shape {objective.shape}")
+    if not (np.isfinite(kernel).all() and kernel.min() >= 0):
+        raise ValueError("kernel entries must be finite and nonnegative")
+    if not np.abs(kernel.sum(axis=2) - 1).max() <= TOL.row_sum:
+        raise ValueError(f"kernel rows must sum to 1 within {TOL.row_sum}")
+    base = maximize(objective, PolytopeSpec(kernel, kernel))
     grid = []
     d = 1.0 / (2 * S * A)
     while d > _DELTA_MIN:
@@ -347,7 +327,7 @@ def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float) -
         d /= 2
     grid.append(_DELTA_MIN)
     for d in grid:
-        sol = maximize(objective, PolytopeSpec(kernel=kernel, delta=d))
+        sol = maximize(objective, PolytopeSpec(kernel, kernel, d))
         if sol.status == "optimal" and sol.objective_value >= base.objective_value - epsilon:
             return d
     logger.warning(

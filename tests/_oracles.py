@@ -108,6 +108,19 @@ def linprog_maximize(c, A_eq, b_eq, A_ub, b_ub, bounds=(0, None), presolve=True)
                    options={**_LP_OPTIONS, "presolve": presolve})
 
 
+def kernel_lp(kernel, r, delta=None):
+    """``linprog`` result for max <rho, r> over the occupancy polytope of a
+    known kernel, in rho(s, a) alone: a mass row, one flow row per state,
+    sum_a rho(s', a) = sum_{s,a} P(s'|s,a) rho(s,a), and every rho at least
+    delta (or 0). One of the S flow rows is implied by the others; linprog's
+    presolve drops it. ``x`` is rho, flat."""
+    S, A = r.shape
+    flow = np.repeat(np.eye(S), A, axis=0) - kernel.reshape(S * A, S)
+    A_eq = np.vstack([np.ones(S * A), flow.T])
+    return linprog(-r.ravel(), A_eq=A_eq, b_eq=np.eye(1 + S)[0],
+                   bounds=(delta or 0.0, None), method="highs-ds", options=_LP_OPTIONS)
+
+
 def loop_constraints(variant, S, A, kernel=None, delta=None, band_lower=None,
                      band_upper=None):
     """Polytope rows (A_eq, b_eq, A_ub, b_ub) built one row at a time.

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_best
-from mdpvcg import (BidProfile, GeneratorSpec, PolytopeSpec, average_utilities,
-                    generate_model, maximize, offline_mechanism, seller_utility_identity)
+from _oracles import brute_force_best, kernel_lp
+from mdpvcg import (BidProfile, GeneratorSpec, average_utilities,
+                    generate_model, offline_mechanism, seller_utility_identity)
 
 
 def single_item_static(values):
@@ -178,8 +178,8 @@ def test_bid_profile_range_enforced():
 
 def test_values_match_lps_solved_alone():
     """On generated models, with truthful and random bids, the welfare and
-    counterfactual values of policy iteration are those of the n+1 LPs each
-    solved alone on a new polytope, to 1e-12."""
+    counterfactual values of policy iteration are those of the n+1 kernel
+    LPs over rho, each solved alone by the oracle, to 1e-12."""
     rng = np.random.default_rng(12)
     for seed in range(30):
         S, A, n = (int(v) for v in rng.integers(1, 5, size=3))
@@ -187,8 +187,7 @@ def test_values_match_lps_solved_alone():
         tables = model.reward_means[1:] if seed % 2 else rng.random((n, S, A))
         mech = offline_mechanism(BidProfile(tables), model.reward_means[0], model.kernel)
         reported = model.reward_means[0] + tables.sum(axis=0)
-        alone = [maximize(r, PolytopeSpec(kernel=model.kernel)).objective_value
-                 for r in (reported, *(reported - tables))]
+        alone = [-kernel_lp(model.kernel, r).fun for r in (reported, *(reported - tables))]
         assert abs(mech.welfare_value - alone[0]) <= 1e-12
         np.testing.assert_allclose(mech.counterfactual_values, alone[1:], rtol=0, atol=1e-12)
 
@@ -198,20 +197,21 @@ def test_values_match_lps_solved_alone():
        seed=st.integers(0, 2**32 - 1))
 def test_policy_iteration_matches_the_kernel_lp(S, A, n, seed):
     """On generated models with random bids (tie-free almost surely), the
-    welfare and counterfactual values equal the HiGHS kernel LP's, each solved
-    on a fresh spec, to 1e-12, and the allocation is the LP's policy."""
+    welfare and counterfactual values equal the kernel LP's over rho, each
+    solved alone by the oracle, to 1e-12, and the allocation is the LP's policy."""
     rng = np.random.default_rng(seed)
     model = generate_model(GeneratorSpec(S=S, A=A, n=n, alpha=float(rng.uniform(0.05, 1)) / S),
                            seed)
     tables = rng.random((n, S, A))
     mech = offline_mechanism(BidProfile(tables), model.reward_means[0], model.kernel)
     reported = model.reward_means[0] + tables.sum(axis=0)
-    best = maximize(reported, PolytopeSpec(kernel=model.kernel))
-    assert abs(mech.welfare_value - best.objective_value) <= 1e-12
-    assert np.array_equal(mech.allocation, best.q.policy)
+    best = kernel_lp(model.kernel, reported)
+    rho = best.x.reshape(S, A)
+    assert abs(mech.welfare_value - -best.fun) <= 1e-12
+    assert np.array_equal(mech.allocation, rho / rho.sum(axis=1, keepdims=True))
     for i in range(n):
-        lp = maximize(reported - tables[i], PolytopeSpec(kernel=model.kernel))
-        assert abs(mech.counterfactual_values[i] - lp.objective_value) <= 1e-12
+        lp = kernel_lp(model.kernel, reported - tables[i])
+        assert abs(mech.counterfactual_values[i] - -lp.fun) <= 1e-12
 
 
 def test_kernel_with_a_zero_entry_is_refused(small_model):

@@ -72,7 +72,6 @@ def test_config_validation():
 
 def test_initial_state_is_uniform_with_unit_payments():
     learner = OnlineVcgLearner(config())
-    np.testing.assert_allclose(learner.q_hat.q, 1.0 / 27)
     np.testing.assert_allclose(learner.policy, 1.0 / 3)
     np.testing.assert_allclose(learner.payments, 1.0)
     assert learner.k == 1 and learner.tau_k == 1
@@ -324,6 +323,21 @@ def test_checkpoint_roundtrip_resumes_identically():
     older = {**learner.to_checkpoint(), "counts": learner.counts.tolist()}
     assert "counts" not in learner.to_checkpoint()
     assert OnlineVcgLearner.from_checkpoint(older).to_checkpoint() == learner.to_checkpoint()
+
+
+def test_a_checkpoint_that_holds_q_hat_still_loads():
+    """A checkpoint written while the learner kept ``q_hat`` (the allocation
+    LP's occupancy measure, as its q table) still loads: the key is ignored,
+    and the learner is the one that a file without it gives."""
+    model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.1, A=3), 2)
+    learner = drive(OnlineVcgLearner(config()), model, 4200)
+    assert learner.k == 2
+    doc = learner.to_checkpoint()
+    assert "q_hat" not in doc
+    older = {**doc, "q_hat": np.full((3, 3, 3), 1.0 / 27).tolist()}
+    restored = OnlineVcgLearner.from_checkpoint(json.loads(json.dumps(older)))
+    assert not hasattr(restored, "q_hat")
+    assert restored.to_checkpoint() == doc
 
 
 def test_a_learner_that_has_played_is_refused():

@@ -14,21 +14,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from _oracles import brute_force_best, linprog_maximize, loop_constraints
+from _oracles import brute_force_best, kernel_lp, linprog_maximize, loop_constraints
 import mdpvcg.polytope as polytope_mod
 from mdpvcg import (GeneratorSpec, PolytopeSpec, build_constraints,
                     calibrate_delta, generate_model, maximize, maximize_each,
-                    occupancy_from, payoff, tighten_band)
+                    payoff, tighten_band)
 from mdpvcg.polytope import _DELTA_MIN
 from mdpvcg.tolerances import TOL
 
-# the loop oracle's names for the three polytopes drawn below: a kernel, a
-# kernel with a floor delta, and a band with a floor delta
+# the loop oracle's names for the three polytopes drawn below: a kernel (the
+# collapsed band (P, P) to the library), a kernel with a floor delta, and a
+# band with a floor delta
 KINDS = ("EXACT_KERNEL", "SHRUNK_EXACT", "SHRUNK_CONFIDENCE")
 
 
 def uniform_spec(S, A):
-    return PolytopeSpec(kernel=np.full((S, A, S), 1.0 / S))
+    kernel = np.full((S, A, S), 1.0 / S)
+    return PolytopeSpec(kernel, kernel)
 
 
 def _dense_rows(system):
@@ -66,7 +68,6 @@ def test_full_constraint_counts():
     band keeps those rows, upper before lower, in (s, a, s') order."""
     S, A = 2, 3
     SA, nq = S * A, S * A * S
-    kernel = np.full((S, A, S), 1.0 / S)
     rng = np.random.default_rng(0)
     lower, upper = rng.uniform(0.1, 0.4, (S, A, S)), rng.uniform(0.6, 0.9, (S, A, S))
     lower.flat[[0, 3, 4, 9]] = 0.0
@@ -78,8 +79,6 @@ def test_full_constraint_counts():
     mixed = PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.1)
     inner = PolytopeSpec(band_lower=np.maximum(lower, 0.05), band_upper=np.minimum(upper, 0.95))
     cases = [
-        (PolytopeSpec(kernel=kernel), SA, 1 + S, 0, 0.0),
-        (PolytopeSpec(kernel=kernel, delta=0.1), SA, 1 + S, 0, 0.1),
         (PolytopeSpec(band_lower=np.zeros((S, A, S)), band_upper=np.ones((S, A, S)),
                       delta=0.1), SA + nq, 1 + S + SA, 0, 0.1),
         (PolytopeSpec(band_lower=np.zeros((S, A, S)), band_upper=np.ones((S, A, S))),
@@ -108,18 +107,6 @@ def test_full_constraint_counts():
                                   _dense_rows(build_constraints(inner))[0])
 
 
-def test_exact_kernel_has_one_flow_row_per_state():
-    model = generate_model(GeneratorSpec(S=2, n=1, alpha=0.2, A=2), 0)
-    flow = _dense_rows(build_constraints(PolytopeSpec(kernel=model.kernel)))[0][1:]
-    assert flow.shape == (2, 2 * 2)
-    # the rho of every stationary policy balances the flow ...
-    policy = np.random.default_rng(0).dirichlet(np.ones(2), size=2)
-    rho = occupancy_from(model.kernel, policy).rho
-    np.testing.assert_allclose(flow @ rho.ravel(), 0.0, atol=1e-12)
-    # ... and all mass on one pair does not: part of it leaves that state
-    assert np.abs(flow @ np.eye(4)[0]).max() > 0.1
-
-
 def test_shrunk_confidence_band_row_count():
     S, A = 2, 2
     SA = S * A
@@ -140,7 +127,9 @@ def test_shrunk_confidence_band_row_count():
     np.testing.assert_array_equal(A_ub[:, :SA].sum(axis=1), np.tile([-0.75, 0.25], SA * S))
 
 
-def _random_spec_kwargs(S, A, variant, delta_frac, seed):
+def _random_case(S, A, variant, delta_frac, seed):
+    """A random polytope of the loop oracle's ``variant``: its spec, with a
+    kernel as the collapsed band (P, P), and the oracle's q-space rows."""
     rng = np.random.default_rng(seed)
     shape = (S, A, S)
     # stochastic rows with exact zeros, about a quarter of them one-hot
@@ -157,10 +146,12 @@ def _random_spec_kwargs(S, A, variant, delta_frac, seed):
         for arr in (lower, upper):
             arr[rng.random(shape) < 0.25] = 0.0
             arr[rng.random(shape) < 0.25] = 1.0
-    return {"EXACT_KERNEL": dict(kernel=kernel),
-            "SHRUNK_EXACT": dict(kernel=kernel, delta=delta_frac / (S * A)),
-            "SHRUNK_CONFIDENCE": dict(delta=delta_frac / (S * A),
-                                      band_lower=lower, band_upper=upper)}[variant]
+    delta = None if variant == "EXACT_KERNEL" else delta_frac / (S * A)
+    if variant != "SHRUNK_CONFIDENCE":
+        lower = upper = kernel
+    return (PolytopeSpec(lower, upper, delta),
+            loop_constraints(variant, S, A, kernel=kernel, delta=delta,
+                             band_lower=lower, band_upper=upper))
 
 
 spec_params = dict(S=st.integers(1, 5), A=st.integers(1, 5), variant=st.sampled_from(KINDS),
@@ -170,12 +161,11 @@ spec_params = dict(S=st.integers(1, 5), A=st.integers(1, 5), variant=st.sampled_
 @settings(max_examples=200, deadline=None)
 @given(**spec_params)
 def test_rho_lp_matches_q_space_oracle(S, A, variant, delta_frac, seed):
-    """The LP over rho (plus q for the band) reaches the optimum of the LP over
-    q(s,a,s') with the row-by-row kernel, shrink and band rows; its q meets those rows."""
-    kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
+    """The LP over rho and q reaches the optimum of the LP over q(s,a,s')
+    with the row-by-row kernel, shrink and band rows; its q meets those rows."""
+    spec, rows = _random_case(S, A, variant, delta_frac, seed)
     r = np.random.default_rng(seed + 1).random((S, A))
-    sol = maximize(r, PolytopeSpec(**kw))
-    rows = loop_constraints(variant, S, A, **kw)
+    sol = maximize(r, spec)
     want = linprog_maximize(np.repeat(r[:, :, None], S, axis=2).ravel(), *rows)
     assert want.status in (0, 2)
     assert (sol.status == "infeasible") == (want.status == 2)
@@ -193,12 +183,9 @@ def test_warm_solves_equal_fresh_solves(n, S, A, delta_frac, seed):
     meeting the q-space rows. The first solve is linprog's on the same rows,
     presolved as the band's model is (a tie may resolve to another vertex
     with presolve than without)."""
-    variant = "SHRUNK_CONFIDENCE"
-    kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
-    spec = PolytopeSpec(**kw)
+    spec, rows = _random_case(S, A, "SHRUNK_CONFIDENCE", delta_frac, seed)
     rng = np.random.default_rng(seed + 1)
     objectives = rng.random((2 * n + 1, S, A)) * (rng.random((2 * n + 1, S, A)) >= 0.2)
-    rows = loop_constraints(variant, S, A, **kw)
     run, presolves = polytope_mod._run, []
 
     def recording(model):
@@ -263,20 +250,18 @@ def test_band_lp_matches_the_full_row_oracle(n, S, A, floor, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(copies=st.integers(1, 4), **spec_params)
-def test_stacked_solves_equal_fresh_solves(copies, S, A, variant, delta_frac, seed):
-    """K objectives solved in one ``maximize_each`` call match each solved alone
-    on a fresh spec: the same status, values within 1e-9 and each q meeting
-    the q-space rows, with the value that q's own payoff. A second call on
-    the same spec repeats the first bit for bit."""
-    kw = _random_spec_kwargs(S, A, variant, delta_frac, seed)
-    spec = PolytopeSpec(**kw)
+def test_chained_solves_equal_fresh_solves_and_repeat(copies, S, A, variant, delta_frac, seed):
+    """On every kind of polytope, K objectives solved in one ``maximize_each``
+    call match each solved alone on a fresh spec: the same status, values
+    within 1e-9 and each q meeting the q-space rows, with the value that q's
+    own payoff. A second call on the same spec repeats the first bit for bit."""
+    spec, rows = _random_case(S, A, variant, delta_frac, seed)
     rng = np.random.default_rng(seed + 1)
     objectives = rng.random((copies, S, A)) * (rng.random((copies, S, A)) >= 0.2)
-    rows = loop_constraints(variant, S, A, **kw)
     got = maximize_each(objectives, spec)
     assert len(got) == copies
     for sol, again, r in zip(got, maximize_each(objectives, spec), objectives):
-        fresh = maximize(r, PolytopeSpec(**kw))
+        fresh = maximize(r, replace(spec))
         assert sol.status == again.status == fresh.status
         if fresh.status == "optimal":
             assert abs(sol.objective_value - fresh.objective_value) <= 1e-9
@@ -294,8 +279,7 @@ def test_columns_equal_csc_of_dense_rows(S, A, variant, delta_frac, seed):
     """The matrix is column-wise, each column's rows strictly increasing, with
     no stored zeros: exactly the CSC form of its dense rows. Row bounds and
     column lower bounds are float arrays of matching sizes."""
-    system = build_constraints(PolytopeSpec(**_random_spec_kwargs(
-        S, A, variant, delta_frac, seed)))
+    system = build_constraints(_random_case(S, A, variant, delta_frac, seed)[0])
     start, index, value = system.start, system.index, system.value
     assert start[0] == 0 and start[-1] == len(index) == len(value)
     assert np.all(np.diff(start) >= 0)
@@ -343,7 +327,7 @@ def test_missing_highs_bindings_fail_at_the_first_lp():
             "mdpvcg.offline_mechanism(mdpvcg.BidProfile.truthful(m), m.reward_means[0], m.kernel)\n"
             "for _ in range(2):\n"
             "    try:\n"
-            "        mdpvcg.maximize(m.reward_means[0], mdpvcg.PolytopeSpec(kernel=m.kernel))\n"
+            "        mdpvcg.maximize(m.reward_means[0], mdpvcg.PolytopeSpec(m.kernel, m.kernel))\n"
             "    except ImportError as e:\n        print(e)\n"
             "    else:\n        print('solved')")
     lines = _run_python(code).splitlines()
@@ -426,11 +410,12 @@ def test_missing_highs_extension_is_an_import_error(tmp_path):
 
 
 def test_rejects_nan_kernel_or_band():
-    """Every comparison with NaN is false, so the spec checks are written to fail on it."""
+    """Every comparison with NaN is false, so the spec checks are written to
+    fail on it, a kernel's collapsed band included."""
     kernel, lower, upper = np.full((2, 2, 2), 0.5), np.zeros((2, 2, 2)), np.ones((2, 2, 2))
     kernel[0, 1, 0] = lower[1, 0, 1] = upper[0, 0, 1] = np.nan
-    with pytest.raises(ValueError, match="probability distributions"):
-        PolytopeSpec(kernel=kernel)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        PolytopeSpec(kernel, kernel)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         PolytopeSpec(band_lower=lower, band_upper=np.ones((2, 2, 2)))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -438,31 +423,17 @@ def test_rejects_nan_kernel_or_band():
 
 
 def test_rejects_malformed_specs():
-    kernel, lower, upper = np.full((2, 2, 2), 0.5), np.zeros((2, 2, 2)), np.ones((2, 2, 2))
-    with pytest.raises(ValueError, match="bad dims"):
-        PolytopeSpec(kernel=np.ones((0, 2, 0)))
-    with pytest.raises(ValueError, match="bad dims"):
-        PolytopeSpec(kernel=np.full((2, 2, 3), 1 / 3))  # not (S, A, S)
-    with pytest.raises(ValueError, match="exactly one"):
-        PolytopeSpec()  # neither kernel nor band
-    with pytest.raises(ValueError, match="exactly one"):
-        PolytopeSpec(delta=0.1)
-    with pytest.raises(ValueError, match="exactly one"):
-        PolytopeSpec(kernel=kernel, band_lower=lower, band_upper=upper)  # both
-    with pytest.raises(ValueError, match="exactly one"):
-        PolytopeSpec(kernel=kernel, band_upper=upper)
-    with pytest.raises(ValueError, match="both band_lower and band_upper"):
-        PolytopeSpec(band_lower=lower)
+    lower, upper = np.zeros((2, 2, 2)), np.ones((2, 2, 2))
+    for bad in (np.ones((0, 2, 0)), np.full((2, 2, 3), 1 / 3)):  # empty, not (S, A, S)
+        with pytest.raises(ValueError, match="bad dims"):
+            PolytopeSpec(bad, bad)
+    with pytest.raises(TypeError):
+        PolytopeSpec(lower)  # a band needs both bounds
     with pytest.raises(ValueError, match="shape"):
         PolytopeSpec(band_lower=lower, band_upper=np.ones((2, 1, 2)))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         PolytopeSpec(band_lower=lower - 0.1, band_upper=upper)
-    for bad in (np.full((2, 2, 2), 0.6), np.tile([1.5, -0.5], (2, 2, 1))):
-        with pytest.raises(ValueError, match="probability distributions"):
-            PolytopeSpec(kernel=bad, delta=0.1)
-    for delta in (0.3, 0.0, -0.1):  # outside (0, 1/(S*A)], on a kernel and on a band
-        with pytest.raises(ValueError, match="delta"):
-            PolytopeSpec(kernel=kernel, delta=delta)
+    for delta in (0.3, 0.0, -0.1):  # outside (0, 1/(S*A)]
         with pytest.raises(ValueError, match="delta"):
             PolytopeSpec(band_lower=lower, band_upper=upper, delta=delta)
     with pytest.raises(ValueError):
@@ -485,7 +456,7 @@ def test_zero_objective_returns_feasible_point():
 def test_single_state_optimum_is_best_action():
     kernel = np.ones((1, 3, 1))
     r = np.array([[0.2, 0.9, 0.4]])
-    sol = maximize(r, PolytopeSpec(kernel=kernel))
+    sol = maximize(r, PolytopeSpec(kernel, kernel))
     assert sol.objective_value == pytest.approx(0.9, abs=1e-10)
     assert sol.q.rho[0, 1] == pytest.approx(1.0, abs=1e-10)
 
@@ -494,7 +465,7 @@ def test_optimum_matches_deterministic_policy_enumeration():
     for seed in range(5):
         model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.07, A=3), seed)
         r = model.reward_means.sum(axis=0)
-        sol = maximize(r, PolytopeSpec(kernel=model.kernel))
+        sol = maximize(r, PolytopeSpec(model.kernel, model.kernel))
         assert sol.objective_value == pytest.approx(
             brute_force_best(model.kernel, r), abs=1e-6)
 
@@ -505,14 +476,14 @@ def test_optimal_points_satisfy_their_constraints():
     lower, upper = tighten_band(None, model.kernel, np.full((3, 2, 3), 0.07))
     specs = [
         ("EXACT_KERNEL", uniform_spec(3, 2)),
-        ("EXACT_KERNEL", PolytopeSpec(kernel=model.kernel)),
-        ("SHRUNK_EXACT", PolytopeSpec(kernel=model.kernel, delta=0.05)),
+        ("EXACT_KERNEL", PolytopeSpec(model.kernel, model.kernel)),
+        ("SHRUNK_EXACT", PolytopeSpec(model.kernel, model.kernel, delta=0.05)),
         ("SHRUNK_CONFIDENCE", PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.05)),
         ("SHRUNK_CONFIDENCE", PolytopeSpec(band_lower=np.zeros((3, 2, 3)),
                                            band_upper=np.ones((3, 2, 3)), delta=0.05)),
     ]
-    for kind, spec in specs:
-        rows = loop_constraints(kind, spec.S, spec.A, kernel=spec.kernel,
+    for kind, spec in specs:  # a kernel spec is its collapsed band
+        rows = loop_constraints(kind, spec.S, spec.A, kernel=spec.band_lower,
                                 delta=spec.delta, band_lower=spec.band_lower,
                                 band_upper=spec.band_upper)
         for _ in range(3):
@@ -546,7 +517,7 @@ def test_optimum_nonincreasing_in_delta():
     deltas = [0.001, 0.01, 0.05, 0.1, 1.0 / 9]
     values = []
     for d in deltas:
-        sol = maximize(r, PolytopeSpec(kernel=model.kernel, delta=d))
+        sol = maximize(r, PolytopeSpec(model.kernel, model.kernel, d))
         # a delta too large for this kernel empties the polytope; that may
         # only happen at the top of the grid
         values.append(sol.objective_value if sol.status == "optimal"
@@ -575,7 +546,7 @@ def test_confidence_relaxes_exact_when_truth_is_inside_band():
         lower, upper = tighten_band(None, model.kernel,
                                     np.full(model.kernel.shape, 0.05))
         conf = maximize(r, PolytopeSpec(band_lower=lower, band_upper=upper, delta=0.02))
-        exact = maximize(r, PolytopeSpec(kernel=model.kernel, delta=0.02))
+        exact = maximize(r, PolytopeSpec(model.kernel, model.kernel, 0.02))
         assert conf.objective_value >= exact.objective_value - 1e-8
 
 
@@ -598,37 +569,12 @@ def test_transient_state_under_a_floor_reports_infeasible():
     no rho can meet a floor delta > 0: a status, not an exception."""
     kernel = np.zeros((2, 2, 2))
     kernel[:, :, 0] = 1.0
-    sol = maximize(np.ones((2, 2)), PolytopeSpec(kernel=kernel, delta=0.01))
+    sol = maximize(np.ones((2, 2)), PolytopeSpec(kernel, kernel, 0.01))
     assert sol.status == "infeasible" and sol.q is None
     # without the floor the same kernel is solvable: all mass on state 0
-    sol = maximize(np.ones((2, 2)), PolytopeSpec(kernel=kernel))
+    sol = maximize(np.ones((2, 2)), PolytopeSpec(kernel, kernel))
     assert sol.status == "optimal"
     assert sol.q.nu[1] == 0.0
-
-
-def test_kernel_rows_off_by_the_mass_tolerance_still_solve():
-    """A kernel whose rows sum to 1 +/- TOL.mass (the spec accepts it) makes
-    its S flow rows dependent only up to that error; the LP must still be
-    optimal, with the q-space rows met and the optimum of the normalized kernel."""
-    rng = np.random.default_rng(5)
-    for trial in range(60):
-        S, A = (int(v) for v in rng.integers(1, 5, size=2))
-        kernel = rng.dirichlet(np.ones(S), size=(S, A)) * (rng.random((S, A, S)) >= 0.3)
-        kernel[kernel.sum(axis=2) == 0] = np.eye(S)[0]
-        kernel /= kernel.sum(axis=2, keepdims=True)
-        # all rows heavy, all light, or each row its own way
-        sign = [1.0, -1.0, rng.choice([-1.0, 1.0], size=(S, A, 1))][trial % 3]
-        off = kernel * (1 + sign * 0.999 * TOL.mass)
-        delta = None if trial % 2 else 1e-3 / (S * A)
-        r = rng.random((S, A))
-        sol = maximize(r, PolytopeSpec(kernel=off, delta=delta))
-        want = maximize(r, PolytopeSpec(kernel=kernel, delta=delta))
-        assert sol.status == want.status
-        if want.status == "optimal":
-            rows = loop_constraints("SHRUNK_EXACT" if delta else "EXACT_KERNEL", S, A,
-                                    kernel=off, delta=delta)
-            assert _max_violation(rows, sol.q.q.ravel()) <= 1e-8
-            assert abs(sol.objective_value - want.objective_value) <= 1e-8
 
 
 def test_tighten_band_intersects_and_clips():
@@ -650,7 +596,7 @@ def test_calibrate_delta_single_state_closed_form():
     gaps = (0.9 - 0.4) + (0.9 - 0.1)
     epsilon = 0.05
     delta = calibrate_delta(kernel, r, epsilon)
-    best = maximize(r, PolytopeSpec(kernel=kernel, delta=delta)).objective_value
+    best = -kernel_lp(kernel, r, delta).fun
     assert best == pytest.approx(0.9 - delta * gaps, abs=1e-9)
     assert delta * gaps <= epsilon + 1e-12
     # the next grid point up (2 * delta) must violate the gap
@@ -675,10 +621,7 @@ def test_calibrate_delta_gap_on_random_models():
         r = model.reward_means.sum(axis=0)
         epsilon = 0.05
         delta = calibrate_delta(model.kernel, r, epsilon)
-        spec = PolytopeSpec(kernel=model.kernel, delta=delta)
-        exact = PolytopeSpec(kernel=model.kernel)
-        assert (maximize(r, spec).objective_value
-                >= maximize(r, exact).objective_value - epsilon)
+        assert -kernel_lp(model.kernel, r, delta).fun >= -kernel_lp(model.kernel, r).fun - epsilon
 
 
 def test_calibrate_delta_tiny_epsilon_returns_the_floor_with_a_warning(caplog):
@@ -697,13 +640,75 @@ def test_calibrate_delta_rejects_bad_epsilon():
         calibrate_delta(kernel, np.ones((1, 2)), 0.0)
 
 
+def test_calibrate_delta_checks_its_kernel():
+    """A kernel that is not (S, A, S), an objective that is not (S, A), a
+    kernel entry that is not finite or is negative, and rows that do not sum
+    to 1 within ``TOL.row_sum`` (the model-file tolerance) are refused, each
+    by name: the collapsed band (P, P) meets its link rows only as closely
+    as P's rows sum to 1. Rows off by less solve as the exact kernel does."""
+    kernel = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=2), 4).kernel
+    r = np.random.default_rng(4).random((3, 2))
+    for bad in (kernel[:, :, :2], kernel[0], np.ones((0, 2, 0))):
+        with pytest.raises(ValueError, match=r"kernel must be \(S, A, S\)"):
+            calibrate_delta(bad, r, 0.05)
+    with pytest.raises(ValueError, match=r"objective must be \(S, A\)"):
+        calibrate_delta(kernel, r.T, 0.05)
+    for value in (np.nan, np.inf, -0.1):
+        bad = kernel.copy()
+        bad[1, 0, 2] = value
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            calibrate_delta(bad, r, 0.05)
+    want = calibrate_delta(kernel, r, 0.01)
+    for sign in (1.0, -1.0):
+        with pytest.raises(ValueError, match="rows must sum to 1 within 1e-12"):
+            calibrate_delta(kernel * (1 + sign * 1e-10), r, 0.01)
+        assert calibrate_delta(kernel * (1 + sign * 1e-13), r, 0.01) == want
+
+
+def _oracle_calibrate(kernel, r, epsilon):
+    """``calibrate_delta``'s grid scan, each LP solved by the rho-space oracle."""
+    S, A = r.shape
+    grid = [1.0 / (2 * S * A)]
+    while grid[-1] / 2 > _DELTA_MIN:
+        grid.append(grid[-1] / 2)
+    base = -kernel_lp(kernel, r).fun
+    for d in grid:
+        res = kernel_lp(kernel, r, d)
+        if res.status == 0 and -res.fun >= base - epsilon:
+            return d
+    return _DELTA_MIN
+
+
+def test_calibrate_delta_matches_a_scan_with_the_rho_oracle():
+    """On generated kernels and on sparse ones (exact zeros and one-hot rows;
+    one whose state 1 holds about 1% of the mass, so that the top grid points
+    are infeasible; one whose state 1 is transient, so that no floor is),
+    calibrate_delta returns the grid point that a scan with the rho-space
+    kernel LP returns."""
+    rng = np.random.default_rng(27)
+    rare, transient = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
+    rare[0, :] = (0.99, 0.01)
+    rare[1, :, 0] = transient[:, :, 0] = 1.0
+    cases = [(rare, rng.random((2, 2))), (transient, rng.random((2, 2)))]
+    for seed in range(8):
+        S, A = (int(v) for v in rng.integers(1, 6, size=2))
+        model = generate_model(GeneratorSpec(S=S, A=A, n=2, alpha=0.5 / S), seed)
+        cases.append((model.kernel, model.reward_means.sum(axis=0)))
+        S, A = (int(v) for v in rng.integers(2, 6, size=2))
+        spec, _ = _random_case(S, A, "EXACT_KERNEL", 1.0, seed)
+        cases.append((spec.band_lower, rng.random((S, A))))
+    for kernel, r in cases:
+        for epsilon in (0.2, 0.05, 0.01, 1e-3):
+            assert calibrate_delta(kernel, r, epsilon) == _oracle_calibrate(kernel, r, epsilon)
+
+
 def test_identical_inputs_solve_identically():
-    """A solve depends on its inputs alone: on a kernel and on a band spec, a
-    spec solved on before, for the same or another objective or number of
+    """A solve depends on its inputs alone: on a kernel's collapsed band and
+    on a band spec, a spec solved on before, for the same or another objective or number of
     objectives, gives what a fresh copy gives, bit for bit."""
     model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=3), 9)
     r, r2 = model.reward_means.sum(axis=0), model.reward_means[0]
-    spec = PolytopeSpec(kernel=model.kernel, delta=0.03)
+    spec = PolytopeSpec(model.kernel, model.kernel, 0.03)
     a = maximize(r, spec)
     b = maximize(r, spec)
     assert a.objective_value == b.objective_value
@@ -726,7 +731,7 @@ def test_identical_inputs_solve_identically():
     first = maximize_each(chain, band)
     assert_same(maximize_each(chain, band), first)
     assert_same(maximize_each(chain, replace(band)), first)
-    # a kernel spec's chains for K = 3, then K = 1, then K = 3 again
+    # a collapsed band's chains for K = 3, then K = 1, then K = 3 again
     three = maximize_each(chain[:3], spec)
     one = maximize_each(chain[2:], spec)
     assert_same(maximize_each(chain[:3], spec), three)
@@ -734,13 +739,13 @@ def test_identical_inputs_solve_identically():
 
 
 def test_solved_specs_copy_and_pickle():
-    """A spec keeps no solver state: after a solve, a band and a kernel spec
+    """A spec keeps no solver state: after a solve, a band and a collapsed band
     deep-copy and pickle, and each copy solves as the original does, bit for bit."""
     model = generate_model(GeneratorSpec(S=3, n=1, alpha=0.1, A=3), 9)
     chain = np.concatenate([model.reward_means.sum(axis=0)[None], model.reward_means])
     band = PolytopeSpec(band_lower=np.clip(model.kernel - 0.05, 0, 1),
                         band_upper=np.clip(model.kernel + 0.05, 0, 1), delta=0.03)
-    for spec in (band, PolytopeSpec(kernel=model.kernel, delta=0.03)):
+    for spec in (band, PolytopeSpec(model.kernel, model.kernel, 0.03)):
         want = maximize_each(chain, spec)
         for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
             for g, w in zip(maximize_each(chain, twin), want, strict=True):

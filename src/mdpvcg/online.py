@@ -5,8 +5,10 @@ mixing phase (no charges) long enough for the chain to approach the stationary
 distribution of the current policy, followed by a stationary phase in which
 per-round payments are charged. At episode end it rebuilds the empirical
 kernel with Bernstein bands, clipped reward UCB/LCBs, and solves one welfare
-LP plus n counterfactual LPs over the shrunk confidence polytope to get the
-next allocation policy and payment tables.
+LP plus 2n counterfactual LPs (each bidder's optimistic and pessimistic
+welfare of the others) over the shrunk confidence polytope to get the next
+allocation policy and payment tables: one warm-start tree, the welfare LP its
+root and each bidder's pair a chain from the root's basis.
 
 Payments come in two flavors sharing all state: the seller-favorable table
 uses optimistic counterfactual welfare minus pessimistic realized welfare (it
@@ -132,19 +134,19 @@ class OnlineVcgLearner:
 
     def observe(self, s, a, s2, seller_rewards, bids) -> None:
         """Record played rounds, one entry per round (``bids`` is (n, L)); both
-        phases count. Bids outside [0, 1] are clipped, with one warning per
-        call: the harness calls once per segment, so an episode longer than
-        ``harness._SEGMENT_MAX`` rounds can warn once per chunk."""
+        phases count. Bids outside [0, 1] are clipped (a NaN bid to 0), with
+        one warning per call: the harness calls once per segment, so an episode
+        longer than ``harness._SEGMENT_MAX`` rounds can warn once per chunk."""
         S, A, n = self.config.S, self.config.A, self.config.n
         sa = np.asarray(s) * A + np.asarray(a)  # flat (s, a) index
         bids = np.asarray(bids, dtype=np.float64)
         self.counts3 += np.bincount(sa * S + s2, minlength=S * A * S).reshape(S, A, S)
-        out = (bids < 0.0) | (bids > 1.0)
+        out = ~((bids >= 0.0) & (bids <= 1.0))  # NaN included
         if out.any():
             first = int(np.flatnonzero(out.any(axis=0))[0])
             logger.warning("%d bids outside [0, 1] clipped, the first in round %d",
                            int(out.sum()), self.tau_k + self.pos + first)
-            bids = np.where(bids < 0.0, 0.0, np.where(bids > 1.0, 1.0, bids))
+            bids = np.where(bids > 1.0, 1.0, np.where(bids >= 0.0, bids, 0.0))  # NaN as 0
         # in round order, so each sum adds exactly as one round at a time would
         np.add.at(self.reward_sums[0].reshape(-1), sa, seller_rewards)  # capped, never clipped
         np.add.at(self.reward_sums[1:].reshape(-1),
@@ -179,11 +181,10 @@ class OnlineVcgLearner:
         total_ucb = self.reward_ucb.sum(axis=0)
         total_lcb = self.reward_lcb.sum(axis=0)
 
-        # (n, 2, S, A): each bidder's optimistic, then pessimistic welfare of the others
+        # (n, 2, S, A): each bidder's optimistic, then pessimistic welfare of the others,
+        # one chain per bidder from the allocation LP's basis; infeasible together
         others = np.stack([total_ucb - self.reward_ucb[1:], total_lcb - self.reward_lcb[1:]], 1)
-        # the allocation LP, then opt_1, pes_1, opt_2, ...: one chain, infeasible together
-        sol, *counterfactual = maximize_each(
-            np.concatenate([total_ucb[None], others.reshape(2 * n, S, A)]), spec)
+        sol, *counterfactual = maximize_each(total_ucb, others, spec)
         if sol.status != "optimal":
             raise ConfigurationError(
                 f"episode {k}: allocation LP infeasible; delta={cfg.delta} is too "

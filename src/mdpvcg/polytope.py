@@ -14,13 +14,20 @@ The band implements an intersection of per-episode confidence sets: callers
 keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
 
-``maximize_each`` is the one solver. Each call builds the spec's LP and a
-HiGHS model of its own, runs its K objectives in that model and drops it, so
-equal inputs give equal results, bit for bit, and a spec holds no solver
-state. Objective 0 runs cold by dual simplex and each later objective by
-primal simplex from the previous optimal basis, which a change of costs
-leaves primal feasible (a run that stops "optimal" at a point HiGHS finds
-infeasible runs again, cold). Every LP presolves, as
+``maximize_each`` is the one solver. Each call builds the spec's LP once and
+HiGHS models of its own, runs its objectives in them as a warm-start tree and
+drops them, so a spec holds no solver state. The root objective runs cold by
+dual simplex. Each chain's objectives then run in order by primal simplex,
+the first from the root's optimal basis and each later one from the one
+before: a change of costs leaves a basis primal feasible (a run that stops
+"optimal" at a point HiGHS finds infeasible runs again, cold). Chain 0 runs on
+in the root's model, and every later chain in a fresh model given a copy of
+the root basis. The later chains run on worker threads, at most one per spare
+CPU and none on an LP too small to pay for one (HiGHS releases the GIL while
+it runs), and on the calling thread, which takes what is left once chain 0 is
+done. Where a chain runs is fixed by its index, not by the thread that takes
+it, so equal inputs give equal results, bit for bit, on any number of CPUs.
+Every cold run presolves, as
 ``scipy.optimize.linprog(method="highs-ds")`` does. The HiGHS bindings load
 with the first LP, not with the module (``mdpvcg.offline`` solves none), and
 only their extension module loads, not ``scipy.optimize``.
@@ -51,12 +58,17 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 # the options linprog(method="highs-ds", options=_LP_OPTIONS) passes to HiGHS,
-# but for simplex_strategy, which maximize_each sets per run
+# but for simplex_strategy, which _solve sets per run
 _HIGHS_OPTIONS = {**_LP_OPTIONS, "solver": "simplex", "presolve": "on", "output_flag": False}
 # simplex_strategy values: dual simplex for the cold solve, primal for the warm ones
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
 _FEASIBLE_POINT = 2  # HiGHS's primal_solution_status of a primal feasible point
 _DELTA_MIN = 1e-6  # the smallest delta calibrate_delta tries, and its floor
+# the fewest LP columns at which a tree's later chains start worker threads.
+# Timed on learner-shaped trees (a root and n chains of two, n = 2 and 3) on 2
+# vCPUs, a worker against none: +0.4 ms a call at 36 columns, even from 150 to
+# 252 columns, and 10-22% faster from 294 columns up (1,760 at S=10, A=16)
+_WORKER_COLUMNS = 256
 
 
 _HIGHS = "scipy.optimize._highspy._core"
@@ -216,6 +228,20 @@ def highs_lp(system: ConstraintSystem):
     return lp
 
 
+def _model(lp, basis=None):
+    """A HiGHS model of ``lp`` with the module's options, started from
+    ``basis`` if one is given."""
+    highs = _highs()
+    model = highs._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        model.setOptionValue(key, value)
+    if model.passModel(lp) == highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS refused the constraint matrix")
+    if basis is not None and model.setBasis(basis) == highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS refused the root basis")
+    return model
+
+
 def _run(model):
     model.run()
     return model.getModelStatus()
@@ -231,6 +257,21 @@ def _read(model, status):
         raise RuntimeError(f"LP solver failed (status {status.value}): "
                            f"{model.modelStatusToString(status)}")
     return np.fromiter(model.getSolution().col_value, np.float64), nit
+
+
+def _solve(model, r, strategy):
+    """``_read`` of maximizing <rho, r> (r flat) in ``model``, run by
+    ``strategy`` from the model's basis, if it has one."""
+    model.setOptionValue("simplex_strategy", strategy)
+    model.changeColsCost(len(r), np.arange(len(r), dtype=np.int32), -r)
+    status = _run(model)
+    if (status == _highs().HighsModelStatus.kOptimal
+            and model.getInfoValue("primal_solution_status")[1] != _FEASIBLE_POINT):
+        # a warm run can stop "optimal" just outside the tolerance: run it again, cold
+        model.clearSolver()
+        model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+        status = _run(model)
+    return _read(model, status)
 
 
 @dataclass(frozen=True)
@@ -252,49 +293,93 @@ def _solution(spec: PolytopeSpec, r: np.ndarray, x: Optional[np.ndarray], nit: i
                       status="optimal", nit=nit)
 
 
-def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
-    """Maximize <rho, r> over the polytope; r is a per-(s,a) table."""
-    return maximize_each(np.asarray(objective, dtype=np.float64)[None], spec)[0]
-
-
-def maximize_each(objectives, spec: PolytopeSpec) -> list:
-    """Maximize <rho, r_k> over the polytope for each of K per-(s,a) tables
-    r_k (a (K, S, A) array), in K HiGHS runs in the order given, each warm
-    from the one before (module docstring). Each solution carries its run's
-    ``nit``. All objectives share one polytope, so they are infeasible together.
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    S, A = spec.S, spec.A
-    if objectives.ndim != 3 or objectives.shape[1:] != (S, A) or not len(objectives):
-        raise ValueError(f"objectives must be (K, S, A) with K >= 1 and (S, A) = {(S, A)}")
-    if not np.isfinite(objectives).all():
-        raise ValueError("objectives must be finite")
-    rewards = objectives.reshape(len(objectives), S * A)
-    system = build_constraints(spec)
-    highs = _highs()
-    model = highs._Highs()
-    for key, value in _HIGHS_OPTIONS.items():
-        model.setOptionValue(key, value)
-    model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
-    if model.passModel(highs_lp(system)) == highs.HighsStatus.kError:
-        raise RuntimeError("HiGHS refused the constraint matrix")
-    rho_columns = np.arange(S * A, dtype=np.int32)
+def _chain(model, rewards, spec: PolytopeSpec) -> list:
+    """Solutions of the flat objectives ``rewards`` run in order in ``model``
+    by primal simplex, each warm from the one before; an infeasible run ends
+    the list."""
     solved = []
     for r in rewards:
-        model.changeColsCost(len(rho_columns), rho_columns, -r)
-        status = _run(model)
-        if (status == highs.HighsModelStatus.kOptimal
-                and model.getInfoValue("primal_solution_status")[1] != _FEASIBLE_POINT):
-            # a warm run can stop "optimal" just outside the tolerance: run it again, cold
-            model.clearSolver()
-            model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
-            status = _run(model)
-        x, nit = _read(model, status)
-        if x is None:
-            return [_solution(spec, r, None, nit) for r in rewards]
+        x, nit = _solve(model, r, _PRIMAL_SIMPLEX)
         solved.append(_solution(spec, r, x, nit))
-        model.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        if x is None:
+            break
     return solved
+
+
+def _workers(chains: int, columns: int) -> int:
+    """Worker threads for a tree of ``chains`` chains over an LP of
+    ``columns`` columns: none below ``_WORKER_COLUMNS``, else one per chain
+    after the first, but no more than the CPUs this process may run on, less
+    its own."""
+    if columns < _WORKER_COLUMNS:
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(0, min(chains - 1, (cpus or 1) - 1))
+
+
+def maximize(objective: np.ndarray, spec: PolytopeSpec) -> LpSolution:
+    """Maximize <rho, r> over the polytope; r is a per-(s,a) table."""
+    objective = np.asarray(objective, dtype=np.float64)
+    return maximize_each(objective, np.empty((0, 0, *objective.shape)), spec)[0]
+
+
+def maximize_each(root, chains, spec: PolytopeSpec) -> list:
+    """Maximize <rho, r> over the polytope for the per-(s,a) table ``root``
+    and for each table of ``chains``, a (C, L, S, A) array of C chains of L
+    objectives each, as a warm-start tree (module docstring).
+
+    Returns 1 + C*L solutions, flat in input order: the root's, then chain
+    0's L, then chain 1's, and so on. Each carries its run's ``nit``. Chains
+    1..C-1 run on ``_workers`` threads and the calling thread; which thread
+    runs a chain changes none of its results. All objectives share one
+    polytope, so they are infeasible together: an infeasible run makes every
+    solution the first such run's, in input order. ``maximize_each(r[0],
+    r[1:][None], spec)`` solves the K tables of r as one chain, each warm
+    from the one before.
+    """
+    root = np.asarray(root, dtype=np.float64)
+    chains = np.asarray(chains, dtype=np.float64)
+    S, A = spec.S, spec.A
+    if root.shape != (S, A) or chains.ndim != 4 or chains.shape[2:] != (S, A):
+        raise ValueError(f"objectives must be a root (S, A) and chains (C, L, S, A) "
+                         f"with (S, A) = {(S, A)}")
+    if not (np.isfinite(root).all() and np.isfinite(chains).all()):
+        raise ValueError("objectives must be finite")
+    C, L = chains.shape[:2]
+    r, rewards = root.ravel(), chains.reshape(C, L, S * A)
+    lp = highs_lp(build_constraints(spec))
+    model = _model(lp)
+    x, nit = _solve(model, r, _DUAL_SIMPLEX)
+    first = _solution(spec, r, x, nit)
+    if x is None:
+        return [first] * (1 + C * L)
+    basis = model.getBasis()  # a copy: chain 0 runs on in this model
+    pending, lock = iter(range(1, C)), threading.Lock()
+    solved = [[] for _ in range(C)]
+
+    def pull():
+        """Solve the chains left in ``pending``, each in a model of its own."""
+        while True:
+            with lock:
+                c = next(pending, None)
+            if c is None:
+                return
+            solved[c] = _chain(_model(lp, basis), rewards[c], spec)
+
+    from concurrent.futures import ThreadPoolExecutor  # with the first LP, as HiGHS loads
+
+    threads = _workers(C, lp.num_col_)
+    with ThreadPoolExecutor(max(1, threads)) as pool:  # a thread starts per submit
+        workers = [pool.submit(pull) for _ in range(threads)]
+        if C:
+            solved[0] = _chain(model, rewards[0], spec)
+        del model  # freed before this thread takes another chain's model
+        pull()
+        for worker in workers:
+            worker.result()
+    flat = [sol for chain in solved for sol in chain]
+    lost = next((sol for sol in flat if sol.status == "infeasible"), None)
+    return [lost] * (1 + C * L) if lost else [first, *flat]
 
 
 def calibrate_delta(kernel: np.ndarray, objective: np.ndarray, epsilon: float) -> float:

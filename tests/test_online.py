@@ -120,6 +120,19 @@ def test_observe_clips_out_of_range_bids(caplog):
     assert warnings == ["3 bids outside [0, 1] clipped, the first in round 6"]
 
 
+def test_observe_counts_nan_bids_as_zero(caplog):
+    """A NaN bid is outside [0, 1]: it is counted in the clip warning and
+    adds 0.0, so the reward sums stay finite."""
+    learner = OnlineVcgLearner(config())
+    with caplog.at_level("WARNING"):
+        learner.observe([0, 0], [0, 1], [0, 1], [0.0, 0.0], [[np.nan, 0.3], [0.5, np.nan]])
+    assert np.isfinite(learner.reward_sums).all()
+    assert learner.reward_sums[1, 0, 0] == 0.0 and learner.reward_sums[1, 0, 1] == 0.3
+    assert learner.reward_sums[2, 0, 0] == 0.5 and learner.reward_sums[2, 0, 1] == 0.0
+    warnings = [r.getMessage() for r in caplog.records if "clipped" in r.getMessage()]
+    assert warnings == ["2 bids outside [0, 1] clipped, the first in round 1"]
+
+
 def _tuple_index_observe(learner, s, a, s2, seller_rewards, bids):
     """What ``observe`` adds, by tuple-index scatter-adds on the 2-D and 3-D
     tables (the reference for its flat-index form)."""
@@ -366,7 +379,9 @@ def test_constraints_built_once_per_episode(count_calls):
     episodes = learner.k - 1
     assert episodes >= 2
     assert len(builds) == len(lps) == episodes
-    # one call per episode: the allocation and 2n counterfactual objectives,
-    # each solved in its own HiGHS run of the warm chain
-    assert [len(objectives) for objectives, _ in solves] == [2 * model.n + 1] * episodes
+    # one call per episode: the allocation, then one chain of two counterfactual
+    # objectives per bidder, each objective solved in its own HiGHS run
+    assert [np.shape(root) for root, _, _ in solves] == [(model.S, model.A)] * episodes
+    assert ([np.shape(chains) for _, chains, _ in solves]
+            == [(model.n, 2, model.S, model.A)] * episodes)
     assert len(runs) == episodes * (2 * model.n + 1)

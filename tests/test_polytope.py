@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -48,6 +49,23 @@ def _assert_bit_equal(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _one_chain(objectives, spec):
+    """``maximize_each`` of K objectives as one chain: the first cold, each
+    later one warm from the one before."""
+    objectives = np.asarray(objectives)
+    return maximize_each(objectives[0], objectives[1:][None], spec)
+
+
+def _assert_same_solutions(got, want):
+    """Two lists of solutions equal bit for bit: status, nit, value and q."""
+    for g, w in zip(got, want, strict=True):
+        assert (g.status, g.nit) == (w.status, w.nit)
+        assert g.objective_value.hex() == w.objective_value.hex()
+        assert (g.q is None) == (w.q is None)
+        if g.q is not None:
+            _assert_bit_equal(g.q.q, w.q.q)
 
 
 def _max_violation(rows, x):
@@ -177,10 +195,10 @@ def test_rho_lp_matches_q_space_oracle(S, A, variant, delta_frac, seed):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 3), **{k: v for k, v in spec_params.items() if k != "variant"})
 def test_warm_solves_equal_fresh_solves(n, S, A, delta_frac, seed):
-    """2n+1 objectives in one ``maximize_each`` call on a band spec (each
-    solved from the previous one's basis) match the same objectives solved
-    alone on fresh specs: the same statuses, values within 1e-9 and each q
-    meeting the q-space rows. The first solve is linprog's on the same rows,
+    """2n+1 objectives in one chain on a band spec (each solved from the
+    previous one's basis) match the same objectives solved alone on fresh
+    specs: the same statuses, values within 1e-9 and each q meeting the
+    q-space rows. The first solve is linprog's on the same rows,
     presolved as the band's model is (a tie may resolve to another vertex
     with presolve than without)."""
     spec, rows = _random_case(S, A, "SHRUNK_CONFIDENCE", delta_frac, seed)
@@ -193,7 +211,7 @@ def test_warm_solves_equal_fresh_solves(n, S, A, delta_frac, seed):
         return run(model)
 
     with mock.patch.object(polytope_mod, "_run", recording):
-        warm = maximize_each(objectives, spec)
+        warm = _one_chain(objectives, spec)
     assert len(warm) == len(objectives)
     for sol, r in zip(warm, objectives):
         fresh = maximize(r, replace(spec))
@@ -221,10 +239,11 @@ def test_warm_solves_equal_fresh_solves(n, S, A, delta_frac, seed):
 @example(n=2, S=5, A=1, floor=False, seed=841)  # a warm run stops "optimal" but infeasible
 def test_band_lp_matches_the_full_row_oracle(n, S, A, floor, seed):
     """On bands with many entries at exactly 0 and at 1 or more, whose band
-    rows the LP leaves out, 2n+1 objectives in one ``maximize_each`` call
-    reach the optimum of the q-space LP with every band row (the loop
-    oracle) within 1e-9, with and without delta, and each q meets the rows
-    left out, q >= 0 and q <= rho, within 1e-10."""
+    rows the LP leaves out, 2n+1 objectives reach the optimum of the q-space
+    LP with every band row (the loop oracle) within 1e-9, with and without
+    delta, and each q meets the rows left out, q >= 0 and q <= rho, within
+    1e-10: solved as one chain, and as a root with n chains of two, as the
+    learner solves them."""
     rng = np.random.default_rng(seed)
     shape = (S, A, S)
     kernel = rng.dirichlet(np.ones(S), size=(S, A))
@@ -236,8 +255,10 @@ def test_band_lp_matches_the_full_row_oracle(n, S, A, floor, seed):
     objectives = rng.random((2 * n + 1, S, A))
     rows = loop_constraints("SHRUNK_CONFIDENCE", S, A, delta=delta or 0.0,
                             band_lower=lower, band_upper=upper)
-    got = maximize_each(objectives, PolytopeSpec(band_lower=lower, band_upper=upper, delta=delta))
-    for sol, r in zip(got, objectives):
+    spec = PolytopeSpec(band_lower=lower, band_upper=upper, delta=delta)
+    chain = _one_chain(objectives, spec)
+    tree = maximize_each(objectives[0], objectives[1:].reshape(n, 2, S, A), spec)
+    for sol, r in zip([*chain, *tree], [*objectives, *objectives], strict=True):
         want = linprog_maximize(np.repeat(r[:, :, None], S, axis=2).ravel(), *rows)
         assert want.status in (0, 2)
         assert (sol.status == "infeasible") == (want.status == 2)
@@ -251,16 +272,15 @@ def test_band_lp_matches_the_full_row_oracle(n, S, A, floor, seed):
 @settings(max_examples=100, deadline=None)
 @given(copies=st.integers(1, 4), **spec_params)
 def test_chained_solves_equal_fresh_solves_and_repeat(copies, S, A, variant, delta_frac, seed):
-    """On every kind of polytope, K objectives solved in one ``maximize_each``
-    call match each solved alone on a fresh spec: the same status, values
-    within 1e-9 and each q meeting the q-space rows, with the value that q's
-    own payoff. A second call on the same spec repeats the first bit for bit."""
+    """On every kind of polytope, K objectives solved in one chain match each
+    solved alone on a fresh spec: the same status, values within 1e-9 and
+    each q meeting the q-space rows, with the value that q's own payoff. A second call on the same spec repeats the first bit for bit."""
     spec, rows = _random_case(S, A, variant, delta_frac, seed)
     rng = np.random.default_rng(seed + 1)
     objectives = rng.random((copies, S, A)) * (rng.random((copies, S, A)) >= 0.2)
-    got = maximize_each(objectives, spec)
+    got = _one_chain(objectives, spec)
     assert len(got) == copies
-    for sol, again, r in zip(got, maximize_each(objectives, spec), objectives):
+    for sol, again, r in zip(got, _one_chain(objectives, spec), objectives):
         fresh = maximize(r, replace(spec))
         assert sol.status == again.status == fresh.status
         if fresh.status == "optimal":
@@ -313,7 +333,8 @@ _BAND_LP = ("import sys, numpy as np, mdpvcg\n"
             "def solve():\n"
             "    band = mdpvcg.PolytopeSpec(band_lower=np.clip(m.kernel - 0.05, 0, 1),\n"
             "                               band_upper=np.clip(m.kernel + 0.05, 0, 1))\n"
-            "    solutions = mdpvcg.maximize_each(m.reward_means, band)\n"
+            "    r = m.reward_means\n"
+            "    solutions = mdpvcg.maximize_each(r[0], r[1:][None], band)\n"
             "    return [s.objective_value.hex() for s in solutions]\n")
 
 
@@ -440,10 +461,14 @@ def test_rejects_malformed_specs():
         maximize(np.ones((3, 3)), uniform_spec(2, 2))  # shape mismatch
     with pytest.raises(ValueError):
         maximize(np.full((2, 2), np.inf), uniform_spec(2, 2))
-    for bad in (np.ones((2, 2)), np.ones((1, 3, 2)), np.ones((0, 2, 2)),
-                np.full((2, 2, 2), np.nan)):  # not (K, S, A) with K >= 1, not finite
+    good = np.ones((2, 2))
+    for root, chains in ((np.ones(2), np.ones((1, 1, 2, 2))),  # root not (S, A)
+                         (good, np.ones((1, 2, 2))),  # chains not (C, L, S, A)
+                         (good, np.ones((1, 1, 3, 2))),
+                         (np.full((2, 2), np.nan), np.ones((1, 1, 2, 2))),  # not finite
+                         (good, np.full((1, 1, 2, 2), np.inf))):
         with pytest.raises(ValueError, match="objectives"):
-            maximize_each(bad, uniform_spec(2, 2))
+            maximize_each(root, chains, uniform_spec(2, 2))
 
 
 def test_zero_objective_returns_feasible_point():
@@ -558,10 +583,11 @@ def test_band_contradiction_reports_infeasible():
     sol = maximize(np.ones((S, A)), spec)
     assert sol.status == "infeasible"
     assert sol.q is None
-    # one polytope: a chain of K objectives is infeasible all together
-    chain = maximize_each(np.random.default_rng(0).random((3, S, A)), spec)
-    assert [s.status for s in chain] == ["infeasible"] * 3
-    assert all(s.q is None for s in chain)
+    # one polytope: a chain of K objectives, or a tree, is infeasible all together
+    r = np.random.default_rng(0).random((5, S, A))
+    for got in (_one_chain(r[:3], spec), maximize_each(r[0], r[1:].reshape(2, 2, S, A), spec)):
+        assert [s.status for s in got] == ["infeasible"] * len(got)
+        assert all(s.q is None for s in got)
 
 
 def test_transient_state_under_a_floor_reports_infeasible():
@@ -719,23 +745,17 @@ def test_identical_inputs_solve_identically():
     after, fresh = maximize(r, band), maximize(r, replace(band))
     assert (after.objective_value, after.nit) == (fresh.objective_value, fresh.nit)
     _assert_bit_equal(after.q.q, fresh.q.q)
-
-    def assert_same(got, want):
-        for g, w in zip(got, want, strict=True):
-            assert (g.status, g.nit, g.objective_value) == (w.status, w.nit, w.objective_value)
-            _assert_bit_equal(g.q.q, w.q.q)
-
     # a learner's 2n+1 chain: the allocation, then each bidder's two counterfactuals
     chain = np.concatenate([r[None], np.repeat(r - model.reward_means[1:], 2, axis=0)])
     chain[2::2] *= 0.9
-    first = maximize_each(chain, band)
-    assert_same(maximize_each(chain, band), first)
-    assert_same(maximize_each(chain, replace(band)), first)
+    first = _one_chain(chain, band)
+    _assert_same_solutions(_one_chain(chain, band), first)
+    _assert_same_solutions(_one_chain(chain, replace(band)), first)
     # a collapsed band's chains for K = 3, then K = 1, then K = 3 again
-    three = maximize_each(chain[:3], spec)
-    one = maximize_each(chain[2:], spec)
-    assert_same(maximize_each(chain[:3], spec), three)
-    assert_same(one, maximize_each(chain[2:], replace(spec)))
+    three = _one_chain(chain[:3], spec)
+    one = _one_chain(chain[2:], spec)
+    _assert_same_solutions(_one_chain(chain[:3], spec), three)
+    _assert_same_solutions(one, _one_chain(chain[2:], replace(spec)))
 
 
 def test_solved_specs_copy_and_pickle():
@@ -746,8 +766,79 @@ def test_solved_specs_copy_and_pickle():
     band = PolytopeSpec(band_lower=np.clip(model.kernel - 0.05, 0, 1),
                         band_upper=np.clip(model.kernel + 0.05, 0, 1), delta=0.03)
     for spec in (band, PolytopeSpec(model.kernel, model.kernel, 0.03)):
-        want = maximize_each(chain, spec)
+        want = _one_chain(chain, spec)
         for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
-            for g, w in zip(maximize_each(chain, twin), want, strict=True):
-                assert (g.status, g.nit, g.objective_value) == (w.status, w.nit, w.objective_value)
-                _assert_bit_equal(g.q.q, w.q.q)
+            _assert_same_solutions(_one_chain(chain, twin), want)
+
+
+def _tree_case(n, S, A, seed):
+    """A band spec with a floor, and a learner's tree on it: a root (S, A)
+    and n chains of two objectives."""
+    rng = np.random.default_rng(seed)
+    kernel = rng.dirichlet(np.ones(S), size=(S, A))
+    lower, upper = tighten_band(None, kernel, rng.uniform(0, 0.3, (S, A, S)))
+    spec = PolytopeSpec(lower, upper, rng.uniform(0.01, 0.5) / (S * A))
+    return spec, rng.random((S, A)), rng.random((n, 2, S, A))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), S=st.integers(1, 5), A=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_worker_count_changes_no_result(n, S, A, seed):
+    """A tree's solutions are the same bit for bit whether the calling thread
+    runs every chain or a worker thread starts for each chain after the first."""
+    spec, root, chains = _tree_case(n, S, A, seed)
+    got = []
+    for workers in (lambda chains, columns: 0, lambda chains, columns: chains - 1):
+        with mock.patch.object(polytope_mod, "_workers", workers):
+            got.append(maximize_each(root, chains, spec))
+    assert len(got[0]) == 1 + 2 * n
+    _assert_same_solutions(*got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), S=st.integers(1, 5), A=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_permuted_chains_permute_their_results(n, S, A, seed):
+    """Chains after the first each start from the root's basis in a model of
+    their own, so permuting them permutes their solutions, bit for bit."""
+    spec, root, chains = _tree_case(n, S, A, seed)
+    order = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+    want = maximize_each(root, chains, spec)
+    got = maximize_each(root, chains[order], spec)
+    _assert_same_solutions(got[:1], want[:1])
+    for j, c in enumerate(order):
+        _assert_same_solutions(got[1 + 2 * j:3 + 2 * j], want[1 + 2 * c:3 + 2 * c])
+
+
+def test_concurrent_calls_solve_as_serial_calls():
+    """Threads that call ``maximize_each`` at once, each on a spec of its own,
+    more of them than CPUs and switching often, and each call starting a
+    worker per chain after the first, get what serial calls get."""
+    cases = [_tree_case(3, 4, 3, seed) for seed in range(4)]
+    want = [maximize_each(root, chains, spec) for spec, root, chains in cases]
+    got = [[] for _ in cases]
+    start = threading.Barrier(len(cases))
+
+    def run(i):
+        spec, root, chains = cases[i]
+        start.wait(timeout=60)
+        for _ in range(3):
+            got[i].append(maximize_each(root, chains, spec))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(polytope_mod, "_workers", lambda chains, columns: chains - 1):
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for runs, solutions in zip(got, want, strict=True):
+        assert len(runs) == 3
+        for run_solutions in runs:
+            _assert_same_solutions(run_solutions, solutions)

@@ -15,22 +15,26 @@ keep, per entry, the running max lower bound and min upper bound (see
 ``tighten_band``), so the LP stays constant-size across episodes.
 
 ``maximize_each`` is the one solver. Each call builds the spec's LP once and
-HiGHS models of its own, runs its objectives in them as a warm-start tree and
-drops them, so a spec holds no solver state. The root objective runs cold by
-dual simplex. Each chain's objectives then run in order by primal simplex,
-the first from the root's optimal basis and each later one from the one
-before: a change of costs leaves a basis primal feasible (a run that stops
-"optimal" at a point HiGHS finds infeasible runs again, cold). Chain 0 runs on
-in the root's model, and every later chain in a fresh model given a copy of
-the root basis. The later chains run on worker threads, at most one per spare
-CPU and none on an LP too small to pay for one (HiGHS releases the GIL while
-it runs), and on the calling thread, which takes what is left once chain 0 is
-done. Where a chain runs is fixed by its index, not by the thread that takes
-it, so equal inputs give equal results, bit for bit, on any number of CPUs.
-Every cold run presolves, as
-``scipy.optimize.linprog(method="highs-ds")`` does. The HiGHS bindings load
-with the first LP, not with the module (``mdpvcg.offline`` solves none), and
-only their extension module loads, not ``scipy.optimize``.
+HiGHS models of its own, runs its objectives in them as a warm-start tree
+and drops them, so a spec holds no solver state. The root objective runs
+cold by dual simplex. Each chain's objectives then run in order by primal
+simplex, the first from the root's optimal basis and each later one from the
+one before: a change of costs leaves a basis primal feasible (a run that
+stops "optimal" at a point HiGHS finds infeasible runs again, cold). Chain 0
+runs on in the root's model, and every later chain in a fresh model given a
+copy of the root basis: a model keeps more of a run than its basis. One
+model given the root basis again before each later chain changed the
+iteration counts or vertices of 224 of 240 random band trees (3 chains of
+two, S, A in 2..5). The later chains are futures on worker threads, at most
+one per spare CPU and none on an LP too small to pay for one (HiGHS releases
+the GIL while it runs). Once chain 0 is done, the calling thread walks them
+from the last, runs each one no worker has started and waits for the rest.
+Where a chain runs is fixed by its index, not by the thread that runs it, so
+equal inputs give equal results, bit for bit, on any number of CPUs. Every
+cold run presolves, as ``scipy.optimize.linprog(method="highs-ds")`` does.
+The HiGHS bindings load with the first LP, not with the module
+(``mdpvcg.offline`` solves none), and only their extension module loads, not
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -247,33 +251,6 @@ def _run(model):
     return model.getModelStatus()
 
 
-def _read(model, status):
-    """(column values, or None for an infeasible LP; simplex iterations) of
-    the run of ``model`` that ended in ``status``."""
-    nit = model.getInfoValue("simplex_iteration_count")[1]
-    if status == _highs().HighsModelStatus.kInfeasible:
-        return None, nit
-    if status != _highs().HighsModelStatus.kOptimal:
-        raise RuntimeError(f"LP solver failed (status {status.value}): "
-                           f"{model.modelStatusToString(status)}")
-    return np.fromiter(model.getSolution().col_value, np.float64), nit
-
-
-def _solve(model, r, strategy):
-    """``_read`` of maximizing <rho, r> (r flat) in ``model``, run by
-    ``strategy`` from the model's basis, if it has one."""
-    model.setOptionValue("simplex_strategy", strategy)
-    model.changeColsCost(len(r), np.arange(len(r), dtype=np.int32), -r)
-    status = _run(model)
-    if (status == _highs().HighsModelStatus.kOptimal
-            and model.getInfoValue("primal_solution_status")[1] != _FEASIBLE_POINT):
-        # a warm run can stop "optimal" just outside the tolerance: run it again, cold
-        model.clearSolver()
-        model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
-        status = _run(model)
-    return _read(model, status)
-
-
 @dataclass(frozen=True)
 class LpSolution:
     q: Optional[OccupancyMeasure]
@@ -282,14 +259,29 @@ class LpSolution:
     nit: int  # HiGHS simplex iterations of the run that solved it
 
 
-def _solution(spec: PolytopeSpec, r: np.ndarray, x: Optional[np.ndarray], nit: int) -> LpSolution:
-    """Flat objective ``r``'s solution at the LP's column values ``x`` (None: infeasible)."""
-    if x is None:
+def _solve(model, r, strategy, spec: PolytopeSpec) -> LpSolution:
+    """The solution of maximizing <rho, r> (r flat) in ``model``, run by
+    ``strategy`` from the model's basis, if it has one."""
+    highs = _highs()
+    model.setOptionValue("simplex_strategy", strategy)
+    model.changeColsCost(len(r), np.arange(len(r), dtype=np.int32), -r)
+    status = _run(model)
+    if (status == highs.HighsModelStatus.kOptimal
+            and model.getInfoValue("primal_solution_status")[1] != _FEASIBLE_POINT):
+        # a warm run can stop "optimal" just outside the tolerance: run it again, cold
+        model.clearSolver()
+        model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+        status = _run(model)
+    nit = model.getInfoValue("simplex_iteration_count")[1]
+    if status == highs.HighsModelStatus.kInfeasible:
         return LpSolution(q=None, objective_value=float("nan"), status="infeasible", nit=nit)
-    S, A = spec.S, spec.A
+    if status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP solver failed (status {status.value}): "
+                           f"{model.modelStatusToString(status)}")
+    x = np.fromiter(model.getSolution().col_value, np.float64)
     # <rho, r> summed in column order, as HiGHS sums an LP's objective
-    return LpSolution(q=OccupancyMeasure(x[S * A:].reshape(S, A, S)),
-                      objective_value=float(np.cumsum(r * x[:S * A])[-1]),
+    return LpSolution(q=OccupancyMeasure(x[len(r):].reshape(spec.S, spec.A, spec.S)),
+                      objective_value=float(np.cumsum(r * x[:len(r)])[-1]),
                       status="optimal", nit=nit)
 
 
@@ -299,9 +291,8 @@ def _chain(model, rewards, spec: PolytopeSpec) -> list:
     the list."""
     solved = []
     for r in rewards:
-        x, nit = _solve(model, r, _PRIMAL_SIMPLEX)
-        solved.append(_solution(spec, r, x, nit))
-        if x is None:
+        solved.append(_solve(model, r, _PRIMAL_SIMPLEX, spec))
+        if solved[-1].status == "infeasible":
             break
     return solved
 
@@ -349,35 +340,26 @@ def maximize_each(root, chains, spec: PolytopeSpec) -> list:
     r, rewards = root.ravel(), chains.reshape(C, L, S * A)
     lp = highs_lp(build_constraints(spec))
     model = _model(lp)
-    x, nit = _solve(model, r, _DUAL_SIMPLEX)
-    first = _solution(spec, r, x, nit)
-    if x is None:
+    first = _solve(model, r, _DUAL_SIMPLEX, spec)
+    if first.status == "infeasible":
         return [first] * (1 + C * L)
     basis = model.getBasis()  # a copy: chain 0 runs on in this model
-    pending, lock = iter(range(1, C)), threading.Lock()
-    solved = [[] for _ in range(C)]
 
-    def pull():
-        """Solve the chains left in ``pending``, each in a model of its own."""
-        while True:
-            with lock:
-                c = next(pending, None)
-            if c is None:
-                return
-            solved[c] = _chain(_model(lp, basis), rewards[c], spec)
+    def fresh(c):
+        """Chain ``c``'s solutions, run in a model of its own from the root basis."""
+        return _chain(_model(lp, basis), rewards[c], spec)
 
-    from concurrent.futures import ThreadPoolExecutor  # with the first LP, as HiGHS loads
+    from concurrent.futures import Future, ThreadPoolExecutor  # with the first LP, as HiGHS loads
 
     threads = _workers(C, lp.num_col_)
-    with ThreadPoolExecutor(max(1, threads)) as pool:  # a thread starts per submit
-        workers = [pool.submit(pull) for _ in range(threads)]
-        if C:
-            solved[0] = _chain(model, rewards[0], spec)
+    with ThreadPoolExecutor(max(1, threads)) as pool:  # a thread starts only at a submit
+        # chains 1..C-1; without workers, futures that nothing starts
+        later = [pool.submit(fresh, c) if threads else Future() for c in range(1, C)]
+        solved = {0: _chain(model, rewards[0], spec)} if C else {}
         del model  # freed before this thread takes another chain's model
-        pull()
-        for worker in workers:
-            worker.result()
-    flat = [sol for chain in solved for sol in chain]
+        for c in range(C - 1, 0, -1):  # from the last, taking back each chain no worker started
+            solved[c] = fresh(c) if later[c - 1].cancel() else later[c - 1].result()
+    flat = [sol for c in range(C) for sol in solved[c]]
     lost = next((sol for sol in flat if sol.status == "infeasible"), None)
     return [lost] * (1 + C * L) if lost else [first, *flat]
 

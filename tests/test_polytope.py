@@ -786,14 +786,41 @@ def _tree_case(n, S, A, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_worker_count_changes_no_result(n, S, A, seed):
     """A tree's solutions are the same bit for bit whether the calling thread
-    runs every chain or a worker thread starts for each chain after the first."""
+    runs every chain, one worker thread starts (so the calling thread takes
+    back the queued chains it reaches first) or a worker starts for each chain
+    after the first."""
     spec, root, chains = _tree_case(n, S, A, seed)
     got = []
-    for workers in (lambda chains, columns: 0, lambda chains, columns: chains - 1):
+    for workers in (lambda chains, columns: 0, lambda chains, columns: min(1, chains - 1),
+                    lambda chains, columns: chains - 1):
         with mock.patch.object(polytope_mod, "_workers", workers):
             got.append(maximize_each(root, chains, spec))
     assert len(got[0]) == 1 + 2 * n
-    _assert_same_solutions(*got)
+    _assert_same_solutions(got[1], got[0])
+    _assert_same_solutions(got[2], got[0])
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2])
+def test_later_chain_error_leaves_maximize_each(workers):
+    """An error in a later chain, raised on a worker thread or on the calling
+    thread, leaves ``maximize_each`` as it was raised, and no worker thread
+    outlives the call."""
+    spec, root, chains = _tree_case(3, 4, 3, 0)
+    model, raised = polytope_mod._model, []
+
+    def refusing(lp, basis=None):
+        if basis is None:
+            return model(lp)
+        raised.append(RuntimeError("HiGHS refused the root basis"))
+        raise raised[-1]
+
+    before = set(threading.enumerate())
+    with mock.patch.object(polytope_mod, "_model", refusing), \
+            mock.patch.object(polytope_mod, "_workers", lambda chains, columns: workers):
+        with pytest.raises(RuntimeError, match="HiGHS refused the root basis") as error:
+            maximize_each(root, chains, spec)
+    assert any(error.value is e for e in raised)
+    assert set(threading.enumerate()) == before
 
 
 @settings(max_examples=40, deadline=None)

@@ -357,9 +357,7 @@ def advance(state: RunState) -> None:
 
     if state.rounds is not None:
         state.rounds.write(_rounds_csv_rows(
-            t, np.column_stack((np.full(length, k), s, a)),
-            np.where(np.arange(length) < mixing, "mixing", "stationary"),
-            np.column_stack((r.T, bids.T, charges.T, flows[:, 1:].T))))
+            t, k, mixing, s, a, np.concatenate((r, bids, charges, flows[:, 1:]))))
     # free the segment's arrays before the episode's LPs allocate theirs
     del t, s, a, s2, r, bids, charges, flows, sums
     if learner is not None and learner.episode_complete:
@@ -586,31 +584,72 @@ def export(result: OnlineRunResult, out_dir) -> list:
         raise OSError(f"export to {out_dir} failed: {e}") from e
 
 
-def _rounds_csv_rows(t, ints, phase, floats) -> bytes:
-    """One segment's rows as csv.writer writes them (ints and phases by str,
-    floats by repr, CRLF line ends): round ``t[j]`` has (k, s, a) ``ints[j]``,
-    phase ``phase[j]`` and rewards, bids, charges and utilities ``floats[j]``.
+def _rounds_csv_rows(t, k: int, mixing: int, s, a, floats) -> bytes:
+    """One segment's rows as csv.writer writes them (ints by str, floats by
+    repr, CRLF line ends): round ``t[j]`` is in episode ``k``, in its mixing
+    phase when j < ``mixing``, at (``s[j]``, ``a[j]``), with the rewards,
+    bids, charges and utilities ``floats[:, j]`` (one row of ``floats`` per
+    float column of the file).
 
     Within a segment every column but ``t`` follows from a few inputs (the
     phase, (s, a), the reward draws, the bid window), so a segment holds few
-    distinct rows once ``t`` is left out. Each distinct row is formatted
-    once: rows are keyed on their bytes (floats by bit pattern, so -0.0 and
-    0.0 and NaN payloads stay apart), and ``t`` is written in front of it.
+    distinct rows once ``t`` is left out. Rows are grouped exactly on their
+    64-bit words: the phase flag, s, a and the floats' bit patterns, so -0.0
+    and 0.0 and NaN payloads stay apart. Each distinct float is formatted
+    once, each distinct row once, and ``t`` is written in front of each row's
+    text in one call.
     """
-    rows = len(phase)
-    keys = np.concatenate((ints.view(np.uint8), floats.view(np.uint8),
-                           phase.view(np.uint8).reshape(rows, -1)), axis=1)
-    keys = keys.view(f"V{keys.shape[1]}").ravel().tolist()
-    rep = dict(zip(keys, range(rows)))  # one row per distinct key
-    at = np.fromiter(rep.values(), np.intp, len(rep))
-    texts = (("," + ",".join([str(k), p, str(s), str(a), *map(repr, f)]) + "\r\n").encode()
-             for (k, s, a), p, f in zip(ints[at].tolist(), phase[at].tolist(),
-                                        floats[at].tolist()))
-    text = dict(zip(rep, texts))
-    lines = [b""] * (2 * rows)
-    lines[0::2] = [b"%d" % v for v in t.tolist()]
-    lines[1::2] = map(text.__getitem__, keys)
-    return b"".join(lines)
+    width, rows = floats.shape
+    keys = np.concatenate((floats.view(np.uint64), s[None], a[None],
+                           (np.arange(rows) < mixing)[None]), dtype=np.uint64, casting="unsafe")
+    rep = _group_columns(keys)
+    is_rep = rep == np.arange(rows)
+    reps = np.flatnonzero(is_rep)
+    values, cell = np.unique(keys[:width, reps], return_inverse=True)
+    reprs = np.array([repr(v) for v in values.view(np.float64).tolist()], dtype=object)
+    floats_text = reprs[cell.reshape(width, -1)].T.tolist()  # each distinct row's floats
+    texts = np.array([(",%d,%s,%d,%d,%s\r\n" % (k, "mixing" if j < mixing else "stationary",
+                                                 sj, aj, ",".join(f))).encode()
+                      for j, sj, aj, f in zip(reps.tolist(), s[reps].tolist(), a[reps].tolist(),
+                                              floats_text)], dtype=object)
+    args = [None] * (2 * rows)
+    args[0::2] = t.tolist()
+    args[1::2] = texts[(np.cumsum(is_rep) - 1)[rep]].tolist()
+    return (b"%d%s" * rows) % tuple(args)
+
+
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying loses no bit
+
+
+def _column_hash(keys) -> np.ndarray:
+    """A 64-bit hash of each column of ``keys``; only speed rests on it."""
+    h = np.zeros(keys.shape[1], np.uint64)
+    for word in keys:
+        h ^= word
+        h *= _HASH_MULTIPLIER
+    return h
+
+
+def _group_columns(keys) -> np.ndarray:
+    """For each column of ``keys``, the index of the one column that stands
+    for all columns equal to it (that column maps to itself).
+
+    Columns are bucketed by the top 16 bits of their hash and checked word
+    by word against their bucket's stand-in. Those that differ from it
+    collided with it, and are bucketed again among themselves: each pass
+    settles at least each bucket's stand-in, so the grouping is exact
+    whatever the hash, and a single pass does it when nothing collides.
+    """
+    rep = np.empty(keys.shape[1], np.intp)
+    first = np.empty(1 << 16, np.intp)  # a stand-in per bucket, any of its columns
+    todo, cols = np.arange(keys.shape[1]), keys
+    while todo.size:
+        bucket = _column_hash(cols) >> np.uint64(48)
+        first[bucket] = todo
+        rep[todo] = first[bucket]
+        differ = (cols != keys[:, rep[todo]]).any(axis=0)
+        todo, cols = todo[differ], cols[:, differ]
+    return rep
 
 
 def _write_regret_csv(path, report: RegretReport):

@@ -21,11 +21,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .mdp import reward_caps
+from .mdp import _is_array, _is_count, _is_int, _is_number, _parse, reward_caps
 from .polytope import PolytopeSpec, maximize_each, tighten_band
 
 logger = logging.getLogger(__name__)
@@ -166,8 +166,14 @@ class OnlineVcgLearner:
         denom = np.maximum(1, self.counts - 1)[:, :, None]
         radii = (2.0 * np.sqrt(p_bar * log_kernel / denom)
                  + 14.0 * log_kernel / (3.0 * denom))
-        self.band_lower, self.band_upper = tighten_band(
-            (self.band_lower, self.band_upper), p_bar, radii)
+        lower, upper = tighten_band((self.band_lower, self.band_upper), p_bar, radii)
+        crossed = np.argwhere(lower > upper)
+        if crossed.size:  # the LP would be infeasible whatever delta is
+            s, a, s2 = crossed[0].tolist()
+            raise ConfigurationError(
+                f"episode {k}: the kernel band is empty at (s, a, s') = ({s}, {a}, {s2}): "
+                f"lower bound {float(lower[s, a, s2])!r} > upper bound {float(upper[s, a, s2])!r}")
+        self.band_lower, self.band_upper = lower, upper
 
         r_bar = self.reward_sums / visits[None, :, :]
         log_reward = math.log(A * S * k * n / cfg.zeta)
@@ -202,21 +208,52 @@ class OnlineVcgLearner:
 
     def to_checkpoint(self) -> dict:
         doc = {"config": asdict(self.config), "k": self.k, "tau_k": self.tau_k, "pos": self.pos}
-        for key in _CHECKPOINT_ARRAYS:
+        for key in _checkpoint_shapes(self.config):
             doc[key] = getattr(self, key).tolist()
         return doc
 
     @classmethod
     def from_checkpoint(cls, doc: dict) -> "OnlineVcgLearner":
-        learner = cls(LearnerConfig(**doc["config"]))
-        learner.k, learner.tau_k, learner.pos = int(doc["k"]), int(doc["tau_k"]), int(doc["pos"])
-        for key in _CHECKPOINT_ARRAYS:
+        """The learner ``to_checkpoint`` wrote into ``doc``. A missing or
+        mistyped key, an array of another shape and an unknown config key
+        raise a ValueError that names the key; a top-level key that is not
+        read (such as an older file's "counts" or "q_hat") is ignored."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a checkpoint must be an object; got {type(doc).__name__}")
+        config = LearnerConfig(**_parse(doc.get("config"), _CHECKPOINT_CONFIG_KEYS, "config."))
+        schema = dict(_CHECKPOINT_KEYS)
+        for key, shape in _checkpoint_shapes(config).items():
+            ints = key == "counts3"
+            schema[key] = (partial(_is_array, shape=shape, item=_is_int if ints else _is_number),
+                           f"an array of {'integers' if ints else 'numbers'} of shape {shape}", ...)
+        doc = _parse({key: doc[key] for key in doc if key in schema}, schema, "")
+        learner = cls(config)
+        learner.k, learner.tau_k, learner.pos = doc["k"], doc["tau_k"], doc["pos"]
+        for key in _checkpoint_shapes(config):
             setattr(learner, key, np.array(doc[key], dtype=np.int64 if key == "counts3"
                                            else np.float64))
         return learner
 
 
-# learner arrays in a checkpoint, in file order; a key not listed (such as an
-# older file's "q_hat") is ignored
-_CHECKPOINT_ARRAYS = ("counts3", "reward_sums", "band_lower", "band_upper", "reward_ucb",
-                      "reward_lcb", "policy", "payments_seller", "payments_bidder")
+# Key tables, checked by ``mdp._parse``: a checkpoint's "config" (LearnerConfig's
+# fields and defaults), then its scalars; ``_checkpoint_shapes`` adds the arrays
+_CHECKPOINT_CONFIG_KEYS = {
+    **dict.fromkeys(("S", "A", "n"), (_is_count, "a positive integer", ...)),
+    **dict.fromkeys(("alpha", "delta", "zeta"), (_is_number, "a number", ...)),
+    "c_max": (_is_number, "a number", 1.0),
+    "variant": (lambda v: v in VARIANTS, f"one of {', '.join(VARIANTS)}", "seller_favorable"),
+}
+
+_CHECKPOINT_KEYS = {
+    "k": (_is_count, "a positive integer", ...),
+    "tau_k": (_is_count, "a positive integer", ...),
+    "pos": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer", ...),
+}
+
+
+def _checkpoint_shapes(config: LearnerConfig) -> dict:
+    """The learner arrays in a checkpoint, in file order, and their shapes."""
+    S, A, n = config.S, config.A, config.n
+    return {"counts3": (S, A, S), "reward_sums": (n + 1, S, A), "band_lower": (S, A, S),
+            "band_upper": (S, A, S), "reward_ucb": (n + 1, S, A), "reward_lcb": (n + 1, S, A),
+            "policy": (S, A), "payments_seller": (n, S, A), "payments_bidder": (n, S, A)}

@@ -748,20 +748,24 @@ def test_rounds_csv_equals_row_by_row_csv_writer():
     assert batched.count(b"\r\n") == horizon + 1
 
 
-def _rows(t, ints, phase, floats, n):
-    """One segment's columns as the row tuples ``loop_rounds_csv`` writes."""
-    return [(t_, k, p, s, a, f[:n + 1], f[n + 1:2 * n + 1], f[2 * n + 1:3 * n + 1], f[3 * n + 1],
+def _rows(t, k, mixing, s, a, floats, n):
+    """One segment's writer arguments as the row tuples ``loop_rounds_csv`` writes."""
+    phases = ["mixing" if j < mixing else "stationary" for j in range(len(t))]
+    return [(t_, k, p, s_, a_, f[:n + 1], f[n + 1:2 * n + 1], f[2 * n + 1:3 * n + 1], f[3 * n + 1],
              f[3 * n + 2:-1], f[-1])
-            for t_, (k, s, a), p, f in zip(t.tolist(), ints.tolist(), phase.tolist(), floats)]
+            for t_, p, s_, a_, f in zip(t.tolist(), phases, s.tolist(), a.tolist(), floats.T)]
 
 
 def _segment(data: bytes):
-    """A rounds file's rows as one segment's (t, ints, phase, floats) columns."""
+    """A one-episode rounds file's rows as one segment's writer arguments
+    (t, k, mixing, s, a, floats)."""
     rounds = _columns(data)
     names = list(rounds)
-    ints = np.column_stack([rounds[k] for k in "ksa"]).astype(np.int64)
-    return (rounds["t"].astype(np.int64), ints, rounds["phase"].astype("<U10"),
-            np.column_stack([rounds[k] for k in names[5:]]))
+    (k,) = set(rounds["k"].astype(np.int64).tolist())
+    mixing = int(np.count_nonzero(rounds["phase"] == "mixing"))
+    assert (rounds["phase"][:mixing] == "mixing").all()
+    return (rounds["t"].astype(np.int64), k, mixing, rounds["s"].astype(np.int64),
+            rounds["a"].astype(np.int64), np.array([rounds[key] for key in names[5:]]))
 
 
 def _bits_float(bits):
@@ -778,9 +782,10 @@ _SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, _bits_float(0x7FF800000000000
 
 @st.composite
 def round_columns(draw):
-    """Adversarial columns of one segment (``advance`` formats no empty one):
-    each column either repeats a small pool of values or holds a distinct bit
-    pattern in every row."""
+    """Adversarial writer arguments for one segment (``advance`` formats no
+    empty one): each float, s and a column either repeats a small pool of
+    values or holds a distinct bit pattern in every row; k, s and a span
+    int64, and the mixing count is anything from 0 to L."""
     n, L = draw(st.integers(1, 3)), draw(st.integers(1, 24))
     value = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
                       st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
@@ -788,29 +793,62 @@ def round_columns(draw):
         lambda pool: st.lists(st.sampled_from(pool), min_size=L, max_size=L))
     distinct = st.lists(value, min_size=L, max_size=L,
                         unique_by=lambda x: struct.pack("<d", x))
-
-    def floats(width):
-        cols = [draw(st.one_of(repeating, distinct)) for _ in range(width)]
-        return np.ascontiguousarray(np.array(cols, dtype=np.float64).reshape(width, L).T)
+    floats = np.array([draw(st.one_of(repeating, distinct)) for _ in range(4 * n + 3)],
+                      dtype=np.float64).reshape(4 * n + 3, L)
+    int64 = st.integers(-2**63, 2**63 - 1)
 
     def ints():
-        pool = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=3))
-        return draw(st.lists(st.sampled_from(pool), min_size=L, max_size=L))
+        pool = draw(st.lists(int64, min_size=1, max_size=3))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=L, max_size=L)),
+                        dtype=np.int64)
 
-    # "mix" and "" hold NUL padding where "mixing" and "stationary" hold letters
-    phases = draw(st.lists(st.sampled_from(["mixing", "stationary", "mix", ""]),
-                           min_size=L, max_size=L))
-    return (np.arange(1, L + 1), np.array([ints(), ints(), ints()], dtype=np.int64).T.copy(),
-            np.array(phases, dtype="<U10"), floats(4 * n + 3), n)
+    return (np.arange(1, L + 1), draw(int64), draw(st.integers(0, L)), ints(), ints(),
+            floats, n)
+
+
+def _one_bucket(keys):
+    """A hash that puts every row in one bucket, so every distinct row but
+    the first in each pass collides."""
+    return np.zeros(keys.shape[1], np.uint64)
+
+
+def _assert_rounds_csv_equals_csv_writer(case):
+    *columns, n = case
+    header = (",".join(_round_header(n)) + "\r\n").encode()
+    assert header + _rounds_csv_rows(*columns) == loop_rounds_csv(_rows(*columns, n),
+                                                                   _round_header(n))
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=round_columns())
 def test_rounds_csv_bytes_equal_csv_writer_on_adversarial_columns(case):
-    *columns, n = case
-    header = (",".join(_round_header(n)) + "\r\n").encode()
-    assert header + _rounds_csv_rows(*columns) == loop_rounds_csv(_rows(*columns, n),
-                                                                   _round_header(n))
+    _assert_rounds_csv_equals_csv_writer(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=round_columns())
+def test_rounds_csv_bytes_equal_csv_writer_when_every_row_shares_a_bucket(case):
+    """Every distinct row collides, so the rows are grouped pass by pass."""
+    with mock.patch.object(harness_mod, "_column_hash", _one_bucket):
+        _assert_rounds_csv_equals_csv_writer(case)
+
+
+@pytest.mark.parametrize("column_hash", [harness_mod._column_hash, _one_bucket],
+                         ids=["hash", "one_bucket"])
+@settings(max_examples=50, deadline=None)
+@given(keys=st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.integers(0, 2).map(lambda v: [0, 2**63, 2**64 - 1][v]),
+             min_size=width, max_size=width), min_size=1, max_size=30)))
+def test_group_columns_maps_each_row_to_one_stand_in_per_distinct_row(column_hash, keys):
+    """Equal columns share a stand-in, the stand-in equals them and maps to
+    itself, however the hash collides."""
+    keys = np.array(keys, dtype=np.uint64).T.copy()
+    with mock.patch.object(harness_mod, "_column_hash", column_hash):
+        rep = harness_mod._group_columns(keys)
+    columns = [tuple(col) for col in keys.T.tolist()]
+    assert all(columns[r] == col for r, col in zip(rep.tolist(), columns))
+    assert (rep[rep] == rep).all()
+    assert len(set(rep.tolist())) == len(set(columns))
 
 
 @pytest.mark.parametrize("start", [95, 9_990, 10**18 - 37, 2**63 - 301])

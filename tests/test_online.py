@@ -306,6 +306,40 @@ def test_infeasible_delta_surfaces_configuration_error():
         online_mod.tighten_band = saved
 
 
+def test_a_crossed_band_names_the_empty_entry_not_delta():
+    """A prior upper bound of 0.2 and p-bar = 0.9 +- about 0.05 cross: the
+    band is empty at that entry, and the error names the episode and the
+    entry instead of blaming delta."""
+    learner = OnlineVcgLearner(config())
+    learner.counts3[0, 0] = [9000, 500, 500]
+    learner.band_upper[0, 0, 0] = 0.2
+    learner.pos = learner.d_k + learner.l_k
+    with pytest.raises(ConfigurationError) as err:
+        learner.end_episode()
+    message = str(err.value)
+    assert "episode 1" in message and "(s, a, s') = (0, 0, 0)" in message
+    assert "upper bound 0.2" in message and "delta" not in message
+    assert learner.k == 1 and learner.band_upper[0, 0, 0] == 0.2
+
+
+def _bad_checkpoint(case):
+    doc = OnlineVcgLearner(config()).to_checkpoint()
+    if case == "shape":
+        doc["counts3"] = [[1]]
+    elif case == "config_key":  # an older file's key
+        doc["config"]["epsilon"] = 0.05
+    else:
+        del doc["policy"]
+    return doc
+
+
+@pytest.mark.parametrize("case, key", [("shape", "counts3"), ("config_key", "epsilon"),
+                                       ("missing", "policy")])
+def test_a_bad_checkpoint_is_refused_by_key(case, key):
+    with pytest.raises(ValueError, match=key):
+        OnlineVcgLearner.from_checkpoint(_bad_checkpoint(case))
+
+
 def test_checkpoint_roundtrip_resumes_identically():
     model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.25, A=3,
                                          reward_family="bernoulli-scaled"), 6)

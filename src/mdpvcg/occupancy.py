@@ -79,7 +79,12 @@ def state_kernel(kernel: np.ndarray, policy: np.ndarray) -> np.ndarray:
 
 def occupancy_from(kernel: np.ndarray, policy: np.ndarray) -> OccupancyMeasure:
     """Occupancy measure of ``policy`` on ``kernel`` via the stationary solve."""
-    nu = stationary_distribution(state_kernel(kernel, policy))
+    return occupancy_from_nu(kernel, policy, stationary_distribution(state_kernel(kernel, policy)))
+
+
+def occupancy_from_nu(kernel: np.ndarray, policy: np.ndarray, nu: np.ndarray) -> OccupancyMeasure:
+    """Occupancy measure of ``policy`` on ``kernel`` given its stationary
+    distribution ``nu``: q(s,a,s') = nu(s) pi(a|s) P(s'|s,a)."""
     rho = nu[:, None] * policy
     return OccupancyMeasure(rho[:, :, None] * kernel)
 

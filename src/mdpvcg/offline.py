@@ -7,6 +7,9 @@ The welfare problem and the n counterfactual problems share the kernel and
 are solved together by batched average-reward policy iteration (Howard;
 Puterman 1994, section 8.6), which needs every kernel entry positive: then
 every stationary policy is ergodic, and the iteration is exact and finite.
+The same batched solve gives the welfare policy's stationary distribution,
+so a mechanism carries its allocation's occupancy measure and scoring it
+solves nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .occupancy import occupancy_from
+from .occupancy import OccupancyMeasure, occupancy_from_nu
 from .tolerances import TOL
 
 _MAX_ITERATIONS = 1000  # generated models take at most 3
@@ -46,6 +49,8 @@ class Mechanism:
     payments: np.ndarray              # (n, S, A)
     counterfactual_values: np.ndarray # (n,), others' best welfare without i
     welfare_value: float              # optimal reported welfare <q*, R>
+    occupancy: OccupancyMeasure       # the allocation's, on ``kernel``
+    kernel: np.ndarray                # (S, A, S), the kernel solved on
 
     def violations(self) -> list:
         out = []
@@ -58,30 +63,42 @@ class Mechanism:
 
 
 def _policy_iteration(rewards: np.ndarray, kernel: np.ndarray):
-    """(gains (K,), policies (K, S) of action indices) of the K average-reward
-    problems on ``kernel`` with reward tables ``rewards`` (K, S, A), solved
-    together from the per-state greedy policy.
+    """(gains (K,), policies (K, S) of action indices, nu (S,)) of the K
+    average-reward problems on ``kernel`` with reward tables ``rewards`` (K,
+    S, A), solved together from the per-state greedy policy; nu is the
+    stationary distribution of problem 0's policy.
 
     Each iteration solves, per problem, g + h(s) - sum_t P(t|s,pi(s)) h(t) =
-    r(s, pi(s)) with h(0) = 0 (column 0 carries g in place of h(0)). A state's
-    action changes only when another beats it by more than ``TOL.exact``, to
-    the lowest-index best action, so ties and rounding never cycle.
+    r(s, pi(s)) with h(0) = 0 (column 0 carries g in place of h(0)), and in
+    the same batch problem 0's stationary system, built as
+    ``occupancy.stationary_distribution`` builds it: LAPACK solves each
+    matrix of a batch on its own, so nu is that function's, bit for bit. A
+    state's action changes only when another beats it by more than
+    ``TOL.exact``, to the lowest-index best action, so ties and rounding
+    never cycle.
     """
     K, S, A = rewards.shape
     flat, rows = rewards.reshape(K, S * A), kernel.reshape(S * A, S)
     problems, first = np.arange(K)[:, None], np.arange(S) * A
     pairs = first + rewards.argmax(axis=2)  # the flat (s, pi(s)) of each problem and state
     identity = np.eye(S)
+    system, rhs = np.empty((K + 1, S, S)), np.zeros((K + 1, S, 1))
+    rhs[K, -1] = 1.0  # the stationary system's: nu sums to 1
     for _ in range(_MAX_ITERATIONS):
-        system = identity - rows[pairs]  # (K, S, S)
-        system[:, :, 0] = 1.0
-        x = np.linalg.solve(system, flat[problems, pairs][..., None])[..., 0]
+        policy_rows = rows[pairs]  # (K, S, S)
+        np.subtract(identity, policy_rows, out=system[:K])
+        system[:K, :, 0] = 1.0
+        np.subtract(policy_rows[0].T, identity, out=system[K])
+        system[K, -1] = 1.0
+        rhs[:K, :, 0] = flat[problems, pairs]
+        x = np.linalg.solve(system, rhs)[..., 0]
+        nu, x = x[K], x[:K]
         gain = x[:, 0].copy()
         x[:, 0] = 0.0  # now h
         q = (flat + x @ rows.T).reshape(K, S, A)
         better = q.max(axis=2) > q.reshape(K, S * A)[problems, pairs] + TOL.exact
         if not better.any():
-            return gain, pairs - first
+            return gain, pairs - first, nu
         pairs = np.where(better, first + q.argmax(axis=2), pairs)
     raise RuntimeError(f"policy iteration did not converge in {_MAX_ITERATIONS} iterations")
 
@@ -90,7 +107,8 @@ def offline_mechanism(bids: BidProfile, r0: np.ndarray, kernel: np.ndarray) -> M
     """Solve the welfare problem and the n counterfactual problems; assemble payments.
 
     Bids substitute for the bidders' reward tables throughout. The allocation
-    is the welfare problem's optimal deterministic policy, each value a gain.
+    is the welfare problem's optimal deterministic policy, each value a gain;
+    the mechanism holds the validated ``kernel`` by reference.
     """
     S, A = bids.bids.shape[1:]
     r0 = np.asarray(r0, dtype=np.float64)
@@ -106,22 +124,33 @@ def offline_mechanism(bids: BidProfile, r0: np.ndarray, kernel: np.ndarray) -> M
         raise ValueError("kernel rows must be probability distributions")  # NaN included
     if low == 0:
         raise ValueError("kernel has a zero entry: policy iteration needs every entry positive")
-    gains, policies = _policy_iteration(np.concatenate([reported[None], others]), kernel)
+    gains, policies, nu = _policy_iteration(np.concatenate([reported[None], others]), kernel)
+    allocation = np.eye(A)[policies[0]]
     return Mechanism(
-        allocation=np.eye(A)[policies[0]],
+        allocation=allocation,
         payments=gains[1:, None, None] - others,
         counterfactual_values=gains[1:],
         welfare_value=float(gains[0]),
+        occupancy=occupancy_from_nu(kernel, allocation, nu),
+        kernel=kernel,
     )
 
 
 def average_utilities(mechanism: Mechanism, rewards: np.ndarray, kernel: np.ndarray):
-    """Exact average utilities under the mechanism's allocation.
+    """Exact average utilities under the mechanism's allocation, read from the
+    occupancy measure it carries: no linear solve.
 
-    ``rewards`` holds the true mean tables for all players, seller first.
-    Returns (u_0, array of u_i, welfare).
+    ``kernel`` must be the mechanism's own (that array or an equal one), and
+    ``rewards`` the true mean tables of all players, seller first, (n+1, S,
+    A); anything else is refused. Returns (u_0, array of u_i, welfare).
     """
-    rho = occupancy_from(kernel, mechanism.allocation).rho
+    if kernel is not mechanism.kernel and not np.array_equal(kernel, mechanism.kernel):
+        raise ValueError("kernel differs from the one the mechanism was solved on")
+    n, S, A = mechanism.payments.shape
+    if np.shape(rewards) != (n + 1, S, A):
+        raise ValueError(f"rewards must be (n+1, S, A) = {(n + 1, S, A)}; "
+                         f"got {np.shape(rewards)}")
+    rho = mechanism.occupancy.rho
     # payoff(occ, r) for each r, with rho summed once
     welfare = float(np.vdot(rho, rewards.sum(axis=0)))
     u_bidders = np.array([

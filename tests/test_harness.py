@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import mdpvcg.cli as cli_mod
 import mdpvcg.harness as harness_mod
-import mdpvcg.offline as offline_mod
 from mdpvcg import (ConfigurationError, ExperimentConfig, GeneratorSpec,
                     LearnerConfig, MdpModel, OnlineRunResult, OnlineVcgLearner,
                     RegretReport, RunState, advance, compute_benchmark,
@@ -205,15 +204,15 @@ def test_benchmark_scalars_are_consistent():
     assert bench["identity_residual"] <= 1e-8
 
 
-def test_exact_scores_solve_the_occupancy_once(count_calls):
-    """One stationary solve per scoring; its residual is that of
-    seller_utility_identity, bit for bit."""
+def test_exact_scores_run_no_linear_solve(count_calls):
+    """Scoring reads the occupancy the mechanism carries: no np.linalg.solve
+    runs, and its residual is that of seller_utility_identity, bit for bit."""
     model = generate_model(GEN, 1)
     mech = compute_benchmark(model)[0]
-    solves = count_calls(offline_mod, "occupancy_from")
+    solves = count_calls(np.linalg, "solve")
     scores = harness_mod._exact_scores(mech, model)
-    assert len(solves) == 1
     lhs, rhs = seller_utility_identity(mech, model.reward_means, model.kernel)
+    assert solves == []
     assert scores["identity_residual"] == abs(lhs - rhs)
 
 

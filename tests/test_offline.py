@@ -1,15 +1,17 @@
+import dataclasses
 import re
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import brute_force_best, kernel_lp
-from mdpvcg import (BidProfile, GeneratorSpec, average_utilities,
-                    generate_model, offline_mechanism, seller_utility_identity)
+from mdpvcg import (BidProfile, GeneratorSpec, average_utilities, generate_model,
+                    occupancy_from, offline_mechanism, seller_utility_identity)
 
 
 def single_item_static(values):
@@ -73,10 +75,7 @@ def test_zero_payments_give_raw_payoffs_and_welfare_telescopes():
                              model.reward_means[0], model.kernel)
     u0, ui, welfare = average_utilities(mech, model.reward_means, model.kernel)
     assert welfare == pytest.approx(u0 + ui.sum(), abs=1e-9)
-    zeroed = type(mech)(allocation=mech.allocation,
-                        payments=np.zeros_like(mech.payments),
-                        counterfactual_values=mech.counterfactual_values,
-                        welfare_value=mech.welfare_value)
+    zeroed = dataclasses.replace(mech, payments=np.zeros_like(mech.payments))
     u0z, uiz, wz = average_utilities(zeroed, model.reward_means, model.kernel)
     assert wz == pytest.approx(welfare, abs=1e-12)
     assert u0z + uiz.sum() == pytest.approx(welfare, abs=1e-9)
@@ -332,3 +331,68 @@ def test_guarantees_hold_at_any_optimal_vertex(S, A, n, alpha, seed):
             tables = truthful.bids.copy()
             tables[i] = rng.choice(LEVELS, size=(S, A))
             assert ui[i] >= bidder_utility_at(rewards, kernel, BidProfile(tables), i) - 1e-7
+
+
+def _random_case(S, A, n, seed):
+    """A kernel drawn near the simplex's corners (every entry at least
+    alpha/S), seller rewards and bid tables, all uniform: about half of these
+    cases take two or more policy evaluations."""
+    rng = np.random.default_rng(seed)
+    alpha = float(rng.uniform(0.01, 0.5))
+    kernel = alpha / S + (1 - alpha) * rng.dirichlet(np.full(S, 0.3), size=(S, A))
+    rewards = rng.random((n + 1, S, A))
+    return kernel, rewards, BidProfile(rng.random((n, S, A)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(S=st.integers(1, 6), A=st.integers(1, 5), n=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(S=5, A=4, n=2, seed=3)  # two policy evaluations
+@example(S=6, A=5, n=3, seed=0)  # three
+def test_carried_occupancy_is_the_stationary_solve(S, A, n, seed):
+    """The occupancy a mechanism carries, from policy iteration's batched
+    solve, equals occupancy_from's separate stationary solve bit for bit, and
+    average_utilities equals the formula over that solve's rho bit for bit."""
+    kernel, rewards, bids = _random_case(S, A, n, seed)
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        mech = offline_mechanism(bids, rewards[0], kernel)
+    event(f"policy evaluations: {solve.call_count}")
+    assert np.array_equal(mech.occupancy.q, occupancy_from(kernel, mech.allocation).q)
+    rho = occupancy_from(kernel, mech.allocation).rho
+    want = (float(np.vdot(rho, rewards[0] + mech.payments.sum(axis=0))),
+            [float(np.vdot(rho, rewards[i + 1] - mech.payments[i])) for i in range(n)],
+            float(np.vdot(rho, rewards.sum(axis=0))))
+    u0, ui, welfare = average_utilities(mech, rewards, kernel)
+    assert (u0, ui.tolist(), welfare) == want
+
+
+def test_scoring_refuses_another_kernel(small_model):
+    """A mechanism is scored on its own kernel only: the array it was solved
+    on or an equal one; any other kernel is refused, with no linear solve."""
+    model = small_model
+    mech = offline_mechanism(BidProfile.truthful(model), model.reward_means[0], model.kernel)
+    assert mech.kernel is model.kernel
+    want = average_utilities(mech, model.reward_means, model.kernel)
+    got = average_utilities(mech, model.reward_means, model.kernel.copy())
+    assert (got[0], got[1].tolist(), got[2]) == (want[0], want[1].tolist(), want[2])
+    other = generate_model(GeneratorSpec(S=3, n=2, alpha=0.1, A=3), 8).kernel
+    for kernel in (other, model.kernel[::-1]):
+        with pytest.raises(ValueError, match="kernel differs from the one the mechanism"):
+            average_utilities(mech, model.reward_means, kernel)
+        with pytest.raises(ValueError, match="kernel differs from the one the mechanism"):
+            seller_utility_identity(mech, model.reward_means, kernel)
+
+
+@pytest.mark.parametrize("rows", [4, 2])
+def test_scoring_refuses_misshaped_rewards(small_model, rows):
+    """Rewards must be (n+1, S, A): an extra row would be folded into welfare
+    and one row short would fail by index, so both are refused, naming the
+    shapes."""
+    model = small_model
+    mech = offline_mechanism(BidProfile.truthful(model), model.reward_means[0], model.kernel)
+    rewards = np.concatenate([model.reward_means, model.reward_means[:1]])[:rows]
+    message = re.escape(f"rewards must be (n+1, S, A) = (3, 3, 3); got ({rows}, 3, 3)")
+    with pytest.raises(ValueError, match=message):
+        average_utilities(mech, rewards, model.kernel)
+    with pytest.raises(ValueError, match=message):
+        seller_utility_identity(mech, rewards, model.kernel)

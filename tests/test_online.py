@@ -18,7 +18,7 @@ from mdpvcg.bidders import checked_spec
 from mdpvcg.harness import _round_header, checkpoint_grid
 from mdpvcg.mdp import reward_caps
 
-from _oracles import loop_rounds_csv, loop_simulate_run
+from _oracles import linprog_maximize, loop_constraints, loop_rounds_csv, loop_simulate_run
 
 
 TRUTHFUL = checked_spec({"kind": "truthful"})
@@ -210,17 +210,45 @@ def test_unvisited_pair_keeps_prior_band_and_maximal_reward_bounds():
 def test_bernstein_radius_formula():
     cfg = config()
     learner = OnlineVcgLearner(cfg)
-    # craft counts: N(0,0) = 5 with N(0,0,1) = 2, others spread
-    learner.observe([0] * 5, [0] * 5, [1, 1, 0, 2, 0], [0.1] * 5, [[0.1] * 5] * 2)
+    # craft counts: N(0,0) = 20,000 with N(0,0,1) = 8,000, others spread, so
+    # the band p +/- eps lies strictly inside (0, 1) and neither bound clips
+    s2 = [1] * 8000 + [0] * 6000 + [2] * 6000
+    learner.observe([0] * 20000, [0] * 20000, s2, [0.1] * 20000, [[0.1] * 20000] * 2)
     learner.pos = learner.d_k + learner.l_k
     learner.end_episode()
     L = math.log(3 * 3 * 1 / cfg.zeta)
-    p = 0.4  # 2 of 5 went to state 1
-    eps = 2 * math.sqrt(p * L / 4) + 14 * L / 12
-    expected_upper = min(1.0, p + eps)
-    expected_lower = max(0.0, p - eps)
-    assert learner.band_upper[0, 0, 1] == pytest.approx(expected_upper, abs=1e-12)
-    assert learner.band_lower[0, 0, 1] == pytest.approx(expected_lower, abs=1e-12)
+    p = 0.4  # 8,000 of 20,000 went to state 1
+    eps = 2 * math.sqrt(p * L / 19999) + 14 * L / (3 * 19999)
+    assert 0 < p - eps and p + eps < 1
+    assert learner.band_upper[0, 0, 1] == pytest.approx(p + eps, abs=1e-12)
+    assert learner.band_lower[0, 0, 1] == pytest.approx(p - eps, abs=1e-12)
+
+
+def test_payment_tables_match_the_band_lp_oracle():
+    """After one episode each bidder's seller-favorable table is its
+    optimistic counterfactual value minus the others' pessimistic welfare,
+    and the bidder-favorable table its pessimistic value minus the others'
+    optimistic welfare: the values recomputed over the learner's band and
+    delta by the row-by-row q-space LP oracle, within 1e-9."""
+    model = generate_model(GeneratorSpec(S=3, n=2, alpha=0.25, A=3,
+                                         reward_family="bernoulli-scaled"), 4)
+    cfg = config(alpha=0.25, delta=0.08)
+    learner = drive(OnlineVcgLearner(cfg), model, sum(cfg.lengths(1)))
+    assert learner.k == 2
+    S, A = cfg.S, cfg.A
+    rows = loop_constraints("SHRUNK_CONFIDENCE", S, A, delta=cfg.delta,
+                            band_lower=learner.band_lower, band_upper=learner.band_upper)
+    ucb, lcb = learner.reward_ucb, learner.reward_lcb
+    for i in range(cfg.n):
+        others_ucb = ucb.sum(axis=0) - ucb[i + 1]
+        others_lcb = lcb.sum(axis=0) - lcb[i + 1]
+        opt, pes = (linprog_maximize(np.repeat(r[:, :, None], S, axis=2).ravel(), *rows)
+                    for r in (others_ucb, others_lcb))
+        assert opt.status == pes.status == 0
+        np.testing.assert_allclose(learner.payments_seller[i], -opt.fun - others_lcb,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(learner.payments_bidder[i], -pes.fun - others_ucb,
+                                   rtol=0, atol=1e-9)
 
 
 def test_reward_bounds_are_ordered_and_clipped():

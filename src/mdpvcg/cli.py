@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import ExperimentConfig, export, load_bids, run_offline, run_online
-from .mdp import load_model
+from .mdp import _create, load_model
 from .online import ConfigurationError
 from .polytope import calibrate_delta
 
@@ -61,7 +61,8 @@ def _cmd_offline(args) -> int:
     model = load_model(args.model)
     bids = load_bids(args.bids, model) if args.bids else None
     out = run_offline(model, bids=bids, sim_rounds=args.sim_rounds)
-    Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True))
+    with _create(args.out, "w") as fh:
+        fh.write(json.dumps(out, indent=1, sort_keys=True))
     print(f"wrote {args.out} (welfare {out['welfare']:.6f}, "
           f"identity residual {out['identity_residual']:.2e})")
     return 0

@@ -22,9 +22,9 @@ import numpy as np
 
 from .bidders import checked_spec, reports
 from .mdp import (_SHORT, AUCTIONS, REWARD_FAMILIES, GeneratorSpec, MdpModel, SimState,
-                  _check_family_count, _is_array, _is_count, _is_count_or_null, _is_families,
-                  _is_finite, _is_int, _is_list, _is_number, _parse, generate_model,
-                  load_model, play)
+                  _check_family_count, _create, _is_array, _is_count, _is_count_or_null,
+                  _is_families, _is_finite, _is_int, _is_list, _is_number, _parse,
+                  generate_model, load_model, play)
 from .offline import BidProfile, Mechanism, _identity_rhs, average_utilities, offline_mechanism
 from .online import VARIANTS, ConfigurationError, LearnerConfig, OnlineVcgLearner, episode_schedule
 from .tolerances import TOL
@@ -417,6 +417,13 @@ def run_online(config: ExperimentConfig, record_rounds: bool = False, extra_chec
     mechanism; by default a fresh learner that ignores it. ``record_rounds``
     writes each seed's rounds to ``rounds_seed<k>.csv`` in the config's
     ``out`` as they are played, and a run that raises removes them.
+
+    Each rounds file, like every file ``export`` writes, is a new file: a
+    regular file at its path is unlinked, not truncated, and the new one
+    keeps its permission bits (``mdp._create``). So a hard link to an old
+    output keeps the old bytes, and a new file is written back by the
+    kernel's normal flusher, not forced at ``close()``. A symlink, device or
+    FIFO at an output path is written through as before, never unlinked.
     """
     return _run_online(config, resolve_model(config), record_rounds, extra_checkpoints,
                        seller_factory)
@@ -442,14 +449,17 @@ def _run_online(config: ExperimentConfig, model: MdpModel, record_rounds=False,
     seed_results, opened = [], []
     try:
         for seed in config.seeds:
+            rounds = nullcontext()
             if record_rounds:
-                opened.append(Path(config.out) / f"rounds_seed{seed}.csv")
-                opened[-1].parent.mkdir(parents=True, exist_ok=True)
-            with open(opened[-1], "wb") if record_rounds else nullcontext() as rounds:
+                path = Path(config.out) / f"rounds_seed{seed}.csv"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                rounds = _create(path, "wb")
+                opened.append(path)
+            with rounds as fh:
                 seed_results.append(simulate_run(model, seller_factory(mech), strategies,
-                                                 horizon, seed, checkpoints, rounds))
+                                                 horizon, seed, checkpoints, fh))
     except BaseException as e:
-        for path in opened:  # a failed run leaves no rounds file
+        for path in opened:  # a failed run leaves no rounds file it created
             path.unlink(missing_ok=True)
         if isinstance(e, ConfigurationError):
             raise ConfigurationError(f"seed {seed}: {e}") from e
@@ -577,7 +587,8 @@ def export(result: OnlineRunResult, out_dir) -> list:
             for path in rounds:
                 path.unlink()
         summary = out / "summary.json"
-        summary.write_text(json.dumps(_summary_doc(result), sort_keys=True, indent=1))
+        with _create(summary, "w") as fh:
+            fh.write(json.dumps(_summary_doc(result), sort_keys=True, indent=1))
         written.append(summary)
         return written
     except OSError as e:
@@ -653,7 +664,7 @@ def _group_columns(keys) -> np.ndarray:
 
 
 def _write_regret_csv(path, report: RegretReport):
-    with open(path, "w", newline="") as fh:
+    with _create(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "reg_sw", "reg_sell", "reg_bid",
                     "reg_sw_over_t", "reg_sell_over_t", "reg_bid_over_t"])
@@ -666,7 +677,7 @@ def _write_regret_csv(path, report: RegretReport):
 
 
 def _write_regret_per_seed_csv(path, seeds, report: RegretReport):
-    with open(path, "w", newline="") as fh:
+    with _create(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["seed", "t", "reg_sw", "reg_sell", "reg_bid"])
         for i, seed in enumerate(seeds):
@@ -727,7 +738,7 @@ def _write_results_json(path, result: OnlineRunResult):
     seeds = doc.pop("seeds")
     for key in ("checkpoints", "reg_sw", "reg_sell", "reg_bid"):
         doc[key] = getattr(result.report, key).tolist()
-    with open(path, "wb") as fh:
+    with _create(path, "wb") as fh:
         fh.write(json.dumps(doc, sort_keys=True)[:-1].encode() + b', "rounds": {')
         for j, run in enumerate(sorted(result.seed_results, key=lambda run: str(run.seed))):
             fh.write(b'%s"%d": [' % (b", " if j else b"", run.seed))

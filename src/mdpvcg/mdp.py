@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
+import stat
 from bisect import bisect_right
 from itertools import product
 from dataclasses import dataclass
@@ -339,6 +341,32 @@ def _parse(doc, schema: dict, where: str) -> dict:
     return out
 
 
+def _create(path, mode: str, **kwargs):
+    """``open(path, mode, **kwargs)``, creating a regular file at ``path``
+    anew: it is unlinked first, never truncated, and the new file takes its
+    permission bits (less the umask).
+
+    So a hard link to an old output keeps the old bytes, and the new file is
+    written back by the kernel's normal flusher, not forced at ``close()``:
+    on ext4 (its ``auto_da_alloc``) a truncated and rewritten file has its
+    writeback forced at ``close()``, and the next truncating open waits for
+    it. Replacing a file needs write permission on its directory. Anything
+    else at ``path`` is opened as ``open`` opens it and is never unlinked: a
+    symlink is written through to its target, a device such as
+    ``/dev/null`` or a FIFO is written to, and a directory raises
+    ``IsADirectoryError``.
+    """
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is None or not stat.S_ISREG(st.st_mode):
+        return open(path, mode, **kwargs)
+    os.unlink(path)
+    perm = stat.S_IMODE(st.st_mode)
+    return open(path, mode, opener=lambda p, flags: os.open(p, flags, perm), **kwargs)
+
+
 def save_model(model: MdpModel, path) -> None:
     doc = {
         "S": model.S,
@@ -350,7 +378,8 @@ def save_model(model: MdpModel, path) -> None:
         "reward_means": model.reward_means.tolist(),
         "reward_family": list(model.reward_family),
     }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    with _create(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=1))
 
 
 _MODEL_KEYS = {  # save_model's document; np.array and float() would parse "0.2"

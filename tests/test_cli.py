@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from unittest import mock
 
 import numpy as np
@@ -496,3 +498,101 @@ def test_a_failed_recorded_run_leaves_no_rounds_file(model_file, tmp_path, monke
     assert "configuration error" in err and "seed 1: " in err
     assert not list(tmp_path.glob("rec/rounds_seed*.csv"))
     assert not (tmp_path / "rec" / "results.json").exists()
+
+
+def _link(paths, to_dir):
+    """Hard-link each of ``paths`` into ``to_dir``; returns each file's bytes."""
+    to_dir.mkdir()
+    for path in paths:
+        os.link(path, to_dir / path.name)
+    return {path.name: path.read_bytes() for path in paths}
+
+
+def test_simulate_replaces_its_outputs(model_file, tmp_path, capsys):
+    """A rerun into the same --out creates each file anew: hard links to the
+    first run's files keep its bytes, and each new file is the same run's
+    file from a fresh directory, with one link."""
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps({"model": {"file": str(model_file)},
+                                    "learner": {"delta": 0.08}, "horizon": 1500, "seeds": [0]}))
+
+    def simulate(out, *flags):
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(out),
+                     "--record-rounds", *flags]) == 0
+        return out
+
+    run = simulate(tmp_path / "run")
+    names = ["rounds_seed0.csv", "regret.csv", "regret_per_seed.csv", "summary.json"]
+    first = _link([run / name for name in names], tmp_path / "links")
+    for j, (flags, written) in enumerate([(["--horizon", "1700"], names),
+                                          (["--format", "json"], ["results.json", "summary.json"])]):
+        simulate(run, *flags)
+        fresh = simulate(tmp_path / f"fresh{j}", *flags)
+        for name in written:
+            assert (run / name).read_bytes() == (fresh / name).read_bytes(), name
+            assert (run / name).stat().st_nlink == 1, name
+        assert (run / "summary.json").read_bytes() != first["summary.json"]
+        assert {name: (tmp_path / "links" / name).read_bytes() for name in names} == first
+
+    blocked = tmp_path / "blocked"
+    (blocked / "rounds_seed0.csv").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg_file), "--out", str(blocked),
+                 "--record-rounds"]) == 3
+    assert "runtime error" in capsys.readouterr().err
+    assert (blocked / "rounds_seed0.csv").is_dir()
+
+
+def test_offline_vcg_replaces_its_output(model_file, tmp_path):
+    """The same contract for offline-vcg --out; the replacement keeps the old
+    file's permission bits, and a symlink at the path is written through to
+    its target, as open writes it, and stays a symlink."""
+    def offline(out, rounds):
+        assert main(["offline-vcg", "--model", str(model_file), "--out", str(out),
+                     "--sim-rounds", rounds]) == 0
+        return out
+
+    out = offline(tmp_path / "mechanism.json", "1000")
+    out.chmod(0o600)
+    first = _link([out], tmp_path / "links")
+    offline(out, "2000")
+    assert out.read_bytes() == offline(tmp_path / "fresh.json", "2000").read_bytes()
+    assert out.stat().st_nlink == 1
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert out.read_bytes() != first[out.name]
+    assert (tmp_path / "links" / out.name).read_bytes() == first[out.name]
+
+    target = tmp_path / "target.json"
+    target.write_bytes(b"old")
+    (tmp_path / "symlink.json").symlink_to(target)
+    offline(tmp_path / "symlink.json", "2000")
+    assert os.readlink(tmp_path / "symlink.json") == str(target)
+    assert target.read_bytes() == out.read_bytes()
+
+
+def test_offline_vcg_writes_through_special_files(model_file, tmp_path):
+    """A FIFO, or a symlink to /dev/null, at --out is written to as open
+    writes it, and is never unlinked."""
+    expected = tmp_path / "mechanism.json"
+    assert main(["offline-vcg", "--model", str(model_file), "--out", str(expected),
+                 "--sim-rounds", "500"]) == 0
+    assert len(expected.read_bytes()) < 16384  # fits the pipe's buffer unread
+
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["offline-vcg", "--model", str(model_file), "--out", str(fifo),
+                     "--sim-rounds", "500"]) == 0
+        got = b"".join(iter(lambda: os.read(reader, 65536), b""))
+    finally:
+        os.close(reader)
+    assert got == expected.read_bytes()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    null = tmp_path / "null.json"
+    null.symlink_to(os.devnull)
+    assert main(["offline-vcg", "--model", str(model_file), "--out", str(null),
+                 "--sim-rounds", "500"]) == 0
+    assert os.readlink(null) == os.devnull
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
